@@ -23,7 +23,7 @@ from .subjectivity import (
     score,
 )
 from .textprep import EncodedExample, Vocab, build_vocab, encode, word_split
-from .trainer import ClassWeights, TrainSchedule, class_weights, predict, train
+from .trainer import ClassWeights, TrainSchedule, class_weights, train
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,6 @@ __all__ = [
     "LexiconEntry", "SubjectivityLexicon", "SubjectivityScore", "assess",
     "default_lexicon", "load_lexicon", "load_lexicon_tsv", "score",
     "EncodedExample", "Vocab", "build_vocab", "encode", "word_split",
-    "ClassWeights", "TrainSchedule", "class_weights", "predict", "train",
+    "ClassWeights", "TrainSchedule", "class_weights", "train",
     "__version__",
 ]

@@ -1,7 +1,7 @@
 """Command-line entry point wiring scoring, conversion, splitting, training,
 evaluation, auditing and run comparison.
 
-Exit codes: 0 success, 1 usage error, 2 data or contract error. Every train
+Exit codes: 0 success, 1 usage error, 2 data, contract or file error. Every train
 run writes a manifest capturing the configuration digest, seed, mode and
 input digests needed to reproduce it.
 """
@@ -9,6 +9,7 @@ input digests needed to reproduce it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,9 +18,15 @@ from pathlib import Path
 
 from . import audit, datasets, encoder, identity, subjectivity, textprep, trainer
 from .augment import AugmentMode
-from .errors import ContractError, ResourceError, SubsenseError, UsageError
+from .errors import ConfigError, ContractError, ResourceError, SubsenseError, UsageError
 
 MANIFEST_VERSION = 1
+# Manifest keys that eval, audit and compare read.
+MANIFEST_KEYS = (
+    "config_digest", "seed", "mode", "soc_weight", "dataset_id", "lexicon",
+    "identity_terms", "artifacts",
+)
+ARTIFACT_KEYS = ("checkpoint", "config", "vocab", "eval_report", "audit_report")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,6 +44,14 @@ def _sha256_file(path) -> str:
 
 def _sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _read_json(path, error):
+    """Parse a JSON file; malformed content raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
 
 
 def _write_json(obj, path) -> None:
@@ -132,10 +147,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _config_section(args, section: str, cls) -> dict:
+    """The ``section`` object of the --config file, checked against the
+    fields of ``cls``; empty without --config."""
+    if not args.config:
+        return {}
+    doc = _read_json(args.config, ConfigError)
+    values = doc.get(section, {}) if isinstance(doc, dict) else None
+    if not isinstance(values, dict):
+        raise ConfigError(f"{args.config}: {section!r} must be a JSON object")
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown {section} keys {', '.join(unknown)}")
+    return values
+
+
 def _model_config_from_args(args, vocab_size: int) -> encoder.ModelConfig:
-    base = {}
-    if args.config:
-        base = json.loads(Path(args.config).read_text(encoding="utf-8")).get("model", {})
+    base = _config_section(args, "model", encoder.ModelConfig)
     values = {
         "max_len": args.max_len, "d_model": args.d_model, "n_heads": args.n_heads,
         "n_layers": args.n_layers, "d_ff": args.d_ff, "dropout_rate": args.dropout,
@@ -148,9 +176,7 @@ def _model_config_from_args(args, vocab_size: int) -> encoder.ModelConfig:
 
 
 def _schedule_from_args(args) -> trainer.TrainSchedule:
-    base = {}
-    if args.config:
-        base = json.loads(Path(args.config).read_text(encoding="utf-8")).get("schedule", {})
+    base = _config_section(args, "schedule", trainer.TrainSchedule)
     values = {
         "batch_size": args.batch_size, "lr0": args.lr, "val_every": args.val_every,
         "max_halvings": args.max_halvings, "epoch_cap": args.epoch_cap,
@@ -239,14 +265,22 @@ def _load_manifest(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"manifest not found: {p}")
-    manifest = json.loads(p.read_text(encoding="utf-8"))
-    if manifest.get("manifest_version") != MANIFEST_VERSION:
+    manifest = _read_json(p, ContractError)
+    if not isinstance(manifest, dict) or manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ContractError(f"unsupported manifest version in {p}")
+    missing = [k for k in MANIFEST_KEYS if k not in manifest]
+    if not missing:
+        artifacts = manifest["artifacts"]
+        if not isinstance(artifacts, dict):
+            raise ContractError(f"manifest {p}: artifacts must be a JSON object")
+        missing = [f"artifacts.{k}" for k in ARTIFACT_KEYS if k not in artifacts]
+    if missing:
+        raise ContractError(f"manifest {p} lacks {', '.join(missing)}")
     return manifest
 
 
 def _rebuild_run(manifest):
-    run_config = json.loads(Path(manifest["artifacts"]["config"]).read_text(encoding="utf-8"))
+    run_config = _read_json(manifest["artifacts"]["config"], ContractError)
     config = encoder.ModelConfig.from_dict(run_config["model"])
     vocab = textprep.Vocab.load(manifest["artifacts"]["vocab"])
     params = encoder.load_params(manifest["artifacts"]["checkpoint"])
@@ -315,7 +349,7 @@ def _cmd_compare(args) -> int:
         eval_path = Path(manifest["artifacts"]["eval_report"])
         if not eval_path.exists():
             raise ContractError(f"no eval report for {mpath}; run `subsense eval` first")
-        report = json.loads(eval_path.read_text(encoding="utf-8"))
+        report = _read_json(eval_path, ContractError)
         name = manifest["mode"]
         if manifest["soc_weight"]:
             name += f"+soc({manifest['soc_weight']})"
@@ -430,7 +464,7 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except SubsenseError as exc:
+    except (SubsenseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,17 @@ a component exactly, severing the slot from the logits.
 Blocks are pre-norm; the classification head reads the CLS position after a
 final normalization. Dropout masks are stored in the forward cache so the
 backward pass replays them exactly.
+
+Only CLS reaches the head, so the last block computes keys and values for
+every position but its queries, attention output, residual, second norm and
+feed-forward for the CLS row alone, and the final norm sees only CLS. This
+is exact, not an approximation: norms, projections, the feed-forward and the
+residual act on each position independently, and attention lets other
+positions reach CLS only through their keys and values, which are still
+computed for all of them. Results differ from a full-sequence pass only by
+the rounding of differently shaped matrix products. Dropout masks are drawn
+at the full sequence shape and then sliced, so the random stream is the one
+a full-sequence pass would consume.
 """
 
 from __future__ import annotations
@@ -175,18 +186,20 @@ def _rms_backward(dy, gain, cache):
     dxhat = dy * gain
     dim = x.shape[-1]
     inner = np.sum(dxhat * x, axis=-1, keepdims=True)
-    dx = r * dxhat - (r**3 / dim) * x * inner
+    dx = r * dxhat - (r * r * r / dim) * x * inner
     return dx, dgain, dbias
 
 
+# Powers are written as products: numpy computes ``u**3`` through ``pow``,
+# which is many times slower than ``u * u * u``.
 def _gelu(u):
-    t = np.tanh(_GELU_C * (u + _GELU_A * u**3))
+    t = np.tanh(_GELU_C * (u + _GELU_A * u * u * u))
     return 0.5 * u * (1.0 + t)
 
 
 def _gelu_grad(u):
-    t = np.tanh(_GELU_C * (u + _GELU_A * u**3))
-    return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u**2)
+    t = np.tanh(_GELU_C * (u + _GELU_A * u * u * u))
+    return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u * u)
 
 
 def _split_heads(x, n_heads):
@@ -223,6 +236,12 @@ def _assemble(batch, config):
     return ids, kmask, fill
 
 
+def _query_rows(layer: int, config: ModelConfig):
+    """Positions a block computes queries, residual and FF for: only CLS in
+    the last block, since nothing after it reads any other position."""
+    return slice(0, 1) if layer == config.n_layers - 1 else slice(None)
+
+
 def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     """Run the classifier; returns (logits, cache), cache None in inference.
 
@@ -253,8 +272,11 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     layer_caches = []
     for i in range(config.n_layers):
         p = f"layer{i}"
+        rows = _query_rows(i, config)
         a, ln1_cache = _rms_forward(h, params[f"{p}.norm1.gain"], params[f"{p}.norm1.bias"])
-        q = _split_heads(a @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], config.n_heads)
+        q = _split_heads(
+            a[:, rows] @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], config.n_heads
+        )
         k = _split_heads(a @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"], config.n_heads)
         v = _split_heads(a @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"], config.n_heads)
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + add_mask
@@ -265,9 +287,9 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         attn = ocat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
         attn_drop = None
         if use_dropout:
-            attn_drop = _dropout_mask(dropout_rng, attn.shape, config.dropout_rate)
+            attn_drop = _dropout_mask(dropout_rng, h.shape, config.dropout_rate)[:, rows]
             attn = attn * attn_drop
-        h_mid = h + attn
+        h_mid = h[:, rows] + attn
 
         f, ln2_cache = _rms_forward(
             h_mid, params[f"{p}.norm2.gain"], params[f"{p}.norm2.bias"]
@@ -277,7 +299,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         z = g @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
         ff_drop = None
         if use_dropout:
-            ff_drop = _dropout_mask(dropout_rng, z.shape, config.dropout_rate)
+            ff_drop = _dropout_mask(dropout_rng, h.shape, config.dropout_rate)[:, rows]
             z = z * ff_drop
         h_next = h_mid + z
 
@@ -288,8 +310,9 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         })
         h = h_next
 
-    hf, final_cache = _rms_forward(h, params["final_norm.gain"], params["final_norm.bias"])
-    cls = hf[:, 0, :]
+    cls, final_cache = _rms_forward(
+        h[:, 0], params["final_norm.gain"], params["final_norm.bias"]
+    )
     logits = cls @ params["head.w"] + params["head.b"]
 
     if not train_mode:
@@ -322,11 +345,14 @@ def backward(cache, params, config, dlogits):
     grads["head.b"] = dlogits.sum(axis=0)
     dcls = dlogits @ params["head.w"].T
 
-    dhf = np.zeros((b, config.seq_len, d))
-    dhf[:, 0, :] = dcls
-    dcur, dgain, dbias = _rms_backward(dhf, params["final_norm.gain"], cache["final"])
+    dcls_in, dgain, dbias = _rms_backward(dcls, params["final_norm.gain"], cache["final"])
     grads["final_norm.gain"] = dgain
     grads["final_norm.bias"] = dbias
+    if config.n_layers:
+        dcur = dcls_in[:, None, :]
+    else:
+        dcur = np.zeros((b, config.seq_len, d))
+        dcur[:, 0] = dcls_in
 
     def _linear_back(x, w, dy):
         din = x.shape[-1]
@@ -339,6 +365,7 @@ def backward(cache, params, config, dlogits):
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}"
         lc = cache["layers"][i]
+        rows = _query_rows(i, config)
 
         dz = dcur.copy()
         if lc["ff_drop"] is not None:
@@ -371,17 +398,19 @@ def backward(cache, params, config, dlogits):
         dq = dscores @ k / np.sqrt(dh)
         dk = dscores.transpose(0, 1, 3, 2) @ q / np.sqrt(dh)
 
-        da = np.zeros_like(lc["a"])
-        for name, dten in (("wq", dq), ("wk", dk), ("wv", dv)):
+        a = lc["a"]
+        da = np.zeros_like(a)
+        for name, dten, in_rows in (("wq", dq, rows), ("wk", dk, slice(None)),
+                                    ("wv", dv, slice(None))):
             merged = _merge_heads(dten)
-            dw, db, dx = _linear_back(lc["a"], params[f"{p}.attn.{name}"], merged)
+            dw, db, dx = _linear_back(a[:, in_rows], params[f"{p}.attn.{name}"], merged)
             grads[f"{p}.attn.{name}"] = dw
             grads[f"{p}.attn.b{name[1]}"] = db
-            da += dx
-        dh_ln, dgain1, dbias1 = _rms_backward(da, params[f"{p}.norm1.gain"], lc["ln1"])
+            da[:, in_rows] += dx
+        dcur, dgain1, dbias1 = _rms_backward(da, params[f"{p}.norm1.gain"], lc["ln1"])
         grads[f"{p}.norm1.gain"] = dgain1
         grads[f"{p}.norm1.bias"] = dbias1
-        dcur = dmid + dh_ln
+        dcur[:, rows] += dmid
 
     if cache["emb_drop"] is not None:
         dcur = dcur * cache["emb_drop"]

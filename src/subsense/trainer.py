@@ -145,24 +145,6 @@ def _occlude(ex: AugmentedExample, position: int) -> AugmentedExample:
     return replace(ex, base=EncodedExample(ex.base.ids, tuple(mask)))
 
 
-def occlusion_penalty(example: PreparedExample, params, config) -> float:
-    """Mean squared toxic-logit shift when each identity token is hidden.
-
-    Defined as 0 for comments without identity tokens. Deterministic: no
-    dropout is applied in either pass.
-    """
-    positions = example.identity_positions
-    if not positions:
-        return 0.0
-    logits, _ = forward([example.aug], params, config)
-    base_toxic = logits[0, Label.TOXIC]
-    total = 0.0
-    for pos in positions:
-        occ_logits, _ = forward([_occlude(example.aug, pos)], params, config)
-        total += float((base_toxic - occ_logits[0, Label.TOXIC]) ** 2)
-    return total / len(positions)
-
-
 @dataclass
 class HalvingController:
     """Best-so-far plateau rule: halve the lr whenever validation F1 drops
@@ -219,12 +201,6 @@ class TrainHistory:
                     repr(e.lr),
                     e.halvings,
                 ])
-
-
-def predict(params, config, example: AugmentedExample):
-    """(label, toxic probability); ties resolve to non-toxic."""
-    logits, _ = forward([example], params, config)
-    return _decide(logits[0])
 
 
 def _decide(logit_pair):

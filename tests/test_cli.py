@@ -199,3 +199,78 @@ class TestTrainArtifacts:
         capsys.readouterr()
         assert cli.dispatch(["compare", str(rundir / "manifest.json")]) == 2
         assert "eval" in capsys.readouterr().err
+
+
+class TestBadInputExitsTwo:
+    """Malformed inputs end with exit 2 and a one-line message."""
+
+    def one_line_error(self, capsys):
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        return err
+
+    def train_with_config(self, pipeline, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        data = pipeline["data"]
+        return cli.dispatch([
+            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--mode", "ss", "--seed", "1", "--outdir", str(tmp_path / "run"),
+            "--config", str(config), *TRAIN_FLAGS,
+        ])
+
+    def test_config_not_json(self, pipeline, tmp_path, capsys):
+        assert self.train_with_config(pipeline, tmp_path, "{model: 1") == 2
+        assert "not valid JSON" in self.one_line_error(capsys)
+        assert not (tmp_path / "run").exists()
+
+    def test_config_unknown_model_key(self, pipeline, tmp_path, capsys):
+        text = json.dumps({"model": {"d_model": 16, "n_blocks": 3}})
+        assert self.train_with_config(pipeline, tmp_path, text) == 2
+        assert "n_blocks" in self.one_line_error(capsys)
+
+    def test_config_unknown_schedule_key(self, pipeline, tmp_path, capsys):
+        text = json.dumps({"schedule": {"warmup": 10}})
+        assert self.train_with_config(pipeline, tmp_path, text) == 2
+        assert "warmup" in self.one_line_error(capsys)
+
+    def test_config_section_not_object(self, pipeline, tmp_path, capsys):
+        assert self.train_with_config(pipeline, tmp_path, json.dumps({"model": [1]})) == 2
+        self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("drop", ["artifacts", "mode", "config_digest"])
+    def test_manifest_missing_key(self, pipeline, tmp_path, capsys, drop):
+        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
+        del manifest[drop]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code = cli.dispatch(["eval", "--manifest", str(path),
+                             "--test", str(pipeline["data"] / "test.csv"),
+                             "--output", str(tmp_path / "eval.json")])
+        assert code == 2
+        assert drop in self.one_line_error(capsys)
+
+    def test_manifest_missing_artifact(self, pipeline, tmp_path, capsys):
+        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
+        del manifest["artifacts"]["vocab"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert cli.dispatch(["compare", str(path)]) == 2
+        assert "artifacts.vocab" in self.one_line_error(capsys)
+
+    def test_manifest_not_json(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("not json", encoding="utf-8")
+        assert cli.dispatch(["compare", str(path)]) == 2
+        self.one_line_error(capsys)
+
+    def test_read_error(self, tmp_path, capsys):
+        assert cli.dispatch(["score", "--file", str(tmp_path)]) == 2
+        self.one_line_error(capsys)
+
+    def test_write_error(self, pipeline, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        assert cli.dispatch(["split", "--input", str(pipeline["data"] / "corpus.csv"),
+                             "--outdir", str(blocker), "--seed", "1"]) == 2
+        self.one_line_error(capsys)

@@ -7,6 +7,7 @@ import pytest
 from subsense import augment as ag
 from subsense import encoder as enc
 from subsense import textprep as tp
+from subsense import trainer as tr
 from subsense.errors import ConfigError, ContractError, ResourceError
 
 VOCAB = tp.Vocab.from_tokens([f"w{i}" for i in range(12)])
@@ -233,6 +234,56 @@ class TestBackward:
                 fd = (up - down) / (2 * h)
                 g = grads[name].reshape(-1)[i]
                 assert abs(g - fd) / max(abs(g), abs(fd), 1e-4) < 1e-4, name
+
+
+class TestGradientOracle:
+    """Full-parameter central differences, as acceptance check A3 runs them
+    at one layer, for the depths where the CLS-only last block differs: no
+    block at all, and a full block feeding a CLS-only one."""
+
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_matches_central_differences(self, n_layers):
+        config = tiny_config(n_layers=n_layers, seed=3)
+        batch = [example(["w1", "w2", "w3"], 0.73, 1), example(["w4", "w5"], 0.21, 0)]
+        labels = np.array([1, 0])
+        weights = tr.ClassWeights(1.0, 1.0)
+        params = enc.init(config)
+
+        def loss_of(current_batch=batch):
+            logits, _ = enc.forward(current_batch, params, config)
+            value, _ = tr._batch_loss_grad(logits, labels, weights)
+            return value
+
+        logits, cache = enc.forward(batch, params, config, train_mode=True)
+        _, dlogits = tr._batch_loss_grad(logits, labels, weights)
+        grads, slot_grad = enc.backward(cache, params, config, dlogits)
+
+        h = 1e-5
+        worst, worst_at = 0.0, ""
+        for name, tensor in params.items():
+            grad = grads[name].reshape(-1)
+            flat = tensor.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss_of()
+                flat[i] = orig - h
+                down = loss_of()
+                flat[i] = orig
+                fd = (up - down) / (2 * h)
+                rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-4)
+                if rel > worst:
+                    worst, worst_at = rel, f"{name}[{i}]"
+        for row, ex in enumerate(batch):
+            plus, minus = [*batch], [*batch]
+            plus[row] = dataclasses.replace(ex, slot_fill=ex.slot_fill + h)
+            minus[row] = dataclasses.replace(ex, slot_fill=ex.slot_fill - h)
+            fd = (loss_of(plus) - loss_of(minus)) / (2 * h)
+            rel = abs(slot_grad[row] - fd) / max(abs(slot_grad[row]), abs(fd), 1e-4)
+            if rel > worst:
+                worst, worst_at = rel, f"slot_fill[{row}]"
+        assert slot_grad[1] == 0.0
+        assert worst < 1e-4, f"worst relative error {worst:.2e} at {worst_at}"
 
 
 class TestCheckpoint:

@@ -1,0 +1,84 @@
+"""The encoder against its full-sequence reference (``reference_encoder``).
+
+The production encoder computes the last block and the final norm for the
+CLS row only. Logits, every parameter gradient and the slot-fill gradient
+must match the reference that runs every position, to 1e-12 absolute.
+"""
+
+import numpy as np
+import pytest
+
+from subsense import augment as ag
+from subsense import encoder as enc
+from subsense import textprep as tp
+
+import reference_encoder as ref
+
+TOL = 1e-12
+VOCAB = tp.Vocab.from_tokens([f"w{i}" for i in range(12)])
+
+
+def perturbed_params(config, rng):
+    """Init, then move every tensor off its init so gains and biases matter."""
+    params = enc.init(config)
+    for name, tensor in params.items():
+        params[name] = tensor + rng.normal(scale=0.1, size=tensor.shape)
+    return params
+
+
+def length_sweep_batch(config, rng):
+    """Real lengths from 1 token to full length (every length at short
+    max_len, every 7th at long), plus one truncated row, each with the slot
+    gate open and closed."""
+    full = config.max_len - 2
+    batch = []
+    for n in [*range(1, full, 1 if full < 20 else 7), full, config.max_len + 3]:
+        tokens = [f"w{rng.integers(12)}" for _ in range(n)]
+        encoded = tp.encode(tokens, VOCAB, config.max_len)
+        for slot_mask in (0, 1):
+            batch.append(ag.AugmentedExample(encoded, float(rng.random()), slot_mask,
+                                             ag.AugmentMode.SS))
+    return batch
+
+
+def max_abs_diff(a, b):
+    assert a.shape == b.shape
+    return float(np.max(np.abs(a - b))) if a.size else 0.0
+
+
+@pytest.mark.parametrize("max_len", [6, 128])
+@pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+class TestMatchesReference:
+    def build(self, n_layers, max_len, dropout_rate=0.1):
+        config = enc.ModelConfig(
+            max_len=max_len, vocab_size=len(VOCAB), d_model=8, n_heads=2,
+            n_layers=n_layers, d_ff=16, dropout_rate=dropout_rate, seed=7,
+        )
+        rng = np.random.default_rng(100 * n_layers + max_len)
+        return config, perturbed_params(config, rng), length_sweep_batch(config, rng)
+
+    def test_inference_logits(self, n_layers, max_len):
+        config, params, batch = self.build(n_layers, max_len)
+        logits, _ = enc.forward(batch, params, config)
+        expected, _ = ref.forward(batch, params, config)
+        assert max_abs_diff(logits, expected) <= TOL
+
+    def test_train_logits_and_gradients(self, n_layers, max_len):
+        config, params, batch = self.build(n_layers, max_len)
+        rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        logits, cache = enc.forward(batch, params, config, train_mode=True,
+                                    dropout_rng=rng_new)
+        expected, ref_cache = ref.forward(batch, params, config, train_mode=True,
+                                          dropout_rng=rng_ref)
+        assert max_abs_diff(logits, expected) <= TOL
+        # Dropout masks are drawn at full shape, so the stream stays in step.
+        assert rng_new.random() == rng_ref.random()
+
+        upstream = np.random.default_rng(9).normal(size=logits.shape)
+        grads, slot_grad = enc.backward(cache, params, config, upstream)
+        ref_grads, ref_slot_grad = ref.backward(ref_cache, params, config, upstream)
+        assert set(grads) == set(params.names())
+        for name in params.names():
+            assert max_abs_diff(grads[name], ref_grads[name]) <= TOL, name
+        assert max_abs_diff(slot_grad, ref_slot_grad) <= TOL
+        assert np.all(slot_grad[0::2] == 0.0)  # gate closed: slot disconnected

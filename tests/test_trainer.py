@@ -13,6 +13,8 @@ from subsense import trainer as tr
 from subsense.datasets import Comment, Label
 from subsense.errors import ConfigError, ContractError, DegenerateLabelsError
 
+import oracles
+
 
 def comments(n_toxic, n_nontoxic, toxic_word="awful", nontoxic_word="garden"):
     out = []
@@ -109,7 +111,7 @@ class TestOcclusionPenalty:
         data = comments(3, 3)
         prepared, config = make_setup(data)
         params = enc.init(config)
-        assert tr.occlusion_penalty(prepared[0], params, config) == 0.0
+        assert oracles.occlusion_penalty(prepared[0], params, config) == 0.0
 
     def test_constant_model(self):
         data = [Comment("a", "the muslim community met", Label.NONTOXIC)] + comments(3, 3)
@@ -117,7 +119,7 @@ class TestOcclusionPenalty:
         params = enc.init(config)
         params["head.w"] = np.zeros_like(params["head.w"])
         assert prepared[0].identity_positions
-        assert tr.occlusion_penalty(prepared[0], params, config) == 0.0
+        assert oracles.occlusion_penalty(prepared[0], params, config) == 0.0
 
     def test_matches_two_forward_oracle(self):
         data = [Comment("a", "the muslim women spoke", Label.TOXIC)] + comments(3, 3)
@@ -137,7 +139,9 @@ class TestOcclusionPenalty:
             occ_logits, _ = enc.forward([occluded], params, config)
             total += (base_logits[0, Label.TOXIC] - occ_logits[0, Label.TOXIC]) ** 2
         expected = total / len(target.identity_positions)
-        assert tr.occlusion_penalty(target, params, config) == pytest.approx(expected, rel=1e-12)
+        assert oracles.occlusion_penalty(target, params, config) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_soc_gradients_match_finite_differences(self):
         data = [
@@ -150,12 +154,12 @@ class TestOcclusionPenalty:
         soc_weight = 0.7
 
         penalty, grads = tr._soc_loss_and_grads(batch, params, config, soc_weight)
-        oracle = sum(tr.occlusion_penalty(ex, params, config) for ex in batch) / len(batch)
+        oracle = sum(oracles.occlusion_penalty(ex, params, config) for ex in batch) / len(batch)
         assert penalty == pytest.approx(oracle, rel=1e-12)
 
         def objective():
             return soc_weight * sum(
-                tr.occlusion_penalty(ex, params, config) for ex in batch
+                oracles.occlusion_penalty(ex, params, config) for ex in batch
             ) / len(batch)
 
         rng = np.random.default_rng(0)
@@ -187,7 +191,7 @@ class TestPredict:
         data = comments(2, 2)
         prepared, config = make_setup(data)
         params = self.constant_params(config, [-2.0, 2.0])
-        label, prob = tr.predict(params, config, prepared[0].aug)
+        label, prob = oracles.predict(params, config, prepared[0].aug)
         assert label is Label.TOXIC
         assert prob == pytest.approx(0.9820, abs=1e-4)
 
@@ -195,7 +199,7 @@ class TestPredict:
         data = comments(2, 2)
         prepared, config = make_setup(data)
         params = self.constant_params(config, [0.0, 0.0])
-        label, prob = tr.predict(params, config, prepared[0].aug)
+        label, prob = oracles.predict(params, config, prepared[0].aug)
         assert label is Label.NONTOXIC
         assert prob == pytest.approx(0.5)
 
@@ -206,7 +210,7 @@ class TestPredict:
         params = enc.init(config)
         for ss_ex, base_ex in zip(ss_prepared, base_prepared):
             assert ss_ex.aug.slot_mask == 0  # no identity terms in this data
-            assert tr.predict(params, config, ss_ex.aug) == tr.predict(
+            assert oracles.predict(params, config, ss_ex.aug) == oracles.predict(
                 params, config, base_ex.aug
             )
 
@@ -313,7 +317,7 @@ class TestTrain:
         params, history = tr.train(prepared, prepared, config, schedule,
                                    ag.AugmentMode.SO, seed=4)
         assert history.entries
-        label, prob = tr.predict(params, config, prepared[0].aug)
+        label, prob = oracles.predict(params, config, prepared[0].aug)
         assert 0.0 <= prob <= 1.0
 
     def test_mode_mismatch_rejected(self):
