@@ -13,7 +13,6 @@ rules per mode:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,38 +73,3 @@ def augment(
     else:  # pragma: no cover
         raise ContractError(f"unsupported mode {mode}")
     return AugmentedExample(encoded, fill, slot_mask, mode)
-
-
-def to_record(example: AugmentedExample) -> dict:
-    return {
-        "ids": list(example.base.ids),
-        "mask": list(example.base.mask),
-        "slot_fill": example.slot_fill,
-        "slot_mask": example.slot_mask,
-        "mode": example.mode.value,
-    }
-
-
-def from_record(record: dict) -> AugmentedExample:
-    base = EncodedExample(tuple(record["ids"]), tuple(record["mask"]))
-    return AugmentedExample(
-        base,
-        float(record["slot_fill"]),
-        int(record["slot_mask"]),
-        AugmentMode.parse(record["mode"]),
-    )
-
-
-def write_jsonl(examples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(to_record(ex), sort_keys=True) + "\n")
-
-
-def read_jsonl(path) -> list[AugmentedExample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(from_record(json.loads(line)))
-    return out

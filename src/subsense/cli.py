@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import audit, datasets, encoder, identity, subjectivity, textprep, trainer
@@ -147,19 +148,33 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _config_section(args, section: str, cls) -> dict:
-    """The ``section`` object of the --config file, checked against the
-    fields of ``cls``; empty without --config."""
-    if not args.config:
-        return {}
-    doc = _read_json(args.config, ConfigError)
+def _checked_section(doc, section: str, cls, path, error) -> dict:
+    """The ``section`` object of a parsed JSON file, with every key a field of
+    ``cls`` holding a value of the field's type (an int also fills a float
+    field; a bool fills neither); anything else raises ``error``."""
     values = doc.get(section, {}) if isinstance(doc, dict) else None
     if not isinstance(values, dict):
-        raise ConfigError(f"{args.config}: {section!r} must be a JSON object")
-    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+        raise error(f"{path}: {section!r} must be a JSON object")
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(values) - set(types))
     if unknown:
-        raise ConfigError(f"{args.config}: unknown {section} keys {', '.join(unknown)}")
+        raise error(f"{path}: unknown {section} keys {', '.join(unknown)}")
+    for key, value in values.items():
+        kind = types[key]
+        if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind
+        ):
+            raise error(f"{path}: {section}.{key} must be {kind.__name__}, not {value!r}")
     return values
+
+
+def _config_section(args, section: str, cls) -> dict:
+    """The checked ``section`` object of the --config file; empty without
+    --config."""
+    if not args.config:
+        return {}
+    return _checked_section(_read_json(args.config, ConfigError), section, cls,
+                            args.config, ConfigError)
 
 
 def _model_config_from_args(args, vocab_size: int) -> encoder.ModelConfig:
@@ -280,8 +295,14 @@ def _load_manifest(path) -> dict:
 
 
 def _rebuild_run(manifest):
-    run_config = _read_json(manifest["artifacts"]["config"], ContractError)
-    config = encoder.ModelConfig.from_dict(run_config["model"])
+    config_path = manifest["artifacts"]["config"]
+    run_config = _read_json(config_path, ContractError)
+    model = _checked_section(run_config, "model", encoder.ModelConfig, config_path,
+                             ContractError)
+    missing = [f.name for f in dataclasses.fields(encoder.ModelConfig) if f.name not in model]
+    if missing:
+        raise ContractError(f"{config_path}: model lacks {', '.join(missing)}")
+    config = encoder.ModelConfig.from_dict(model)
     vocab = textprep.Vocab.load(manifest["artifacts"]["vocab"])
     params = encoder.load_params(manifest["artifacts"]["checkpoint"])
     encoder.validate_params(params, config)

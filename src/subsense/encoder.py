@@ -19,9 +19,18 @@ is exact, not an approximation: norms, projections, the feed-forward and the
 residual act on each position independently, and attention lets other
 positions reach CLS only through their keys and values, which are still
 computed for all of them. Results differ from a full-sequence pass only by
-the rounding of differently shaped matrix products. Dropout masks are drawn
-at the full sequence shape and then sliced, so the random stream is the one
-a full-sequence pass would consume.
+the rounding of differently shaped matrix products.
+
+Each batch is also trimmed to the columns it uses: token positions up to the
+longest row's extent (one past its last attended position, ``[SEP]`` for an
+encoded comment), then the slot, which keeps its ``pos_emb[max_len]`` row.
+This is exact too. Every dropped column is masked in every row, and a masked
+key gets weight ``exp(-inf) = 0``, so its value never reaches CLS. Padded
+positions reach CLS through nothing else, so their gradients are
+identically zero, and the dropped ``tok_emb``/``pos_emb`` contributions are
+zeros. Dropout masks are drawn at the full ``(b, seq_len, d)`` shape and then
+narrowed to the kept columns and rows, so the random stream is the one a
+full-sequence pass would consume.
 """
 
 from __future__ import annotations
@@ -218,19 +227,20 @@ def _dropout_mask(rng, shape, rate):
 
 
 def _assemble(batch, config):
-    b = len(batch)
-    ids = np.empty((b, config.max_len), dtype=np.int64)
-    kmask = np.zeros((b, config.seq_len))
-    fill = np.empty(b)
-    for row, ex in enumerate(batch):
+    """Token ids, key mask and slot fill of a batch, trimmed to the token
+    columns before the longest extent; the key mask's last column is the slot."""
+    for ex in batch:
         if len(ex.base.ids) != config.max_len:
             raise ContractError(
                 f"example length {len(ex.base.ids)} does not match max_len {config.max_len}"
             )
-        ids[row] = ex.base.ids
-        kmask[row, : config.max_len] = ex.base.mask
-        kmask[row, config.max_len] = ex.slot_mask
-        fill[row] = ex.slot_fill
+    # At least the CLS column, which the head reads.
+    width = max(1, max(ex.base.extent for ex in batch))
+    ids = np.array([ex.base.ids[:width] for ex in batch], dtype=np.int64)
+    kmask = np.empty((len(batch), width + 1))
+    kmask[:, :width] = [ex.base.mask[:width] for ex in batch]
+    kmask[:, width] = [ex.slot_mask for ex in batch]
+    fill = np.array([ex.slot_fill for ex in batch], dtype=np.float64)
     if ids.max(initial=0) >= config.vocab_size or ids.min(initial=0) < 0:
         raise ContractError("token id outside the configured vocabulary")
     return ids, kmask, fill
@@ -252,20 +262,28 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     if not batch:
         raise ContractError("forward needs a non-empty batch")
     ids, kmask, fill = _assemble(batch, config)
-    b = len(batch)
-    lm, length, d = config.max_len, config.seq_len, config.d_model
+    b, width = ids.shape
+    lm, d = config.max_len, config.d_model
     dh = d // config.n_heads
     use_dropout = train_mode and config.dropout_rate > 0.0 and dropout_rng is not None
+    # Full-sequence index of each kept column: the tokens, then the slot.
+    kept = np.append(np.arange(width), lm)
 
-    x = np.empty((b, length, d))
-    x[:, :lm] = params["tok_emb"][ids] + params["pos_emb"][None, :lm]
+    def drop(cols):
+        """Dropout mask drawn at the full sequence shape, so the random stream
+        is the one a full pass consumes, then narrowed to ``cols``."""
+        full = _dropout_mask(dropout_rng, (b, config.seq_len, d), config.dropout_rate)
+        return full[:, cols]
+
+    x = np.empty((b, width + 1, d))
+    x[:, :width] = params["tok_emb"][ids] + params["pos_emb"][None, :width]
     # Slot embedding: fill value on every dimension plus the slot position row.
-    x[:, lm] = fill[:, None] + params["pos_emb"][lm]
+    x[:, width] = fill[:, None] + params["pos_emb"][lm]
 
     h, emb_cache = _rms_forward(x, params["emb_norm.gain"], params["emb_norm.bias"])
     emb_drop = None
     if use_dropout:
-        emb_drop = _dropout_mask(dropout_rng, h.shape, config.dropout_rate)
+        emb_drop = drop(kept)
         h = h * emb_drop
 
     add_mask = np.where(kmask[:, None, None, :] > 0, 0.0, -np.inf)
@@ -287,7 +305,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         attn = ocat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
         attn_drop = None
         if use_dropout:
-            attn_drop = _dropout_mask(dropout_rng, h.shape, config.dropout_rate)[:, rows]
+            attn_drop = drop(kept[rows])
             attn = attn * attn_drop
         h_mid = h[:, rows] + attn
 
@@ -299,7 +317,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         z = g @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
         ff_drop = None
         if use_dropout:
-            ff_drop = _dropout_mask(dropout_rng, h.shape, config.dropout_rate)[:, rows]
+            ff_drop = drop(kept[rows])
             z = z * ff_drop
         h_next = h_mid + z
 
@@ -320,7 +338,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     cache = {
         "ids": ids, "kmask": kmask, "fill": fill, "emb": emb_cache,
         "emb_drop": emb_drop, "layers": layer_caches, "final": final_cache,
-        "cls": cls, "batch_size": b,
+        "cls": cls,
     }
     return logits, cache
 
@@ -334,7 +352,7 @@ def backward(cache, params, config, dlogits):
     if cache is None:
         raise ContractError("backward needs the cache from a train_mode forward")
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    b = cache["batch_size"]
+    b, width = cache["ids"].shape
     if dlogits.shape != (b, config.n_classes):
         raise ContractError(f"upstream gradient shape {dlogits.shape} mismatch")
     lm, d = config.max_len, config.d_model
@@ -351,7 +369,7 @@ def backward(cache, params, config, dlogits):
     if config.n_layers:
         dcur = dcls_in[:, None, :]
     else:
-        dcur = np.zeros((b, config.seq_len, d))
+        dcur = np.zeros((b, width + 1, d))
         dcur[:, 0] = dcls_in
 
     def _linear_back(x, w, dy):
@@ -418,14 +436,15 @@ def backward(cache, params, config, dlogits):
     grads["emb_norm.gain"] = dgain_e
     grads["emb_norm.bias"] = dbias_e
 
+    # Dropped columns have zero gradient, so their rows stay zero.
     dtok = np.zeros_like(params["tok_emb"])
-    np.add.at(dtok, cache["ids"], dx[:, :lm])
+    np.add.at(dtok, cache["ids"], dx[:, :width])
     grads["tok_emb"] = dtok
     dpos = np.zeros_like(params["pos_emb"])
-    dpos[:lm] = dx[:, :lm].sum(axis=0)
-    dpos[lm] = dx[:, lm].sum(axis=0)
+    dpos[:width] = dx[:, :width].sum(axis=0)
+    dpos[lm] = dx[:, width].sum(axis=0)
     grads["pos_emb"] = dpos
-    slot_fill_grad = dx[:, lm, :].sum(axis=-1)
+    slot_fill_grad = dx[:, width, :].sum(axis=-1)
     return grads, slot_fill_grad
 
 

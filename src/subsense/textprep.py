@@ -128,11 +128,15 @@ class EncodedExample:
     ``n_real`` is derived as the number of 1 bits in the mask; ``encode``
     guarantees mask bit 1 exactly on non-PAD positions, while mask surgery
     (occlusion) may deliberately zero a real position afterwards.
+    ``extent`` is one past the last 1 bit: the token layout
+    ``[CLS] t1 .. tk [SEP]`` of an encoded example, whatever interior bits
+    were zeroed later. No position past it is attended.
     """
 
     ids: tuple[int, ...]
     mask: tuple[int, ...]
     n_real: int = field(init=False)
+    extent: int = field(init=False)
 
     def __post_init__(self):
         if len(self.ids) != len(self.mask):
@@ -140,6 +144,8 @@ class EncodedExample:
         if any(b not in (0, 1) for b in self.mask):
             raise ContractError("mask bits must be 0 or 1")
         object.__setattr__(self, "n_real", sum(self.mask))
+        extent = len(self.mask) - self.mask[::-1].index(1) if self.n_real else 0
+        object.__setattr__(self, "extent", extent)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -160,13 +166,3 @@ def encode(tokens, vocab: Vocab, max_len: int) -> EncodedExample:
     ids.extend([PAD] * pad_n)
     mask.extend([0] * pad_n)
     return EncodedExample(tuple(ids), tuple(mask))
-
-
-def decode(example: EncodedExample, vocab: Vocab) -> list[str]:
-    """Invert ``encode`` up to truncation and UNK substitution."""
-    out = []
-    for i in example.ids:
-        if i in (PAD, CLS, SEP):
-            continue
-        out.append(vocab.token(i))
-    return out

@@ -211,14 +211,19 @@ def _decide(logit_pair):
 
 
 def predict_batch(params, config, examples, batch_size: int = 64):
-    preds: list[Label] = []
-    probs: list[float] = []
-    for start in range(0, len(examples), batch_size):
-        logits, _ = forward(examples[start : start + batch_size], params, config)
-        for row in logits:
-            label, p = _decide(row)
-            preds.append(label)
-            probs.append(p)
+    """Labels and toxic probabilities, in input order.
+
+    Examples run in stable order of their extent, so each batch holds rows of
+    similar length and trimming it to its longest row leaves little padding.
+    """
+    order = np.argsort([ex.base.extent for ex in examples], kind="stable")
+    preds: list[Label] = [Label.NONTOXIC] * len(examples)
+    probs = [0.0] * len(examples)
+    for start in range(0, len(order), batch_size):
+        rows = order[start : start + batch_size]
+        logits, _ = forward([examples[i] for i in rows], params, config)
+        for i, logit_pair in zip(rows, logits):
+            preds[i], probs[i] = _decide(logit_pair)
     return preds, probs
 
 

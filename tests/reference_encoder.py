@@ -1,13 +1,14 @@
 """Full-sequence reference encoder for tests.
 
 A frozen copy of the encoder's forward and backward passes as they were
-before the last block and the final norm were cut down to the CLS row:
-every block, the final norm and their gradients run on all positions, and
-GELU and the RMS backward use ``**``. ``tests/test_reference_path.py``
-checks the production encoder against it. The structural helpers
-(assembly, head split/merge, dropout masks, the RMS forward) are shared
-with ``subsense.encoder``; the arithmetic helpers below are kept as they
-were.
+before the last block and the final norm were cut down to the CLS row and
+batches were trimmed to their longest row: every batch spans all
+``max_len + 1`` positions, every block, the final norm and their gradients
+run on all of them, and GELU and the RMS backward use ``**``.
+``tests/test_reference_path.py`` checks the production encoder against it.
+The structural helpers (head split/merge, dropout masks, the RMS forward)
+are shared with ``subsense.encoder``; assembly and the arithmetic helpers
+below are kept as they were.
 """
 
 import numpy as np
@@ -15,13 +16,31 @@ import numpy as np
 from subsense.encoder import (
     _GELU_A,
     _GELU_C,
-    _assemble,
     _dropout_mask,
     _merge_heads,
     _rms_forward,
     _split_heads,
 )
 from subsense.errors import ContractError
+
+
+def _assemble(batch, config):
+    b = len(batch)
+    ids = np.empty((b, config.max_len), dtype=np.int64)
+    kmask = np.zeros((b, config.seq_len))
+    fill = np.empty(b)
+    for row, ex in enumerate(batch):
+        if len(ex.base.ids) != config.max_len:
+            raise ContractError(
+                f"example length {len(ex.base.ids)} does not match max_len {config.max_len}"
+            )
+        ids[row] = ex.base.ids
+        kmask[row, : config.max_len] = ex.base.mask
+        kmask[row, config.max_len] = ex.slot_mask
+        fill[row] = ex.slot_fill
+    if ids.max(initial=0) >= config.vocab_size or ids.min(initial=0) < 0:
+        raise ContractError("token id outside the configured vocabulary")
+    return ids, kmask, fill
 
 
 def _rms_backward(dy, gain, cache):

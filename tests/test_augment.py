@@ -88,23 +88,3 @@ class TestGateSoundnessAndFidelity:
         ex = ag.augment(base, sj.SubjectivityScore(0.7, 1), True, ag.AugmentMode.SS)
         assert ex.base is base
         assert (base.ids, base.mask) == before
-
-
-class TestSerialization:
-    def test_jsonl_round_trip(self, tmp_path):
-        examples = [
-            ag.augment(enc("the women spoke"), sj.SubjectivityScore(0.25, 1), True, ag.AugmentMode.SS),
-            ag.augment(enc("boring meeting"), sj.SubjectivityScore(1.0, 1), False, ag.AugmentMode.SO),
-            ag.augment(enc(""), sj.SubjectivityScore(0.0, 0), False, ag.AugmentMode.BASELINE),
-        ]
-        path = tmp_path / "batch.jsonl"
-        ag.write_jsonl(examples, path)
-        back = ag.read_jsonl(path)
-        assert back == examples
-
-    def test_record_fields(self):
-        ex = ag.augment(enc("x", 5), sj.SubjectivityScore(0.5, 1), True, ag.AugmentMode.SS)
-        record = ag.to_record(ex)
-        assert set(record) == {"ids", "mask", "slot_fill", "slot_mask", "mode"}
-        assert record["mode"] == "ss"
-        assert len(record["ids"]) == 5

@@ -238,6 +238,50 @@ class TestBadInputExitsTwo:
         assert self.train_with_config(pipeline, tmp_path, json.dumps({"model": [1]})) == 2
         self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "d_model", "x"),
+        ("model", "n_layers", 1.5),
+        ("model", "dropout_rate", True),
+        ("model", "n_heads", None),
+        ("schedule", "lr0", "fast"),
+        ("schedule", "epoch_cap", [2]),
+    ])
+    def test_config_wrong_type(self, pipeline, tmp_path, capsys, section, key, value):
+        text = json.dumps({section: {key: value}})
+        assert self.train_with_config(pipeline, tmp_path, text) == 2
+        assert f"{section}.{key}" in self.one_line_error(capsys)
+        assert not (tmp_path / "run").exists()
+
+    def test_config_int_fills_float_field(self, pipeline, tmp_path):
+        text = json.dumps({"model": {"dropout_rate": 0}, "schedule": {"halving_factor": 0.5}})
+        assert self.train_with_config(pipeline, tmp_path, text) == 0
+        run_config = json.loads((tmp_path / "run" / "config.json").read_text())
+        assert run_config["model"]["dropout_rate"] == 0
+
+    @pytest.mark.parametrize("model", [
+        {"d_model": "x"}, {"n_layers": 1.0}, {"unknown": 1}, [1], None, "drop max_len",
+    ])
+    def test_run_config_broken_model(self, pipeline, tmp_path, capsys, model):
+        run = tmp_path / "run"
+        run.mkdir()
+        run_config = json.loads((pipeline["run"] / "config.json").read_text())
+        if model == "drop max_len":
+            del run_config["model"]["max_len"]
+        elif isinstance(model, dict):
+            run_config["model"].update(model)
+        else:
+            run_config["model"] = model
+        (run / "config.json").write_text(json.dumps(run_config), encoding="utf-8")
+        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
+        manifest["artifacts"]["config"] = str(run / "config.json")
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        code = cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
+                             "--test", str(pipeline["data"] / "test.csv"),
+                             "--output", str(tmp_path / "eval.json")])
+        assert code == 2
+        assert "config.json" in self.one_line_error(capsys)
+        assert not (tmp_path / "eval.json").exists()
+
     @pytest.mark.parametrize("drop", ["artifacts", "mode", "config_digest"])
     def test_manifest_missing_key(self, pipeline, tmp_path, capsys, drop):
         manifest = json.loads((pipeline["run"] / "manifest.json").read_text())

@@ -139,10 +139,4 @@ class TestProperties:
         for i in range(1, max_len):
             assert (ex.mask[i] == 1) == (ex.ids[i] != tp.PAD)
         assert ex.n_real == sum(ex.mask)
-
-    @given(token_lists(), st.integers(min_value=3, max_value=24))
-    def test_decode_round_trip(self, tokens, max_len):
-        vocab = tp.build_vocab(["a b c d"], max_size=8)
-        ex = tp.encode(tokens, vocab, max_len)
-        expected = [t if t in vocab else "[UNK]" for t in tokens[: max_len - 2]]
-        assert tp.decode(ex, vocab) == expected
+        assert ex.extent == ex.n_real == min(len(tokens), max_len - 2) + 2

@@ -214,6 +214,38 @@ class TestPredict:
                 params, config, base_ex.aug
             )
 
+    def shuffled_lengths(self):
+        """Comments of 1 to 30 words in random order, some truncated, with the
+        slot gate open on those naming an identity term."""
+        rng = np.random.default_rng(4)
+        words = ["the", "awful", "garden", "muslim", "women", "thing", "happened"]
+        data = [
+            Comment(f"c{i}", " ".join(rng.choice(words, size=int(rng.integers(1, 31)))),
+                    Label.TOXIC if i % 2 else Label.NONTOXIC)
+            for i in range(40)
+        ]
+        prepared, config = make_setup(data, mode=ag.AugmentMode.SS, max_len=24, n_layers=2)
+        params = enc.init(config)
+        for name, tensor in params.items():
+            params[name] = tensor + rng.normal(scale=1.0, size=tensor.shape)
+        return params, config, [ex.aug for ex in prepared]
+
+    def test_predict_batch_returns_input_order(self):
+        params, config, examples = self.shuffled_lengths()
+        extents = [ex.base.extent for ex in examples]
+        assert extents != sorted(extents) and min(extents) < config.max_len
+        preds, probs = tr.predict_batch(params, config, examples, batch_size=8)
+        assert set(preds) == {Label.TOXIC, Label.NONTOXIC}
+        for ex, label, prob in zip(examples, preds, probs, strict=True):
+            one_label, one_prob = oracles.predict(params, config, ex)
+            assert label is one_label
+            assert abs(prob - one_prob) <= 1e-12
+
+    def test_predict_batch_is_repeatable(self):
+        params, config, examples = self.shuffled_lengths()
+        first = tr.predict_batch(params, config, examples, batch_size=8)
+        assert tr.predict_batch(params, config, examples, batch_size=8) == first
+
 
 class TestTrain:
     def test_loss_collapses_on_separable_data(self):
