@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .datasets import Label
 from .errors import ContractError
-from .identity import IdentityLexicon, detect
-from .subjectivity import SubjectivityLexicon, score
+
+# The audit reads the features ``trainer.prepare_examples`` computed and never
+# calls these. They stay bound here because ``bench/tracing.py`` wraps every
+# module-level binding of a traced function, and its self-test reads these.
+from .identity import detect  # noqa: F401
+from .subjectivity import score  # noqa: F401
 
 OUTCOMES = ("TP", "FP", "TN", "FN")
 # The four named bias-analysis groups: outcome crossed with the identity
@@ -25,6 +30,15 @@ NAMED_GROUPS = {
     "TNwoIT": ("TN", False),
     "FNwoIT": ("FN", False),
 }
+
+
+class CommentFeatures(NamedTuple):
+    """What the audit reads of one comment: its subjectivity score and the
+    identity terms detected in it, in order of first occurrence (empty when
+    none is present)."""
+
+    subjectivity: float
+    terms: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -131,27 +145,21 @@ class BiasCell:
         return (self.outcome, self.with_identity)
 
 
-def bias_groups(
-    comments,
-    preds,
-    golds,
-    id_lexicon: IdentityLexicon,
-    subj_lexicon: SubjectivityLexicon,
-) -> dict[tuple[str, bool], BiasCell]:
+def bias_groups(preds, golds, features) -> dict[tuple[str, bool], BiasCell]:
     """Partition evaluated comments into the 8 outcome-by-identity cells.
 
-    Every comment lands in exactly one cell; each cell carries its members'
-    subjectivity scores and their quartiles (None for an empty cell).
+    ``features`` holds each comment's ``CommentFeatures``. Every comment
+    lands in exactly one cell; each cell carries its members' subjectivity
+    scores and their quartiles (None for an empty cell).
     """
-    comments, preds, golds = list(comments), list(preds), list(golds)
-    if not (len(comments) == len(preds) == len(golds)):
-        raise ContractError("comments, predictions and golds must align")
+    preds, golds, features = list(preds), list(golds), list(features)
+    if not (len(preds) == len(golds) == len(features)):
+        raise ContractError("predictions, golds and features must align")
     buckets: dict[tuple[str, bool], list[float]] = {
         (o, w): [] for o in OUTCOMES for w in (True, False)
     }
-    for comment, pred, gold in zip(comments, preds, golds):
-        key = (_outcome(pred, gold), detect(comment.text, id_lexicon).present)
-        buckets[key].append(score(comment.text, subj_lexicon).value)
+    for pred, gold, (subjectivity, terms) in zip(preds, golds, features):
+        buckets[(_outcome(pred, gold), bool(terms))].append(subjectivity)
     return {
         key: BiasCell(key[0], key[1], tuple(vals), quartiles(vals) if vals else None)
         for key, vals in buckets.items()
@@ -230,24 +238,15 @@ class ErrorRow:
     subjectivity: float
 
 
-def error_listing(
-    comments, preds, golds, id_lexicon, subj_lexicon
-) -> list[ErrorRow]:
+def error_listing(comments, preds, golds, features) -> list[ErrorRow]:
     """Sortable list of misclassified comments with matched identity terms
-    and subjectivity scores (the error-table shape)."""
+    and subjectivity scores (the error-table shape), read from each
+    comment's ``CommentFeatures``."""
     rows = []
-    for comment, pred, gold in zip(comments, preds, golds):
+    for comment, pred, gold, (subjectivity, terms) in zip(comments, preds, golds, features):
         outcome = _outcome(pred, gold)
-        if outcome not in ("FP", "FN"):
-            continue
-        match = detect(comment.text, id_lexicon)
-        rows.append(ErrorRow(
-            comment.id,
-            comment.text,
-            outcome,
-            match.terms,
-            score(comment.text, subj_lexicon).value,
-        ))
+        if outcome in ("FP", "FN"):
+            rows.append(ErrorRow(comment.id, comment.text, outcome, terms, subjectivity))
     rows.sort(key=lambda r: (r.error, -r.subjectivity, r.comment_id))
     return rows
 
@@ -324,11 +323,11 @@ class AuditReport:
         return rows
 
 
-def audit_report(comments, preds, golds, id_lexicon, subj_lexicon) -> AuditReport:
+def audit_report(comments, preds, golds, features) -> AuditReport:
     counts = confusion(preds, golds)
     return AuditReport(
         counts,
         f1(counts),
-        bias_groups(comments, preds, golds, id_lexicon, subj_lexicon),
-        tuple(error_listing(comments, preds, golds, id_lexicon, subj_lexicon)),
+        bias_groups(preds, golds, features),
+        tuple(error_listing(comments, preds, golds, features)),
     )

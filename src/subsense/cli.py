@@ -9,17 +9,17 @@ input digests needed to reproduce it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
 import sys
-import typing
 from pathlib import Path
 
 from . import audit, datasets, encoder, identity, subjectivity, textprep, trainer
 from .augment import AugmentMode
-from .errors import ConfigError, ContractError, ResourceError, SubsenseError, UsageError
+from .errors import (
+    ConfigError, ContractError, ResourceError, SubsenseError, UsageError, check_fields,
+)
 
 MANIFEST_VERSION = 1
 # Manifest keys that eval, audit and compare read.
@@ -56,7 +56,11 @@ def _read_json(path, error):
 
 
 def _write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Stream ``obj`` to ``path`` as indented JSON: a large audit report is
+    never held as one string."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _resolve_subj_lexicon(path_arg):
@@ -149,22 +153,16 @@ def _cmd_synth(args) -> int:
 
 
 def _checked_section(doc, section: str, cls, path, error) -> dict:
-    """The ``section`` object of a parsed JSON file, with every key a field of
-    ``cls`` holding a value of the field's type (an int also fills a float
-    field; a bool fills neither); anything else raises ``error``."""
+    """The ``section`` object of a parsed JSON file, its keys and values
+    checked against the fields of ``cls`` by ``check_fields``; anything else
+    raises ``error`` naming ``path``."""
     values = doc.get(section, {}) if isinstance(doc, dict) else None
     if not isinstance(values, dict):
         raise error(f"{path}: {section!r} must be a JSON object")
-    types = typing.get_type_hints(cls)
-    unknown = sorted(set(values) - set(types))
-    if unknown:
-        raise error(f"{path}: unknown {section} keys {', '.join(unknown)}")
-    for key, value in values.items():
-        kind = types[key]
-        if isinstance(value, bool) or not isinstance(
-            value, (int, float) if kind is float else kind
-        ):
-            raise error(f"{path}: {section}.{key} must be {kind.__name__}, not {value!r}")
+    try:
+        check_fields(cls, values, section)
+    except ConfigError as exc:
+        raise error(f"{path}: {exc}") from None
     return values
 
 
@@ -299,10 +297,10 @@ def _rebuild_run(manifest):
     run_config = _read_json(config_path, ContractError)
     model = _checked_section(run_config, "model", encoder.ModelConfig, config_path,
                              ContractError)
-    missing = [f.name for f in dataclasses.fields(encoder.ModelConfig) if f.name not in model]
-    if missing:
-        raise ContractError(f"{config_path}: model lacks {', '.join(missing)}")
-    config = encoder.ModelConfig.from_dict(model)
+    try:
+        config = encoder.ModelConfig.from_dict(model)
+    except ConfigError as exc:
+        raise ContractError(f"{config_path}: {exc}") from None
     vocab = textprep.Vocab.load(manifest["artifacts"]["vocab"])
     params = encoder.load_params(manifest["artifacts"]["checkpoint"])
     encoder.validate_params(params, config)
@@ -315,17 +313,19 @@ def _rebuild_run(manifest):
 
 
 def _predictions_for(manifest, test_path):
+    """Comments, predictions, toxic probabilities, golds and each comment's
+    audit features. Only the features outlive the prepared examples."""
     config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest)
     comments = datasets.read_canonical(test_path)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
     preds, probs = trainer.predict_batch(params, config, [ex.aug for ex in prepared])
     golds = [c.label for c in comments]
-    return comments, preds, probs, golds, subj_lex, id_lex
+    return comments, preds, probs, golds, [ex.features for ex in prepared]
 
 
 def _cmd_eval(args) -> int:
     manifest = _load_manifest(args.manifest)
-    comments, preds, _, golds, _, _ = _predictions_for(manifest, args.test)
+    _, preds, _, golds, _ = _predictions_for(manifest, args.test)
     counts = audit.confusion(preds, golds)
     report = {
         "config_digest": manifest["config_digest"],
@@ -347,8 +347,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_audit(args) -> int:
     manifest = _load_manifest(args.manifest)
-    comments, preds, _, golds, subj_lex, id_lex = _predictions_for(manifest, args.test)
-    report = audit.audit_report(comments, preds, golds, id_lex, subj_lex)
+    comments, preds, _, golds, features = _predictions_for(manifest, args.test)
+    report = audit.audit_report(comments, preds, golds, features)
     out = Path(args.output) if args.output else Path(manifest["artifacts"]["audit_report"])
     _write_json(report.to_json_dict(), out)
     text_path = out.with_suffix(".txt")

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentedExample
-from .errors import ConfigError, ContractError, ResourceError
+from .errors import ConfigError, ContractError, ResourceError, check_fields
 
 CHECKPOINT_MAGIC = b"SSENCPT1"
 _NORM_EPS = 1e-9
@@ -63,6 +63,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(ModelConfig, vars(self), "ModelConfig")
         if self.max_len < 3:
             raise ConfigError("max_len must be at least 3")
         if self.vocab_size < 4:
@@ -90,6 +91,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict``: every field must be present, and no other key."""
+        check_fields(cls, d, cls.__name__, complete=True)
         return cls(**d)
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the type rule that
+configuration dataclasses and configuration files are checked by."""
+
+import typing
 
 
 class SubsenseError(Exception):
@@ -39,3 +42,23 @@ class ContractError(SubsenseError):
 
 class UsageError(SubsenseError):
     """Bad command line arguments."""
+
+
+def check_fields(cls, values: dict, name: str, complete: bool = False) -> None:
+    """Raise ``ConfigError`` unless every key of ``values`` is a field of the
+    dataclass ``cls`` holding a value of the field's type: an int also fills
+    a float field, a bool fills neither. With ``complete`` every field must
+    be present. Messages name a key as ``<name>.<key>``."""
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {', '.join(unknown)}")
+    missing = [key for key in types if key not in values] if complete else []
+    if missing:
+        raise ConfigError(f"{name} lacks {', '.join(missing)}")
+    for key, value in values.items():
+        kind = types[key]
+        if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind
+        ):
+            raise ConfigError(f"{name}.{key} must be {kind.__name__}, not {value!r}")

@@ -7,7 +7,7 @@ fire inside "whitewash".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +32,7 @@ class IdentityLexicon:
 
     terms: tuple[str, ...]
     source_label: str
+    _term_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -41,12 +42,13 @@ class IdentityLexicon:
             if t in seen:
                 raise ContractError(f"duplicate identity term: {t!r}")
             seen.add(t)
+        object.__setattr__(self, "_term_set", frozenset(seen))
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def __contains__(self, term: str) -> bool:
-        return term in self.terms
+        return term in self._term_set
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,13 @@ class SubjectivityLexicon:
         for e in entries:
             table[e.form] = table.get(e.form, ()) + (e,)
         self._table = table
+        # Per-form means over the senses, computed once for the scorer.
+        self._subjectivity = {f: sum(e.subjectivity for e in s) / len(s) for f, s in table.items()}
+        self._polarity = {f: sum(e.polarity for e in s) / len(s) for f, s in table.items()}
+        self._intensity = {f: sum(e.intensity for e in s) / len(s) for f, s in table.items()}
+        # Every text a multi-word form continues past a space ("fed" of "fed
+        # up"); a token outside this set can only match a one-word form.
+        self._heads = frozenset(f[:i] for f in table for i, ch in enumerate(f) if ch == " ")
         self.negations = frozenset(w.lower() for w in negations)
         self.skipped = skipped
         self.max_form_words = max((f.count(" ") + 1 for f in table), default=1)
@@ -76,16 +83,13 @@ class SubjectivityLexicon:
         return self._table.get(form, ())
 
     def mean_subjectivity(self, form: str) -> float:
-        senses = self._table[form]
-        return sum(e.subjectivity for e in senses) / len(senses)
+        return self._subjectivity[form]
 
     def mean_polarity(self, form: str) -> float:
-        senses = self._table[form]
-        return sum(e.polarity for e in senses) / len(senses)
+        return self._polarity[form]
 
     def mean_intensity(self, form: str) -> float:
-        senses = self._table[form]
-        return sum(e.intensity for e in senses) / len(senses)
+        return self._intensity[form]
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,11 @@ def default_lexicon() -> SubjectivityLexicon:
 
 
 def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):
-    """Longest lexicon form starting at token i, or None."""
+    """Longest lexicon form starting at token i, or None (also past the end)."""
+    if i >= len(tokens):
+        return None
+    if tokens[i] not in lexicon._heads:
+        return (tokens[i], 1) if tokens[i] in lexicon._table else None
     limit = min(lexicon.max_form_words, len(tokens) - i)
     for width in range(limit, 0, -1):
         form = " ".join(tokens[i : i + width])
@@ -280,14 +288,17 @@ def assess(tokens, lexicon: SubjectivityLexicon) -> list[Assessment]:
     return out
 
 
-def score(text: str, lexicon: SubjectivityLexicon) -> SubjectivityScore:
+def score(text: str, lexicon: SubjectivityLexicon, tokens=None) -> SubjectivityScore:
     """Mean assessment contribution over the word-split, lowercased text.
 
-    Pure-punctuation tokens are dropped before matching. No matches at all
-    gives exactly 0.0.
+    A caller that has already split ``text`` passes ``word_split(text)`` as
+    ``tokens`` to skip the second split. Pure-punctuation tokens, which
+    ``word_split`` emits one character each, are dropped before matching.
+    No matches at all gives exactly 0.0.
     """
-    tokens = [t for t in word_split(text) if any(ch.isalnum() for ch in t)]
-    assessments = assess(tokens, lexicon)
+    if tokens is None:
+        tokens = word_split(text)
+    assessments = assess([t for t in tokens if t[0].isalnum()], lexicon)
     if not assessments:
         return SubjectivityScore(0.0, 0)
     value = sum(a.subjectivity for a in assessments) / len(assessments)

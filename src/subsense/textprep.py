@@ -26,6 +26,9 @@ def word_split(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
+        if chunk[0].isalnum() and chunk[-1].isalnum():  # most words: nothing to peel
+            tokens.append(chunk)
+            continue
         lead: list[str] = []
         while chunk and not chunk[0].isalnum():
             lead.append(chunk[0])

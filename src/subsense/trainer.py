@@ -20,7 +20,7 @@ from . import audit
 from .augment import AugmentedExample, AugmentMode, augment
 from .datasets import Label
 from .encoder import EncoderParams, ModelConfig, backward, forward, init
-from .errors import ConfigError, ContractError, DegenerateLabelsError
+from .errors import ConfigError, ContractError, DegenerateLabelsError, check_fields
 from .identity import IdentityLexicon, detect
 from .subjectivity import SubjectivityLexicon, score
 from .textprep import EncodedExample, Vocab, encode, word_split
@@ -40,6 +40,7 @@ class TrainSchedule:
     epoch_cap: int = 50
 
     def __post_init__(self):
+        check_fields(TrainSchedule, vars(self), "TrainSchedule")
         if min(self.batch_size, self.val_every, self.epoch_cap) <= 0 or self.lr0 <= 0:
             raise ConfigError("schedule values must be positive")
         if self.max_halvings < 1:
@@ -99,11 +100,19 @@ def _batch_loss_grad(logits, labels, weights: ClassWeights):
 
 @dataclass(frozen=True)
 class PreparedExample:
-    """One comment ready for the encoder, with occlusion metadata."""
+    """One comment ready for the encoder, with occlusion metadata and the
+    identity terms detected in it."""
 
     aug: AugmentedExample
     label: Label
     identity_positions: tuple[int, ...] = ()
+    identity_terms: tuple[str, ...] = ()
+
+    @property
+    def features(self) -> audit.CommentFeatures:
+        """What the audit reads of this comment. The slot fill is the
+        subjectivity score verbatim in every mode."""
+        return audit.CommentFeatures(self.aug.slot_fill, self.identity_terms)
 
 
 def identity_token_positions(tokens, lexicon: IdentityLexicon, max_len: int) -> tuple[int, ...]:
@@ -126,16 +135,16 @@ def prepare_examples(
     max_len: int,
     mode: AugmentMode,
 ) -> list[PreparedExample]:
-    """Score, detect, encode and augment a list of comments."""
+    """Score, detect, encode and augment a list of comments: one feature
+    pass per comment, whose results the audit reuses."""
     out = []
     for c in comments:
         tokens = word_split(c.text)
-        s = score(c.text, subj_lexicon)
-        match = detect(c.text, id_lexicon)
-        aug = augment(encode(tokens, vocab, max_len), s, match.present, mode)
-        out.append(
-            PreparedExample(aug, c.label, identity_token_positions(tokens, id_lexicon, max_len))
-        )
+        terms = detect(c.text, id_lexicon).terms
+        s = score(c.text, subj_lexicon, tokens)
+        aug = augment(encode(tokens, vocab, max_len), s, bool(terms), mode)
+        positions = identity_token_positions(tokens, id_lexicon, max_len)
+        out.append(PreparedExample(aug, c.label, positions, terms))
     return out
 
 

@@ -26,6 +26,7 @@ from subsense import subjectivity as sj
 from subsense import textprep as tp
 from subsense import trainer as tr
 
+import oracles
 from conftest import DATA_DIR
 from score_vectors import PAIRED_COMMENTS, SPOT_SCORES
 
@@ -364,7 +365,7 @@ def test_a08_audit_oracle():
     preds = [rng.choice([ds.Label.TOXIC, ds.Label.NONTOXIC]) for _ in comments]
     golds = [c.label for c in comments]
     terms = idn.default_terms()
-    cells = audit.bias_groups(comments, preds, golds, terms, corpus.lexicon)
+    cells = audit.bias_groups(preds, golds, oracles.features(comments, terms, corpus.lexicon))
 
     # Brute-force oracle: independent grouping and quantile arithmetic.
     expected: dict = {}

@@ -10,6 +10,8 @@ from subsense import identity as idn
 from subsense import subjectivity as sj
 from subsense.errors import ContractError
 
+import oracles
+
 T, N = ds.Label.TOXIC, ds.Label.NONTOXIC
 
 SCORING = sj.SubjectivityLexicon(
@@ -136,19 +138,19 @@ def sample_comments(rng_seed=0, n=40):
 class TestBiasGroups:
     def test_single_tp_with_identity(self):
         comments = [ds.Comment("a", "the women spoke", T)]
-        cells = audit.bias_groups(comments, [T], [T], TERMS, SCORING)
+        cells = audit.bias_groups([T], [T], oracles.features(comments, TERMS, SCORING))
         assert cells[("TP", True)].size == 1
         assert sum(c.size for c in cells.values()) == 1
 
     def test_partition_law(self):
         comments, preds, golds = sample_comments(3)
-        cells = audit.bias_groups(comments, preds, golds, TERMS, SCORING)
+        cells = audit.bias_groups(preds, golds, oracles.features(comments, TERMS, SCORING))
         assert len(cells) == 8
         assert sum(c.size for c in cells.values()) == len(comments)
 
     def test_matches_brute_force(self):
         comments, preds, golds = sample_comments(4, n=60)
-        cells = audit.bias_groups(comments, preds, golds, TERMS, SCORING)
+        cells = audit.bias_groups(preds, golds, oracles.features(comments, TERMS, SCORING))
         expected = brute_force_cells(comments, preds, golds)
         for key, cell in cells.items():
             if cell.size == 0:
@@ -163,7 +165,7 @@ class TestBiasGroups:
 
     def test_named_groups_view(self):
         comments, preds, golds = sample_comments(5)
-        cells = audit.bias_groups(comments, preds, golds, TERMS, SCORING)
+        cells = audit.bias_groups(preds, golds, oracles.features(comments, TERMS, SCORING))
         named = audit.named_groups(cells)
         assert set(named) == {"TPwIT", "FPwIT", "TNwoIT", "FNwoIT"}
         assert named["TPwIT"] is cells[("TP", True)]
@@ -172,7 +174,7 @@ class TestBiasGroups:
     def test_alignment_checked(self):
         comments, preds, golds = sample_comments(6)
         with pytest.raises(ContractError):
-            audit.bias_groups(comments, preds[:-1], golds, TERMS, SCORING)
+            audit.bias_groups(preds[:-1], golds, oracles.features(comments, TERMS, SCORING))
 
 
 class TestAggregate:
@@ -223,7 +225,7 @@ class TestReport:
         ]
         preds = [T, T, N]
         rows = audit.error_listing(comments, preds, [c.label for c in comments],
-                                   TERMS, SCORING)
+                                   oracles.features(comments, TERMS, SCORING))
         assert [r.error for r in rows] == ["FN", "FP", "FP"]
         fps = [r for r in rows if r.error == "FP"]
         assert fps[0].subjectivity >= fps[1].subjectivity
@@ -231,8 +233,10 @@ class TestReport:
 
     def test_report_round_trip_and_determinism(self):
         comments, preds, golds = sample_comments(9, n=30)
-        report = audit.audit_report(comments, preds, golds, TERMS, SCORING)
-        again = audit.audit_report(comments, preds, golds, TERMS, SCORING)
+        report = audit.audit_report(comments, preds, golds,
+                                    oracles.features(comments, TERMS, SCORING))
+        again = audit.audit_report(comments, preds, golds,
+                                   oracles.features(comments, TERMS, SCORING))
         assert report.to_json_dict() == again.to_json_dict()
         assert report.to_text() == again.to_text()
         assert report.counts.total == 30
@@ -243,7 +247,8 @@ class TestReport:
 
     def test_cells_csv_rows(self):
         comments, preds, golds = sample_comments(10, n=12)
-        report = audit.audit_report(comments, preds, golds, TERMS, SCORING)
+        report = audit.audit_report(comments, preds, golds,
+                                    oracles.features(comments, TERMS, SCORING))
         rows = report.cells_csv_rows()
         assert rows[0] == ["cell", "with_identity", "subjectivity"]
         assert len(rows) == 13

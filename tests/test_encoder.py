@@ -55,6 +55,27 @@ class TestConfig:
         config = tiny_config()
         assert enc.ModelConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("field,value", [
+        ("d_model", "x"), ("n_layers", 1.5), ("max_len", None), ("seed", True),
+        ("dropout_rate", "0.1"), ("dropout_rate", False),
+    ])
+    def test_wrong_type_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=f"ModelConfig.{field} must be"):
+            tiny_config(**{field: value})
+
+    def test_int_fills_float_field(self):
+        assert tiny_config(dropout_rate=0).dropout_rate == 0
+
+    def test_from_dict_names_missing_and_unknown_keys(self):
+        with pytest.raises(ConfigError, match="lacks max_len, vocab_size"):
+            enc.ModelConfig.from_dict({})
+        partial = tiny_config().to_dict()
+        del partial["seed"]
+        with pytest.raises(ConfigError, match="lacks seed"):
+            enc.ModelConfig.from_dict(partial)
+        with pytest.raises(ConfigError, match="unknown ModelConfig keys n_blocks"):
+            enc.ModelConfig.from_dict({**tiny_config().to_dict(), "n_blocks": 2})
+
 
 class TestInit:
     def test_deterministic(self):

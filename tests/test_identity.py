@@ -32,6 +32,15 @@ class TestDefaultTerms:
     def test_liberal_not_covered(self):
         assert "liberal" not in idn.default_terms()
 
+    def test_membership_is_the_term_list(self):
+        lex = idn.IdentityLexicon(("women", "gay", "jews"), "three")
+        assert lex.terms == ("women", "gay", "jews")
+        for word in ("women", "gay", "jews", "jew", "Women", "", "women ", "gays"):
+            assert (word in lex) == (word in lex.terms)
+        assert lex == idn.IdentityLexicon(("women", "gay", "jews"), "three")
+        assert lex != idn.IdentityLexicon(("jews", "gay", "women"), "three")
+        assert hash(lex) == hash(idn.IdentityLexicon(("women", "gay", "jews"), "three"))
+
 
 class TestLexiconInvariants:
     def test_rejects_uppercase(self):

@@ -379,6 +379,13 @@ class TestTrain:
         with pytest.raises(ConfigError):
             tr.TrainSchedule(max_halvings=0)
 
+    def test_schedule_types(self):
+        for field, value in (("lr0", True), ("batch_size", 8.0), ("epoch_cap", "2"),
+                             ("halving_factor", None)):
+            with pytest.raises(ConfigError, match=f"TrainSchedule.{field} must be"):
+                tr.TrainSchedule(**{field: value})
+        assert tr.TrainSchedule(lr0=1).lr0 == 1
+
     def test_history_csv(self, tmp_path):
         history = tr.TrainHistory(
             [tr.HistoryEntry(1, 0.5, None, 1e-3, 0), tr.HistoryEntry(2, 0.4, 0.7, 1e-3, 0)],
