@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import audit, datasets, encoder, identity, subjectivity, textprep, trainer
+from .atomic import replacing
 from .augment import AugmentMode
 from .errors import (
     ConfigError, ContractError, ResourceError, SubsenseError, UsageError, check_fields,
@@ -57,8 +58,8 @@ def _read_json(path, error):
 
 def _write_json(obj, path) -> None:
     """Stream ``obj`` to ``path`` as indented JSON: a large audit report is
-    never held as one string."""
-    with open(path, "w", encoding="utf-8") as fh:
+    never held as one string, and a failed write leaves no partial file."""
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -351,12 +352,12 @@ def _cmd_audit(args) -> int:
     report = audit.audit_report(comments, preds, golds, features)
     out = Path(args.output) if args.output else Path(manifest["artifacts"]["audit_report"])
     _write_json(report.to_json_dict(), out)
-    text_path = out.with_suffix(".txt")
-    text_path.write_text(report.to_text(), encoding="utf-8")
+    with replacing(out.with_suffix(".txt"), "w", encoding="utf-8") as fh:
+        fh.write(report.to_text())
     if args.cells_csv:
         import csv as _csv
 
-        with open(args.cells_csv, "w", newline="", encoding="utf-8") as fh:
+        with replacing(args.cells_csv, "w", newline="", encoding="utf-8") as fh:
             _csv.writer(fh).writerows(report.cells_csv_rows())
     print(report.to_text())
     print(f"report: {out}")

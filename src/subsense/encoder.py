@@ -10,7 +10,11 @@ a component exactly, severing the slot from the logits.
 
 Blocks are pre-norm; the classification head reads the CLS position after a
 final normalization. Dropout masks are stored in the forward cache so the
-backward pass replays them exactly.
+backward pass replays them exactly. A norm caches its normalized input
+``xhat`` and reciprocal RMS ``r``, not its input: the backward pass reads
+only those, as ``dx = r * (dxhat - xhat * (dxhat . xhat) / d)``. An
+inference pass keeps no caches, so each block's arrays are freed as the next
+one runs.
 
 Only CLS reaches the head, so the last block computes keys and values for
 every position but its queries, attention output, residual, second norm and
@@ -41,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .augment import AugmentedExample
 from .errors import ConfigError, ContractError, ResourceError, check_fields
 
@@ -124,6 +129,18 @@ class EncoderParams:
         return EncoderParams({k: np.zeros_like(v) for k, v in self._tensors.items()})
 
 
+def flat_params(params: EncoderParams) -> tuple[np.ndarray, EncoderParams]:
+    """Copy ``params`` into one contiguous vector, tensors in ``names()``
+    order, and return it with an ``EncoderParams`` of named views into it:
+    an in-place update of the vector updates every tensor."""
+    flat = np.concatenate([t for _, t in params.items()], axis=None)
+    views, offset = {}, 0
+    for name, tensor in params.items():
+        views[name] = flat[offset : offset + tensor.size].reshape(tensor.shape)
+        offset += tensor.size
+    return flat, EncoderParams(views)
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, config.d_model),
@@ -184,21 +201,24 @@ def validate_params(params: EncoderParams, config: ModelConfig) -> None:
 
 
 def _rms_forward(x, gain, bias):
-    r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)
+    """RMS norm over the last axis; the cache is ``(xhat, r)``, the normalized
+    input and the reciprocal RMS, which is all the backward pass reads."""
+    d = x.shape[-1]
+    r = 1.0 / np.sqrt(np.einsum("...i,...i->...", x, x)[..., None] / d + _NORM_EPS)
     xhat = x * r
-    return gain * xhat + bias, (x, r)
+    return gain * xhat + bias, (xhat, r)
 
 
 def _rms_backward(dy, gain, cache):
-    x, r = cache
-    xhat = x * r
-    axes = tuple(range(dy.ndim - 1))
-    dgain = np.sum(dy * xhat, axis=axes)
-    dbias = np.sum(dy, axis=axes)
+    # With xhat = x * r: dx = r * dxhat - r**3 / d * x * (dxhat . x)
+    #                       = r * (dxhat - xhat * (dxhat . xhat) / d).
+    xhat, r = cache
+    d = xhat.shape[-1]
+    dgain = (dy * xhat).reshape(-1, d).sum(axis=0)
+    dbias = dy.reshape(-1, d).sum(axis=0)
     dxhat = dy * gain
-    dim = x.shape[-1]
-    inner = np.sum(dxhat * x, axis=-1, keepdims=True)
-    dx = r * dxhat - (r * r * r / dim) * x * inner
+    inner = np.einsum("...i,...i->...", dxhat, xhat)[..., None]
+    dx = r * (dxhat - xhat * inner / d)
     return dx, dgain, dbias
 
 
@@ -249,6 +269,16 @@ def _assemble(batch, config):
     return ids, kmask, fill
 
 
+def _scatter_rows(ids, rows, n):
+    """Add each ``d``-vector of ``rows`` (shape ``ids.shape + (d,)``) into row
+    ``ids[...]`` of an ``(n, d)`` zero array. One bincount over flat
+    (id, dim) bins adds in the order ``np.add.at`` does, so the sums are the
+    same bits."""
+    d = rows.shape[-1]
+    bins = (ids[..., None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+
 def _query_rows(layer: int, config: ModelConfig):
     """Positions a block computes queries, residual and FF for: only CLS in
     the last block, since nothing after it reads any other position."""
@@ -278,12 +308,19 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         full = _dropout_mask(dropout_rng, (b, config.seq_len, d), config.dropout_rate)
         return full[:, cols]
 
-    x = np.empty((b, width + 1, d))
-    x[:, :width] = params["tok_emb"][ids] + params["pos_emb"][None, :width]
-    # Slot embedding: fill value on every dimension plus the slot position row.
-    x[:, width] = fill[:, None] + params["pos_emb"][lm]
+    def norm(x, name):
+        """RMS norm ``name`` of ``x``; its cache is kept for training only."""
+        y, norm_cache = _rms_forward(x, params[f"{name}.gain"], params[f"{name}.bias"])
+        return y, norm_cache if train_mode else None
 
-    h, emb_cache = _rms_forward(x, params["emb_norm.gain"], params["emb_norm.bias"])
+    # ``h`` is rebound at every step below, so a norm's input does not stay
+    # alive beside the ``xhat`` its cache holds.
+    h = np.empty((b, width + 1, d))
+    h[:, :width] = params["tok_emb"][ids] + params["pos_emb"][None, :width]
+    # Slot embedding: fill value on every dimension plus the slot position row.
+    h[:, width] = fill[:, None] + params["pos_emb"][lm]
+
+    h, emb_cache = norm(h, "emb_norm")
     emb_drop = None
     if use_dropout:
         emb_drop = drop(kept)
@@ -294,27 +331,28 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     for i in range(config.n_layers):
         p = f"layer{i}"
         rows = _query_rows(i, config)
-        a, ln1_cache = _rms_forward(h, params[f"{p}.norm1.gain"], params[f"{p}.norm1.bias"])
+        a, ln1_cache = norm(h, f"{p}.norm1")
         q = _split_heads(
             a[:, rows] @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], config.n_heads
         )
         k = _split_heads(a @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"], config.n_heads)
         v = _split_heads(a @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"], config.n_heads)
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + add_mask
-        scores_max = scores.max(axis=-1, keepdims=True)
-        expd = np.exp(scores - scores_max)
-        probs = expd / expd.sum(axis=-1, keepdims=True)
+        # Softmax in place: one (b, heads, rows, width + 1) buffer, not four.
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores /= np.sqrt(dh)
+        scores += add_mask
+        scores -= scores.max(axis=-1, keepdims=True)
+        probs = np.exp(scores, out=scores)
+        probs /= probs.sum(axis=-1, keepdims=True)
         ocat = _merge_heads(probs @ v)
         attn = ocat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
         attn_drop = None
         if use_dropout:
             attn_drop = drop(kept[rows])
             attn = attn * attn_drop
-        h_mid = h[:, rows] + attn
+        h = h[:, rows] + attn
 
-        f, ln2_cache = _rms_forward(
-            h_mid, params[f"{p}.norm2.gain"], params[f"{p}.norm2.bias"]
-        )
+        f, ln2_cache = norm(h, f"{p}.norm2")
         u = f @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]
         g = _gelu(u)
         z = g @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
@@ -322,18 +360,16 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         if use_dropout:
             ff_drop = drop(kept[rows])
             z = z * ff_drop
-        h_next = h_mid + z
+        h = h + z
 
-        layer_caches.append({
-            "ln1": ln1_cache, "a": a, "q": q, "k": k, "v": v, "probs": probs,
-            "ocat": ocat, "attn_drop": attn_drop, "ln2": ln2_cache, "f": f,
-            "u": u, "g": g, "ff_drop": ff_drop,
-        })
-        h = h_next
+        if train_mode:  # inference frees each layer's arrays as the next one runs
+            layer_caches.append({
+                "ln1": ln1_cache, "a": a, "q": q, "k": k, "v": v, "probs": probs,
+                "ocat": ocat, "attn_drop": attn_drop, "ln2": ln2_cache, "f": f,
+                "u": u, "g": g, "ff_drop": ff_drop,
+            })
 
-    cls, final_cache = _rms_forward(
-        h[:, 0], params["final_norm.gain"], params["final_norm.bias"]
-    )
+    cls, final_cache = norm(h[:, 0], "final_norm")
     logits = cls @ params["head.w"] + params["head.b"]
 
     if not train_mode:
@@ -379,7 +415,7 @@ def backward(cache, params, config, dlogits):
         din = x.shape[-1]
         dout = dy.shape[-1]
         dw = x.reshape(-1, din).T @ dy.reshape(-1, dout)
-        db = dy.sum(axis=(0, 1))
+        db = dy.reshape(-1, dout).sum(axis=0)
         dx = dy @ w.T
         return dw, db, dx
 
@@ -440,9 +476,7 @@ def backward(cache, params, config, dlogits):
     grads["emb_norm.bias"] = dbias_e
 
     # Dropped columns have zero gradient, so their rows stay zero.
-    dtok = np.zeros_like(params["tok_emb"])
-    np.add.at(dtok, cache["ids"], dx[:, :width])
-    grads["tok_emb"] = dtok
+    grads["tok_emb"] = _scatter_rows(cache["ids"], dx[:, :width], config.vocab_size)
     dpos = np.zeros_like(params["pos_emb"])
     dpos[:width] = dx[:, :width].sum(axis=0)
     dpos[lm] = dx[:, width].sum(axis=0)
@@ -460,7 +494,7 @@ def save_params(params: EncoderParams, path) -> None:
         ]
     }
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(len(payload).to_bytes(8, "little"))
         fh.write(payload)

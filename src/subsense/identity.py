@@ -50,6 +50,9 @@ class IdentityLexicon:
     def __contains__(self, term: str) -> bool:
         return term in self._term_set
 
+    def __iter__(self):
+        return iter(self.terms)
+
 
 @dataclass(frozen=True)
 class IdentityMatch:
@@ -103,6 +106,16 @@ def _whole_word_spans(text_lower: str, term: str) -> list[tuple[int, int]]:
             spans.append((i, j))
         start = i + 1
     return spans
+
+
+def holds_term(word: str, terms) -> bool:
+    """Whether a lowercase word, such as a ``word_split`` token, contains one
+    of ``terms`` (a lexicon, or the terms ``detect`` found) as a whole word by
+    ``detect``'s rule: "muslim's" and "islam,jews" do, "muslimness" does not.
+    A word of letters and digits alone holds a term only by being one."""
+    if word in terms:
+        return True
+    return not word.isalnum() and any(_whole_word_spans(word, t) for t in terms)
 
 
 def detect(text: str, lexicon: IdentityLexicon) -> IdentityMatch:

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import replacing
 from .errors import ContractError, EmptyDatasetError, ResourceError
 
 PAD, UNK, CLS, SEP = 0, 1, 2, 3
@@ -76,7 +77,7 @@ class Vocab:
         return self.id_to_token[i]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, "w", encoding="utf-8") as fh:
             for tok in self.id_to_token:
                 fh.write(tok + "\n")
 

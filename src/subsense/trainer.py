@@ -4,8 +4,10 @@ and an occlusion-difference regularizer.
 The schedule validates every ``val_every`` steps; whenever validation F1
 falls below the best value seen so far the learning rate is halved, and
 training stops at the configured number of halvings (an epoch cap guards
-runs whose F1 never decreases). The parameters returned are the snapshot
-with the best validation F1.
+runs whose F1 never decreases). A non-finite loss or gradient stops
+training before that step's update, with stop reason ``non_finite``. The
+parameters returned are the snapshot with the best validation F1, or the
+current ones when no validation has run.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import audit
+from .atomic import replacing
 from .augment import AugmentedExample, AugmentMode, augment
 from .datasets import Label
-from .encoder import EncoderParams, ModelConfig, backward, forward, init
+from .encoder import EncoderParams, ModelConfig, backward, flat_params, forward, init
 from .errors import ConfigError, ContractError, DegenerateLabelsError, check_fields
-from .identity import IdentityLexicon, detect
+from .identity import IdentityLexicon, detect, holds_term
 from .subjectivity import SubjectivityLexicon, score
 from .textprep import EncodedExample, Vocab, encode, word_split
 
@@ -89,7 +92,7 @@ def _batch_loss_grad(logits, labels, weights: ClassWeights):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
-    w = np.array([weights.of(int(y)) for y in labels])
+    w = np.where(np.asarray(labels) == Label.TOXIC, weights.w_toxic, weights.w_nontoxic)
     rows = np.arange(b)
     loss = float(-(w * logp[rows, labels]).mean())
     dlogits = np.exp(logp)
@@ -115,14 +118,15 @@ class PreparedExample:
         return audit.CommentFeatures(self.aug.slot_fill, self.identity_terms)
 
 
-def identity_token_positions(tokens, lexicon: IdentityLexicon, max_len: int) -> tuple[int, ...]:
-    """Encoded positions (offset by the CLS slot) of identity-term tokens
-    that survived truncation."""
+def identity_token_positions(tokens, terms, max_len: int) -> tuple[int, ...]:
+    """Encoded positions (offset by the CLS slot) of the tokens that survived
+    truncation and hold one of ``terms`` as a whole word (``holds_term``), so
+    the occlusion regularizer hides what opened the gate."""
     positions = []
     for i, tok in enumerate(tokens):
         if i >= max_len - 2:
             break
-        if tok in lexicon:
+        if holds_term(tok, terms):
             positions.append(i + 1)
     return tuple(positions)
 
@@ -143,7 +147,7 @@ def prepare_examples(
         terms = detect(c.text, id_lexicon).terms
         s = score(c.text, subj_lexicon, tokens)
         aug = augment(encode(tokens, vocab, max_len), s, bool(terms), mode)
-        positions = identity_token_positions(tokens, id_lexicon, max_len)
+        positions = identity_token_positions(tokens, terms, max_len) if terms else ()
         out.append(PreparedExample(aug, c.label, positions, terms))
     return out
 
@@ -199,7 +203,7 @@ class TrainHistory:
         return max(scores) if scores else None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with replacing(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss", "val_f1", "lr", "halvings"])
             for e in self.entries:
@@ -251,27 +255,45 @@ def _soc_loss_and_grads(batch, params, config, soc_weight):
     if not targets:
         return 0.0, None
     combined: list[AugmentedExample] = []
-    spans: list[tuple[int, int, int]] = []  # (orig row, first occluded row, count)
+    orig_rows: list[int] = []
     for ex in targets:
-        orig_row = len(combined)
+        orig_rows.append(len(combined))
         combined.append(ex.aug)
-        first = len(combined)
-        for pos in ex.identity_positions:
-            combined.append(_occlude(ex.aug, pos))
-        spans.append((orig_row, first, len(ex.identity_positions)))
+        combined.extend(_occlude(ex.aug, pos) for pos in ex.identity_positions)
     logits, cache = forward(combined, params, config, train_mode=True, dropout_rng=None)
     toxic = logits[:, Label.TOXIC]
+    counts = np.array([len(ex.identity_positions) for ex in targets])
+    # Each occluded row, in order, with the index of its target.
+    occ_rows = np.delete(np.arange(len(combined)), orig_rows)
+    target = np.repeat(np.arange(len(targets)), counts)
+    diffs = toxic[orig_rows][target] - toxic[occ_rows]
+    # bincount adds each target's terms in row order, as a sum of fewer than
+    # 8 terms does; cumsum adds the targets' penalties in order.
+    penalties = np.bincount(target, weights=diffs * diffs) / counts
+    coeff = 2.0 * (soc_weight / len(batch)) / counts
     dlogits = np.zeros_like(logits)
-    penalty_sum = 0.0
-    scale = soc_weight / len(batch)
-    for orig_row, first, count in spans:
-        diffs = toxic[orig_row] - toxic[first : first + count]
-        penalty_sum += float((diffs**2).mean())
-        coeff = 2.0 * scale / count
-        dlogits[orig_row, Label.TOXIC] += coeff * diffs.sum()
-        dlogits[first : first + count, Label.TOXIC] -= coeff * diffs
+    dlogits[orig_rows, Label.TOXIC] += coeff * np.bincount(target, weights=diffs)
+    dlogits[occ_rows, Label.TOXIC] -= coeff[target] * diffs
     grads, _ = backward(cache, params, config, dlogits)
-    return penalty_sum / len(batch), grads
+    return float(np.cumsum(penalties)[-1]) / len(batch), grads
+
+
+def _flat_grads(grads, names) -> np.ndarray:
+    """The gradients as one vector laid out like ``flat_params``'s."""
+    return np.concatenate([grads[name] for name in names], axis=None)
+
+
+def _adam_update(flat, g, m, v, step: int, lr: float) -> None:
+    """One Adam step on the flat parameter vector, moments ``m`` and ``v``
+    in place. Every operation is elementwise, in the order an update per
+    tensor would run it, so the result is the same bits."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    mhat = m / (1.0 - ADAM_BETA1**step)
+    vhat = v / (1.0 - ADAM_BETA2**step)
+    flat -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def train(
@@ -297,14 +319,21 @@ def train(
     val_augs = [ex.aug for ex in val_set]
     val_labels = [ex.label for ex in val_set]
 
-    params = init(config)
-    moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in params.items()}
+    # Every tensor is a view into ``flat``, so Adam updates them all at once.
+    flat, params = flat_params(init(config))
+    names = params.names()
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     ctrl = HalvingController(schedule.lr0, schedule.max_halvings, schedule.halving_factor)
     history = TrainHistory()
     best_params: EncoderParams | None = None
     rng = np.random.default_rng(seed)
     step = 0
     n = len(train_set)
+
+    def finish(reason: str):
+        history.stop_reason = reason
+        return (best_params if best_params is not None else params), history
 
     for _epoch in range(schedule.epoch_cap):
         order = rng.permutation(n)
@@ -318,24 +347,16 @@ def train(
                 train_mode=True, dropout_rng=rng,
             )
             loss, dlogits = _batch_loss_grad(logits, labels[chunk], weights)
-            grads, _ = backward(cache, params, config, dlogits)
+            g = _flat_grads(backward(cache, params, config, dlogits)[0], names)
             if soc_weight > 0.0:
                 penalty, soc_grads = _soc_loss_and_grads(batch, params, config, soc_weight)
                 loss += soc_weight * penalty
                 if soc_grads is not None:
-                    for name in grads:
-                        grads[name] += soc_grads[name]
-
-            for name, tensor in params.items():
-                m, v = moments[name]
-                g = grads[name]
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g * g
-                mhat = m / (1.0 - ADAM_BETA1**step)
-                vhat = v / (1.0 - ADAM_BETA2**step)
-                tensor -= ctrl.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+                    g += _flat_grads(soc_grads, names)
+            if not (np.isfinite(loss) and np.isfinite(g).all()):
+                history.entries.append(HistoryEntry(step, loss, None, ctrl.lr, ctrl.halvings))
+                return finish("non_finite")
+            _adam_update(flat, g, m, v, step, ctrl.lr)
 
             val_f1 = None
             if step % schedule.val_every == 0:
@@ -350,7 +371,5 @@ def train(
                     )
             history.entries.append(HistoryEntry(step, loss, val_f1, ctrl.lr, ctrl.halvings))
             if ctrl.exhausted:
-                history.stop_reason = "max_halvings"
-                return (best_params if best_params is not None else params), history
-    history.stop_reason = "epoch_cap"
-    return (best_params if best_params is not None else params), history
+                return finish("max_halvings")
+    return finish("epoch_cap")

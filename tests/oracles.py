@@ -2,12 +2,19 @@
 
 ``predict`` decides one example the way ``trainer.predict_batch`` decides
 each row. ``occlusion_penalty`` runs one forward per occluded identity
-token; ``trainer._soc_loss_and_grads`` is checked against it. The second
-half holds frozen copies of the feature pass and the audit from before the
-audit reused the trainer's per-comment features.
+token; ``trainer._soc_loss_and_grads`` is checked against it, and bit for
+bit against ``soc_loss_and_grads_per_target``, its per-target loop.
+``train_per_tensor`` is the training loop with one Adam update per tensor,
+which ``trainer.train``'s single update over the flat parameter vector must
+equal bit for bit. The last part holds frozen copies of the feature pass and
+the audit from before the audit reused the trainer's per-comment features.
 """
 
+import numpy as np
+
 from subsense import audit as _audit
+from subsense import encoder as _enc
+from subsense import trainer as _tr
 from subsense.augment import AugmentedExample, augment
 from subsense.datasets import Label
 from subsense.encoder import forward
@@ -39,6 +46,92 @@ def occlusion_penalty(example: PreparedExample, params, config) -> float:
         occ_logits, _ = forward([_occlude(example.aug, pos)], params, config)
         total += float((base_toxic - occ_logits[0, Label.TOXIC]) ** 2)
     return total / len(positions)
+
+
+def soc_loss_and_grads_per_target(batch, params, config, soc_weight):
+    """``trainer._soc_loss_and_grads`` as it was before it was vectorised:
+    one penalty and one set of logit gradients per target comment."""
+    targets = [ex for ex in batch if ex.identity_positions]
+    if not targets:
+        return 0.0, None
+    combined = []
+    spans = []  # (orig row, first occluded row, count)
+    for ex in targets:
+        orig_row = len(combined)
+        combined.append(ex.aug)
+        first = len(combined)
+        for pos in ex.identity_positions:
+            combined.append(_occlude(ex.aug, pos))
+        spans.append((orig_row, first, len(ex.identity_positions)))
+    logits, cache = forward(combined, params, config, train_mode=True, dropout_rng=None)
+    toxic = logits[:, Label.TOXIC]
+    dlogits = np.zeros_like(logits)
+    penalty_sum = 0.0
+    scale = soc_weight / len(batch)
+    for orig_row, first, count in spans:
+        diffs = toxic[orig_row] - toxic[first : first + count]
+        penalty_sum += float((diffs**2).mean())
+        coeff = 2.0 * scale / count
+        dlogits[orig_row, Label.TOXIC] += coeff * diffs.sum()
+        dlogits[first : first + count, Label.TOXIC] -= coeff * diffs
+    grads, _ = _enc.backward(cache, params, config, dlogits)
+    return penalty_sum / len(batch), grads
+
+
+def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0, seed=0):
+    """``trainer.train`` as it was before the flat Adam update: parameters
+    are separate tensors, the occlusion gradients are added tensor by tensor
+    and Adam runs once per tensor. No non-finite check."""
+    labels = np.array([int(ex.label) for ex in train_set])
+    weights = _tr.class_weights(labels)
+    val_augs = [ex.aug for ex in val_set]
+    val_labels = [ex.label for ex in val_set]
+    params = _enc.init(config)
+    moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in params.items()}
+    ctrl = _tr.HalvingController(schedule.lr0, schedule.max_halvings, schedule.halving_factor)
+    history = _tr.TrainHistory()
+    best_params = None
+    rng = np.random.default_rng(seed)
+    step = 0
+    n = len(train_set)
+    for _epoch in range(schedule.epoch_cap):
+        order = rng.permutation(n)
+        for start in range(0, n, schedule.batch_size):
+            chunk = order[start : start + schedule.batch_size]
+            batch = [train_set[j] for j in chunk]
+            step += 1
+            logits, cache = _enc.forward(
+                [ex.aug for ex in batch], params, config, train_mode=True, dropout_rng=rng,
+            )
+            loss, dlogits = _tr._batch_loss_grad(logits, labels[chunk], weights)
+            grads, _ = _enc.backward(cache, params, config, dlogits)
+            if soc_weight > 0.0:
+                penalty, soc_grads = _tr._soc_loss_and_grads(batch, params, config, soc_weight)
+                loss += soc_weight * penalty
+                if soc_grads is not None:
+                    for name in grads:
+                        grads[name] += soc_grads[name]
+            for name, tensor in params.items():
+                m, v = moments[name]
+                g = grads[name]
+                m *= _tr.ADAM_BETA1
+                m += (1.0 - _tr.ADAM_BETA1) * g
+                v *= _tr.ADAM_BETA2
+                v += (1.0 - _tr.ADAM_BETA2) * g * g
+                mhat = m / (1.0 - _tr.ADAM_BETA1**step)
+                vhat = v / (1.0 - _tr.ADAM_BETA2**step)
+                tensor -= ctrl.lr * mhat / (np.sqrt(vhat) + _tr.ADAM_EPS)
+            val_f1 = None
+            if step % schedule.val_every == 0:
+                val_f1 = _tr.validation_f1(params, config, val_augs, val_labels)
+                if ctrl.observe(val_f1) == "improved":
+                    best_params = params.copy()
+            history.entries.append(_tr.HistoryEntry(step, loss, val_f1, ctrl.lr, ctrl.halvings))
+            if ctrl.exhausted:
+                history.stop_reason = "max_halvings"
+                return (best_params if best_params is not None else params), history
+    history.stop_reason = "epoch_cap"
+    return (best_params if best_params is not None else params), history
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ A frozen copy of the encoder's forward and backward passes as they were
 before the last block and the final norm were cut down to the CLS row and
 batches were trimmed to their longest row: every batch spans all
 ``max_len + 1`` positions, every block, the final norm and their gradients
-run on all of them, and GELU and the RMS backward use ``**``.
+run on all of them, GELU and the RMS backward use ``**``, the RMS norms
+cache their input and reduce with ``np.mean``/``np.sum``, and the token
+embedding gradient is an ``np.add.at`` scatter.
 ``tests/test_reference_path.py`` checks the production encoder against it.
-The structural helpers (head split/merge, dropout masks, the RMS forward)
-are shared with ``subsense.encoder``; assembly and the arithmetic helpers
-below are kept as they were.
+The structural helpers (head split/merge, dropout masks) are shared with
+``subsense.encoder``; assembly and the arithmetic helpers below are kept as
+they were.
 """
 
 import numpy as np
@@ -16,9 +18,9 @@ import numpy as np
 from subsense.encoder import (
     _GELU_A,
     _GELU_C,
+    _NORM_EPS,
     _dropout_mask,
     _merge_heads,
-    _rms_forward,
     _split_heads,
 )
 from subsense.errors import ContractError
@@ -41,6 +43,12 @@ def _assemble(batch, config):
     if ids.max(initial=0) >= config.vocab_size or ids.min(initial=0) < 0:
         raise ContractError("token id outside the configured vocabulary")
     return ids, kmask, fill
+
+
+def _rms_forward(x, gain, bias):
+    r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)
+    xhat = x * r
+    return gain * xhat + bias, (x, r)
 
 
 def _rms_backward(dy, gain, cache):

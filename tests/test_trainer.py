@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subsense import augment as ag
 from subsense import encoder as enc
@@ -406,3 +408,49 @@ class TestIdentityPositions:
         assert tr.identity_token_positions(tokens, terms, 10) == (2, 3)
         # max_len 4 keeps only the first 2 tokens: "women" is truncated away.
         assert tr.identity_token_positions(tokens, terms, 4) == (2,)
+
+    @pytest.mark.parametrize("text, marked", [
+        ("the muslim's view", ("muslim's",)),
+        ("women-only event", ("women-only",)),
+        ("black-and-white photo", ("black-and-white",)),
+        ("islam,jews", ("islam,jews",)),
+        ("(Jews) and the gay, women", ("jews", "gay", "women")),
+        ("muslimness, whitewash and blackish-grey", ()),
+    ])
+    def test_tokens_holding_a_term_are_marked(self, text, marked):
+        terms = idn.default_terms()
+        tokens = tp.word_split(text)
+        found = idn.detect(text, terms).terms
+        for lexicon in (terms, found):
+            positions = tr.identity_token_positions(tokens, lexicon, 16)
+            assert tuple(tokens[p - 1] for p in positions) == marked
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.text(max_size=40),
+        st.lists(
+            st.one_of(
+                st.sampled_from(idn.STOCK_TERMS + ("muslim's", "Women-only", "islam,jews",
+                                                   "(gay)", "whitewash", "black-and-white")),
+                st.text(max_size=5),
+            ),
+            max_size=8,
+        ).flatmap(lambda words: st.sampled_from([" ", "-", ",", "'", ""]).map(
+            lambda sep: sep.join(words))),
+    ))
+    @example("the muslim's view")
+    @example("women-only event")
+    @example("black-and-white photo")
+    @example("islam,jews")
+    def test_open_gate_has_an_occlusion_position(self, text):
+        """Untruncated text: the SS gate is open exactly when some token is
+        marked for the occlusion regularizer."""
+        tokens = tp.word_split(text)
+        max_len = len(tokens) + 2
+        if max_len < 3:
+            return
+        vocab = tp.Vocab.from_tokens(["muslim"])
+        lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9, -0.8)])
+        (ex,) = tr.prepare_examples([Comment("c", text, Label.TOXIC)], vocab, lexicon,
+                                    idn.default_terms(), max_len, ag.AugmentMode.SS)
+        assert ex.aug.slot_mask == (1 if ex.identity_positions else 0)
