@@ -9,6 +9,7 @@ input digests needed to reproduce it.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -19,7 +20,8 @@ from . import audit, datasets, encoder, identity, subjectivity, textprep, traine
 from .atomic import replacing
 from .augment import AugmentMode
 from .errors import (
-    ConfigError, ContractError, ResourceError, SubsenseError, UsageError, check_fields,
+    ConfigError, ContractError, ResourceError, SchemaError, SubsenseError, UsageError,
+    check_fields,
 )
 
 MANIFEST_VERSION = 1
@@ -29,6 +31,10 @@ MANIFEST_KEYS = (
     "identity_terms", "artifacts",
 )
 ARTIFACT_KEYS = ("checkpoint", "config", "vocab", "eval_report", "audit_report")
+# eval writes its predictions beside its report and audit reads them from
+# beside its own, so an audit never runs the encoder again.
+PREDICTIONS_FILE = "predictions.csv"
+PREDICTION_COLUMNS = ["id", "pred", "p_toxic", "subjectivity", "terms"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,33 +319,77 @@ def _rebuild_run(manifest):
     return config, vocab, params, subj_lex, id_lex, mode
 
 
-def _predictions_for(manifest, test_path):
-    """Comments, predictions, toxic probabilities, golds and each comment's
-    audit features. Only the features outlive the prepared examples."""
-    config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest)
-    comments = datasets.read_canonical(test_path)
-    prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
-    preds, probs = trainer.predict_batch(params, config, [ex.aug for ex in prepared])
-    golds = [c.label for c in comments]
-    return comments, preds, probs, golds, [ex.features for ex in prepared]
+def _predictions_tag(manifest, test_sha256: str) -> str:
+    """First line of ``predictions.csv``: the checkpoint, test CSV and run
+    configuration the predictions were made from."""
+    checkpoint = _sha256_file(manifest["artifacts"]["checkpoint"])
+    return (f"# subsense predictions checkpoint={checkpoint} test={test_sha256} "
+            f"config={manifest['config_digest']}")
+
+
+def _write_predictions(path, tag, comments, preds, probs, features) -> None:
+    """One row per comment after ``tag`` and a header. Floats are written
+    with ``repr``, so they read back bit for bit; identity terms are single
+    words (``IdentityLexicon``), joined by a space."""
+    with replacing(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(tag + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PREDICTION_COLUMNS)
+        for comment, pred, prob, (subj, terms) in zip(comments, preds, probs, features):
+            writer.writerow([comment.id, str(pred), repr(prob), repr(subj), " ".join(terms)])
+
+
+def _read_predictions(path, tag, comments):
+    """The predictions and audit features ``eval`` wrote for ``comments``.
+    A missing file, another ``tag``, other ids or a malformed row raise
+    ContractError saying to run ``eval`` first."""
+    def stale(reason):
+        return ContractError(f"{path}: {reason}; run `subsense eval` with the same "
+                             "report directory first")
+
+    if not path.exists():
+        raise stale("no predictions")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\r\n") != tag:
+                raise stale("predictions of another checkpoint, test CSV or config")
+            rows = list(csv.reader(fh))
+        if not rows or rows[0] != PREDICTION_COLUMNS or len(rows) - 1 != len(comments):
+            raise stale("predictions do not cover the test CSV")
+        preds, features = [], []
+        for comment, (cid, pred, _, subj, terms) in zip(comments, rows[1:]):
+            if cid != comment.id:
+                raise stale(f"id {cid!r} where the test CSV has {comment.id!r}")
+            preds.append(datasets.Label.parse(pred))
+            features.append(audit.CommentFeatures(float(subj), tuple(terms.split())))
+    except (ValueError, csv.Error, SchemaError) as exc:
+        raise stale(f"malformed predictions ({exc})") from None
+    return preds, features
 
 
 def _cmd_eval(args) -> int:
     manifest = _load_manifest(args.manifest)
-    _, preds, _, golds, _ = _predictions_for(manifest, args.test)
-    counts = audit.confusion(preds, golds)
+    config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest)
+    comments = datasets.read_canonical(args.test)
+    prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
+    preds, probs = trainer.predict_batch(params, config, [ex.aug for ex in prepared])
+    counts = audit.confusion(preds, [c.label for c in comments])
+    test_sha256 = _sha256_file(args.test)
     report = {
         "config_digest": manifest["config_digest"],
         "mode": manifest["mode"],
         "seed": manifest["seed"],
         "soc_weight": manifest["soc_weight"],
         "dataset_id": manifest["dataset_id"],
-        "test": {"path": str(args.test), "sha256": _sha256_file(args.test)},
+        "test": {"path": str(args.test), "sha256": test_sha256},
         "n": counts.total,
         "tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn,
         "f1": audit.f1(counts),
     }
     out = Path(args.output) if args.output else Path(manifest["artifacts"]["eval_report"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_predictions(out.parent / PREDICTIONS_FILE, _predictions_tag(manifest, test_sha256),
+                       comments, preds, probs, [ex.features for ex in prepared])
     _write_json(report, out)
     print(f"f1 {report['f1']:.4f} (tp {counts.tp} fp {counts.fp} tn {counts.tn} fn {counts.fn})")
     print(f"report: {out}")
@@ -348,17 +398,18 @@ def _cmd_eval(args) -> int:
 
 def _cmd_audit(args) -> int:
     manifest = _load_manifest(args.manifest)
-    comments, preds, _, golds, features = _predictions_for(manifest, args.test)
-    report = audit.audit_report(comments, preds, golds, features)
     out = Path(args.output) if args.output else Path(manifest["artifacts"]["audit_report"])
+    comments = datasets.read_canonical(args.test)
+    tag = _predictions_tag(manifest, _sha256_file(args.test))
+    preds, features = _read_predictions(out.parent / PREDICTIONS_FILE, tag, comments)
+    report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     _write_json(report.to_json_dict(), out)
     with replacing(out.with_suffix(".txt"), "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
     if args.cells_csv:
-        import csv as _csv
-
+        Path(args.cells_csv).parent.mkdir(parents=True, exist_ok=True)
         with replacing(args.cells_csv, "w", newline="", encoding="utf-8") as fh:
-            _csv.writer(fh).writerows(report.cells_csv_rows())
+            csv.writer(fh).writerows(report.cells_csv_rows())
     print(report.to_text())
     print(f"report: {out}")
     return 0

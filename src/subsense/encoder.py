@@ -125,9 +125,6 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         return EncoderParams({k: v.copy() for k, v in self._tensors.items()})
 
-    def zeros_like(self) -> "EncoderParams":
-        return EncoderParams({k: np.zeros_like(v) for k, v in self._tensors.items()})
-
 
 def flat_params(params: EncoderParams) -> tuple[np.ndarray, EncoderParams]:
     """Copy ``params`` into one contiguous vector, tensors in ``names()``

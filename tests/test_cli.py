@@ -1,10 +1,14 @@
+import csv
 import hashlib
+import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from subsense import cli
+from subsense import audit, cli, datasets, encoder, identity, subjectivity, textprep, trainer
+from subsense.augment import AugmentMode
 
 from conftest import DATA_DIR
 
@@ -159,11 +163,11 @@ class TestTrainArtifacts:
 
     def test_eval_is_idempotent(self, pipeline, capsys):
         run, data = pipeline["run"], pipeline["data"]
-        first = (run / "eval.json").read_bytes()
+        first = [(run / name).read_bytes() for name in ("eval.json", "predictions.csv")]
         assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
                              "--test", str(data / "test.csv")]) == 0
         capsys.readouterr()
-        assert (run / "eval.json").read_bytes() == first
+        assert [(run / name).read_bytes() for name in ("eval.json", "predictions.csv")] == first
 
     def test_audit_reports(self, pipeline, capsys):
         run, data = pipeline["run"], pipeline["data"]
@@ -318,3 +322,190 @@ class TestBadInputExitsTwo:
         assert cli.dispatch(["split", "--input", str(pipeline["data"] / "corpus.csv"),
                              "--outdir", str(blocker), "--seed", "1"]) == 2
         self.one_line_error(capsys)
+
+
+def _audit(manifest, test, report_dir, *extra):
+    return cli.dispatch(["audit", "--manifest", str(manifest), "--test", str(test),
+                         "--output", str(report_dir / "audit.json"), *extra])
+
+
+def _eval(manifest, test, report_dir):
+    return cli.dispatch(["eval", "--manifest", str(manifest), "--test", str(test),
+                         "--output", str(report_dir / "eval.json")])
+
+
+@pytest.fixture(scope="module")
+def old_path(pipeline):
+    """The pipeline run's test predictions and audit as the audit made them
+    before it read eval's predictions: a feature pass, the encoder, then
+    ``audit_report``."""
+    run, data = pipeline["run"], pipeline["data"]
+    run_config = json.loads((run / "config.json").read_text())
+    config = encoder.ModelConfig.from_dict(run_config["model"])
+    comments = datasets.read_canonical(data / "test.csv")
+    prepared = trainer.prepare_examples(
+        comments, textprep.Vocab.load(run / "vocab.txt"),
+        subjectivity.load_lexicon_tsv(data / "lexicon.tsv"), identity.default_terms(),
+        config.max_len, AugmentMode.SS,
+    )
+    params = encoder.load_params(run / "checkpoint.bin")
+    preds, probs = trainer.predict_batch(params, config, [ex.aug for ex in prepared])
+    features = [ex.features for ex in prepared]
+    report = audit.audit_report(comments, preds, [c.label for c in comments], features)
+    return {"comments": comments, "preds": preds, "probs": probs, "features": features,
+            "report": report}
+
+
+@pytest.fixture(scope="module")
+def other_run(pipeline):
+    """A second trained run of the same data and flags (seed 2), never evaluated."""
+    data = pipeline["data"]
+    run = pipeline["root"] / "run-other"
+    assert cli.dispatch([
+        "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+        "--mode", "ss", "--seed", "2", "--outdir", str(run),
+        "--lexicon", str(data / "lexicon.tsv"), *TRAIN_FLAGS,
+    ]) == 0
+    return run
+
+
+class TestPredictionsHandoff:
+    """eval writes predictions.csv beside its report; audit reads it from
+    beside its own and refuses a missing or stale one."""
+
+    def refused(self, capsys, path):
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert str(path) in err and "subsense eval" in err
+        return err
+
+    def test_predictions_read_back_exactly(self, pipeline, old_path):
+        run, data = pipeline["run"], pipeline["data"]
+        lines = (run / "predictions.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == (
+            f"# subsense predictions checkpoint={sha(run / 'checkpoint.bin')} "
+            f"test={sha(data / 'test.csv')} "
+            f"config={json.loads((run / 'manifest.json').read_text())['config_digest']}"
+        )
+        rows = list(csv.reader(lines[1:]))
+        assert rows[0] == ["id", "pred", "p_toxic", "subjectivity", "terms"]
+        assert len(rows) - 1 == len(old_path["comments"])
+        for row, comment, pred, prob, feats in zip(
+            rows[1:], old_path["comments"], old_path["preds"], old_path["probs"],
+            old_path["features"],
+        ):
+            cid, label, p_toxic, subj, terms = row
+            assert (cid, datasets.Label.parse(label)) == (comment.id, pred)
+            assert float(p_toxic) == prob and float(subj) == feats.subjectivity
+            assert tuple(terms.split()) == feats.terms
+
+    def test_round_trip_of_awkward_values(self, tmp_path):
+        comments = [datasets.Comment(f"c,{i}", "text", datasets.Label.TOXIC) for i in range(4)]
+        preds = [datasets.Label.TOXIC, datasets.Label.NONTOXIC] * 2
+        features = [
+            audit.CommentFeatures(0.1 + 0.2, ("women", "muslim", "gay")),
+            audit.CommentFeatures(5e-324, ()),
+            audit.CommentFeatures(1.0 - 2 ** -53, ("o'neil", "a,b")),
+            audit.CommentFeatures(0.0, ("jews",)),
+        ]
+        path = tmp_path / "predictions.csv"
+        cli._write_predictions(path, "# tag", comments, preds, [1 / 3, 2 / 3, 1e-17, 1.0],
+                               features)
+        assert cli._read_predictions(path, "# tag", comments) == (preds, features)
+
+    def test_reports_equal_the_old_path(self, pipeline, old_path, tmp_path, capsys):
+        run, data = pipeline["run"], pipeline["data"]
+        cells = tmp_path / "cells.csv"
+        assert cli.dispatch(["audit", "--manifest", str(run / "manifest.json"),
+                             "--test", str(data / "test.csv"),
+                             "--cells-csv", str(cells)]) == 0
+        capsys.readouterr()
+        report = old_path["report"]
+        assert (run / "audit.json").read_text(encoding="utf-8") == (
+            json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        )
+        assert (run / "audit.txt").read_text(encoding="utf-8") == report.to_text()
+        expected_cells = io.StringIO(newline="")
+        csv.writer(expected_cells).writerows(report.cells_csv_rows())
+        assert cells.read_bytes() == expected_cells.getvalue().encode("utf-8")
+
+    def test_audit_without_eval(self, other_run, capsys):
+        assert cli.dispatch(["audit", "--manifest", str(other_run / "manifest.json"),
+                             "--test", str(other_run.parent / "data" / "test.csv")]) == 2
+        self.refused(capsys, other_run / "predictions.csv")
+        assert not (other_run / "audit.json").exists()
+
+    def test_eval_on_another_test_csv(self, pipeline, tmp_path, capsys):
+        manifest, data = pipeline["run"] / "manifest.json", pipeline["data"]
+        assert _eval(manifest, data / "val.csv", tmp_path) == 0
+        assert _audit(manifest, data / "test.csv", tmp_path) == 2
+        self.refused(capsys, tmp_path / "predictions.csv")
+        assert not (tmp_path / "audit.json").exists()
+
+    def test_test_csv_edited_after_eval(self, pipeline, tmp_path, capsys):
+        manifest = pipeline["run"] / "manifest.json"
+        test = tmp_path / "test.csv"
+        shutil.copyfile(pipeline["data"] / "test.csv", test)
+        assert _eval(manifest, test, tmp_path) == 0
+        comments = datasets.read_canonical(test)
+        edited = [datasets.Comment(c.id, c.text + " indeed", c.label) for c in comments]
+        datasets.write_canonical(edited, test)
+        assert _audit(manifest, test, tmp_path) == 2
+        self.refused(capsys, tmp_path / "predictions.csv")
+
+    def test_checkpoint_replaced_after_eval(self, pipeline, other_run, tmp_path, capsys):
+        run, test = pipeline["run"], pipeline["data"] / "test.csv"
+        checkpoint = tmp_path / "checkpoint.bin"
+        shutil.copyfile(run / "checkpoint.bin", checkpoint)
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["artifacts"]["checkpoint"] = str(checkpoint)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert _eval(path, test, tmp_path) == 0
+        assert _audit(path, test, tmp_path) == 0
+        shutil.copyfile(other_run / "checkpoint.bin", checkpoint)
+        capsys.readouterr()
+        assert _audit(path, test, tmp_path) == 2
+        self.refused(capsys, tmp_path / "predictions.csv")
+
+    @pytest.mark.parametrize("tamper", [
+        "swap ids", "drop a row", "extra row", "bad float", "bad label", "short row",
+        "columns swapped",
+    ])
+    def test_edited_predictions(self, pipeline, tmp_path, capsys, tamper):
+        manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
+        assert _eval(manifest, test, tmp_path) == 0
+        path = tmp_path / "predictions.csv"
+        tag, *lines = path.read_text(encoding="utf-8").splitlines()
+        header, *rows = csv.reader(lines)
+        if tamper == "swap ids":
+            rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+        elif tamper == "drop a row":
+            rows.pop()
+        elif tamper == "extra row":
+            rows.append(rows[-1])
+        elif tamper == "bad float":
+            rows[3][3] = "x"
+        elif tamper == "bad label":
+            rows[3][1] = "maybe"
+        elif tamper == "short row":
+            rows[3] = rows[3][:3]
+        else:
+            header[2], header[3] = header[3], header[2]
+        body = io.StringIO(newline="")
+        csv.writer(body, lineterminator="\n").writerows([header, *rows])
+        path.write_text(f"{tag}\n{body.getvalue()}", encoding="utf-8")
+        capsys.readouterr()
+        assert _audit(manifest, test, tmp_path) == 2
+        self.refused(capsys, path)
+
+    def test_reports_into_missing_directories(self, pipeline, tmp_path, capsys):
+        manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
+        reports = tmp_path / "new" / "reports"
+        cells = tmp_path / "other" / "cells.csv"
+        assert _eval(manifest, test, reports) == 0
+        assert _audit(manifest, test, reports, "--cells-csv", str(cells)) == 0
+        capsys.readouterr()
+        for path in (reports / "eval.json", reports / "predictions.csv",
+                     reports / "audit.json", reports / "audit.txt", cells):
+            assert path.exists(), path
