@@ -372,7 +372,8 @@ def _cmd_eval(args) -> int:
     config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest)
     comments = datasets.read_canonical(args.test)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
-    preds, probs = trainer.predict_batch(params, config, [ex.aug for ex in prepared])
+    preds, probs = trainer.predict_batch(
+        params, config, encoder.assemble([ex.aug for ex in prepared], config))
     counts = audit.confusion(preds, [c.label for c in comments])
     test_sha256 = _sha256_file(args.test)
     report = {
@@ -434,6 +435,7 @@ def _cmd_compare(args) -> int:
     print()
     print(fpfn_table)
     if args.output:
+        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         _write_json(
             {
                 name: {

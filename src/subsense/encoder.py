@@ -35,6 +35,20 @@ identically zero, and the dropped ``tok_emb``/``pos_emb`` contributions are
 zeros. Dropout masks are drawn at the full ``(b, seq_len, d)`` shape and then
 narrowed to the kept columns and rows, so the random stream is the one a
 full-sequence pass would consume.
+
+The encoder reads a ``Batch`` of arrays that ``assemble`` builds once per
+example set and ``Batch.take`` slices. A batch may run several key-mask
+variants of one row, as the occlusion regularizer does: ``ids`` and ``fill``
+hold one row per comment, ``kmask`` one key mask per variant and ``src`` the
+row of each variant. A key mask does not change the embedding, ``emb_norm``,
+layer 0's ``norm1`` or its Q, K and V, so these run once per row. Right
+after layer 0's Q, K and V, the queries, keys, values and the residual are
+gathered by ``src``, and all that follows runs per variant; with no layer,
+the gather comes before the final norm. The backward pass sums the
+variants' gradients back onto their rows at the same points, with the
+bincount that also sums the token-embedding gradient. A plain batch has
+``src`` ``None``: nothing is gathered or summed, so it runs the same
+operations it always did.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,29 +256,83 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
 
 
-def _dropout_mask(rng, shape, rate):
+def _dropout_mask(rng, shape, rate, cols=slice(None)):
+    """Dropout mask drawn at ``shape``, so the random stream is the one a
+    full pass consumes, and narrowed to columns ``cols`` of axis 1 before it
+    is compared and scaled: elementwise, so the kept entries are the bits
+    the full mask has there."""
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    return (rng.random(shape)[:, cols] < keep) / keep
 
 
-def _assemble(batch, config):
-    """Token ids, key mask and slot fill of a batch, trimmed to the token
-    columns before the longest extent; the key mask's last column is the slot."""
-    for ex in batch:
+class TokenKeys(NamedTuple):
+    n_real: int  # unmasked token keys
+
+
+class VariantKeys(NamedTuple):
+    """The keys one variant of a ``Batch`` attends, under the names an
+    ``AugmentedExample`` gives them."""
+
+    base: TokenKeys
+    slot_mask: int
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Encoder input as arrays. ``ids`` (int32) and ``fill`` hold one row per
+    comment and ``extent`` each row's extent; the token columns stop at the
+    longest one. ``kmask`` (bool) holds one key mask per variant, its last
+    column the slot, and ``src`` the row of each variant; ``None`` means one
+    variant per row, in row order."""
+
+    ids: np.ndarray
+    fill: np.ndarray
+    kmask: np.ndarray
+    extent: np.ndarray
+    src: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        """The number of variants: the rows of logits ``forward`` returns."""
+        return len(self.kmask)
+
+    def __iter__(self):
+        """Each variant's ``VariantKeys``, so that code that reads a batch as
+        a list of examples, such as the benchmark's tracer counting rows and
+        masked keys, reads the variants the encoder runs."""
+        n_real = self.kmask[:, :-1].sum(axis=1).tolist()
+        slot = self.kmask[:, -1].astype(int).tolist()
+        return (VariantKeys(TokenKeys(n), m) for n, m in zip(n_real, slot))
+
+    def take(self, rows) -> "Batch":
+        """Rows ``rows`` of a plain batch, trimmed to the token columns before
+        their longest extent (at least the CLS column, which the head reads)."""
+        width = max(1, int(self.extent[rows].max()))
+        cols = np.append(np.arange(width), self.ids.shape[1])
+        return Batch(self.ids[rows, :width], self.fill[rows],
+                     self.kmask[np.ix_(rows, cols)], self.extent[rows])
+
+
+def assemble(examples: list[AugmentedExample], config: ModelConfig) -> Batch:
+    """The plain batch of ``examples``, built and checked once per example
+    set (each row ``max_len`` long, every id in the vocabulary) and then
+    sliced with ``Batch.take``."""
+    if not examples:
+        raise ContractError("an encoder batch must be non-empty")
+    for ex in examples:
         if len(ex.base.ids) != config.max_len:
             raise ContractError(
                 f"example length {len(ex.base.ids)} does not match max_len {config.max_len}"
             )
-    # At least the CLS column, which the head reads.
-    width = max(1, max(ex.base.extent for ex in batch))
-    ids = np.array([ex.base.ids[:width] for ex in batch], dtype=np.int64)
-    kmask = np.empty((len(batch), width + 1))
-    kmask[:, :width] = [ex.base.mask[:width] for ex in batch]
-    kmask[:, width] = [ex.slot_mask for ex in batch]
-    fill = np.array([ex.slot_fill for ex in batch], dtype=np.float64)
-    if ids.max(initial=0) >= config.vocab_size or ids.min(initial=0) < 0:
+    extent = np.array([ex.base.extent for ex in examples], dtype=np.int32)
+    width = max(1, int(extent.max()))
+    ids = np.array([ex.base.ids[:width] for ex in examples], dtype=np.int32)
+    if ids.max() >= config.vocab_size or ids.min() < 0:
         raise ContractError("token id outside the configured vocabulary")
-    return ids, kmask, fill
+    kmask = np.empty((len(examples), width + 1), dtype=bool)
+    kmask[:, :width] = [ex.base.mask[:width] for ex in examples]
+    kmask[:, width] = [ex.slot_mask for ex in examples]
+    fill = np.array([ex.slot_fill for ex in examples], dtype=np.float64)
+    return Batch(ids, fill, kmask, extent)
 
 
 def _scatter_rows(ids, rows, n):
@@ -272,7 +341,7 @@ def _scatter_rows(ids, rows, n):
     (id, dim) bins adds in the order ``np.add.at`` does, so the sums are the
     same bits."""
     d = rows.shape[-1]
-    bins = (ids[..., None] * d + np.arange(d)).ravel()
+    bins = (ids[..., None].astype(np.intp) * d + np.arange(d)).ravel()
     return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
@@ -282,16 +351,15 @@ def _query_rows(layer: int, config: ModelConfig):
     return slice(0, 1) if layer == config.n_layers - 1 else slice(None)
 
 
-def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
+def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=None):
     """Run the classifier; returns (logits, cache), cache None in inference.
+    There is one row of logits per variant.
 
     Dropout fires only when train_mode is set, the configured rate is
     positive and a generator is supplied; the occlusion regularizer relies
     on deterministic passes with ``dropout_rng=None``.
     """
-    if not batch:
-        raise ContractError("forward needs a non-empty batch")
-    ids, kmask, fill = _assemble(batch, config)
+    ids, kmask, fill, src = batch.ids, batch.kmask, batch.fill, batch.src
     b, width = ids.shape
     lm, d = config.max_len, config.d_model
     dh = d // config.n_heads
@@ -299,11 +367,10 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     # Full-sequence index of each kept column: the tokens, then the slot.
     kept = np.append(np.arange(width), lm)
 
-    def drop(cols):
-        """Dropout mask drawn at the full sequence shape, so the random stream
-        is the one a full pass consumes, then narrowed to ``cols``."""
-        full = _dropout_mask(dropout_rng, (b, config.seq_len, d), config.dropout_rate)
-        return full[:, cols]
+    def drop(n, cols):
+        """Dropout mask for ``n`` rows, drawn at the full sequence shape and
+        narrowed to ``cols``."""
+        return _dropout_mask(dropout_rng, (n, config.seq_len, d), config.dropout_rate, cols)
 
     def norm(x, name):
         """RMS norm ``name`` of ``x``; its cache is kept for training only."""
@@ -320,10 +387,10 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     h, emb_cache = norm(h, "emb_norm")
     emb_drop = None
     if use_dropout:
-        emb_drop = drop(kept)
+        emb_drop = drop(b, kept)
         h = h * emb_drop
 
-    add_mask = np.where(kmask[:, None, None, :] > 0, 0.0, -np.inf)
+    add_mask = np.where(kmask[:, None, None, :], 0.0, -np.inf)
     layer_caches = []
     for i in range(config.n_layers):
         p = f"layer{i}"
@@ -334,6 +401,9 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         )
         k = _split_heads(a @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"], config.n_heads)
         v = _split_heads(a @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"], config.n_heads)
+        res = h[:, rows]
+        if i == 0 and src is not None:  # from here on, each variant runs apart
+            q, k, v, res = q[src], k[src], v[src], res[src]
         # Softmax in place: one (b, heads, rows, width + 1) buffer, not four.
         scores = q @ k.transpose(0, 1, 3, 2)
         scores /= np.sqrt(dh)
@@ -345,9 +415,9 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         attn = ocat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
         attn_drop = None
         if use_dropout:
-            attn_drop = drop(kept[rows])
+            attn_drop = drop(len(attn), kept[rows])
             attn = attn * attn_drop
-        h = h[:, rows] + attn
+        h = res + attn
 
         f, ln2_cache = norm(h, f"{p}.norm2")
         u = f @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]
@@ -355,7 +425,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         z = g @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
         ff_drop = None
         if use_dropout:
-            ff_drop = drop(kept[rows])
+            ff_drop = drop(len(z), kept[rows])
             z = z * ff_drop
         h = h + z
 
@@ -366,13 +436,16 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
                 "u": u, "g": g, "ff_drop": ff_drop,
             })
 
-    cls, final_cache = norm(h[:, 0], "final_norm")
+    h = h[:, 0]
+    if not config.n_layers and src is not None:
+        h = h[src]
+    cls, final_cache = norm(h, "final_norm")
     logits = cls @ params["head.w"] + params["head.b"]
 
     if not train_mode:
         return logits, None
     cache = {
-        "ids": ids, "kmask": kmask, "fill": fill, "emb": emb_cache,
+        "ids": ids, "kmask": kmask, "fill": fill, "src": src, "emb": emb_cache,
         "emb_drop": emb_drop, "layers": layer_caches, "final": final_cache,
         "cls": cls,
     }
@@ -382,14 +455,15 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
 def backward(cache, params, config, dlogits):
     """Backprop from an upstream logit gradient.
 
-    Returns (gradients keyed like the parameters, per-example gradient of
-    the loss with respect to slot_fill).
+    Returns (gradients keyed like the parameters, per-row gradient of the
+    loss with respect to slot_fill). ``dlogits`` has one row per variant.
     """
     if cache is None:
         raise ContractError("backward needs the cache from a train_mode forward")
     dlogits = np.asarray(dlogits, dtype=np.float64)
     b, width = cache["ids"].shape
-    if dlogits.shape != (b, config.n_classes):
+    src = cache["src"]
+    if dlogits.shape != (len(cache["kmask"]), config.n_classes):
         raise ContractError(f"upstream gradient shape {dlogits.shape} mismatch")
     lm, d = config.max_len, config.d_model
     dh = d // config.n_heads
@@ -402,11 +476,10 @@ def backward(cache, params, config, dlogits):
     dcls_in, dgain, dbias = _rms_backward(dcls, params["final_norm.gain"], cache["final"])
     grads["final_norm.gain"] = dgain
     grads["final_norm.bias"] = dbias
-    if config.n_layers:
-        dcur = dcls_in[:, None, :]
-    else:
-        dcur = np.zeros((b, width + 1, d))
-        dcur[:, 0] = dcls_in
+
+    def to_rows(x):
+        """Each variant's gradient summed onto its row."""
+        return _scatter_rows(src, x.reshape(len(src), -1), b).reshape((b,) + x.shape[1:])
 
     def _linear_back(x, w, dy):
         din = x.shape[-1]
@@ -415,6 +488,14 @@ def backward(cache, params, config, dlogits):
         db = dy.reshape(-1, dout).sum(axis=0)
         dx = dy @ w.T
         return dw, db, dx
+
+    if config.n_layers:
+        dcur = dcls_in[:, None, :]
+    else:
+        if src is not None:
+            dcls_in = to_rows(dcls_in)
+        dcur = np.zeros((b, width + 1, d))
+        dcur[:, 0] = dcls_in
 
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}"
@@ -451,6 +532,8 @@ def backward(cache, params, config, dlogits):
         dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
         dq = dscores @ k / np.sqrt(dh)
         dk = dscores.transpose(0, 1, 3, 2) @ q / np.sqrt(dh)
+        if i == 0 and src is not None:
+            dq, dk, dv, dmid = to_rows(dq), to_rows(dk), to_rows(dv), to_rows(dmid)
 
         a = lc["a"]
         da = np.zeros_like(a)

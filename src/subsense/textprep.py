@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .atomic import replacing
@@ -165,8 +166,14 @@ def encode(tokens, vocab: Vocab, max_len: int) -> EncodedExample:
         raise ContractError("max_len must be at least 3")
     kept = list(tokens)[: max_len - 2]
     ids = [CLS] + [vocab.id(t) for t in kept] + [SEP]
-    mask = [1] * len(ids)
-    pad_n = max_len - len(ids)
-    ids.extend([PAD] * pad_n)
-    mask.extend([0] * pad_n)
-    return EncodedExample(tuple(ids), tuple(mask))
+    mask = _base_mask(len(ids), max_len)
+    ids.extend([PAD] * (max_len - len(ids)))
+    return EncodedExample(tuple(ids), mask)
+
+
+@lru_cache(maxsize=None)
+def _base_mask(n_real: int, max_len: int) -> tuple[int, ...]:
+    """The mask of an encoded example with ``n_real`` real positions: one
+    immutable tuple per length, shared by every example of that length (at
+    most ``max_len`` cached per ``max_len``)."""
+    return (1,) * n_real + (0,) * (max_len - n_real)

@@ -22,11 +22,12 @@ from . import audit
 from .atomic import replacing
 from .augment import AugmentedExample, AugmentMode, augment
 from .datasets import Label
-from .encoder import EncoderParams, ModelConfig, backward, flat_params, forward, init
+from .encoder import (Batch, EncoderParams, ModelConfig, assemble, backward, flat_params,
+                      forward, init)
 from .errors import ConfigError, ContractError, DegenerateLabelsError, check_fields
 from .identity import IdentityLexicon, detect, holds_term
 from .subjectivity import SubjectivityLexicon, score
-from .textprep import EncodedExample, Vocab, encode, word_split
+from .textprep import Vocab, encode, word_split
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -61,9 +62,6 @@ class ClassWeights:
         if self.w_toxic <= 0 or self.w_nontoxic <= 0:
             raise ConfigError("class weights must be positive")
 
-    def of(self, label: int) -> float:
-        return self.w_toxic if label == Label.TOXIC else self.w_nontoxic
-
 
 def class_weights(labels) -> ClassWeights:
     """Inverse-frequency weights w_c = N / (2 * N_c); balanced data gives (1, 1)."""
@@ -74,16 +72,6 @@ def class_weights(labels) -> ClassWeights:
         raise DegenerateLabelsError("training labels must include both classes")
     n = len(labels)
     return ClassWeights(n / (2.0 * n_toxic), n / (2.0 * n_nontoxic))
-
-
-def weighted_loss(logits, label, weights: ClassWeights) -> float:
-    """Class-weighted cross-entropy of softmax(logits) against the label."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (2,):
-        raise ContractError("weighted_loss expects a length-2 logit vector")
-    shifted = logits - logits.max()
-    logp = shifted - math.log(np.exp(shifted).sum())
-    return -weights.of(int(label)) * float(logp[int(label)])
 
 
 def _batch_loss_grad(logits, labels, weights: ClassWeights):
@@ -152,10 +140,13 @@ def prepare_examples(
     return out
 
 
-def _occlude(ex: AugmentedExample, position: int) -> AugmentedExample:
-    mask = list(ex.base.mask)
-    mask[position] = 0
-    return replace(ex, base=EncodedExample(ex.base.ids, tuple(mask)))
+def _identity_csr(examples) -> tuple[np.ndarray, np.ndarray]:
+    """The identity positions of ``examples`` as CSR arrays ``(offsets,
+    positions)``: those of row ``i`` are ``positions[offsets[i]:offsets[i + 1]]``."""
+    offsets = np.zeros(len(examples) + 1, dtype=np.intp)
+    np.cumsum([len(ex.identity_positions) for ex in examples], out=offsets[1:])
+    positions = np.array([p for ex in examples for p in ex.identity_positions], dtype=np.intp)
+    return offsets, positions
 
 
 @dataclass
@@ -216,66 +207,84 @@ class TrainHistory:
                 ])
 
 
-def _decide(logit_pair):
-    shifted = logit_pair - logit_pair.max()
-    probs = np.exp(shifted) / np.exp(shifted).sum()
-    label = Label.TOXIC if logit_pair[Label.TOXIC] > logit_pair[Label.NONTOXIC] else Label.NONTOXIC
-    return label, float(probs[Label.TOXIC])
+def _decisions(logits):
+    """Labels and toxic probabilities of rows of logit pairs; a tie is
+    non-toxic."""
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exp[:, Label.TOXIC] / exp.sum(axis=1)
+    toxic = logits[:, Label.TOXIC] > logits[:, Label.NONTOXIC]
+    return [Label.TOXIC if t else Label.NONTOXIC for t in toxic.tolist()], probs.tolist()
 
 
-def predict_batch(params, config, examples, batch_size: int = 64):
-    """Labels and toxic probabilities, in input order.
+def predict_batch(params, config, data: Batch, batch_size: int = 64):
+    """Labels and toxic probabilities of the rows of ``data``, in its order.
 
-    Examples run in stable order of their extent, so each batch holds rows of
+    Rows run in stable order of their extent, so each batch holds rows of
     similar length and trimming it to its longest row leaves little padding.
     """
-    order = np.argsort([ex.base.extent for ex in examples], kind="stable")
-    preds: list[Label] = [Label.NONTOXIC] * len(examples)
-    probs = [0.0] * len(examples)
+    order = np.argsort(data.extent, kind="stable")
+    logits = np.empty((len(data), config.n_classes))
     for start in range(0, len(order), batch_size):
         rows = order[start : start + batch_size]
-        logits, _ = forward([examples[i] for i in rows], params, config)
-        for i, logit_pair in zip(rows, logits):
-            preds[i], probs[i] = _decide(logit_pair)
-    return preds, probs
+        logits[rows] = forward(data.take(rows), params, config)[0]
+    return _decisions(logits)
 
 
-def validation_f1(params, config, examples, labels) -> float:
-    preds, _ = predict_batch(params, config, examples)
+def validation_f1(params, config, data: Batch, labels) -> float:
+    preds, _ = predict_batch(params, config, data)
     return audit.f1(audit.confusion(preds, labels))
 
 
-def _soc_loss_and_grads(batch, params, config, soc_weight):
-    """Occlusion regularizer over one batch: value and parameter gradients.
+def _soc_variants(data: Batch, rows, occlusions):
+    """The occlusion pass's batch for rows ``rows`` of ``data`` and where its
+    variants sit. The targets are the rows with identity positions
+    (``occlusions``, from ``_identity_csr``); each runs as one unchanged
+    variant followed by one per identity position, with that key masked off.
+    Returns ``(batch, orig_rows, occ_rows)``: each target's unchanged variant
+    and the occluded variants, in order, whose targets ``batch.src`` gives.
+    None when no row is a target."""
+    offsets, positions = occlusions
+    counts = offsets[rows + 1] - offsets[rows]
+    targets, counts = rows[counts > 0], counts[counts > 0]
+    if not len(targets):
+        return None
+    batch = data.take(targets)
+    src = np.repeat(np.arange(len(targets)), counts + 1)
+    kmask = batch.kmask[src]
+    before = np.cumsum(counts) - counts  # identity positions of the earlier targets
+    orig_rows = before + np.arange(len(targets))
+    occ_rows = np.delete(np.arange(len(src)), orig_rows)
+    # The targets' positions in CSR order, one per occluded variant.
+    occluded = positions[np.repeat(offsets[targets] - before, counts) + np.arange(len(occ_rows))]
+    kmask[occ_rows, occluded] = False
+    return replace(batch, kmask=kmask, src=src), orig_rows, occ_rows
 
-    Builds a single combined forward over originals and their occluded
-    variants, then backpropagates the squared-difference objective.
+
+def _soc_loss_and_grads(data: Batch, rows, occlusions, params, config, soc_weight):
+    """Occlusion regularizer over the training batch ``rows`` of ``data``:
+    value and parameter gradients.
+
+    Runs one forward over the targets and their occluded variants
+    (``_soc_variants``), then backpropagates the squared-difference objective.
     """
-    targets = [ex for ex in batch if ex.identity_positions]
-    if not targets:
+    variants = _soc_variants(data, rows, occlusions)
+    if variants is None:
         return 0.0, None
-    combined: list[AugmentedExample] = []
-    orig_rows: list[int] = []
-    for ex in targets:
-        orig_rows.append(len(combined))
-        combined.append(ex.aug)
-        combined.extend(_occlude(ex.aug, pos) for pos in ex.identity_positions)
-    logits, cache = forward(combined, params, config, train_mode=True, dropout_rng=None)
+    batch, orig_rows, occ_rows = variants
+    logits, cache = forward(batch, params, config, train_mode=True, dropout_rng=None)
     toxic = logits[:, Label.TOXIC]
-    counts = np.array([len(ex.identity_positions) for ex in targets])
-    # Each occluded row, in order, with the index of its target.
-    occ_rows = np.delete(np.arange(len(combined)), orig_rows)
-    target = np.repeat(np.arange(len(targets)), counts)
+    target = batch.src[occ_rows]  # the target of each occluded variant
+    counts = np.bincount(target)
     diffs = toxic[orig_rows][target] - toxic[occ_rows]
     # bincount adds each target's terms in row order, as a sum of fewer than
     # 8 terms does; cumsum adds the targets' penalties in order.
     penalties = np.bincount(target, weights=diffs * diffs) / counts
-    coeff = 2.0 * (soc_weight / len(batch)) / counts
+    coeff = 2.0 * (soc_weight / len(rows)) / counts
     dlogits = np.zeros_like(logits)
     dlogits[orig_rows, Label.TOXIC] += coeff * np.bincount(target, weights=diffs)
     dlogits[occ_rows, Label.TOXIC] -= coeff[target] * diffs
     grads, _ = backward(cache, params, config, dlogits)
-    return float(np.cumsum(penalties)[-1]) / len(batch), grads
+    return float(np.cumsum(penalties)[-1]) / len(rows), grads
 
 
 def _flat_grads(grads, names) -> np.ndarray:
@@ -316,7 +325,9 @@ def train(
             raise ContractError(f"example mode {ex.aug.mode} does not match {mode}")
     labels = np.array([int(ex.label) for ex in train_set])
     weights = class_weights(labels)
-    val_augs = [ex.aug for ex in val_set]
+    train_data = assemble([ex.aug for ex in train_set], config)
+    occlusions = _identity_csr(train_set)
+    val_data = assemble([ex.aug for ex in val_set], config)
     val_labels = [ex.label for ex in val_set]
 
     # Every tensor is a view into ``flat``, so Adam updates them all at once.
@@ -339,17 +350,16 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, schedule.batch_size):
             chunk = order[start : start + schedule.batch_size]
-            batch = [train_set[j] for j in chunk]
             step += 1
 
             logits, cache = forward(
-                [ex.aug for ex in batch], params, config,
-                train_mode=True, dropout_rng=rng,
+                train_data.take(chunk), params, config, train_mode=True, dropout_rng=rng,
             )
             loss, dlogits = _batch_loss_grad(logits, labels[chunk], weights)
             g = _flat_grads(backward(cache, params, config, dlogits)[0], names)
             if soc_weight > 0.0:
-                penalty, soc_grads = _soc_loss_and_grads(batch, params, config, soc_weight)
+                penalty, soc_grads = _soc_loss_and_grads(
+                    train_data, chunk, occlusions, params, config, soc_weight)
                 loss += soc_weight * penalty
                 if soc_grads is not None:
                     g += _flat_grads(soc_grads, names)
@@ -360,7 +370,7 @@ def train(
 
             val_f1 = None
             if step % schedule.val_every == 0:
-                val_f1 = validation_f1(params, config, val_augs, val_labels)
+                val_f1 = validation_f1(params, config, val_data, val_labels)
                 outcome = ctrl.observe(val_f1)
                 if outcome == "improved":
                     best_params = params.copy()

@@ -1,14 +1,21 @@
 """Oracles for the batched and single-pass paths.
 
-``predict`` decides one example the way ``trainer.predict_batch`` decides
-each row. ``occlusion_penalty`` runs one forward per occluded identity
-token; ``trainer._soc_loss_and_grads`` is checked against it, and bit for
-bit against ``soc_loss_and_grads_per_target``, its per-target loop.
-``train_per_tensor`` is the training loop with one Adam update per tensor,
-which ``trainer.train``'s single update over the flat parameter vector must
-equal bit for bit. The last part holds frozen copies of the feature pass and
-the audit from before the audit reused the trainer's per-comment features.
+``predict`` decides one example with ``decide``, the per-row decision
+``trainer.predict_batch`` made before it decided whole batches at once.
+``occlusion_penalty`` runs one forward per occluded identity token;
+``trainer._soc_loss_and_grads`` is checked against it, bit for bit against
+``soc_loss_and_grads_per_target``, its per-target loop over the same variant
+batch, and to 1e-12 against ``soc_loss_and_grads_combined``, the pass that
+ran every occluded copy as a full row of its own. ``train_per_tensor`` is
+the training loop with one Adam update per tensor, which ``trainer.train``'s
+single update over the flat parameter vector must equal bit for bit.
+``weighted_loss`` is the per-example loss the batched loss is checked
+against. The last part holds frozen copies of the feature pass and the audit
+from before the audit reused the trainer's per-comment features.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 
@@ -17,17 +24,55 @@ from subsense import encoder as _enc
 from subsense import trainer as _tr
 from subsense.augment import AugmentedExample, augment
 from subsense.datasets import Label
-from subsense.encoder import forward
+from subsense.errors import ContractError
 from subsense.identity import detect
 from subsense.subjectivity import Assessment, SubjectivityScore
-from subsense.textprep import encode
-from subsense.trainer import PreparedExample, _decide, _occlude
+from subsense.textprep import EncodedExample, encode
+from subsense.trainer import PreparedExample
+
+
+def forward(examples, params, config, **kwargs):
+    """``encoder.forward`` over a list of augmented examples."""
+    return _enc.forward(_enc.assemble(examples, config), params, config, **kwargs)
+
+
+def decide(logit_pair):
+    """(label, toxic probability) of one logit pair; ties resolve to non-toxic."""
+    shifted = logit_pair - logit_pair.max()
+    probs = np.exp(shifted) / np.exp(shifted).sum()
+    label = Label.TOXIC if logit_pair[Label.TOXIC] > logit_pair[Label.NONTOXIC] else Label.NONTOXIC
+    return label, float(probs[Label.TOXIC])
 
 
 def predict(params, config, example: AugmentedExample):
     """(label, toxic probability); ties resolve to non-toxic."""
     logits, _ = forward([example], params, config)
-    return _decide(logits[0])
+    return decide(logits[0])
+
+
+def weighted_loss(logits, label, weights) -> float:
+    """Class-weighted cross-entropy of softmax(logits) against the label."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.shape != (2,):
+        raise ContractError("weighted_loss expects a length-2 logit vector")
+    shifted = logits - logits.max()
+    logp = shifted - math.log(np.exp(shifted).sum())
+    weight = weights.w_toxic if int(label) == Label.TOXIC else weights.w_nontoxic
+    return -weight * float(logp[int(label)])
+
+
+def _occlude(ex: AugmentedExample, position: int) -> AugmentedExample:
+    """A full copy of ``ex`` with the key at ``position`` masked off."""
+    mask = list(ex.base.mask)
+    mask[position] = 0
+    return dataclasses.replace(ex, base=EncodedExample(ex.base.ids, tuple(mask)))
+
+
+def soc_args(batch, config):
+    """``trainer._soc_loss_and_grads``'s data, rows and occlusions for a
+    list of prepared examples that is one training batch."""
+    data = _enc.assemble([ex.aug for ex in batch], config)
+    return data, np.arange(len(batch)), _tr._identity_csr(batch)
 
 
 def occlusion_penalty(example: PreparedExample, params, config) -> float:
@@ -48,34 +93,58 @@ def occlusion_penalty(example: PreparedExample, params, config) -> float:
     return total / len(positions)
 
 
-def soc_loss_and_grads_per_target(batch, params, config, soc_weight):
-    """``trainer._soc_loss_and_grads`` as it was before it was vectorised:
-    one penalty and one set of logit gradients per target comment."""
+def soc_loss_and_grads_combined(batch, params, config, soc_weight):
+    """``trainer._soc_loss_and_grads`` as it was before occluded variants
+    shared their comment's rows: every occluded copy is a full example
+    (``_occlude``), run as a row of its own in one combined forward."""
     targets = [ex for ex in batch if ex.identity_positions]
     if not targets:
         return 0.0, None
     combined = []
-    spans = []  # (orig row, first occluded row, count)
+    orig_rows = []
     for ex in targets:
-        orig_row = len(combined)
+        orig_rows.append(len(combined))
         combined.append(ex.aug)
-        first = len(combined)
-        for pos in ex.identity_positions:
-            combined.append(_occlude(ex.aug, pos))
-        spans.append((orig_row, first, len(ex.identity_positions)))
+        combined.extend(_occlude(ex.aug, pos) for pos in ex.identity_positions)
     logits, cache = forward(combined, params, config, train_mode=True, dropout_rng=None)
+    toxic = logits[:, Label.TOXIC]
+    counts = np.array([len(ex.identity_positions) for ex in targets])
+    occ_rows = np.delete(np.arange(len(combined)), orig_rows)
+    target = np.repeat(np.arange(len(targets)), counts)
+    diffs = toxic[orig_rows][target] - toxic[occ_rows]
+    penalties = np.bincount(target, weights=diffs * diffs) / counts
+    coeff = 2.0 * (soc_weight / len(batch)) / counts
+    dlogits = np.zeros_like(logits)
+    dlogits[orig_rows, Label.TOXIC] += coeff * np.bincount(target, weights=diffs)
+    dlogits[occ_rows, Label.TOXIC] -= coeff[target] * diffs
+    grads, _ = _enc.backward(cache, params, config, dlogits)
+    return float(np.cumsum(penalties)[-1]) / len(batch), grads
+
+
+def soc_loss_and_grads_per_target(data, rows, occlusions, params, config, soc_weight):
+    """``trainer._soc_loss_and_grads`` as it was before its bookkeeping was
+    vectorised: over the same variant batch (``trainer._soc_variants``), one
+    penalty and one set of logit gradients per target comment."""
+    variants = _tr._soc_variants(data, rows, occlusions)
+    if variants is None:
+        return 0.0, None
+    batch, orig_rows, _ = variants
+    # Each target's unchanged variant runs just before its occluded ones.
+    ends = np.append(orig_rows[1:], len(batch.src)).tolist()
+    logits, cache = _enc.forward(batch, params, config, train_mode=True, dropout_rng=None)
     toxic = logits[:, Label.TOXIC]
     dlogits = np.zeros_like(logits)
     penalty_sum = 0.0
-    scale = soc_weight / len(batch)
-    for orig_row, first, count in spans:
-        diffs = toxic[orig_row] - toxic[first : first + count]
+    scale = soc_weight / len(rows)
+    for orig_row, end in zip(orig_rows.tolist(), ends):
+        first, count = orig_row + 1, end - orig_row - 1
+        diffs = toxic[orig_row] - toxic[first:end]
         penalty_sum += float((diffs**2).mean())
         coeff = 2.0 * scale / count
         dlogits[orig_row, Label.TOXIC] += coeff * diffs.sum()
-        dlogits[first : first + count, Label.TOXIC] -= coeff * diffs
+        dlogits[first:end, Label.TOXIC] -= coeff * diffs
     grads, _ = _enc.backward(cache, params, config, dlogits)
-    return penalty_sum / len(batch), grads
+    return penalty_sum / len(rows), grads
 
 
 def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0, seed=0):
@@ -84,7 +153,9 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
     and Adam runs once per tensor. No non-finite check."""
     labels = np.array([int(ex.label) for ex in train_set])
     weights = _tr.class_weights(labels)
-    val_augs = [ex.aug for ex in val_set]
+    train_data = _enc.assemble([ex.aug for ex in train_set], config)
+    occlusions = _tr._identity_csr(train_set)
+    val_data = _enc.assemble([ex.aug for ex in val_set], config)
     val_labels = [ex.label for ex in val_set]
     params = _enc.init(config)
     moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in params.items()}
@@ -100,13 +171,14 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
             chunk = order[start : start + schedule.batch_size]
             batch = [train_set[j] for j in chunk]
             step += 1
-            logits, cache = _enc.forward(
+            logits, cache = forward(
                 [ex.aug for ex in batch], params, config, train_mode=True, dropout_rng=rng,
             )
             loss, dlogits = _tr._batch_loss_grad(logits, labels[chunk], weights)
             grads, _ = _enc.backward(cache, params, config, dlogits)
             if soc_weight > 0.0:
-                penalty, soc_grads = _tr._soc_loss_and_grads(batch, params, config, soc_weight)
+                penalty, soc_grads = _tr._soc_loss_and_grads(
+                    train_data, chunk, occlusions, params, config, soc_weight)
                 loss += soc_weight * penalty
                 if soc_grads is not None:
                     for name in grads:
@@ -123,7 +195,7 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
                 tensor -= ctrl.lr * mhat / (np.sqrt(vhat) + _tr.ADAM_EPS)
             val_f1 = None
             if step % schedule.val_every == 0:
-                val_f1 = _tr.validation_f1(params, config, val_augs, val_labels)
+                val_f1 = _tr.validation_f1(params, config, val_data, val_labels)
                 if ctrl.observe(val_f1) == "improved":
                     best_params = params.copy()
             history.entries.append(_tr.HistoryEntry(step, loss, val_f1, ctrl.lr, ctrl.halvings))

@@ -86,7 +86,8 @@ def trained_runs(synth_task):
             params, history = tr.train(
                 train_set, val_set, config, schedule, mode, seed=seed
             )
-            preds, _ = tr.predict_batch(params, config, [e.aug for e in test_set])
+            preds, _ = tr.predict_batch(params, config,
+                                        enc.assemble([e.aug for e in test_set], config))
             test_f1 = audit.f1(audit.confusion(preds, [e.label for e in test_set]))
             runs[(mode, seed)] = {
                 "params": params, "config": config, "test_set": test_set,
@@ -133,8 +134,8 @@ def test_a01_mask_gate_equivalence():
             ss_batch.append(ag.augment(encoded, s, False, ag.AugmentMode.SS))
             base_batch.append(ag.augment(encoded, s, False, ag.AugmentMode.BASELINE))
             triples += 1
-        ss_logits, _ = enc.forward(ss_batch, params, config)
-        base_logits, _ = enc.forward(base_batch, params, config)
+        ss_logits, _ = enc.forward(enc.assemble(ss_batch, config), params, config)
+        base_logits, _ = enc.forward(enc.assemble(base_batch, config), params, config)
         worst = max(worst, float(np.max(np.abs(ss_logits - base_logits))))
     elapsed = time.perf_counter() - started
     verdict(
@@ -152,7 +153,7 @@ def test_a02_slot_liveness(trained_runs):
     params, config = run["params"], run["config"]
 
     def toxic_logit(example):
-        logits, _ = enc.forward([example], params, config)
+        logits, _ = enc.forward(enc.assemble([example], config), params, config)
         return float(logits[0, ds.Label.TOXIC])
 
     gated_on = [e.aug for e in run["test_set"] if e.aug.slot_mask == 1]
@@ -206,11 +207,12 @@ def test_a03_gradient_oracle():
     params = enc.init(config)
 
     def loss_of(current_batch=batch):
-        logits, _ = enc.forward(current_batch, params, config)
+        logits, _ = enc.forward(enc.assemble(current_batch, config), params, config)
         value, _ = tr._batch_loss_grad(logits, labels, weights)
         return value
 
-    logits, cache = enc.forward(batch, params, config, train_mode=True)
+    logits, cache = enc.forward(enc.assemble(batch, config), params, config,
+                                train_mode=True)
     _, dlogits = tr._batch_loss_grad(logits, labels, weights)
     grads, slot_grad = enc.backward(cache, params, config, dlogits)
 

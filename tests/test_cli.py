@@ -192,6 +192,15 @@ class TestTrainArtifacts:
         assert "FP" in out and "FN" in out
         assert "ss" in out
 
+    def test_compare_output_into_a_missing_directory(self, pipeline, tmp_path, capsys):
+        run = pipeline["run"]
+        out = tmp_path / "new" / "deeper" / "compare.json"
+        assert cli.dispatch(["compare", str(run / "manifest.json"), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        assert payload["ss"]["runs"] == 1
+        assert sorted(p.name for p in out.parent.iterdir()) == ["compare.json"]
+
     def test_compare_requires_eval(self, pipeline, capsys):
         data = pipeline["data"]
         rundir = pipeline["root"] / "run-noeval"
@@ -349,7 +358,8 @@ def old_path(pipeline):
         config.max_len, AugmentMode.SS,
     )
     params = encoder.load_params(run / "checkpoint.bin")
-    preds, probs = trainer.predict_batch(params, config, [ex.aug for ex in prepared])
+    preds, probs = trainer.predict_batch(
+        params, config, encoder.assemble([ex.aug for ex in prepared], config))
     features = [ex.features for ex in prepared]
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     return {"comments": comments, "preds": preds, "probs": probs, "features": features,

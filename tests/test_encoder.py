@@ -113,8 +113,8 @@ class TestForward:
             fill = float(rng.random())
             ss = example(tokens, fill, 0, mode=ag.AugmentMode.SS)
             baseline = example(tokens, fill, 0, mode=ag.AugmentMode.BASELINE)
-            l1, _ = enc.forward([ss], params, config)
-            l2, _ = enc.forward([baseline], params, config)
+            l1, _ = enc.forward(enc.assemble([ss], config), params, config)
+            l2, _ = enc.forward(enc.assemble([baseline], config), params, config)
             assert np.max(np.abs(l1 - l2)) <= 1e-9
 
     def test_pad_token_id_is_invisible(self):
@@ -127,15 +127,15 @@ class TestForward:
         altered = dataclasses.replace(
             ex, base=tp.EncodedExample(tuple(ids), ex.base.mask)
         )
-        l1, _ = enc.forward([ex], params, config)
-        l2, _ = enc.forward([altered], params, config)
+        l1, _ = enc.forward(enc.assemble([ex], config), params, config)
+        l2, _ = enc.forward(enc.assemble([altered], config), params, config)
         assert np.array_equal(l1, l2)
 
     def test_zero_layer_logits_match_hand_computation(self):
         config = tiny_config(d_model=2, n_heads=1, n_layers=0, d_ff=4, seed=5)
         params = enc.init(config)
         ex = example(["w3", "w5"], 0.37, 1, max_len=6)
-        logits, _ = enc.forward([ex], params, config)
+        logits, _ = enc.forward(enc.assemble([ex], config), params, config)
 
         # Independent scalar reimplementation of the zero-layer path.
         def rms(vec, gain, bias):
@@ -160,7 +160,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         batch = random_batch(rng, config, 6, slot_mask=1)
         batch.extend(random_batch(rng, config, 6, slot_mask=0))
-        _, cache = enc.forward(batch, params, config, train_mode=True)
+        _, cache = enc.forward(enc.assemble(batch, config), params, config, train_mode=True)
         kmask = cache["kmask"]
         for layer in cache["layers"]:
             probs = layer["probs"]
@@ -172,8 +172,8 @@ class TestForward:
         config = tiny_config(n_layers=2)
         params = enc.init(config)
         batch = random_batch(np.random.default_rng(9), config, 5, slot_mask=1)
-        l1, _ = enc.forward(batch, params, config)
-        l2, _ = enc.forward(batch, params, config)
+        l1, _ = enc.forward(enc.assemble(batch, config), params, config)
+        l2, _ = enc.forward(enc.assemble(batch, config), params, config)
         assert l1.tobytes() == l2.tobytes()
 
     def test_length_mismatch_rejected(self):
@@ -181,22 +181,23 @@ class TestForward:
         params = enc.init(config)
         bad = example(["w1"], 0.5, 1, max_len=8)
         with pytest.raises(ContractError):
-            enc.forward([bad], params, config)
+            enc.forward(enc.assemble([bad], config), params, config)
 
     def test_empty_batch_rejected(self):
         config = tiny_config()
         with pytest.raises(ContractError):
-            enc.forward([], enc.init(config), config)
+            enc.assemble([], config)
 
     def test_dropout_only_in_train_mode(self):
         config = tiny_config(dropout_rate=0.5)
         params = enc.init(config)
         batch = random_batch(np.random.default_rng(2), config, 3)
-        l1, _ = enc.forward(batch, params, config, train_mode=False)
-        l2, _ = enc.forward(batch, params, config, train_mode=False)
+        l1, _ = enc.forward(enc.assemble(batch, config), params, config, train_mode=False)
+        l2, _ = enc.forward(enc.assemble(batch, config), params, config, train_mode=False)
         assert np.array_equal(l1, l2)
         rng = np.random.default_rng(0)
-        l3, _ = enc.forward(batch, params, config, train_mode=True, dropout_rng=rng)
+        l3, _ = enc.forward(enc.assemble(batch, config), params, config, train_mode=True,
+                            dropout_rng=rng)
         assert not np.array_equal(l1, l3)
 
 
@@ -210,7 +211,7 @@ class TestBackward:
         config = tiny_config()
         params = enc.init(config)
         batch = random_batch(np.random.default_rng(4), config, 3, slot_mask=1)
-        _, cache = enc.forward(batch, params, config, train_mode=True)
+        _, cache = enc.forward(enc.assemble(batch, config), params, config, train_mode=True)
         grads, slot_grad = enc.backward(cache, params, config, np.zeros((3, 2)))
         assert all(np.all(g == 0.0) for g in grads.values())
         assert np.all(slot_grad == 0.0)
@@ -220,7 +221,8 @@ class TestBackward:
         params = enc.init(config)
         masked = random_batch(np.random.default_rng(5), config, 4, slot_mask=0)
         open_ = random_batch(np.random.default_rng(6), config, 4, slot_mask=1)
-        _, cache = enc.forward(masked + open_, params, config, train_mode=True)
+        _, cache = enc.forward(enc.assemble(masked + open_, config), params, config,
+                               train_mode=True)
         upstream = np.random.default_rng(7).normal(size=(8, 2))
         _, slot_grad = enc.backward(cache, params, config, upstream)
         assert np.all(slot_grad[:4] == 0.0)
@@ -235,10 +237,10 @@ class TestBackward:
         upstream = np.array([[0.3, -0.7], [-0.2, 0.5]])
 
         def objective():
-            logits, _ = enc.forward(batch, params, config)
+            logits, _ = enc.forward(enc.assemble(batch, config), params, config)
             return float((logits * upstream).sum())
 
-        _, cache = enc.forward(batch, params, config, train_mode=True)
+        _, cache = enc.forward(enc.assemble(batch, config), params, config, train_mode=True)
         grads, _ = enc.backward(cache, params, config, upstream)
         rng = np.random.default_rng(0)
         h = 1e-5
@@ -271,11 +273,12 @@ class TestGradientOracle:
         params = enc.init(config)
 
         def loss_of(current_batch=batch):
-            logits, _ = enc.forward(current_batch, params, config)
+            logits, _ = enc.forward(enc.assemble(current_batch, config), params, config)
             value, _ = tr._batch_loss_grad(logits, labels, weights)
             return value
 
-        logits, cache = enc.forward(batch, params, config, train_mode=True)
+        logits, cache = enc.forward(enc.assemble(batch, config), params, config,
+                                    train_mode=True)
         _, dlogits = tr._batch_loss_grad(logits, labels, weights)
         grads, slot_grad = enc.backward(cache, params, config, dlogits)
 

@@ -15,8 +15,8 @@ import pytest
 from subsense import augment as ag
 from subsense import encoder as enc
 from subsense import textprep as tp
-from subsense import trainer as tr
 
+import oracles
 import reference_encoder as ref
 
 TOL = 1e-12
@@ -68,7 +68,7 @@ def occluded_batch(config, rng):
         for slot_mask, position in ((0, n), (1, int(rng.integers(1, n + 1)))):
             ex = ag.AugmentedExample(encoded, float(rng.random()), slot_mask,
                                      ag.AugmentMode.SS)
-            batch.append(tr._occlude(ex, position))
+            batch.append(oracles._occlude(ex, position))
     return batch
 
 
@@ -87,15 +87,15 @@ def build(n_layers, max_len, make_batch):
 
 
 def check_inference_logits(config, params, batch):
-    logits, _ = enc.forward(batch, params, config)
+    logits, _ = enc.forward(enc.assemble(batch, config), params, config)
     expected, _ = ref.forward(batch, params, config)
     assert max_abs_diff(logits, expected) <= TOL
 
 
 def check_train_logits_and_gradients(config, params, batch):
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    logits, cache = enc.forward(batch, params, config, train_mode=True,
-                                dropout_rng=rng_new)
+    logits, cache = enc.forward(enc.assemble(batch, config), params, config,
+                                train_mode=True, dropout_rng=rng_new)
     expected, ref_cache = ref.forward(batch, params, config, train_mode=True,
                                       dropout_rng=rng_ref)
     assert max_abs_diff(logits, expected) <= TOL
@@ -128,7 +128,8 @@ class TestMatchesReference:
 class TestTrimmedMatchesReference:
     def test_batch_is_trimmed(self, n_layers, max_len, make_batch):
         config, _, batch = build(n_layers, max_len, make_batch)
-        ids, kmask, _ = enc._assemble(batch, config)
+        assembled = enc.assemble(batch, config)
+        ids, kmask = assembled.ids, assembled.kmask
         width = max(ex.base.extent for ex in batch)
         assert ids.shape[1] == width < max_len
         assert kmask.shape[1] == width + 1

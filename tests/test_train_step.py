@@ -1,10 +1,16 @@
 """One training step: the flat Adam update, the bincount embedding gradient,
-the RMS norms and the vectorised occlusion regularizer against their oracles.
+the RMS norms, the narrowed dropout masks and the vectorised occlusion
+regularizer against their oracles.
 
-The flat Adam update, the bincount and the vectorised regularizer only
-regroup elementwise operations, so they must equal their oracles bit for
-bit. The RMS norms compute the same values through different reductions and
-must match the frozen copies in ``reference_encoder`` to 1e-12.
+The flat Adam update, the bincount, the dropout masks and the regularizer's
+vectorised bookkeeping only regroup elementwise operations, so they must
+equal their oracles bit for bit. The RMS norms compute the same values
+through different reductions and must match the frozen copies in
+``reference_encoder`` to 1e-12. The occluded variants share their comment's
+rows, so their gradients are summed onto those rows in another order than
+the combined pass, which ran every occluded copy as a row of its own,
+summed them: the penalty must equal that pass bit for bit and every
+gradient must match it to 1e-12.
 """
 
 import numpy as np
@@ -39,14 +45,14 @@ def identity_corpus(n):
     return out
 
 
-def soc_setup(n=24, max_len=16, dropout_rate=0.1):
+def soc_setup(n=24, max_len=16, dropout_rate=0.1, n_layers=1):
     data = identity_corpus(n)
     vocab = tp.build_vocab(data, max_size=60)
     lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9, -0.8)])
     prepared = tr.prepare_examples(data, vocab, lexicon, idn.default_terms(), max_len,
                                    ag.AugmentMode.SS)
     config = enc.ModelConfig(max_len=max_len, vocab_size=len(vocab), d_model=8, n_heads=2,
-                             n_layers=1, d_ff=16, dropout_rate=dropout_rate, seed=3)
+                             n_layers=n_layers, d_ff=16, dropout_rate=dropout_rate, seed=3)
     return prepared, config
 
 
@@ -120,21 +126,86 @@ def test_rms_norm_matches_frozen_copy(shape):
         assert np.max(np.abs(g - w)) <= 1e-12
 
 
-def test_soc_matches_per_target_loop():
-    prepared, config = soc_setup(dropout_rate=0.0)
-    rng = np.random.default_rng(1)
+def perturbed_params(config, seed=1):
+    rng = np.random.default_rng(seed)
     params = enc.init(config)
     for name, tensor in params.items():
         params[name] = tensor + rng.normal(scale=0.1, size=tensor.shape)
+    return params
+
+
+def test_soc_matches_per_target_loop():
+    prepared, config = soc_setup(dropout_rate=0.0)
+    params = perturbed_params(config)
     batch = prepared[:16]
     # 1 to 7 identity tokens per target: sums of fewer than 8 terms.
     assert {len(ex.identity_positions) for ex in batch} >= set(range(1, 8))
-    penalty, grads = tr._soc_loss_and_grads(batch, params, config, 0.4)
-    want_penalty, want_grads = oracles.soc_loss_and_grads_per_target(batch, params, config, 0.4)
+    args = oracles.soc_args(batch, config)
+    penalty, grads = tr._soc_loss_and_grads(*args, params, config, 0.4)
+    want_penalty, want_grads = oracles.soc_loss_and_grads_per_target(*args, params, config, 0.4)
     assert penalty == want_penalty
     assert set(grads) == set(want_grads)
     for name in want_grads:
         assert same_bits(grads[name], want_grads[name]), name
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+def test_soc_variants_match_combined_pass(n_layers):
+    """A shuffled training batch out of a larger set, as ``train`` slices
+    it, against the pass over full occluded copies of its examples."""
+    prepared, config = soc_setup(n=40, dropout_rate=0.0, n_layers=n_layers)
+    params = perturbed_params(config, seed=n_layers)
+    rows = np.random.default_rng(0).permutation(len(prepared))[:20]
+    batch = [prepared[r] for r in rows]
+    assert {len(ex.identity_positions) for ex in batch} >= {0, *range(1, 8)}
+    data = enc.assemble([ex.aug for ex in prepared], config)
+    penalty, grads = tr._soc_loss_and_grads(data, rows, tr._identity_csr(prepared), params,
+                                            config, 0.4)
+    want_penalty, want_grads = oracles.soc_loss_and_grads_combined(batch, params, config, 0.4)
+    assert penalty == want_penalty
+    assert set(grads) == set(want_grads)
+    for name in want_grads:
+        assert grads[name].shape == want_grads[name].shape
+        assert np.max(np.abs(grads[name] - want_grads[name])) <= 1e-12, name
+
+
+def test_soc_variants_mask_one_identity_key_each():
+    prepared, config = soc_setup(n=16)
+    rows = np.arange(3, 12)
+    data = enc.assemble([ex.aug for ex in prepared], config)
+    batch, orig_rows, occ_rows = tr._soc_variants(data, rows, tr._identity_csr(prepared))
+    targets = [prepared[r] for r in rows if prepared[r].identity_positions]
+    assert np.bincount(batch.src[occ_rows]).tolist() == [
+        len(ex.identity_positions) for ex in targets]
+    assert batch.src[orig_rows].tolist() == list(range(len(targets)))
+    assert sorted([*orig_rows, *occ_rows]) == list(range(len(batch.src)))
+    want = []
+    for ex in targets:
+        want.append(ex.aug)
+        want.extend(oracles._occlude(ex.aug, p) for p in ex.identity_positions)
+    expected = enc.assemble(want, config)
+    assert same_bits(batch.kmask, expected.kmask)
+    assert same_bits(batch.ids[batch.src], expected.ids)
+    assert same_bits(batch.fill[batch.src], expected.fill)
+    # Read as a list, the batch counts the keys of the full copies it replaces.
+    assert len(batch) == len(want)
+    assert [(v.base.n_real, v.slot_mask) for v in batch] == [
+        (ex.base.n_real, ex.slot_mask) for ex in want]
+    plain = np.array([r for r in rows if not prepared[r].identity_positions], dtype=np.intp)
+    assert tr._soc_variants(data, plain, tr._identity_csr(prepared)) is None
+
+
+@pytest.mark.parametrize("cols", [slice(None), slice(0, 1), np.array([0, 1, 2, 16])])
+def test_narrowed_dropout_mask_equals_full_mask(cols):
+    """Narrowing before the compare and the scale gives the bits of the
+    full mask narrowed afterwards, and leaves the stream where it was."""
+    shape, rate = (32, 17, 32), 0.1
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = enc._dropout_mask(got_rng, shape, rate, cols)
+    keep = 1.0 - rate
+    want = ((want_rng.random(shape) < keep).astype(np.float64) / keep)[:, cols]
+    assert same_bits(got, want)
+    assert got_rng.random() == want_rng.random()
 
 
 class TestNonFinite:

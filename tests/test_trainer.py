@@ -56,29 +56,29 @@ class TestClassWeights:
 class TestWeightedLoss:
     def test_confident_correct(self):
         weights = tr.ClassWeights(1.0, 1.0)
-        loss = tr.weighted_loss(np.array([10.0, -10.0]), Label.NONTOXIC, weights)
+        loss = oracles.weighted_loss(np.array([10.0, -10.0]), Label.NONTOXIC, weights)
         assert loss < 1e-4
 
     def test_uniform_logits(self):
         weights = tr.ClassWeights(1.0, 1.0)
-        loss = tr.weighted_loss(np.array([0.0, 0.0]), Label.TOXIC, weights)
+        loss = oracles.weighted_loss(np.array([0.0, 0.0]), Label.TOXIC, weights)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_weight_scales_linearly(self):
         logits = np.array([0.4, -1.1])
-        single = tr.weighted_loss(logits, Label.TOXIC, tr.ClassWeights(1.0, 1.0))
-        doubled = tr.weighted_loss(logits, Label.TOXIC, tr.ClassWeights(2.0, 1.0))
+        single = oracles.weighted_loss(logits, Label.TOXIC, tr.ClassWeights(1.0, 1.0))
+        doubled = oracles.weighted_loss(logits, Label.TOXIC, tr.ClassWeights(2.0, 1.0))
         assert doubled == pytest.approx(2.0 * single)
 
     def test_shape_contract(self):
         with pytest.raises(ContractError):
-            tr.weighted_loss(np.array([1.0, 2.0, 3.0]), Label.TOXIC, tr.ClassWeights(1, 1))
+            oracles.weighted_loss(np.array([1.0, 2.0, 3.0]), Label.TOXIC, tr.ClassWeights(1, 1))
 
     def test_balanced_reduces_to_plain_cross_entropy(self):
         weights = tr.class_weights([Label.TOXIC, Label.NONTOXIC])
         logits = np.array([0.3, 0.9])
         plain = -math.log(math.exp(0.9) / (math.exp(0.3) + math.exp(0.9)))
-        assert tr.weighted_loss(logits, Label.TOXIC, weights) == pytest.approx(plain)
+        assert oracles.weighted_loss(logits, Label.TOXIC, weights) == pytest.approx(plain)
 
 
 class TestHalvingController:
@@ -130,7 +130,7 @@ class TestOcclusionPenalty:
         target = prepared[0]
         assert len(target.identity_positions) == 2
 
-        base_logits, _ = enc.forward([target.aug], params, config)
+        base_logits, _ = enc.forward(enc.assemble([target.aug], config), params, config)
         total = 0.0
         for pos in target.identity_positions:
             mask = list(target.aug.base.mask)
@@ -138,7 +138,7 @@ class TestOcclusionPenalty:
             occluded = dataclasses.replace(
                 target.aug, base=tp.EncodedExample(target.aug.base.ids, tuple(mask))
             )
-            occ_logits, _ = enc.forward([occluded], params, config)
+            occ_logits, _ = enc.forward(enc.assemble([occluded], config), params, config)
             total += (base_logits[0, Label.TOXIC] - occ_logits[0, Label.TOXIC]) ** 2
         expected = total / len(target.identity_positions)
         assert oracles.occlusion_penalty(target, params, config) == pytest.approx(
@@ -155,7 +155,8 @@ class TestOcclusionPenalty:
         batch = prepared[:2]
         soc_weight = 0.7
 
-        penalty, grads = tr._soc_loss_and_grads(batch, params, config, soc_weight)
+        penalty, grads = tr._soc_loss_and_grads(*oracles.soc_args(batch, config), params, config,
+                                                soc_weight)
         oracle = sum(oracles.occlusion_penalty(ex, params, config) for ex in batch) / len(batch)
         assert penalty == pytest.approx(oracle, rel=1e-12)
 
@@ -216,6 +217,28 @@ class TestPredict:
                 params, config, base_ex.aug
             )
 
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+            st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (x, x)),
+            st.tuples(st.floats(-1e307, 1e307), st.floats(-1e307, 1e307)),
+        ),
+        min_size=1, max_size=20,
+    ))
+    @example([(0.0, 0.0), (-0.0, 0.0), (1e-300, 1e-300), (3.0, 3.0 + 4e-16)])
+    def test_batch_decisions_equal_per_row_decide(self, pairs):
+        """Labels and probabilities of a whole batch equal the per-row
+        decision bit for bit; a tie is non-toxic."""
+        logits = np.array(pairs, dtype=np.float64)
+        preds, probs = tr._decisions(logits)
+        for row, label, prob in zip(logits, preds, probs, strict=True):
+            want_label, want_prob = oracles.decide(row)
+            assert label is want_label
+            assert type(prob) is float and repr(prob) == repr(want_prob)
+            if row[0] == row[1]:
+                assert label is Label.NONTOXIC
+
     def shuffled_lengths(self):
         """Comments of 1 to 30 words in random order, some truncated, with the
         slot gate open on those naming an identity term."""
@@ -236,7 +259,8 @@ class TestPredict:
         params, config, examples = self.shuffled_lengths()
         extents = [ex.base.extent for ex in examples]
         assert extents != sorted(extents) and min(extents) < config.max_len
-        preds, probs = tr.predict_batch(params, config, examples, batch_size=8)
+        preds, probs = tr.predict_batch(params, config, enc.assemble(examples, config),
+                                        batch_size=8)
         assert set(preds) == {Label.TOXIC, Label.NONTOXIC}
         for ex, label, prob in zip(examples, preds, probs, strict=True):
             one_label, one_prob = oracles.predict(params, config, ex)
@@ -245,8 +269,9 @@ class TestPredict:
 
     def test_predict_batch_is_repeatable(self):
         params, config, examples = self.shuffled_lengths()
-        first = tr.predict_batch(params, config, examples, batch_size=8)
-        assert tr.predict_batch(params, config, examples, batch_size=8) == first
+        data = enc.assemble(examples, config)
+        first = tr.predict_batch(params, config, data, batch_size=8)
+        assert tr.predict_batch(params, config, data, batch_size=8) == first
 
 
 class TestTrain:
@@ -274,7 +299,8 @@ class TestTrain:
         best = history.best_val_f1()
         assert best is not None
         achieved = tr.validation_f1(
-            params, config, [e.aug for e in prepared], [e.label for e in prepared]
+            params, config, enc.assemble([e.aug for e in prepared], config),
+            [e.label for e in prepared],
         )
         assert achieved == pytest.approx(best)
 
