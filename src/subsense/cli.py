@@ -21,7 +21,7 @@ from .atomic import replacing
 from .augment import AugmentMode
 from .errors import (
     ConfigError, ContractError, ResourceError, SchemaError, SubsenseError, UsageError,
-    check_fields,
+    check_fields, read_text,
 )
 
 MANIFEST_VERSION = 1
@@ -73,10 +73,7 @@ def _write_json(obj, path) -> None:
 def _resolve_subj_lexicon(path_arg):
     """Explicit flag beats SUBSENSE_LEXICON beats the packaged lexicon."""
     if path_arg:
-        p = str(path_arg)
-        if p.endswith(".tsv"):
-            return subjectivity.load_lexicon_tsv(p), p
-        return subjectivity.load_lexicon(p), p
+        return subjectivity.load_lexicon(path_arg), str(path_arg)
     env = os.environ.get(subjectivity.ENV_LEXICON)
     if env:
         return subjectivity.default_lexicon(), env
@@ -97,10 +94,7 @@ def _cmd_score(args) -> int:
     if args.text is not None:
         texts = [args.text]
     else:
-        src = Path(args.file)
-        if not src.exists():
-            raise ResourceError(f"input file not found: {src}")
-        texts = [line for line in src.read_text(encoding="utf-8").splitlines() if line]
+        texts = [line for line in read_text(args.file, "input file").splitlines() if line]
     for text in texts:
         s = subjectivity.score(text, lexicon)
         match = identity.detect(text, terms)

@@ -24,6 +24,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 
 from . import identity, subjectivity
+from .atomic import replacing
 from .errors import ContractError, ResourceError, SchemaError, StratificationError
 
 
@@ -169,7 +170,10 @@ def load_rows(path) -> list[dict]:
     if not p.exists():
         raise ResourceError(f"dataset file not found: {p}")
     with open(p, newline="", encoding="utf-8-sig") as fh:
-        return list(csv.DictReader(fh))
+        try:
+            return list(csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise ResourceError(f"dataset file {p} is not UTF-8 text: {exc}") from None
 
 
 def read_canonical(path) -> list[Comment]:
@@ -178,7 +182,7 @@ def read_canonical(path) -> list[Comment]:
 
 
 def write_canonical(comments, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "text", "label"])
         for c in comments:

@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit, and the type rule that
-configuration dataclasses and configuration files are checked by."""
+"""Exception types shared across the toolkit, the type rule that
+configuration dataclasses and configuration files are checked by, and the
+read that turns a missing or undecodable text file into a ``ResourceError``."""
 
 import typing
+from pathlib import Path
 
 
 class SubsenseError(Exception):
@@ -62,3 +64,16 @@ def check_fields(cls, values: dict, name: str, complete: bool = False) -> None:
             value, (int, float) if kind is float else kind
         ):
             raise ConfigError(f"{name}.{key} must be {kind.__name__}, not {value!r}")
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``, without a leading byte order
+    mark. A missing file, or one whose bytes are not UTF-8, raises
+    ``ResourceError`` naming ``what`` and the path."""
+    p = Path(path)
+    if not p.exists():
+        raise ResourceError(f"{what} not found: {p}")
+    try:
+        return p.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ResourceError(f"{what} {p} is not UTF-8 text: {exc}") from None

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ContractError, EmptyDatasetError, ResourceError
+from .errors import ContractError, EmptyDatasetError, read_text
 
 # The stock 25-term list, verbatim including the "democat" spelling; a
 # curated variant adding "democrat" ships as data/identity_terms_curated.txt
@@ -82,10 +82,8 @@ def default_terms() -> IdentityLexicon:
 def load_terms(path) -> IdentityLexicon:
     """Load a term list: one term per line, '#' lines ignored, lowercased."""
     p = Path(path)
-    if not p.exists():
-        raise ResourceError(f"identity term file not found: {p}")
     terms: list[str] = []
-    for line in p.read_text(encoding="utf-8").splitlines():
+    for line in read_text(p, "identity term file").splitlines():
         word = line.strip().lower()
         if word and not word.startswith("#") and word not in terms:
             terms.append(word)

@@ -17,55 +17,48 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import ContractError, EmptyLexiconError, ResourceError
+from .atomic import replacing
+from .errors import ContractError, EmptyLexiconError, ResourceError, read_text
 from .textprep import word_split
 
 ENV_LEXICON = "SUBSENSE_LEXICON"
-_DATA_DIR = Path(__file__).parent / "data"
-DEFAULT_LEXICON_XML = _DATA_DIR / "en_subjectivity.xml"
-DEFAULT_NEGATIONS = _DATA_DIR / "en_negations.txt"
+DEFAULT_LEXICON_XML = Path(__file__).parent / "data" / "en_subjectivity.xml"
 
 
 @dataclass(frozen=True)
 class LexiconEntry:
-    """One word sense: subjectivity in [0,1], polarity in [-1,1], intensity > 0."""
+    """One word sense: subjectivity in [0,1], intensity > 0."""
 
     form: str
     subjectivity: float
-    polarity: float = 0.0
-    intensity: float = 1.0
-    pos_tag: str | None = None
+    intensity: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
         if not self.form or self.form != self.form.lower():
             raise ContractError(f"lexicon form must be non-empty lowercase: {self.form!r}")
         if not 0.0 <= self.subjectivity <= 1.0:
             raise ContractError(f"subjectivity out of [0,1]: {self.subjectivity}")
-        if not -1.0 <= self.polarity <= 1.0:
-            raise ContractError(f"polarity out of [-1,1]: {self.polarity}")
         if not self.intensity > 0.0:
             raise ContractError(f"intensity must be positive: {self.intensity}")
 
 
 class SubjectivityLexicon:
-    """Multimap from lowercase form to its senses, plus a negation word set.
+    """Multimap from lowercase form to its senses.
 
     Immutable after construction and safe to share across threads.
     """
 
-    def __init__(self, entries, negations=(), skipped: int = 0):
+    def __init__(self, entries, *, skipped: int = 0):
         table: dict[str, tuple[LexiconEntry, ...]] = {}
         for e in entries:
             table[e.form] = table.get(e.form, ()) + (e,)
         self._table = table
         # Per-form means over the senses, computed once for the scorer.
         self._subjectivity = {f: sum(e.subjectivity for e in s) / len(s) for f, s in table.items()}
-        self._polarity = {f: sum(e.polarity for e in s) / len(s) for f, s in table.items()}
         self._intensity = {f: sum(e.intensity for e in s) / len(s) for f, s in table.items()}
         # Every text a multi-word form continues past a space ("fed" of "fed
         # up"); a token outside this set can only match a one-word form.
         self._heads = frozenset(f[:i] for f in table for i, ch in enumerate(f) if ch == " ")
-        self.negations = frozenset(w.lower() for w in negations)
         self.skipped = skipped
         self.max_form_words = max((f.count(" ") + 1 for f in table), default=1)
 
@@ -84,9 +77,6 @@ class SubjectivityLexicon:
 
     def mean_subjectivity(self, form: str) -> float:
         return self._subjectivity[form]
-
-    def mean_polarity(self, form: str) -> float:
-        return self._polarity[form]
 
     def mean_intensity(self, form: str) -> float:
         return self._intensity[form]
@@ -110,126 +100,97 @@ class SubjectivityScore:
 
 @dataclass(frozen=True)
 class Assessment:
-    """One lexicon hit: token span [start, end) and its contributions."""
+    """One lexicon hit: token span [start, end) and its contribution."""
 
     start: int
     end: int
     words: tuple[str, ...]
     subjectivity: float
-    polarity: float
 
 
-def _parse_word_attrs(attrs: dict) -> LexiconEntry | None:
-    form = (attrs.get("form") or "").strip().lower()
-    if not form:
-        return None
+def _entry(attrs: dict) -> LexiconEntry | None:
+    """The entry one record's attributes make, or None if they make none."""
     try:
-        subjectivity = float(attrs["subjectivity"])
-        polarity = float(attrs.get("polarity", 0.0))
-        intensity = float(attrs.get("intensity", 1.0))
-    except (KeyError, ValueError):
-        return None
-    try:
-        return LexiconEntry(form, subjectivity, polarity, intensity, attrs.get("pos"))
-    except ContractError:
+        return LexiconEntry(
+            (attrs.get("form") or "").strip().lower(),
+            float(attrs["subjectivity"]),
+            intensity=float(attrs.get("intensity", 1.0)),
+        )
+    except (KeyError, ValueError, ContractError):
         return None
 
 
-def load_negations(path) -> frozenset[str]:
-    p = Path(path)
-    if not p.exists():
-        raise ResourceError(f"negation file not found: {p}")
-    words = []
-    for line in p.read_text(encoding="utf-8").splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return frozenset(words)
-
-
-def load_lexicon(path, negations_path=None) -> SubjectivityLexicon:
-    """Load the XML lexicon format: one ``<word>`` element per sense.
-
-    Recognised attributes: form, pos (optional), polarity, subjectivity,
-    intensity. Records with missing/invalid attributes are skipped and
-    counted on the returned lexicon. A file with zero usable records is an
-    error because scoring against it would be degenerate.
-    """
+def _load(path, records) -> SubjectivityLexicon:
+    """The lexicon of the attribute dicts ``records(p)`` reads from the file
+    ``p`` at ``path``. Records that make no valid entry are skipped and
+    counted on the lexicon; a file with no usable record is an error, as
+    scoring against it would be degenerate."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"lexicon file not found: {p}")
+    entries: list[LexiconEntry] = []
+    skipped = 0
+    for attrs in records(p):
+        entry = _entry(attrs)
+        if entry is None:
+            skipped += 1
+        else:
+            entries.append(entry)
+    if not entries:
+        raise EmptyLexiconError(f"lexicon file {p} contains no usable entries")
+    return SubjectivityLexicon(entries, skipped=skipped)
+
+
+def _xml_records(p: Path):
     try:
         root = ET.parse(p).getroot()
     except ET.ParseError as exc:
         raise ResourceError(f"lexicon file {p} is not well-formed XML: {exc}") from exc
-    entries: list[LexiconEntry] = []
-    skipped = 0
-    for el in root.iter("word"):
-        entry = _parse_word_attrs(el.attrib)
-        if entry is None:
-            skipped += 1
-        else:
-            entries.append(entry)
-    if not entries:
-        raise EmptyLexiconError(f"lexicon file {p} contains no usable entries")
-    negations = load_negations(negations_path) if negations_path else frozenset()
-    return SubjectivityLexicon(entries, negations, skipped)
+    return (el.attrib for el in root.iter("word"))
 
 
-def load_lexicon_tsv(path, negations_path=None) -> SubjectivityLexicon:
-    """Plain-TSV loader: columns form, subjectivity, polarity, intensity.
+def _tsv_records(p: Path):
+    for line in read_text(p, "lexicon file").splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            # Column 3 is a polarity, which nothing reads.
+            yield dict(zip(("form", "subjectivity", None, "intensity"), line.split("\t")))
 
-    Polarity and intensity columns are optional. '#' lines are comments.
+
+def load_lexicon(path) -> SubjectivityLexicon:
+    """Load a lexicon file: the TSV format if its name ends in ``.tsv``, the
+    XML format otherwise.
+
+    XML holds one ``<word>`` element per sense with the attributes form,
+    subjectivity and optional intensity; the polarity and pos attributes of
+    older files are ignored.
     """
-    p = Path(path)
-    if not p.exists():
-        raise ResourceError(f"lexicon file not found: {p}")
-    entries: list[LexiconEntry] = []
-    skipped = 0
-    for line in p.read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cols = line.rstrip("\n").split("\t")
-        attrs = {"form": cols[0]}
-        if len(cols) > 1:
-            attrs["subjectivity"] = cols[1]
-        if len(cols) > 2:
-            attrs["polarity"] = cols[2]
-        if len(cols) > 3:
-            attrs["intensity"] = cols[3]
-        entry = _parse_word_attrs(attrs)
-        if entry is None:
-            skipped += 1
-        else:
-            entries.append(entry)
-    if not entries:
-        raise EmptyLexiconError(f"lexicon file {p} contains no usable entries")
-    negations = load_negations(negations_path) if negations_path else frozenset()
-    return SubjectivityLexicon(entries, negations, skipped)
+    return _load(path, _tsv_records if str(path).endswith(".tsv") else _xml_records)
+
+
+def load_lexicon_tsv(path) -> SubjectivityLexicon:
+    """Plain-TSV loader: columns form, subjectivity, polarity (ignored) and
+    intensity, the last two optional. '#' lines are comments."""
+    return _load(path, _tsv_records)
 
 
 def write_lexicon_tsv(lexicon: SubjectivityLexicon, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``lexicon`` in the TSV format, with 0.0 in the polarity column
+    that files of this layout carry."""
+    with replacing(path, "w", encoding="utf-8") as fh:
         fh.write("# form\tsubjectivity\tpolarity\tintensity\n")
         for form in sorted(lexicon.forms):
             for e in lexicon.senses(form):
-                fh.write(f"{e.form}\t{e.subjectivity!r}\t{e.polarity!r}\t{e.intensity!r}\n")
+                fh.write(f"{e.form}\t{e.subjectivity!r}\t0.0\t{e.intensity!r}\n")
 
 
 @lru_cache(maxsize=4)
-def _cached_lexicon(xml_path: str, neg_path: str | None) -> SubjectivityLexicon:
-    if xml_path.endswith(".tsv"):
-        return load_lexicon_tsv(xml_path, neg_path)
-    return load_lexicon(xml_path, neg_path)
+def _cached_lexicon(path: str) -> SubjectivityLexicon:
+    return load_lexicon(path)
 
 
 def default_lexicon() -> SubjectivityLexicon:
     """The packaged reference lexicon, overridable via SUBSENSE_LEXICON."""
-    override = os.environ.get(ENV_LEXICON)
-    if override:
-        sibling = Path(override).with_name("en_negations.txt")
-        return _cached_lexicon(override, str(sibling) if sibling.exists() else None)
-    return _cached_lexicon(str(DEFAULT_LEXICON_XML), str(DEFAULT_NEGATIONS))
+    return _cached_lexicon(os.environ.get(ENV_LEXICON) or str(DEFAULT_LEXICON_XML))
 
 
 def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):
@@ -251,9 +212,7 @@ def assess(tokens, lexicon: SubjectivityLexicon) -> list[Assessment]:
 
     A single-token entry with mean intensity != 1 that directly precedes
     another hit is consumed as that hit's modifier instead of producing its
-    own assessment; only one modifier ever applies to a match. Negation
-    words flip the polarity of the following match and leave subjectivity
-    untouched.
+    own assessment; only one modifier ever applies to a match.
     """
     tokens = list(tokens)
     out: list[Assessment] = []
@@ -275,14 +234,9 @@ def assess(tokens, lexicon: SubjectivityLexicon) -> list[Assessment]:
             i += 1
             continue
         subj = lexicon.mean_subjectivity(form)
-        pol = lexicon.mean_polarity(form)
-        neg_idx = i - 1 if pending is None else i - 2
         if pending is not None:
             subj = min(1.0, max(0.0, subj * pending))
-            pol = min(1.0, max(-1.0, pol * pending))
-        if neg_idx >= 0 and tokens[neg_idx] in lexicon.negations:
-            pol = -pol
-        out.append(Assessment(i, i + width, tuple(tokens[i : i + width]), subj, pol))
+        out.append(Assessment(i, i + width, tuple(tokens[i : i + width]), subj))
         pending = None
         i += width
     return out

@@ -13,7 +13,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .atomic import replacing
-from .errors import ContractError, EmptyDatasetError, ResourceError
+from .errors import ContractError, EmptyDatasetError, read_text
 
 PAD, UNK, CLS, SEP = 0, 1, 2, 3
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]")
@@ -94,9 +94,7 @@ class Vocab:
     @classmethod
     def load(cls, path) -> "Vocab":
         p = Path(path)
-        if not p.exists():
-            raise ResourceError(f"vocab file not found: {p}")
-        lines = p.read_text(encoding="utf-8").splitlines()
+        lines = read_text(p, "vocab file").splitlines()
         if lines[: len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
             raise ContractError(f"vocab file {p} does not start with the reserved specials")
         return cls.from_tokens(lines[len(SPECIAL_TOKENS):])

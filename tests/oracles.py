@@ -266,14 +266,9 @@ def assess(tokens, lexicon) -> list[Assessment]:
             i += 1
             continue
         subj = _mean(lexicon, form, "subjectivity")
-        pol = _mean(lexicon, form, "polarity")
-        neg_idx = i - 1 if pending is None else i - 2
         if pending is not None:
             subj = min(1.0, max(0.0, subj * pending))
-            pol = min(1.0, max(-1.0, pol * pending))
-        if neg_idx >= 0 and tokens[neg_idx] in lexicon.negations:
-            pol = -pol
-        out.append(Assessment(i, i + width, tuple(tokens[i : i + width]), subj, pol))
+        out.append(Assessment(i, i + width, tuple(tokens[i : i + width]), subj))
         pending = None
         i += width
     return out

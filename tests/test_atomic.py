@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from subsense import datasets as ds
 from subsense import encoder as enc
+from subsense import subjectivity as sj
 from subsense import textprep as tp
 from subsense import trainer as tr
 from subsense.atomic import replacing
@@ -39,8 +41,13 @@ def test_artifact_writers_leave_only_their_files(tmp_path):
     history = tr.TrainHistory([tr.HistoryEntry(1, 0.5, None, 1e-3, 0)])
     history.to_csv(tmp_path / "history.csv")
     tp.Vocab.from_tokens(["a", "b"]).save(tmp_path / "vocab.txt")
+    corpus = ds.synth_generate(100, 0.5, 0.0, 1)
+    ds.write_canonical(corpus.comments, tmp_path / "corpus.csv")
+    sj.write_lexicon_tsv(corpus.lexicon, tmp_path / "lexicon.tsv")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "checkpoint.bin", "history.csv", "vocab.txt"]
+        "checkpoint.bin", "corpus.csv", "history.csv", "lexicon.tsv", "vocab.txt"]
+    assert ds.read_canonical(tmp_path / "corpus.csv") == list(corpus.comments)
+    assert len(sj.load_lexicon_tsv(tmp_path / "lexicon.tsv")) == 100
     loaded = enc.load_params(tmp_path / "checkpoint.bin")
     for name, tensor in params.items():
         assert np.array_equal(loaded[name], tensor)

@@ -99,6 +99,15 @@ class TestScore:
         out = capsys.readouterr().out
         assert "subjectivity 0.8000" in out
 
+    def test_byte_order_mark_is_not_part_of_the_first_entry(self, tmp_path, capsys):
+        lexicon, terms = tmp_path / "mini.tsv", tmp_path / "terms.txt"
+        lexicon.write_bytes("\ufeffsentence\t0.4\n".encode("utf-8"))
+        terms.write_bytes("\ufeffwomen\n".encode("utf-8"))
+        assert cli.dispatch(["score", "--text", "women, a sentence", "--lexicon", str(lexicon),
+                             "--identity-terms", str(terms)]) == 0
+        out = capsys.readouterr().out
+        assert "subjectivity 0.4000" in out and "matched: women" in out
+
     def test_explicit_lexicon_flag(self, tmp_path, capsys):
         custom = tmp_path / "mini.tsv"
         custom.write_text("sentence\t0.4\n")
@@ -324,6 +333,28 @@ class TestBadInputExitsTwo:
     def test_read_error(self, tmp_path, capsys):
         assert cli.dispatch(["score", "--file", str(tmp_path)]) == 2
         self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("name,argv", [
+        ("bad.tsv", ["score", "--text", "good", "--lexicon", "{bad}"]),
+        ("bad.xml", ["score", "--text", "good", "--lexicon", "{bad}"]),
+        ("bad.txt", ["score", "--text", "good", "--identity-terms", "{bad}"]),
+        ("bad.txt", ["score", "--file", "{bad}"]),
+        ("bad.csv", ["split", "--input", "{bad}", "--outdir", "{tmp}/out", "--seed", "1"]),
+        ("bad.csv", ["convert", "--kind", "ws", "--input", "{bad}", "--output", "{tmp}/o.csv"]),
+        ("vocab.txt", ["eval", "--manifest", "{manifest}", "--test", "{test}",
+                       "--output", "{tmp}/eval.json"]),
+    ], ids=["lexicon-tsv", "lexicon-xml", "identity-terms", "score-file", "split", "convert",
+            "vocab"])
+    def test_input_not_utf8(self, pipeline, tmp_path, capsys, name, argv):
+        bad = tmp_path / name
+        bad.write_bytes(b"good\t0.6\n\xff\n")
+        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
+        manifest["artifacts"]["vocab"] = str(bad)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        fill = {"bad": bad, "tmp": tmp_path, "manifest": tmp_path / "manifest.json",
+                "test": pipeline["data"] / "test.csv"}
+        assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
+        assert str(bad) in self.one_line_error(capsys)
 
     def test_write_error(self, pipeline, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -1,7 +1,7 @@
 """The single feature pass equals the frozen per-call path in ``oracles``.
 
 ``word_split`` and ``score`` are compared on arbitrary text, ``assess`` on
-token streams built from lexicon forms, modifiers, negations and filler,
+token streams built from lexicon forms, modifiers, "not", "never" and filler,
 and ``prepare_examples`` plus the audit on whole corpora: every value must
 be exactly equal, not merely close.
 """
@@ -26,24 +26,23 @@ PACKAGED = sj.default_lexicon()
 TERMS = idn.default_terms()
 
 # Several senses per form (the means are not a single value), two- and
-# three-word forms, modifiers that also start or finish a longer form, and
-# negations.
+# three-word forms, modifiers that also start or finish a longer form, and a
+# former negation word ("not") as a form of its own.
 STREAM_LEXICON = sj.SubjectivityLexicon(
     [
-        sj.LexiconEntry("good", 0.6, 0.7),
-        sj.LexiconEntry("good", 0.7, 0.1),
-        sj.LexiconEntry("good", 0.35, 0.3, 1.0),
-        sj.LexiconEntry("bad", 0.65, -0.7),
-        sj.LexiconEntry("very", 0.3, 0.2, 1.3),
-        sj.LexiconEntry("very", 0.2, 0.1, 1.4),
-        sj.LexiconEntry("slightly", 0.1, 0.0, 0.7),
-        sj.LexiconEntry("fed up", 0.9, -0.6),
-        sj.LexiconEntry("very well", 0.4, 0.3),
-        sj.LexiconEntry("over the top", 0.8, -0.2, 1.2),
-        sj.LexiconEntry("top", 0.5, 0.4),
-        sj.LexiconEntry("not", 0.05, 0.0),
+        sj.LexiconEntry("good", 0.6),
+        sj.LexiconEntry("good", 0.7),
+        sj.LexiconEntry("good", 0.35, intensity=1.0),
+        sj.LexiconEntry("bad", 0.65),
+        sj.LexiconEntry("very", 0.3, intensity=1.3),
+        sj.LexiconEntry("very", 0.2, intensity=1.4),
+        sj.LexiconEntry("slightly", 0.1, intensity=0.7),
+        sj.LexiconEntry("fed up", 0.9),
+        sj.LexiconEntry("very well", 0.4),
+        sj.LexiconEntry("over the top", 0.8, intensity=1.2),
+        sj.LexiconEntry("top", 0.5),
+        sj.LexiconEntry("not", 0.05),
     ],
-    negations=("not", "never"),
 )
 STREAM_WORDS = (
     "good", "bad", "very", "slightly", "fed", "up", "well", "over", "the", "top",
@@ -114,7 +113,6 @@ def test_sense_means_are_the_per_call_means():
     for lexicon in (PACKAGED, STREAM_LEXICON):
         for form in lexicon.forms:
             assert lexicon.mean_subjectivity(form) == oracles._mean(lexicon, form, "subjectivity")
-            assert lexicon.mean_polarity(form) == oracles._mean(lexicon, form, "polarity")
             assert lexicon.mean_intensity(form) == oracles._mean(lexicon, form, "intensity")
 
 

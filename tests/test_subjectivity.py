@@ -10,15 +10,12 @@ from subsense.errors import ContractError, EmptyLexiconError, ResourceError
 from score_vectors import PAIRED_COMMENTS, SPOT_SCORES
 
 
-def make_lexicon(rows, negations=()):
-    """rows: iterable of (form, subjectivity[, polarity[, intensity]])."""
+def make_lexicon(rows):
+    """rows: iterable of (form, subjectivity[, intensity])."""
     entries = []
-    for row in rows:
-        form, subj = row[0], row[1]
-        pol = row[2] if len(row) > 2 else 0.0
-        inten = row[3] if len(row) > 3 else 1.0
-        entries.append(sj.LexiconEntry(form, subj, pol, inten))
-    return sj.SubjectivityLexicon(entries, negations)
+    for form, subj, *intensity in rows:
+        entries.append(sj.LexiconEntry(form, subj, intensity=intensity[0] if intensity else 1.0))
+    return sj.SubjectivityLexicon(entries)
 
 
 XML_OK = """<?xml version="1.0"?>
@@ -74,17 +71,42 @@ class TestLoading:
         assert lex.mean_subjectivity("boring") == 1.0
 
     def test_tsv_round_trip(self, tmp_path):
-        lex = make_lexicon([("good", 0.6, 0.7), ("very", 0.3, 0.2, 1.3)])
+        lex = make_lexicon([("good", 0.6), ("very", 0.3, 1.3)])
         path = tmp_path / "out.tsv"
         sj.write_lexicon_tsv(lex, path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            "good\t0.6\t0.0\t1.0", "very\t0.3\t0.0\t1.3"]
         back = sj.load_lexicon_tsv(path)
         assert len(back) == 2
         assert back.mean_intensity("very") == 1.3
 
-    def test_negations_file(self, tmp_path):
-        path = tmp_path / "neg.txt"
-        path.write_text("# words\nnot\nNEVER\n\n")
-        assert sj.load_negations(path) == frozenset({"not", "never"})
+    def test_tsv_polarity_column_is_ignored(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("good\t0.6\tnot-a-number\t1.3\nbad\t0.65\t-4\n")
+        lex = sj.load_lexicon_tsv(path)
+        assert lex.skipped == 0
+        assert lex.senses("good") == (sj.LexiconEntry("good", 0.6, intensity=1.3),)
+        assert lex.senses("bad") == (sj.LexiconEntry("bad", 0.65),)
+
+    def test_xml_polarity_and_pos_are_ignored(self, tmp_path):
+        path = tmp_path / "lex.xml"
+        path.write_text(
+            '<lexicon><word form="good" pos="JJ" polarity="2" subjectivity="0.6" '
+            'intensity="1.3"/></lexicon>'
+        )
+        lex = sj.load_lexicon(path)
+        assert lex.skipped == 0
+        assert lex.senses("good") == (sj.LexiconEntry("good", 0.6, intensity=1.3),)
+
+    def test_load_lexicon_reads_tsv_by_suffix(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("# form\tsubjectivity\tpolarity\tintensity\n"
+                        "good\t0.6\t0.7\t1.0\nvery\t0.3\t0.2\t1.3\nbroken\n")
+        lex, tsv = sj.load_lexicon(path), sj.load_lexicon_tsv(path)
+        assert lex.skipped == tsv.skipped == 1
+        assert sorted(lex.forms) == sorted(tsv.forms) == ["good", "very"]
+        for form in tsv.forms:
+            assert lex.senses(form) == tsv.senses(form)
 
 
 class TestEntryInvariants:
@@ -92,9 +114,11 @@ class TestEntryInvariants:
         with pytest.raises(ContractError):
             sj.LexiconEntry("word", 1.5)
 
-    def test_polarity_range(self):
-        with pytest.raises(ContractError):
-            sj.LexiconEntry("word", 0.5, polarity=-2.0)
+    def test_intensity_is_keyword_only(self):
+        # A third positional value, as the polarity was, must not be read as
+        # an intensity.
+        with pytest.raises(TypeError):
+            sj.LexiconEntry("good", 0.6, 0.7)
 
     def test_intensity_positive(self):
         with pytest.raises(ContractError):
@@ -115,27 +139,27 @@ class TestAssess:
         assert sj.assess(["plain", "words", "here"], lex) == []
 
     def test_single_sense_passthrough(self):
-        lex = make_lexicon([("boring", 1.0, -1.0)])
+        lex = make_lexicon([("boring", 1.0)])
         result = sj.assess(["boring"], lex)
         assert len(result) == 1
         assert result[0].subjectivity == 1.0
 
     def test_modifier_multiplies_and_clamps(self):
         # min(1.0, 0.9 * 1.3) = 1.0, and the modifier is consumed.
-        lex = make_lexicon([("very", 0.3, 0.2, 1.3), ("gripping", 0.9, 0.5)])
+        lex = make_lexicon([("very", 0.3, 1.3), ("gripping", 0.9)])
         result = sj.assess(["very", "gripping"], lex)
         assert len(result) == 1
         assert result[0].subjectivity == 1.0
         assert result[0].words == ("gripping",)
 
     def test_modifier_below_clamp(self):
-        lex = make_lexicon([("very", 0.3, 0.2, 1.3), ("plain", 0.5)])
+        lex = make_lexicon([("very", 0.3, 1.3), ("plain", 0.5)])
         result = sj.assess(["very", "plain"], lex)
         assert len(result) == 1
         assert result[0].subjectivity == pytest.approx(0.65)
 
     def test_standalone_modifier_scores_itself(self):
-        lex = make_lexicon([("very", 0.3, 0.2, 1.3)])
+        lex = make_lexicon([("very", 0.3, 1.3)])
         result = sj.assess(["very", "ordinary"], lex)
         assert len(result) == 1
         assert result[0].subjectivity == 0.3
@@ -151,21 +175,6 @@ class TestAssess:
         assert len(result) == 1
         assert result[0].words == ("fed", "up")
         assert result[0].subjectivity == 0.9
-
-    def test_negation_flips_polarity_only(self):
-        lex = make_lexicon([("good", 0.6, 0.7)], negations=("not",))
-        plain = sj.assess(["good"], lex)[0]
-        negated = sj.assess(["not", "good"], lex)[0]
-        assert negated.subjectivity == plain.subjectivity == 0.6
-        assert negated.polarity == -plain.polarity
-
-    def test_negation_reaches_through_modifier(self):
-        lex = make_lexicon(
-            [("very", 0.3, 0.2, 1.3), ("good", 0.6, 0.7)], negations=("not",)
-        )
-        result = sj.assess(["not", "very", "good"], lex)
-        assert len(result) == 1
-        assert result[0].polarity < 0
 
 
 class TestScore:
@@ -208,7 +217,7 @@ WORDS = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "moody", "grim", "sunny", "flat", "x1", "y2"]
 )
 PROPERTY_LEXICON = make_lexicon(
-    [("moody", 0.6, -0.2), ("grim", 0.9, -0.7), ("sunny", 0.4, 0.5), ("flat", 0.1)]
+    [("moody", 0.6), ("grim", 0.9), ("sunny", 0.4), ("flat", 0.1)]
 )
 
 

@@ -48,7 +48,7 @@ def identity_corpus(n):
 def soc_setup(n=24, max_len=16, dropout_rate=0.1, n_layers=1):
     data = identity_corpus(n)
     vocab = tp.build_vocab(data, max_size=60)
-    lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9, -0.8)])
+    lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9)])
     prepared = tr.prepare_examples(data, vocab, lexicon, idn.default_terms(), max_len,
                                    ag.AugmentMode.SS)
     config = enc.ModelConfig(max_len=max_len, vocab_size=len(vocab), d_model=8, n_heads=2,

@@ -29,7 +29,7 @@ def comments(n_toxic, n_nontoxic, toxic_word="awful", nontoxic_word="garden"):
 
 def make_setup(data, mode=ag.AugmentMode.BASELINE, max_len=10, **config_overrides):
     vocab = tp.build_vocab(data, max_size=50)
-    lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9, -0.8)])
+    lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9)])
     terms = idn.default_terms()
     prepared = tr.prepare_examples(data, vocab, lexicon, terms, max_len, mode)
     cfg = dict(max_len=max_len, vocab_size=len(vocab), d_model=8, n_heads=2,
@@ -476,7 +476,7 @@ class TestIdentityPositions:
         if max_len < 3:
             return
         vocab = tp.Vocab.from_tokens(["muslim"])
-        lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9, -0.8)])
+        lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9)])
         (ex,) = tr.prepare_examples([Comment("c", text, Label.TOXIC)], vocab, lexicon,
                                     idn.default_terms(), max_len, ag.AugmentMode.SS)
         assert ex.aug.slot_mask == (1 if ex.identity_positions else 0)
