@@ -32,9 +32,11 @@ This is exact too. Every dropped column is masked in every row, and a masked
 key gets weight ``exp(-inf) = 0``, so its value never reaches CLS. Padded
 positions reach CLS through nothing else, so their gradients are
 identically zero, and the dropped ``tok_emb``/``pos_emb`` contributions are
-zeros. Dropout masks are drawn at the full ``(b, seq_len, d)`` shape and then
-narrowed to the kept columns and rows, so the random stream is the one a
-full-sequence pass would consume.
+zeros. Each dropout mask is drawn at the shape of the array it multiplies:
+``(b, width + 1, d)`` for the embedding and every block but the last, and
+``(b, 1, d)`` for the last block's attention and feed-forward, which run on
+CLS alone. So the random stream a pass consumes depends on the trimmed
+width, and no mask entry is drawn for a position the pass does not compute.
 
 The encoder reads a ``Batch`` of arrays that ``assemble`` builds once per
 example set and ``Batch.take`` slices. A batch may run several key-mask
@@ -256,13 +258,11 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
 
 
-def _dropout_mask(rng, shape, rate, cols=slice(None)):
-    """Dropout mask drawn at ``shape``, so the random stream is the one a
-    full pass consumes, and narrowed to columns ``cols`` of axis 1 before it
-    is compared and scaled: elementwise, so the kept entries are the bits
-    the full mask has there."""
+def _dropout_mask(rng, shape, rate):
+    """Inverted dropout mask of ``shape``: ``1 / (1 - rate)`` where a uniform
+    draw falls below ``1 - rate``, else 0."""
     keep = 1.0 - rate
-    return (rng.random(shape)[:, cols] < keep) / keep
+    return (rng.random(shape) < keep) / keep
 
 
 class TokenKeys(NamedTuple):
@@ -307,9 +307,10 @@ class Batch:
         """Rows ``rows`` of a plain batch, trimmed to the token columns before
         their longest extent (at least the CLS column, which the head reads)."""
         width = max(1, int(self.extent[rows].max()))
-        cols = np.append(np.arange(width), self.ids.shape[1])
+        kmask = self.kmask[rows]
         return Batch(self.ids[rows, :width], self.fill[rows],
-                     self.kmask[np.ix_(rows, cols)], self.extent[rows])
+                     np.concatenate((kmask[:, :width], kmask[:, -1:]), axis=1),
+                     self.extent[rows])
 
 
 def assemble(examples: list[AugmentedExample], config: ModelConfig) -> Batch:
@@ -364,13 +365,15 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     lm, d = config.max_len, config.d_model
     dh = d // config.n_heads
     use_dropout = train_mode and config.dropout_rate > 0.0 and dropout_rng is not None
-    # Full-sequence index of each kept column: the tokens, then the slot.
-    kept = np.append(np.arange(width), lm)
 
-    def drop(n, cols):
-        """Dropout mask for ``n`` rows, drawn at the full sequence shape and
-        narrowed to ``cols``."""
-        return _dropout_mask(dropout_rng, (n, config.seq_len, d), config.dropout_rate, cols)
+    def drop(x):
+        """Apply a dropout mask of ``x``'s shape to ``x`` in place, or none
+        outside training; returns the mask (None if none)."""
+        if not use_dropout:
+            return None
+        mask = _dropout_mask(dropout_rng, x.shape, config.dropout_rate)
+        x *= mask
+        return mask
 
     def norm(x, name):
         """RMS norm ``name`` of ``x``; its cache is kept for training only."""
@@ -385,10 +388,7 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     h[:, width] = fill[:, None] + params["pos_emb"][lm]
 
     h, emb_cache = norm(h, "emb_norm")
-    emb_drop = None
-    if use_dropout:
-        emb_drop = drop(b, kept)
-        h = h * emb_drop
+    emb_drop = drop(h)
 
     add_mask = np.where(kmask[:, None, None, :], 0.0, -np.inf)
     layer_caches = []
@@ -413,20 +413,14 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         probs /= probs.sum(axis=-1, keepdims=True)
         ocat = _merge_heads(probs @ v)
         attn = ocat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-        attn_drop = None
-        if use_dropout:
-            attn_drop = drop(len(attn), kept[rows])
-            attn = attn * attn_drop
+        attn_drop = drop(attn)
         h = res + attn
 
         f, ln2_cache = norm(h, f"{p}.norm2")
         u = f @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]
         g = _gelu(u)
         z = g @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
-        ff_drop = None
-        if use_dropout:
-            ff_drop = drop(len(z), kept[rows])
-            z = z * ff_drop
+        ff_drop = drop(z)
         h = h + z
 
         if train_mode:  # inference frees each layer's arrays as the next one runs
@@ -486,7 +480,7 @@ def backward(cache, params, config, dlogits):
         dout = dy.shape[-1]
         dw = x.reshape(-1, din).T @ dy.reshape(-1, dout)
         db = dy.reshape(-1, dout).sum(axis=0)
-        dx = dy @ w.T
+        dx = dy @ np.ascontiguousarray(w.T)  # a strided w.T makes the product slower
         return dw, db, dx
 
     if config.n_layers:
@@ -502,9 +496,7 @@ def backward(cache, params, config, dlogits):
         lc = cache["layers"][i]
         rows = _query_rows(i, config)
 
-        dz = dcur.copy()
-        if lc["ff_drop"] is not None:
-            dz = dz * lc["ff_drop"]
+        dz = dcur if lc["ff_drop"] is None else dcur * lc["ff_drop"]
         dw2, db2, dg = _linear_back(lc["g"], params[f"{p}.ff.w2"], dz)
         grads[f"{p}.ff.w2"] = dw2
         grads[f"{p}.ff.b2"] = db2
@@ -517,9 +509,7 @@ def backward(cache, params, config, dlogits):
         grads[f"{p}.norm2.bias"] = dbias2
         dmid = dcur + dmid_ln
 
-        dattn = dmid.copy()
-        if lc["attn_drop"] is not None:
-            dattn = dattn * lc["attn_drop"]
+        dattn = dmid if lc["attn_drop"] is None else dmid * lc["attn_drop"]
         dwo, dbo, docat = _linear_back(lc["ocat"], params[f"{p}.attn.wo"], dattn)
         grads[f"{p}.attn.wo"] = dwo
         grads[f"{p}.attn.bo"] = dbo
@@ -550,7 +540,7 @@ def backward(cache, params, config, dlogits):
         dcur[:, rows] += dmid
 
     if cache["emb_drop"] is not None:
-        dcur = dcur * cache["emb_drop"]
+        dcur *= cache["emb_drop"]
     dx, dgain_e, dbias_e = _rms_backward(dcur, params["emb_norm.gain"], cache["emb"])
     grads["emb_norm.gain"] = dgain_e
     grads["emb_norm.bias"] = dbias_e

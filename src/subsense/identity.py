@@ -121,8 +121,8 @@ def detect(text: str, lexicon: IdentityLexicon) -> IdentityMatch:
     lowered = text.lower()
     found: list[tuple[str, tuple[int, int]]] = []
     for term in lexicon.terms:
-        for span in _whole_word_spans(lowered, term):
-            found.append((term, span))
+        if term in lowered:  # a quick scan rules most terms out
+            found.extend((term, span) for span in _whole_word_spans(lowered, term))
     found.sort(key=lambda m: (m[1][0], m[1][1], m[0]))
     return IdentityMatch(bool(found), tuple(found))
 

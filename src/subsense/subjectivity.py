@@ -217,9 +217,12 @@ def assess(tokens, lexicon: SubjectivityLexicon) -> list[Assessment]:
     tokens = list(tokens)
     out: list[Assessment] = []
     pending: float | None = None
+    table, heads = lexicon._table, lexicon._heads
     i = 0
     while i < len(tokens):
-        m = _match_at(tokens, i, lexicon)
+        # A token that is neither a form nor the first word of one matches nothing.
+        tok = tokens[i]
+        m = _match_at(tokens, i, lexicon) if tok in table or tok in heads else None
         if m is None:
             pending = None
             i += 1

@@ -163,7 +163,8 @@ def encode(tokens, vocab: Vocab, max_len: int) -> EncodedExample:
     if max_len < 3:
         raise ContractError("max_len must be at least 3")
     kept = list(tokens)[: max_len - 2]
-    ids = [CLS] + [vocab.id(t) for t in kept] + [SEP]
+    lookup = vocab.token_to_id.get
+    ids = [CLS] + [lookup(t, UNK) for t in kept] + [SEP]
     mask = _base_mask(len(ids), max_len)
     ids.extend([PAD] * (max_len - len(ids)))
     return EncodedExample(tuple(ids), mask)

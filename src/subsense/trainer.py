@@ -45,8 +45,10 @@ class TrainSchedule:
 
     def __post_init__(self):
         check_fields(TrainSchedule, vars(self), "TrainSchedule")
-        if min(self.batch_size, self.val_every, self.epoch_cap) <= 0 or self.lr0 <= 0:
+        if min(self.batch_size, self.val_every, self.epoch_cap) <= 0:
             raise ConfigError("schedule values must be positive")
+        if not 0.0 < self.lr0 < math.inf:
+            raise ConfigError(f"lr0 must be positive and finite, not {self.lr0}")
         if self.max_halvings < 1:
             raise ConfigError("max_halvings must be at least 1")
         if not 0.0 < self.halving_factor < 1.0:
@@ -292,17 +294,25 @@ def _flat_grads(grads, names) -> np.ndarray:
     return np.concatenate([grads[name] for name in names], axis=None)
 
 
-def _adam_update(flat, g, m, v, step: int, lr: float) -> None:
+def _adam_update(flat, g, m, v, work, step: int, lr: float) -> None:
     """One Adam step on the flat parameter vector, moments ``m`` and ``v``
     in place. Every operation is elementwise, in the order an update per
-    tensor would run it, so the result is the same bits."""
+    tensor would run it, so the result is the same bits. Intermediates are
+    written into ``work`` and, once the moments are updated, into ``g``:
+    both are overwritten."""
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=work)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    mhat = m / (1.0 - ADAM_BETA1**step)
-    vhat = v / (1.0 - ADAM_BETA2**step)
-    flat -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, g, out=work)
+    v += np.multiply(work, g, out=work)
+    # flat -= lr * mhat / (sqrt(vhat) + eps), with mhat in g and vhat in work.
+    np.divide(v, 1.0 - ADAM_BETA2**step, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**step, out=g)
+    g *= lr
+    g /= work
+    flat -= g
 
 
 def train(
@@ -318,8 +328,8 @@ def train(
     """Run the training loop; returns (best parameters, history)."""
     if not train_set or not val_set:
         raise ContractError("train and validation sets must be non-empty")
-    if soc_weight < 0:
-        raise ContractError("soc_weight must be non-negative")
+    if not 0.0 <= soc_weight < math.inf:
+        raise ContractError(f"soc_weight must be finite and non-negative, not {soc_weight}")
     for ex in (*train_set, *val_set):
         if ex.aug.mode is not mode:
             raise ContractError(f"example mode {ex.aug.mode} does not match {mode}")
@@ -335,6 +345,7 @@ def train(
     names = params.names()
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
+    work = np.empty_like(flat)
     ctrl = HalvingController(schedule.lr0, schedule.max_halvings, schedule.halving_factor)
     history = TrainHistory()
     best_params: EncoderParams | None = None
@@ -366,7 +377,7 @@ def train(
             if not (np.isfinite(loss) and np.isfinite(g).all()):
                 history.entries.append(HistoryEntry(step, loss, None, ctrl.lr, ctrl.halvings))
                 return finish("non_finite")
-            _adam_update(flat, g, m, v, step, ctrl.lr)
+            _adam_update(flat, g, m, v, work, step, ctrl.lr)
 
             val_f1 = None
             if step % schedule.val_every == 0:

@@ -10,8 +10,9 @@ ran every occluded copy as a full row of its own. ``train_per_tensor`` is
 the training loop with one Adam update per tensor, which ``trainer.train``'s
 single update over the flat parameter vector must equal bit for bit.
 ``weighted_loss`` is the per-example loss the batched loss is checked
-against. The last part holds frozen copies of the feature pass and the audit
-from before the audit reused the trainer's per-comment features.
+against. The last part holds frozen copies of identity detection, the
+feature pass and the audit from before the audit reused the trainer's
+per-comment features.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ from subsense import trainer as _tr
 from subsense.augment import AugmentedExample, augment
 from subsense.datasets import Label
 from subsense.errors import ContractError
-from subsense.identity import detect
+from subsense.identity import IdentityMatch
 from subsense.subjectivity import Assessment, SubjectivityScore
 from subsense.textprep import EncodedExample, encode
 from subsense.trainer import PreparedExample
@@ -210,7 +211,35 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
 # Frozen copies of the feature pass and the audit as they were before the
 # audit reused the trainer's per-comment features: every scoring call splits
 # its own text and recomputes each form's sense means, and the audit scores
-# and detects each comment again. The new code must equal them exactly.
+# and detects each comment again. ``detect`` scans the text for every term,
+# as it did before it skipped the terms the text does not contain. The new
+# code must equal them exactly.
+
+
+def _whole_word_spans(text_lower, term):
+    spans = []
+    start = 0
+    while True:
+        i = text_lower.find(term, start)
+        if i < 0:
+            break
+        j = i + len(term)
+        left_ok = i == 0 or not text_lower[i - 1].isalnum()
+        right_ok = j == len(text_lower) or not text_lower[j].isalnum()
+        if left_ok and right_ok:
+            spans.append((i, j))
+        start = i + 1
+    return spans
+
+
+def detect(text, lexicon) -> IdentityMatch:
+    lowered = text.lower()
+    found = []
+    for term in lexicon.terms:
+        for span in _whole_word_spans(lowered, term):
+            found.append((term, span))
+    found.sort(key=lambda m: (m[1][0], m[1][1], m[0]))
+    return IdentityMatch(bool(found), tuple(found))
 
 
 def word_split(text: str) -> list[str]:

@@ -8,9 +8,11 @@ run on all of them, GELU and the RMS backward use ``**``, the RMS norms
 cache their input and reduce with ``np.mean``/``np.sum``, and the token
 embedding gradient is an ``np.add.at`` scatter.
 ``tests/test_reference_path.py`` checks the production encoder against it.
-The structural helpers (head split/merge, dropout masks) are shared with
+The structural helpers (head split/merge) are shared with
 ``subsense.encoder``; assembly and the arithmetic helpers below are kept as
-they were.
+they were. Dropout masks are passed in at the full ``(b, max_len + 1, d)``
+shape rather than drawn, since the production encoder draws each mask at
+the shape of the array it multiplies.
 """
 
 import numpy as np
@@ -19,7 +21,6 @@ from subsense.encoder import (
     _GELU_A,
     _GELU_C,
     _NORM_EPS,
-    _dropout_mask,
     _merge_heads,
     _split_heads,
 )
@@ -74,12 +75,12 @@ def _gelu_grad(u):
     return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u**2)
 
 
-def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
+def forward(batch, params, config, train_mode: bool = False, masks=None):
     """Run the classifier; returns (logits, cache), cache None in inference.
 
-    Dropout fires only when train_mode is set, the configured rate is
-    positive and a generator is supplied; the occlusion regularizer relies
-    on deterministic passes with ``dropout_rng=None``.
+    ``masks`` applies dropout in train mode: ``(emb_drop, [(attn_drop,
+    ff_drop) per layer])``, each of shape ``(b, max_len + 1, d)``. None
+    runs without dropout.
     """
     if not batch:
         raise ContractError("forward needs a non-empty batch")
@@ -87,7 +88,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     b = len(batch)
     lm, length, d = config.max_len, config.seq_len, config.d_model
     dh = d // config.n_heads
-    use_dropout = train_mode and config.dropout_rate > 0.0 and dropout_rng is not None
+    use_dropout = train_mode and masks is not None
 
     x = np.empty((b, length, d))
     x[:, :lm] = params["tok_emb"][ids] + params["pos_emb"][None, :lm]
@@ -97,7 +98,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
     h, emb_cache = _rms_forward(x, params["emb_norm.gain"], params["emb_norm.bias"])
     emb_drop = None
     if use_dropout:
-        emb_drop = _dropout_mask(dropout_rng, h.shape, config.dropout_rate)
+        emb_drop = masks[0]
         h = h * emb_drop
 
     add_mask = np.where(kmask[:, None, None, :] > 0, 0.0, -np.inf)
@@ -116,7 +117,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         attn = ocat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
         attn_drop = None
         if use_dropout:
-            attn_drop = _dropout_mask(dropout_rng, attn.shape, config.dropout_rate)
+            attn_drop = masks[1][i][0]
             attn = attn * attn_drop
         h_mid = h + attn
 
@@ -128,7 +129,7 @@ def forward(batch, params, config, train_mode: bool = False, dropout_rng=None):
         z = g @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
         ff_drop = None
         if use_dropout:
-            ff_drop = _dropout_mask(dropout_rng, z.shape, config.dropout_rate)
+            ff_drop = masks[1][i][1]
             z = z * ff_drop
         h_next = h_mid + z
 

@@ -241,6 +241,18 @@ class TestBadInputExitsTwo:
             "--config", str(config), *TRAIN_FLAGS,
         ])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag,name", [("--lr", "lr0"), ("--soc-weight", "soc_weight")])
+    def test_non_finite_rate(self, pipeline, tmp_path, capsys, flag, name, value):
+        data = pipeline["data"]
+        assert cli.dispatch([
+            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--mode", "ss", "--seed", "1", "--outdir", str(tmp_path / "run"),
+            *TRAIN_FLAGS, f"{flag}={value}",
+        ]) == 2
+        assert name in self.one_line_error(capsys)
+        assert not (tmp_path / "run").exists()
+
     def test_config_not_json(self, pipeline, tmp_path, capsys):
         assert self.train_with_config(pipeline, tmp_path, "{model: 1") == 2
         assert "not valid JSON" in self.one_line_error(capsys)

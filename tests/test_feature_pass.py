@@ -1,9 +1,9 @@
 """The single feature pass equals the frozen per-call path in ``oracles``.
 
-``word_split`` and ``score`` are compared on arbitrary text, ``assess`` on
-token streams built from lexicon forms, modifiers, "not", "never" and filler,
-and ``prepare_examples`` plus the audit on whole corpora: every value must
-be exactly equal, not merely close.
+``word_split``, ``score`` and identity ``detect`` are compared on arbitrary
+text, ``assess`` on token streams built from lexicon forms, modifiers,
+"not", "never" and filler, and ``prepare_examples`` plus the audit on whole
+corpora: every value must be exactly equal, not merely close.
 """
 
 import random
@@ -107,6 +107,22 @@ def test_assess_matches_oracle_on_token_streams(tokens):
     assert sj.assess(tokens, PACKAGED) == oracles.assess(tokens, PACKAGED)
     text = " ".join(tokens)
     assert sj.score(text, STREAM_LEXICON) == oracles.score(text, STREAM_LEXICON)
+
+
+# A term with punctuation, and a term that is a prefix of another.
+DETECT_TERMS = idn.IdentityLexicon(("c++", "jew", "jews", "women"), "detect-test")
+DETECT_PIECES = ("c++", "C++", "jew", "Jews", "jewish", "women", "WOMEN-only", "'s", " ",
+                 ",", "-", "+", "x", "é", "\n")
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(DETECT_PIECES), max_size=12).map("".join)))
+@example("")
+@example("c++c++ jews,jew c+++")
+@example("jewjews women's")
+def test_detect_matches_oracle_on_any_text(text):
+    for lexicon in (TERMS, DETECT_TERMS):
+        assert idn.detect(text, lexicon) == oracles.detect(text, lexicon)
 
 
 def test_sense_means_are_the_per_call_means():

@@ -4,9 +4,11 @@ The production encoder trims each batch to the token columns before its
 longest row's extent, plus the slot, and computes the last block and the
 final norm for the CLS row only. Logits, every parameter gradient and the
 slot-fill gradient must match the reference that runs all ``max_len + 1``
-positions, to 1e-12 absolute, and a dropout pass must leave the random
-stream where the reference leaves it. The length sweep holds a full-length
-row, so only the CLS-only path differs there; the short batches are trimmed.
+positions, to 1e-12 absolute. A train pass hands its dropout masks to the
+reference, embedded in full-shape arrays of ones, and must draw them at the
+shapes it applies them: the trimmed width plus the slot, and CLS alone in
+the last block. The length sweep holds a full-length row, so only the
+CLS-only path differs there; the short batches are trimmed.
 """
 
 import numpy as np
@@ -92,15 +94,49 @@ def check_inference_logits(config, params, batch):
     assert max_abs_diff(logits, expected) <= TOL
 
 
+def applied_mask_shapes(config, batch):
+    """The shapes of the dropout masks one train pass over ``batch`` applies,
+    in the order it draws them: the embedding, then each block's attention
+    and feed-forward, the last block's on CLS alone."""
+    b, d = len(batch), config.d_model
+    columns = max(1, max(ex.base.extent for ex in batch)) + 1
+    shapes = [(b, columns, d)]
+    for i in range(config.n_layers):
+        shapes += [(b, 1 if i == config.n_layers - 1 else columns, d)] * 2
+    return shapes
+
+
+def full_shape_masks(cache, config):
+    """The masks of a production train cache as ``ref.forward`` takes them:
+    each embedded in a ``(b, max_len + 1, d)`` array of ones at the columns
+    it covers (the kept tokens and the slot, or CLS alone)."""
+    b, width = cache["ids"].shape
+
+    def embed(mask):
+        cols = [0] if mask.shape[1] == 1 else [*range(width), config.max_len]
+        full = np.ones((b, config.seq_len, config.d_model))
+        full[:, cols] = mask
+        return full
+
+    layers = [(embed(lc["attn_drop"]), embed(lc["ff_drop"])) for lc in cache["layers"]]
+    return embed(cache["emb_drop"]), layers
+
+
 def check_train_logits_and_gradients(config, params, batch):
-    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    rng = np.random.default_rng(5)
     logits, cache = enc.forward(enc.assemble(batch, config), params, config,
-                                train_mode=True, dropout_rng=rng_new)
+                                train_mode=True, dropout_rng=rng)
     expected, ref_cache = ref.forward(batch, params, config, train_mode=True,
-                                      dropout_rng=rng_ref)
+                                      masks=full_shape_masks(cache, config))
     assert max_abs_diff(logits, expected) <= TOL
-    # Dropout masks are drawn at full shape, so the stream stays in step.
-    assert rng_new.random() == rng_ref.random()
+    # The pass drew exactly its applied shapes, in order, and nothing more.
+    drawn = [cache["emb_drop"]] + [lc[key] for lc in cache["layers"]
+                                   for key in ("attn_drop", "ff_drop")]
+    assert [m.shape for m in drawn] == applied_mask_shapes(config, batch)
+    fresh, keep = np.random.default_rng(5), 1.0 - config.dropout_rate
+    for mask in drawn:
+        assert np.array_equal(mask, (fresh.random(mask.shape) < keep) / keep)
+    assert rng.random() == fresh.random()
 
     upstream = np.random.default_rng(9).normal(size=logits.shape)
     grads, slot_grad = enc.backward(cache, params, config, upstream)

@@ -1,10 +1,9 @@
 """One training step: the flat Adam update, the bincount embedding gradient,
-the RMS norms, the narrowed dropout masks and the vectorised occlusion
-regularizer against their oracles.
+the RMS norms and the vectorised occlusion regularizer against their oracles.
 
-The flat Adam update, the bincount, the dropout masks and the regularizer's
-vectorised bookkeeping only regroup elementwise operations, so they must
-equal their oracles bit for bit. The RMS norms compute the same values
+The flat Adam update, the bincount and the regularizer's vectorised
+bookkeeping only regroup elementwise operations, so they must equal their
+oracles bit for bit. The RMS norms compute the same values
 through different reductions and must match the frozen copies in
 ``reference_encoder`` to 1e-12. The occluded variants share their comment's
 rows, so their gradients are summed onto those rows in another order than
@@ -193,19 +192,6 @@ def test_soc_variants_mask_one_identity_key_each():
         (ex.base.n_real, ex.slot_mask) for ex in want]
     plain = np.array([r for r in rows if not prepared[r].identity_positions], dtype=np.intp)
     assert tr._soc_variants(data, plain, tr._identity_csr(prepared)) is None
-
-
-@pytest.mark.parametrize("cols", [slice(None), slice(0, 1), np.array([0, 1, 2, 16])])
-def test_narrowed_dropout_mask_equals_full_mask(cols):
-    """Narrowing before the compare and the scale gives the bits of the
-    full mask narrowed afterwards, and leaves the stream where it was."""
-    shape, rate = (32, 17, 32), 0.1
-    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-    got = enc._dropout_mask(got_rng, shape, rate, cols)
-    keep = 1.0 - rate
-    want = ((want_rng.random(shape) < keep).astype(np.float64) / keep)[:, cols]
-    assert same_bits(got, want)
-    assert got_rng.random() == want_rng.random()
 
 
 class TestNonFinite:

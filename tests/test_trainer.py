@@ -406,6 +406,17 @@ class TestTrain:
             tr.TrainSchedule(batch_size=0)
         with pytest.raises(ConfigError):
             tr.TrainSchedule(max_halvings=0)
+        for lr0 in (0.0, -1e-3, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="lr0 must be positive and finite"):
+                tr.TrainSchedule(lr0=lr0)
+
+    @pytest.mark.parametrize("soc_weight", [-0.1, float("nan"), float("inf")])
+    def test_soc_weight_rejected(self, soc_weight):
+        prepared, config = make_setup(comments(5, 5))
+        schedule = tr.TrainSchedule(batch_size=4, epoch_cap=1)
+        with pytest.raises(ContractError, match="soc_weight must be finite and non-negative"):
+            tr.train(prepared, prepared, config, schedule, ag.AugmentMode.BASELINE,
+                     soc_weight=soc_weight)
 
     def test_schedule_types(self):
         for field, value in (("lr0", True), ("batch_size", 8.0), ("epoch_cap", "2"),
