@@ -7,7 +7,7 @@ gated on identity-term presence. A bias-audit harness decomposes errors by
 identity presence and subjectivity.
 """
 
-from .augment import AugmentedExample, AugmentMode
+from .augment import AugmentMode
 from .datasets import Comment, DatasetKind, Label, convert, split, synth_generate
 from .encoder import EncoderParams, ModelConfig, backward, forward, init
 from .errors import SubsenseError
@@ -22,20 +22,20 @@ from .subjectivity import (
     load_lexicon_tsv,
     score,
 )
-from .textprep import EncodedExample, Vocab, build_vocab, encode, word_split
+from .textprep import Vocab, build_vocab, encode, word_split
 from .trainer import ClassWeights, TrainSchedule, class_weights, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentMode", "AugmentedExample",
+    "AugmentMode",
     "Comment", "DatasetKind", "Label", "convert", "split", "synth_generate",
     "EncoderParams", "ModelConfig", "backward", "forward", "init",
     "SubsenseError",
     "IdentityLexicon", "IdentityMatch", "coverage", "default_terms", "detect",
     "LexiconEntry", "SubjectivityLexicon", "SubjectivityScore", "assess",
     "default_lexicon", "load_lexicon", "load_lexicon_tsv", "score",
-    "EncodedExample", "Vocab", "build_vocab", "encode", "word_split",
+    "Vocab", "build_vocab", "encode", "word_split",
     "ClassWeights", "TrainSchedule", "class_weights", "train",
     "__version__",
 ]

@@ -20,8 +20,8 @@ from . import audit, datasets, encoder, identity, subjectivity, textprep, traine
 from .atomic import replacing
 from .augment import AugmentMode
 from .errors import (
-    ConfigError, ContractError, ResourceError, SchemaError, SubsenseError, UsageError,
-    check_fields, read_text,
+    ConfigError, ContractError, EmptyDatasetError, ResourceError, SchemaError, SubsenseError,
+    UsageError, check_fields, read_text,
 )
 
 MANIFEST_VERSION = 1
@@ -117,6 +117,14 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+def _read_comments(path) -> list[datasets.Comment]:
+    """The comments of a canonical CSV, which must hold at least one."""
+    comments = datasets.read_canonical(path)
+    if not comments:
+        raise EmptyDatasetError(f"no comments in {path}")
+    return comments
+
+
 def _cmd_split(args) -> int:
     comments = datasets.read_canonical(args.input)
     train, val, test = datasets.split(comments, args.seed)
@@ -201,8 +209,8 @@ def _schedule_from_args(args) -> trainer.TrainSchedule:
 
 def _cmd_train(args) -> int:
     mode = AugmentMode.parse(args.mode)
-    train_comments = datasets.read_canonical(args.train)
-    val_comments = datasets.read_canonical(args.val)
+    train_comments = _read_comments(args.train)
+    val_comments = _read_comments(args.val)
     subj_lex, subj_label = _resolve_subj_lexicon(args.lexicon)
     id_lex, id_label = _resolve_id_lexicon(args.identity_terms)
 
@@ -303,6 +311,9 @@ def _rebuild_run(manifest):
     except ConfigError as exc:
         raise ContractError(f"{config_path}: {exc}") from None
     vocab = textprep.Vocab.load(manifest["artifacts"]["vocab"])
+    if len(vocab) != config.vocab_size:
+        raise ContractError(f"{manifest['artifacts']['vocab']} holds {len(vocab)} tokens, "
+                            f"{config_path} says {config.vocab_size}")
     params = encoder.load_params(manifest["artifacts"]["checkpoint"])
     encoder.validate_params(params, config)
     subj_path = manifest["lexicon"]
@@ -351,11 +362,15 @@ def _read_predictions(path, tag, comments):
         if not rows or rows[0] != PREDICTION_COLUMNS or len(rows) - 1 != len(comments):
             raise stale("predictions do not cover the test CSV")
         preds, features = [], []
-        for comment, (cid, pred, _, subj, terms) in zip(comments, rows[1:]):
+        for comment, (cid, pred, p_toxic, subj, terms) in zip(comments, rows[1:]):
             if cid != comment.id:
                 raise stale(f"id {cid!r} where the test CSV has {comment.id!r}")
+            subj = float(subj)
+            if not (0.0 <= float(p_toxic) <= 1.0 and 0.0 <= subj <= 1.0):  # NaN fails too
+                raise stale(f"malformed predictions (p_toxic or subjectivity of {cid!r} "
+                            "outside [0, 1])")
             preds.append(datasets.Label.parse(pred))
-            features.append(audit.CommentFeatures(float(subj), tuple(terms.split())))
+            features.append(audit.CommentFeatures(subj, tuple(terms.split())))
     except (ValueError, csv.Error, SchemaError) as exc:
         raise stale(f"malformed predictions ({exc})") from None
     return preds, features
@@ -364,10 +379,9 @@ def _read_predictions(path, tag, comments):
 def _cmd_eval(args) -> int:
     manifest = _load_manifest(args.manifest)
     config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest)
-    comments = datasets.read_canonical(args.test)
+    comments = _read_comments(args.test)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
-    preds, probs = trainer.predict_batch(
-        params, config, encoder.assemble([ex.aug for ex in prepared], config))
+    preds, probs = trainer.predict_batch(params, config, prepared.data)
     counts = audit.confusion(preds, [c.label for c in comments])
     test_sha256 = _sha256_file(args.test)
     report = {
@@ -384,7 +398,7 @@ def _cmd_eval(args) -> int:
     out = Path(args.output) if args.output else Path(manifest["artifacts"]["eval_report"])
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_predictions(out.parent / PREDICTIONS_FILE, _predictions_tag(manifest, test_sha256),
-                       comments, preds, probs, [ex.features for ex in prepared])
+                       comments, preds, probs, prepared.features)
     _write_json(report, out)
     print(f"f1 {report['f1']:.4f} (tp {counts.tp} fp {counts.fp} tn {counts.tn} fn {counts.fn})")
     print(f"report: {out}")
@@ -394,7 +408,7 @@ def _cmd_eval(args) -> int:
 def _cmd_audit(args) -> int:
     manifest = _load_manifest(args.manifest)
     out = Path(args.output) if args.output else Path(manifest["artifacts"]["audit_report"])
-    comments = datasets.read_canonical(args.test)
+    comments = _read_comments(args.test)
     tag = _predictions_tag(manifest, _sha256_file(args.test))
     preds, features = _read_predictions(out.parent / PREDICTIONS_FILE, tag, comments)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)

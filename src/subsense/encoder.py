@@ -38,11 +38,11 @@ zeros. Each dropout mask is drawn at the shape of the array it multiplies:
 CLS alone. So the random stream a pass consumes depends on the trimmed
 width, and no mask entry is drawn for a position the pass does not compute.
 
-The encoder reads a ``Batch`` of arrays that ``assemble`` builds once per
-example set and ``Batch.take`` slices. A batch may run several key-mask
-variants of one row, as the occlusion regularizer does: ``ids`` and ``fill``
-hold one row per comment, ``kmask`` one key mask per variant and ``src`` the
-row of each variant. A key mask does not change the embedding, ``emb_norm``,
+The encoder reads a ``Batch`` of arrays that ``trainer.prepare_examples``
+builds once per example set and ``Batch.take`` slices. A batch may run
+several key-mask variants of one row, as the occlusion regularizer does:
+``ids`` and ``fill`` hold one row per comment, ``kmask`` one key mask per
+variant and ``src`` the row of each variant. A key mask does not change the embedding, ``emb_norm``,
 layer 0's ``norm1`` or its Q, K and V, so these run once per row. Right
 after layer 0's Q, K and V, the queries, keys, values and the residual are
 gathered by ``src``, and all that follows runs per variant; with no layer,
@@ -63,7 +63,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import replacing
-from .augment import AugmentedExample
 from .errors import ConfigError, ContractError, ResourceError, check_fields
 
 CHECKPOINT_MAGIC = b"SSENCPT1"
@@ -270,8 +269,8 @@ class TokenKeys(NamedTuple):
 
 
 class VariantKeys(NamedTuple):
-    """The keys one variant of a ``Batch`` attends, under the names an
-    ``AugmentedExample`` gives them."""
+    """The keys one variant of a ``Batch`` attends: its unmasked token keys
+    and its slot gate bit."""
 
     base: TokenKeys
     slot_mask: int
@@ -311,29 +310,6 @@ class Batch:
         return Batch(self.ids[rows, :width], self.fill[rows],
                      np.concatenate((kmask[:, :width], kmask[:, -1:]), axis=1),
                      self.extent[rows])
-
-
-def assemble(examples: list[AugmentedExample], config: ModelConfig) -> Batch:
-    """The plain batch of ``examples``, built and checked once per example
-    set (each row ``max_len`` long, every id in the vocabulary) and then
-    sliced with ``Batch.take``."""
-    if not examples:
-        raise ContractError("an encoder batch must be non-empty")
-    for ex in examples:
-        if len(ex.base.ids) != config.max_len:
-            raise ContractError(
-                f"example length {len(ex.base.ids)} does not match max_len {config.max_len}"
-            )
-    extent = np.array([ex.base.extent for ex in examples], dtype=np.int32)
-    width = max(1, int(extent.max()))
-    ids = np.array([ex.base.ids[:width] for ex in examples], dtype=np.int32)
-    if ids.max() >= config.vocab_size or ids.min() < 0:
-        raise ContractError("token id outside the configured vocabulary")
-    kmask = np.empty((len(examples), width + 1), dtype=bool)
-    kmask[:, :width] = [ex.base.mask[:width] for ex in examples]
-    kmask[:, width] = [ex.slot_mask for ex in examples]
-    fill = np.array([ex.slot_fill for ex in examples], dtype=np.float64)
-    return Batch(ids, fill, kmask, extent)
 
 
 def _scatter_rows(ids, rows, n):

@@ -1,15 +1,14 @@
-"""Word splitting, vocabulary construction and fixed-length encoding.
+"""Word splitting, vocabulary construction and id encoding.
 
-The encoder consumes fixed-length id sequences laid out as
-``[CLS] t1 .. tk [SEP] [PAD] ...`` with a parallel attention mask that is 1
-on real positions and 0 on padding.
+An encoder row is laid out as ``[CLS] t1 .. tk [SEP] [PAD] ...``, attended
+exactly on its real positions; ``encode`` returns its unpadded ids.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .atomic import replacing
@@ -124,55 +123,13 @@ def build_vocab(corpus, max_size: int = 8000, min_freq: int = 1) -> Vocab:
     return Vocab.from_tokens(kept)
 
 
-@dataclass(frozen=True)
-class EncodedExample:
-    """Fixed-length id sequence with its base attention mask.
-
-    ``n_real`` is derived as the number of 1 bits in the mask; ``encode``
-    guarantees mask bit 1 exactly on non-PAD positions, while mask surgery
-    (occlusion) may deliberately zero a real position afterwards.
-    ``extent`` is one past the last 1 bit: the token layout
-    ``[CLS] t1 .. tk [SEP]`` of an encoded example, whatever interior bits
-    were zeroed later. No position past it is attended.
-    """
-
-    ids: tuple[int, ...]
-    mask: tuple[int, ...]
-    n_real: int = field(init=False)
-    extent: int = field(init=False)
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.mask):
-            raise ContractError("ids and mask must have equal length")
-        if any(b not in (0, 1) for b in self.mask):
-            raise ContractError("mask bits must be 0 or 1")
-        object.__setattr__(self, "n_real", sum(self.mask))
-        extent = len(self.mask) - self.mask[::-1].index(1) if self.n_real else 0
-        object.__setattr__(self, "extent", extent)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def encode(tokens, vocab: Vocab, max_len: int) -> EncodedExample:
-    """Encode tokens as ``[CLS] t1..tk [SEP] [PAD]...`` of length ``max_len``.
+def encode(tokens, vocab: Vocab, max_len: int) -> list[int]:
+    """The ids ``[CLS] t1..tk [SEP]`` of a comment's tokens: the attended
+    positions of its encoder row, at most ``max_len``, without padding.
 
     Tokens past ``max_len - 2`` are dropped from the tail (head truncation);
     out-of-vocabulary tokens map to UNK.
     """
     if max_len < 3:
         raise ContractError("max_len must be at least 3")
-    kept = list(tokens)[: max_len - 2]
-    lookup = vocab.token_to_id.get
-    ids = [CLS] + [lookup(t, UNK) for t in kept] + [SEP]
-    mask = _base_mask(len(ids), max_len)
-    ids.extend([PAD] * (max_len - len(ids)))
-    return EncodedExample(tuple(ids), mask)
-
-
-@lru_cache(maxsize=None)
-def _base_mask(n_real: int, max_len: int) -> tuple[int, ...]:
-    """The mask of an encoded example with ``n_real`` real positions: one
-    immutable tuple per length, shared by every example of that length (at
-    most ``max_len`` cached per ``max_len``)."""
-    return (1,) * n_real + (0,) * (max_len - n_real)
+    return [CLS, *map(vocab.token_to_id.get, tokens[: max_len - 2], repeat(UNK)), SEP]

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import audit
 from .atomic import replacing
-from .augment import AugmentedExample, AugmentMode, augment
+from .augment import AugmentMode, augment
 from .datasets import Label
-from .encoder import (Batch, EncoderParams, ModelConfig, assemble, backward, flat_params,
-                      forward, init)
-from .errors import ConfigError, ContractError, DegenerateLabelsError, check_fields
+from .encoder import Batch, EncoderParams, ModelConfig, backward, flat_params, forward, init
+from .errors import (ConfigError, ContractError, DegenerateLabelsError, EmptyDatasetError,
+                     check_fields)
 from .identity import IdentityLexicon, detect, holds_term
 from .subjectivity import SubjectivityLexicon, score
 from .textprep import Vocab, encode, word_split
@@ -92,20 +92,58 @@ def _batch_loss_grad(logits, labels, weights: ClassWeights):
 
 
 @dataclass(frozen=True)
-class PreparedExample:
-    """One comment ready for the encoder, with occlusion metadata and the
-    identity terms detected in it."""
+class PreparedSet:
+    """Comments ready for the encoder, as columns with one row per comment.
 
-    aug: AugmentedExample
-    label: Label
-    identity_positions: tuple[int, ...] = ()
-    identity_terms: tuple[str, ...] = ()
+    ``data`` is the encoder input (``Batch``): the ids trimmed to the set's
+    longest extent, the slot fill (the subjectivity score verbatim in every
+    mode), the key masks with the slot gate last, and the extents. ``labels``
+    holds the labels as ints and ``terms`` the identity terms detected in each
+    comment, which the audit reads. ``offsets`` and ``positions`` are the
+    encoded positions of the tokens holding those terms in CSR form: row
+    ``i``'s are ``positions[offsets[i]:offsets[i + 1]]``. ``max_len`` and
+    ``vocab_size`` are what the ids were encoded for.
+    """
+
+    data: Batch
+    labels: np.ndarray
+    mode: AugmentMode
+    terms: list[tuple[str, ...]]
+    offsets: np.ndarray
+    positions: np.ndarray
+    max_len: int
+    vocab_size: int
+
+    def __post_init__(self):
+        """Every row's contract, checked once for the whole set."""
+        data, n = self.data, len(self.labels)
+        if not n:
+            raise EmptyDatasetError("an example set must be non-empty")
+        width = data.ids.shape[1]
+        if (data.ids.shape[0], len(data.fill), len(data.extent), len(self.terms),
+                len(self.offsets)) != (n, n, n, n, n + 1) or data.kmask.shape != (n, width + 1):
+            raise ContractError("the columns of an example set must have one row per comment")
+        if width > self.max_len:
+            raise ContractError(f"rows of {width} ids exceed max_len {self.max_len}")
+        in_range = (data.fill >= 0.0) & (data.fill <= 1.0)  # False for NaN
+        if not in_range.all():
+            raise ContractError(f"slot_fill out of [0,1]: {data.fill[~in_range][0]}")
+        gate = data.kmask[:, -1]
+        if self.mode is AugmentMode.BASELINE and gate.any():
+            raise ContractError("baseline mode requires every slot masked")
+        if self.mode is AugmentMode.SO and not gate.all():
+            raise ContractError("slot-always mode requires every slot attended")
+        if data.ids.min() < 0 or data.ids.max() >= self.vocab_size:
+            raise ContractError(f"token id outside a vocabulary of {self.vocab_size}")
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
     @property
-    def features(self) -> audit.CommentFeatures:
-        """What the audit reads of this comment. The slot fill is the
-        subjectivity score verbatim in every mode."""
-        return audit.CommentFeatures(self.aug.slot_fill, self.identity_terms)
+    def features(self) -> list[audit.CommentFeatures]:
+        """What the audit reads of each comment."""
+        return [audit.CommentFeatures(fill, terms)
+                for fill, terms in zip(self.data.fill.tolist(), self.terms)]
 
 
 def identity_token_positions(tokens, terms, max_len: int) -> tuple[int, ...]:
@@ -128,27 +166,40 @@ def prepare_examples(
     id_lexicon: IdentityLexicon,
     max_len: int,
     mode: AugmentMode,
-) -> list[PreparedExample]:
-    """Score, detect, encode and augment a list of comments: one feature
-    pass per comment, whose results the audit reuses."""
-    out = []
+) -> PreparedSet:
+    """Score, detect, encode and gate a list of comments: one feature pass
+    per comment, written straight into the set's columns, whose features the
+    audit reuses."""
+    flat_ids, extent, fill, gate, labels, terms, counts, positions = ([] for _ in range(8))
     for c in comments:
         tokens = word_split(c.text)
-        terms = detect(c.text, id_lexicon).terms
-        s = score(c.text, subj_lexicon, tokens)
-        aug = augment(encode(tokens, vocab, max_len), s, bool(terms), mode)
-        positions = identity_token_positions(tokens, terms, max_len) if terms else ()
-        out.append(PreparedExample(aug, c.label, positions, terms))
-    return out
-
-
-def _identity_csr(examples) -> tuple[np.ndarray, np.ndarray]:
-    """The identity positions of ``examples`` as CSR arrays ``(offsets,
-    positions)``: those of row ``i`` are ``positions[offsets[i]:offsets[i + 1]]``."""
-    offsets = np.zeros(len(examples) + 1, dtype=np.intp)
-    np.cumsum([len(ex.identity_positions) for ex in examples], out=offsets[1:])
-    positions = np.array([p for ex in examples for p in ex.identity_positions], dtype=np.intp)
-    return offsets, positions
+        found = detect(c.text, id_lexicon).terms
+        ids = encode(tokens, vocab, max_len)
+        flat_ids += ids
+        extent.append(len(ids))
+        fill.append(score(c.text, subj_lexicon, tokens).value)
+        gate.append(augment(bool(found), mode))
+        labels.append(c.label)
+        terms.append(found)
+        occluded = identity_token_positions(tokens, found, max_len) if found else ()
+        positions += occluded
+        counts.append(len(occluded))
+    extent = np.array(extent, dtype=np.int32)
+    width = int(extent.max(initial=1))
+    # Row i attends its first extent[i] positions, the ids flat_ids holds in order.
+    real = np.arange(width) < extent[:, None]
+    ids = np.zeros(real.shape, dtype=np.int32)
+    ids[real] = flat_ids
+    kmask = np.empty((len(extent), width + 1), dtype=bool)
+    kmask[:, :width] = real
+    kmask[:, width] = gate
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return PreparedSet(
+        Batch(ids, np.array(fill, dtype=np.float64), kmask, extent),
+        np.array(labels, dtype=np.int64), mode, terms, offsets,
+        np.array(positions, dtype=np.intp), max_len, len(vocab),
+    )
 
 
 @dataclass
@@ -240,8 +291,9 @@ def validation_f1(params, config, data: Batch, labels) -> float:
 def _soc_variants(data: Batch, rows, occlusions):
     """The occlusion pass's batch for rows ``rows`` of ``data`` and where its
     variants sit. The targets are the rows with identity positions
-    (``occlusions``, from ``_identity_csr``); each runs as one unchanged
-    variant followed by one per identity position, with that key masked off.
+    (``occlusions``, a ``PreparedSet``'s ``(offsets, positions)``); each runs
+    as one unchanged variant followed by one per identity position, with that
+    key masked off.
     Returns ``(batch, orig_rows, occ_rows)``: each target's unchanged variant
     and the occluded variants, in order, whose targets ``batch.src`` gives.
     None when no row is a target."""
@@ -316,8 +368,8 @@ def _adam_update(flat, g, m, v, work, step: int, lr: float) -> None:
 
 
 def train(
-    train_set,
-    val_set,
+    train_set: PreparedSet,
+    val_set: PreparedSet,
     config: ModelConfig,
     schedule: TrainSchedule,
     mode: AugmentMode,
@@ -326,19 +378,19 @@ def train(
     progress=None,
 ):
     """Run the training loop; returns (best parameters, history)."""
-    if not train_set or not val_set:
-        raise ContractError("train and validation sets must be non-empty")
     if not 0.0 <= soc_weight < math.inf:
         raise ContractError(f"soc_weight must be finite and non-negative, not {soc_weight}")
-    for ex in (*train_set, *val_set):
-        if ex.aug.mode is not mode:
-            raise ContractError(f"example mode {ex.aug.mode} does not match {mode}")
-    labels = np.array([int(ex.label) for ex in train_set])
+    for prepared in (train_set, val_set):
+        if prepared.mode is not mode:
+            raise ContractError(f"example mode {prepared.mode} does not match {mode}")
+        if prepared.max_len != config.max_len or prepared.vocab_size > config.vocab_size:
+            raise ContractError(
+                f"examples encoded for max_len {prepared.max_len} and {prepared.vocab_size} ids "
+                f"do not fit max_len {config.max_len} and {config.vocab_size} ids")
+    labels = train_set.labels
     weights = class_weights(labels)
-    train_data = assemble([ex.aug for ex in train_set], config)
-    occlusions = _identity_csr(train_set)
-    val_data = assemble([ex.aug for ex in val_set], config)
-    val_labels = [ex.label for ex in val_set]
+    train_data = train_set.data
+    occlusions = (train_set.offsets, train_set.positions)
 
     # Every tensor is a view into ``flat``, so Adam updates them all at once.
     flat, params = flat_params(init(config))
@@ -381,7 +433,7 @@ def train(
 
             val_f1 = None
             if step % schedule.val_every == 0:
-                val_f1 = validation_f1(params, config, val_data, val_labels)
+                val_f1 = validation_f1(params, config, val_set.data, val_set.labels)
                 outcome = ctrl.observe(val_f1)
                 if outcome == "improved":
                     best_params = params.copy()

@@ -10,31 +10,183 @@ ran every occluded copy as a full row of its own. ``train_per_tensor`` is
 the training loop with one Adam update per tensor, which ``trainer.train``'s
 single update over the flat parameter vector must equal bit for bit.
 ``weighted_loss`` is the per-example loss the batched loss is checked
-against. The last part holds frozen copies of identity detection, the
-feature pass and the audit from before the audit reused the trainer's
-per-comment features.
+against. The next part is the per-row pipeline from before
+``trainer.prepare_examples`` wrote a columnar ``PreparedSet``; tests that
+build batches from single examples go through it. The last part holds
+frozen copies of identity detection, the feature pass and the audit from
+before the audit reused the trainer's per-comment features.
 """
 
 import dataclasses
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from subsense import audit as _audit
 from subsense import encoder as _enc
 from subsense import trainer as _tr
-from subsense.augment import AugmentedExample, augment
+from subsense.augment import AugmentMode
 from subsense.datasets import Label
 from subsense.errors import ContractError
-from subsense.identity import IdentityMatch
-from subsense.subjectivity import Assessment, SubjectivityScore
-from subsense.textprep import EncodedExample, encode
-from subsense.trainer import PreparedExample
+from subsense.identity import IdentityMatch, detect as _detect
+from subsense.subjectivity import Assessment, SubjectivityScore, score as _score
+from subsense.textprep import CLS, PAD, SEP, UNK, word_split as _word_split
+
+# ---------------------------------------------------------------------------
+# The per-row pipeline: one frozen, self-checking example per comment,
+# copied into an ``encoder.Batch`` by ``assemble`` and into CSR identity
+# positions by ``identity_csr``. ``prepare_examples`` must equal it bit for
+# bit; ``rows`` reads a ``PreparedSet`` back as its examples.
+
+
+@dataclass(frozen=True)
+class EncodedExample:
+    """Fixed-length id sequence with its base attention mask.
+
+    ``n_real`` is derived as the number of 1 bits in the mask; ``encode``
+    guarantees mask bit 1 exactly on non-PAD positions, while mask surgery
+    (occlusion) may deliberately zero a real position afterwards.
+    ``extent`` is one past the last 1 bit: the token layout
+    ``[CLS] t1 .. tk [SEP]`` of an encoded example, whatever interior bits
+    were zeroed later. No position past it is attended.
+    """
+
+    ids: tuple[int, ...]
+    mask: tuple[int, ...]
+    n_real: int = field(init=False)
+    extent: int = field(init=False)
+
+    def __post_init__(self):
+        if len(self.ids) != len(self.mask):
+            raise ContractError("ids and mask must have equal length")
+        if any(b not in (0, 1) for b in self.mask):
+            raise ContractError("mask bits must be 0 or 1")
+        object.__setattr__(self, "n_real", sum(self.mask))
+        extent = len(self.mask) - self.mask[::-1].index(1) if self.n_real else 0
+        object.__setattr__(self, "extent", extent)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def encode(tokens, vocab, max_len: int) -> EncodedExample:
+    """Encode tokens as ``[CLS] t1..tk [SEP] [PAD]...`` of length ``max_len``."""
+    if max_len < 3:
+        raise ContractError("max_len must be at least 3")
+    kept = list(tokens)[: max_len - 2]
+    lookup = vocab.token_to_id.get
+    ids = [CLS] + [lookup(t, UNK) for t in kept] + [SEP]
+    mask = (1,) * len(ids) + (0,) * (max_len - len(ids))
+    ids.extend([PAD] * (max_len - len(ids)))
+    return EncodedExample(tuple(ids), mask)
+
+
+@dataclass(frozen=True)
+class AugmentedExample:
+    base: EncodedExample
+    slot_fill: float
+    slot_mask: int
+    mode: AugmentMode
+
+    def __post_init__(self):
+        if not 0.0 <= self.slot_fill <= 1.0:
+            raise ContractError(f"slot_fill out of [0,1]: {self.slot_fill}")
+        if self.slot_mask not in (0, 1):
+            raise ContractError("slot_mask must be 0 or 1")
+        if self.mode is AugmentMode.BASELINE and self.slot_mask != 0:
+            raise ContractError("baseline mode requires slot_mask 0")
+        if self.mode is AugmentMode.SO and self.slot_mask != 1:
+            raise ContractError("slot-always mode requires slot_mask 1")
+
+
+def augment(encoded: EncodedExample, score, present: bool, mode) -> AugmentedExample:
+    """Attach the subjectivity slot to an encoded example; the fill is the
+    score verbatim."""
+    fill = score.value if isinstance(score, SubjectivityScore) else float(score)
+    if mode is AugmentMode.BASELINE:
+        slot_mask = 0
+    elif mode is AugmentMode.SO:
+        slot_mask = 1
+    else:
+        slot_mask = 1 if present else 0
+    return AugmentedExample(encoded, fill, slot_mask, mode)
+
+
+@dataclass(frozen=True)
+class PreparedExample:
+    """One comment ready for the encoder, with occlusion metadata and the
+    identity terms detected in it."""
+
+    aug: AugmentedExample
+    label: Label
+    identity_positions: tuple[int, ...] = ()
+    identity_terms: tuple[str, ...] = ()
+
+    @property
+    def features(self) -> _audit.CommentFeatures:
+        return _audit.CommentFeatures(self.aug.slot_fill, self.identity_terms)
+
+
+def prepare_rows(comments, vocab, subj_lexicon, id_lexicon, max_len, mode):
+    """``trainer.prepare_examples`` as a list of ``PreparedExample``."""
+    out = []
+    for c in comments:
+        tokens = _word_split(c.text)
+        terms = _detect(c.text, id_lexicon).terms
+        s = _score(c.text, subj_lexicon, tokens)
+        aug = augment(encode(tokens, vocab, max_len), s, bool(terms), mode)
+        positions = _tr.identity_token_positions(tokens, terms, max_len) if terms else ()
+        out.append(PreparedExample(aug, c.label, positions, terms))
+    return out
+
+
+def assemble(examples, config) -> _enc.Batch:
+    """The plain batch of a list of augmented examples."""
+    if not examples:
+        raise ContractError("an encoder batch must be non-empty")
+    for ex in examples:
+        if len(ex.base.ids) != config.max_len:
+            raise ContractError(
+                f"example length {len(ex.base.ids)} does not match max_len {config.max_len}"
+            )
+    extent = np.array([ex.base.extent for ex in examples], dtype=np.int32)
+    width = max(1, int(extent.max()))
+    ids = np.array([ex.base.ids[:width] for ex in examples], dtype=np.int32)
+    if ids.max() >= config.vocab_size or ids.min() < 0:
+        raise ContractError("token id outside the configured vocabulary")
+    kmask = np.empty((len(examples), width + 1), dtype=bool)
+    kmask[:, :width] = [ex.base.mask[:width] for ex in examples]
+    kmask[:, width] = [ex.slot_mask for ex in examples]
+    fill = np.array([ex.slot_fill for ex in examples], dtype=np.float64)
+    return _enc.Batch(ids, fill, kmask, extent)
+
+
+def identity_csr(examples) -> tuple[np.ndarray, np.ndarray]:
+    """The identity positions of prepared examples as CSR ``(offsets, positions)``."""
+    offsets = np.zeros(len(examples) + 1, dtype=np.intp)
+    np.cumsum([len(ex.identity_positions) for ex in examples], out=offsets[1:])
+    positions = np.array([p for ex in examples for p in ex.identity_positions], dtype=np.intp)
+    return offsets, positions
+
+
+def rows(prepared) -> list[PreparedExample]:
+    """The examples of a ``PreparedSet``, each padded back to ``max_len``."""
+    data, pad = prepared.data, prepared.max_len - prepared.data.ids.shape[1]
+    out = []
+    for i, (ids, kmask, fill, label, terms) in enumerate(zip(
+            data.ids.tolist(), data.kmask.tolist(), data.fill.tolist(),
+            prepared.labels.tolist(), prepared.terms)):
+        base = EncodedExample(tuple(ids) + (PAD,) * pad, tuple(map(int, kmask[:-1])) + (0,) * pad)
+        positions = prepared.positions[prepared.offsets[i]:prepared.offsets[i + 1]]
+        out.append(PreparedExample(AugmentedExample(base, fill, int(kmask[-1]), prepared.mode),
+                                   Label(label), tuple(positions.tolist()), terms))
+    return out
 
 
 def forward(examples, params, config, **kwargs):
     """``encoder.forward`` over a list of augmented examples."""
-    return _enc.forward(_enc.assemble(examples, config), params, config, **kwargs)
+    return _enc.forward(assemble(examples, config), params, config, **kwargs)
 
 
 def decide(logit_pair):
@@ -72,8 +224,8 @@ def _occlude(ex: AugmentedExample, position: int) -> AugmentedExample:
 def soc_args(batch, config):
     """``trainer._soc_loss_and_grads``'s data, rows and occlusions for a
     list of prepared examples that is one training batch."""
-    data = _enc.assemble([ex.aug for ex in batch], config)
-    return data, np.arange(len(batch)), _tr._identity_csr(batch)
+    data = assemble([ex.aug for ex in batch], config)
+    return data, np.arange(len(batch)), identity_csr(batch)
 
 
 def occlusion_penalty(example: PreparedExample, params, config) -> float:
@@ -152,12 +304,10 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
     """``trainer.train`` as it was before the flat Adam update: parameters
     are separate tensors, the occlusion gradients are added tensor by tensor
     and Adam runs once per tensor. No non-finite check."""
-    labels = np.array([int(ex.label) for ex in train_set])
+    labels = train_set.labels
     weights = _tr.class_weights(labels)
-    train_data = _enc.assemble([ex.aug for ex in train_set], config)
-    occlusions = _tr._identity_csr(train_set)
-    val_data = _enc.assemble([ex.aug for ex in val_set], config)
-    val_labels = [ex.label for ex in val_set]
+    train_data = train_set.data
+    occlusions = (train_set.offsets, train_set.positions)
     params = _enc.init(config)
     moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in params.items()}
     ctrl = _tr.HalvingController(schedule.lr0, schedule.max_halvings, schedule.halving_factor)
@@ -170,10 +320,9 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
         order = rng.permutation(n)
         for start in range(0, n, schedule.batch_size):
             chunk = order[start : start + schedule.batch_size]
-            batch = [train_set[j] for j in chunk]
             step += 1
-            logits, cache = forward(
-                [ex.aug for ex in batch], params, config, train_mode=True, dropout_rng=rng,
+            logits, cache = _enc.forward(
+                train_data.take(chunk), params, config, train_mode=True, dropout_rng=rng,
             )
             loss, dlogits = _tr._batch_loss_grad(logits, labels[chunk], weights)
             grads, _ = _enc.backward(cache, params, config, dlogits)
@@ -196,7 +345,7 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
                 tensor -= ctrl.lr * mhat / (np.sqrt(vhat) + _tr.ADAM_EPS)
             val_f1 = None
             if step % schedule.val_every == 0:
-                val_f1 = _tr.validation_f1(params, config, val_data, val_labels)
+                val_f1 = _tr.validation_f1(params, config, val_set.data, val_set.labels)
                 if ctrl.observe(val_f1) == "improved":
                     best_params = params.copy()
             history.entries.append(_tr.HistoryEntry(step, loss, val_f1, ctrl.lr, ctrl.halvings))

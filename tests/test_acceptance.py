@@ -86,9 +86,8 @@ def trained_runs(synth_task):
             params, history = tr.train(
                 train_set, val_set, config, schedule, mode, seed=seed
             )
-            preds, _ = tr.predict_batch(params, config,
-                                        enc.assemble([e.aug for e in test_set], config))
-            test_f1 = audit.f1(audit.confusion(preds, [e.label for e in test_set]))
+            preds, _ = tr.predict_batch(params, config, test_set.data)
+            test_f1 = audit.f1(audit.confusion(preds, test_set.labels))
             runs[(mode, seed)] = {
                 "params": params, "config": config, "test_set": test_set,
                 "f1": test_f1, "history": history,
@@ -130,12 +129,12 @@ def test_a01_mask_gate_equivalence():
             text = " ".join(words)
             assert not idn.detect(text, terms).present
             s = sj.score(text, lexicon)
-            encoded = tp.encode(tp.word_split(text), vocab, config.max_len)
-            ss_batch.append(ag.augment(encoded, s, False, ag.AugmentMode.SS))
-            base_batch.append(ag.augment(encoded, s, False, ag.AugmentMode.BASELINE))
+            encoded = oracles.encode(tp.word_split(text), vocab, config.max_len)
+            ss_batch.append(oracles.augment(encoded, s, False, ag.AugmentMode.SS))
+            base_batch.append(oracles.augment(encoded, s, False, ag.AugmentMode.BASELINE))
             triples += 1
-        ss_logits, _ = enc.forward(enc.assemble(ss_batch, config), params, config)
-        base_logits, _ = enc.forward(enc.assemble(base_batch, config), params, config)
+        ss_logits, _ = enc.forward(oracles.assemble(ss_batch, config), params, config)
+        base_logits, _ = enc.forward(oracles.assemble(base_batch, config), params, config)
         worst = max(worst, float(np.max(np.abs(ss_logits - base_logits))))
     elapsed = time.perf_counter() - started
     verdict(
@@ -153,11 +152,11 @@ def test_a02_slot_liveness(trained_runs):
     params, config = run["params"], run["config"]
 
     def toxic_logit(example):
-        logits, _ = enc.forward(enc.assemble([example], config), params, config)
+        logits, _ = enc.forward(oracles.assemble([example], config), params, config)
         return float(logits[0, ds.Label.TOXIC])
 
-    gated_on = [e.aug for e in run["test_set"] if e.aug.slot_mask == 1]
-    gated_off = [e.aug for e in run["test_set"] if e.aug.slot_mask == 0]
+    gated_on = [e.aug for e in oracles.rows(run["test_set"]) if e.aug.slot_mask == 1]
+    gated_off = [e.aug for e in oracles.rows(run["test_set"]) if e.aug.slot_mask == 0]
     assert len(gated_on) >= 30 and len(gated_off) >= 30
 
     changed = 0
@@ -199,19 +198,21 @@ def test_a03_gradient_oracle():
     )
     vocab = tp.Vocab.from_tokens(["a", "b", "c", "d", "e", "f", "g"])
     batch = [
-        ag.AugmentedExample(tp.encode(["a", "b", "c"], vocab, 6), 0.73, 1, ag.AugmentMode.SS),
-        ag.AugmentedExample(tp.encode(["d", "e"], vocab, 6), 0.21, 0, ag.AugmentMode.SS),
+        oracles.AugmentedExample(oracles.encode(["a", "b", "c"], vocab, 6), 0.73, 1,
+                                 ag.AugmentMode.SS),
+        oracles.AugmentedExample(oracles.encode(["d", "e"], vocab, 6), 0.21, 0,
+                                 ag.AugmentMode.SS),
     ]
     labels = np.array([int(ds.Label.TOXIC), int(ds.Label.NONTOXIC)])
     weights = tr.ClassWeights(1.0, 1.0)
     params = enc.init(config)
 
     def loss_of(current_batch=batch):
-        logits, _ = enc.forward(enc.assemble(current_batch, config), params, config)
+        logits, _ = enc.forward(oracles.assemble(current_batch, config), params, config)
         value, _ = tr._batch_loss_grad(logits, labels, weights)
         return value
 
-    logits, cache = enc.forward(enc.assemble(batch, config), params, config,
+    logits, cache = enc.forward(oracles.assemble(batch, config), params, config,
                                 train_mode=True)
     _, dlogits = tr._batch_loss_grad(logits, labels, weights)
     grads, slot_grad = enc.backward(cache, params, config, dlogits)

@@ -1,54 +1,70 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from subsense import augment as ag
 from subsense import identity as idn
 from subsense import subjectivity as sj
 from subsense import textprep as tp
+from subsense import trainer as tr
+from subsense.datasets import Comment, Label
 from subsense.errors import ContractError
 
 VOCAB = tp.Vocab.from_tokens(["the", "women", "spoke", "boring", "meeting"])
 
 
-def enc(text, max_len=8):
-    return tp.encode(tp.word_split(text), VOCAB, max_len)
+def prepare(texts, mode, lexicon=None):
+    comments = [Comment(f"c{i}", text, Label(i % 2)) for i, text in enumerate(texts)]
+    return tr.prepare_examples(comments, VOCAB, lexicon or sj.default_lexicon(),
+                               idn.default_terms(), 8, mode)
+
+
+def with_columns(prepared, **changes):
+    """``prepared`` with some of its encoder columns replaced, checked anew."""
+    return dataclasses.replace(prepared, data=dataclasses.replace(prepared.data, **changes))
 
 
 class TestGateRules:
     def test_ss_without_identity_masks_slot(self):
-        ex = ag.augment(enc("x"), sj.SubjectivityScore(0.9, 1), False, ag.AugmentMode.SS)
-        assert ex.slot_mask == 0
-        assert ex.slot_fill == 0.9
+        assert ag.augment(False, ag.AugmentMode.SS) is False
 
     def test_so_attends_regardless(self):
-        ex = ag.augment(enc("x"), sj.SubjectivityScore(0.9, 1), False, ag.AugmentMode.SO)
-        assert ex.slot_mask == 1
+        assert ag.augment(False, ag.AugmentMode.SO) is True
 
     def test_baseline_always_masked(self):
-        ex = ag.augment(enc("x"), sj.SubjectivityScore(0.4, 1), True, ag.AugmentMode.BASELINE)
-        assert ex.slot_mask == 0
+        assert ag.augment(True, ag.AugmentMode.BASELINE) is False
 
     def test_ss_with_identity_attends(self):
-        ex = ag.augment(enc("x"), sj.SubjectivityScore(0.6444, 2), True, ag.AugmentMode.SS)
-        assert ex.slot_mask == 1
-        assert ex.slot_fill == 0.6444
+        assert ag.augment(True, ag.AugmentMode.SS) is True
 
     def test_gate_ignores_zero_score(self):
-        ex = ag.augment(enc("x"), sj.SubjectivityScore(0.0, 0), True, ag.AugmentMode.SS)
-        assert ex.slot_mask == 1
+        lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("boring", 0.6)])
+        prepared = prepare(["the women spoke"], ag.AugmentMode.SS, lexicon)
+        assert prepared.data.fill.tolist() == [0.0]
+        assert prepared.data.kmask[:, -1].tolist() == [True]
 
 
 class TestInvariants:
-    def test_fill_range(self):
-        with pytest.raises(ContractError):
-            ag.AugmentedExample(enc("x"), 1.2, 1, ag.AugmentMode.SS)
+    @pytest.mark.parametrize("bad", [1.2, -0.1, float("nan"), float("inf")])
+    def test_fill_range(self, bad):
+        prepared = prepare(["the women spoke", "boring meeting"], ag.AugmentMode.SS)
+        with pytest.raises(ContractError, match="slot_fill out of"):
+            with_columns(prepared, fill=np.array([0.5, bad]))
 
     def test_baseline_mask_rule(self):
-        with pytest.raises(ContractError):
-            ag.AugmentedExample(enc("x"), 0.5, 1, ag.AugmentMode.BASELINE)
+        prepared = prepare(["the women spoke", "boring meeting"], ag.AugmentMode.BASELINE)
+        kmask = prepared.data.kmask.copy()
+        kmask[1, -1] = True
+        with pytest.raises(ContractError, match="baseline"):
+            with_columns(prepared, kmask=kmask)
 
     def test_so_mask_rule(self):
-        with pytest.raises(ContractError):
-            ag.AugmentedExample(enc("x"), 0.5, 0, ag.AugmentMode.SO)
+        prepared = prepare(["the women spoke", "boring meeting"], ag.AugmentMode.SO)
+        kmask = prepared.data.kmask.copy()
+        kmask[0, -1] = False
+        with pytest.raises(ContractError, match="slot-always"):
+            with_columns(prepared, kmask=kmask)
 
     def test_mode_parse(self):
         assert ag.AugmentMode.parse("SS") is ag.AugmentMode.SS
@@ -67,24 +83,22 @@ class TestGateSoundnessAndFidelity:
     ]
 
     def test_gate_matches_detection(self):
-        lex = sj.default_lexicon()
         terms = idn.default_terms()
-        for text in self.TEXTS:
-            s = sj.score(text, lex)
-            present = idn.detect(text, terms).present
-            ex = ag.augment(enc(text), s, present, ag.AugmentMode.SS)
-            assert ex.slot_mask == (1 if present else 0)
+        prepared = prepare(self.TEXTS, ag.AugmentMode.SS)
+        assert prepared.data.kmask[:, -1].tolist() == [
+            idn.detect(text, terms).present for text in self.TEXTS]
 
     def test_fill_is_score_verbatim(self):
         lex = sj.default_lexicon()
-        for text in self.TEXTS:
-            s = sj.score(text, lex)
-            ex = ag.augment(enc(text), s, False, ag.AugmentMode.SS)
-            assert ex.slot_fill == s.value
+        for mode in ag.AugmentMode:
+            prepared = prepare(self.TEXTS, mode)
+            assert prepared.data.fill.tolist() == [sj.score(text, lex).value
+                                                   for text in self.TEXTS]
 
     def test_base_untouched(self):
-        base = enc("the women spoke")
-        before = (base.ids, base.mask)
-        ex = ag.augment(base, sj.SubjectivityScore(0.7, 1), True, ag.AugmentMode.SS)
-        assert ex.base is base
-        assert (base.ids, base.mask) == before
+        """The gate changes the slot column alone: every mode encodes the
+        same ids and token masks."""
+        sets = [prepare(self.TEXTS, mode) for mode in ag.AugmentMode]
+        for other in sets[1:]:
+            assert np.array_equal(other.data.ids, sets[0].data.ids)
+            assert np.array_equal(other.data.kmask[:, :-1], sets[0].data.kmask[:, :-1])

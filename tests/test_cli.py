@@ -368,6 +368,53 @@ class TestBadInputExitsTwo:
         assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
         assert str(bad) in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("value", ["inf", "7.5", "-1", "nan"])
+    @pytest.mark.parametrize("column", [2, 3], ids=["p_toxic", "subjectivity"])
+    def test_predictions_value_outside_unit_interval(self, pipeline, tmp_path, capsys,
+                                                     column, value):
+        manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
+        assert _eval(manifest, test, tmp_path) == 0
+        path = tmp_path / "predictions.csv"
+        tag, *lines = path.read_text(encoding="utf-8").splitlines()
+        header, *rows = csv.reader(lines)
+        rows[2][column] = value
+        body = io.StringIO(newline="")
+        csv.writer(body, lineterminator="\n").writerows([header, *rows])
+        path.write_text(f"{tag}\n{body.getvalue()}", encoding="utf-8")
+        capsys.readouterr()
+        assert _audit(manifest, test, tmp_path) == 2
+        err = self.one_line_error(capsys)
+        assert str(path) in err and "outside [0, 1]" in err and "subsense eval" in err
+        assert not (tmp_path / "audit.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "audit", "train"])
+    def test_csv_without_comments(self, pipeline, tmp_path, capsys, command):
+        empty = tmp_path / "empty.csv"
+        datasets.write_canonical([], empty)
+        assert datasets.read_canonical(empty) == []
+        manifest, data = pipeline["run"] / "manifest.json", pipeline["data"]
+        if command == "eval":
+            code = _eval(manifest, empty, tmp_path)
+        elif command == "audit":
+            code = _audit(manifest, empty, tmp_path)
+        else:
+            code = cli.dispatch(["train", "--train", str(data / "train.csv"), "--val",
+                                 str(empty), "--mode", "ss", "--seed", "1", "--outdir",
+                                 str(tmp_path / "run"), *TRAIN_FLAGS])
+        assert code == 2
+        assert self.one_line_error(capsys) == f"error: no comments in {empty}"
+
+    def test_vocab_of_another_size(self, pipeline, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text((pipeline["run"] / "vocab.txt").read_text(encoding="utf-8") + "extra\n",
+                         encoding="utf-8")
+        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
+        manifest["artifacts"]["vocab"] = str(vocab)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert _eval(tmp_path / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        assert str(vocab) in self.one_line_error(capsys)
+        assert not (tmp_path / "eval.json").exists()
+
     def test_write_error(self, pipeline, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
@@ -401,9 +448,8 @@ def old_path(pipeline):
         config.max_len, AugmentMode.SS,
     )
     params = encoder.load_params(run / "checkpoint.bin")
-    preds, probs = trainer.predict_batch(
-        params, config, encoder.assemble([ex.aug for ex in prepared], config))
-    features = [ex.features for ex in prepared]
+    preds, probs = trainer.predict_batch(params, config, prepared.data)
+    features = prepared.features
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     return {"comments": comments, "preds": preds, "probs": probs, "features": features,
             "report": report}

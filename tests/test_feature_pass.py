@@ -3,17 +3,20 @@
 ``word_split``, ``score`` and identity ``detect`` are compared on arbitrary
 text, ``assess`` on token streams built from lexicon forms, modifiers,
 "not", "never" and filler, and ``prepare_examples`` plus the audit on whole
-corpora: every value must be exactly equal, not merely close.
+corpora: every value must be exactly equal, not merely close. The columnar
+``PreparedSet`` must equal the per-row pipeline in ``oracles`` bit for bit.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsense import audit
 from subsense import datasets as ds
+from subsense import encoder as enc
 from subsense import identity as idn
 from subsense import subjectivity as sj
 from subsense import textprep as tp
@@ -164,7 +167,7 @@ def corpora():
 @pytest.mark.parametrize("max_len", [5, 16])
 def test_prepare_examples_matches_oracle_path(corpora, mode, max_len):
     for comments, vocab, lexicon in corpora:
-        got = tr.prepare_examples(comments, vocab, lexicon, TERMS, max_len, mode)
+        got = oracles.rows(tr.prepare_examples(comments, vocab, lexicon, TERMS, max_len, mode))
         want = oracles.prepare_examples(comments, vocab, lexicon, TERMS, max_len, mode)
         assert len(got) == len(want) == len(comments)
         for ex, (aug, positions), comment in zip(got, want, comments):
@@ -185,8 +188,50 @@ def test_audit_report_matches_oracle(corpora, seed):
         prepared = tr.prepare_examples(comments, vocab, lexicon, TERMS, 16, AugmentMode.SS)
         preds = [rng.choice([ds.Label.TOXIC, ds.Label.NONTOXIC]) for _ in comments]
         golds = [c.label for c in comments]
-        report = audit.audit_report(comments, preds, golds, [ex.features for ex in prepared])
+        report = audit.audit_report(comments, preds, golds, prepared.features)
         expected = oracles.audit_report(comments, preds, golds, TERMS, lexicon)
         assert report.to_json_dict() == expected.to_json_dict()
         assert report.to_text() == expected.to_text()
         assert report.cells_csv_rows() == expected.cells_csv_rows()
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+COMMENT_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(STREAM_WORDS + TERMS.terms + ("Muslim's", "jews,", "women-only")),
+             max_size=40).map(" ".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(COMMENT_TEXTS, st.sampled_from(list(ds.Label))),
+                min_size=1, max_size=6),
+       st.integers(min_value=5, max_value=40))
+@example([("", ds.Label.TOXIC)], 5)
+@example([("the muslim's view of women-only events", ds.Label.NONTOXIC),
+          ("very good", ds.Label.TOXIC)], 8)
+def test_prepared_set_equals_per_row_pipeline(texts, vocab_size):
+    """On arbitrary text, in every mode and at long and truncating lengths,
+    the columns of ``prepare_examples`` are the per-row examples assembled."""
+    comments = [ds.Comment(f"c{i}", text, label) for i, (text, label) in enumerate(texts)]
+    vocab = tp.build_vocab([" ".join(STREAM_WORDS)] + [text for text, _ in texts],
+                           max_size=vocab_size)
+    for mode in AugmentMode:
+        for max_len in (3, 5, 16, 128):
+            got = tr.prepare_examples(comments, vocab, STREAM_LEXICON, TERMS, max_len, mode)
+            rows = oracles.prepare_rows(comments, vocab, STREAM_LEXICON, TERMS, max_len, mode)
+            config = enc.ModelConfig(max_len=max_len, vocab_size=len(vocab), d_model=2,
+                                     n_heads=1)
+            want = oracles.assemble([ex.aug for ex in rows], config)
+            for name in ("ids", "kmask", "fill", "extent"):
+                assert same_array(getattr(got.data, name), getattr(want, name)), name
+            assert got.data.src is None
+            assert same_array(got.labels, np.array([int(ex.label) for ex in rows]))
+            offsets, positions = oracles.identity_csr(rows)
+            assert same_array(got.offsets, offsets)
+            assert same_array(got.positions, positions)
+            assert got.features == [ex.features for ex in rows]
+            assert (got.mode, got.max_len, got.vocab_size) == (mode, max_len, len(vocab))

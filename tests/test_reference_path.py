@@ -41,18 +41,19 @@ def length_sweep_batch(config, rng):
     batch = []
     for n in [*range(1, full, 1 if full < 20 else 7), full, config.max_len + 3]:
         tokens = [f"w{rng.integers(12)}" for _ in range(n)]
-        encoded = tp.encode(tokens, VOCAB, config.max_len)
+        encoded = oracles.encode(tokens, VOCAB, config.max_len)
         for slot_mask in (0, 1):
-            batch.append(ag.AugmentedExample(encoded, float(rng.random()), slot_mask,
-                                             ag.AugmentMode.SS))
+            batch.append(oracles.AugmentedExample(encoded, float(rng.random()), slot_mask,
+                                                  ag.AugmentMode.SS))
     return batch
 
 
 def one_token_batch(config, rng):
     """Rows of a single real token, so every batch keeps three token columns."""
     return [
-        ag.AugmentedExample(tp.encode([f"w{rng.integers(12)}"], VOCAB, config.max_len),
-                            float(rng.random()), slot_mask, ag.AugmentMode.SS)
+        oracles.AugmentedExample(
+            oracles.encode([f"w{rng.integers(12)}"], VOCAB, config.max_len),
+            float(rng.random()), slot_mask, ag.AugmentMode.SS)
         for _ in range(3) for slot_mask in (0, 1)
     ]
 
@@ -66,10 +67,10 @@ def occluded_batch(config, rng):
     batch = []
     for n in sorted({1, longest // 2, longest}):
         tokens = [f"w{rng.integers(12)}" for _ in range(n)]
-        encoded = tp.encode(tokens, VOCAB, config.max_len)
+        encoded = oracles.encode(tokens, VOCAB, config.max_len)
         for slot_mask, position in ((0, n), (1, int(rng.integers(1, n + 1)))):
-            ex = ag.AugmentedExample(encoded, float(rng.random()), slot_mask,
-                                     ag.AugmentMode.SS)
+            ex = oracles.AugmentedExample(encoded, float(rng.random()), slot_mask,
+                                          ag.AugmentMode.SS)
             batch.append(oracles._occlude(ex, position))
     return batch
 
@@ -89,7 +90,7 @@ def build(n_layers, max_len, make_batch):
 
 
 def check_inference_logits(config, params, batch):
-    logits, _ = enc.forward(enc.assemble(batch, config), params, config)
+    logits, _ = enc.forward(oracles.assemble(batch, config), params, config)
     expected, _ = ref.forward(batch, params, config)
     assert max_abs_diff(logits, expected) <= TOL
 
@@ -124,7 +125,7 @@ def full_shape_masks(cache, config):
 
 def check_train_logits_and_gradients(config, params, batch):
     rng = np.random.default_rng(5)
-    logits, cache = enc.forward(enc.assemble(batch, config), params, config,
+    logits, cache = enc.forward(oracles.assemble(batch, config), params, config,
                                 train_mode=True, dropout_rng=rng)
     expected, ref_cache = ref.forward(batch, params, config, train_mode=True,
                                       masks=full_shape_masks(cache, config))
@@ -164,7 +165,7 @@ class TestMatchesReference:
 class TestTrimmedMatchesReference:
     def test_batch_is_trimmed(self, n_layers, max_len, make_batch):
         config, _, batch = build(n_layers, max_len, make_batch)
-        assembled = enc.assemble(batch, config)
+        assembled = oracles.assemble(batch, config)
         ids, kmask = assembled.ids, assembled.kmask
         width = max(ex.base.extent for ex in batch)
         assert ids.shape[1] == width < max_len

@@ -1,8 +1,16 @@
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from subsense import identity as idn
+from subsense import subjectivity as sj
 from subsense import textprep as tp
+from subsense import trainer as tr
+from subsense.augment import AugmentMode
+from subsense.datasets import Comment, Label
 from subsense.errors import ContractError, EmptyDatasetError
 
 WORD = st.text(alphabet="abcdefg", min_size=1, max_size=5)
@@ -91,37 +99,43 @@ class TestVocab:
 class TestEncode:
     def test_layout(self):
         vocab = tp.Vocab.from_tokens(["a"])
-        ex = tp.encode(["a"], vocab, 5)
-        a = vocab.id("a")
-        assert ex.ids == (tp.CLS, a, tp.SEP, tp.PAD, tp.PAD)
-        assert ex.mask == (1, 1, 1, 0, 0)
-        assert ex.n_real == 3
+        assert tp.encode(["a"], vocab, 5) == [tp.CLS, vocab.id("a"), tp.SEP]
 
     def test_head_truncation_to_126(self):
         vocab = tp.Vocab.from_tokens([f"w{i}" for i in range(200)])
         tokens = [f"w{i}" for i in range(200)]
-        ex = tp.encode(tokens, vocab, 128)
-        assert len(ex.ids) == 128
-        assert ex.ids[1] == vocab.id("w0")
-        assert ex.ids[126] == vocab.id("w125")
-        assert ex.ids[127] == tp.SEP
-        assert ex.n_real == 128
+        ids = tp.encode(tokens, vocab, 128)
+        assert len(ids) == 128
+        assert ids[1] == vocab.id("w0")
+        assert ids[126] == vocab.id("w125")
+        assert ids[127] == tp.SEP
 
     def test_oov_token(self):
         vocab = tp.Vocab.from_tokens(["a"])
-        ex = tp.encode(["zzz"], vocab, 5)
-        assert ex.ids[1] == tp.UNK
+        assert tp.encode(["zzz"], vocab, 5)[1] == tp.UNK
 
     def test_min_length_guard(self):
         vocab = tp.Vocab.from_tokens(["a"])
         with pytest.raises(ContractError):
             tp.encode(["a"], vocab, 2)
 
-    def test_example_invariants(self):
+    def test_set_invariants(self):
+        """A prepared set refuses columns of other lengths, rows longer than
+        its max_len and ids outside its vocabulary."""
+        vocab = tp.Vocab.from_tokens(["a", "b"])
+        comments = [Comment("x", "a b a", Label.TOXIC), Comment("y", "b", Label.NONTOXIC)]
+        prepared = tr.prepare_examples(comments, vocab, sj.SubjectivityLexicon(
+            [sj.LexiconEntry("a", 0.5)]), idn.default_terms(), 6, AugmentMode.SS)
+        data = prepared.data
+        for changes in ({"kmask": data.kmask[:, 1:]}, {"fill": data.fill[:1]},
+                        {"ids": np.where(data.ids == tp.SEP, len(vocab), data.ids)},
+                        {"ids": np.where(data.ids == tp.CLS, -1, data.ids)}):
+            with pytest.raises(ContractError):
+                dataclasses.replace(prepared, data=dataclasses.replace(data, **changes))
         with pytest.raises(ContractError):
-            tp.EncodedExample((1, 2), (1,))
+            dataclasses.replace(prepared, max_len=4)
         with pytest.raises(ContractError):
-            tp.EncodedExample((1, 2), (1, 2))
+            dataclasses.replace(prepared, vocab_size=len(vocab) - 1)
 
 
 @st.composite
@@ -131,12 +145,9 @@ def token_lists(draw):
 
 class TestProperties:
     @given(token_lists(), st.integers(min_value=3, max_value=24))
-    def test_lengths_and_mask_consistency(self, tokens, max_len):
+    def test_lengths_and_layout(self, tokens, max_len):
         vocab = tp.build_vocab(["a b c d e f g"], max_size=20)
-        ex = tp.encode(tokens, vocab, max_len)
-        assert len(ex.ids) == len(ex.mask) == max_len
-        assert ex.mask[0] == 1 and ex.ids[0] == tp.CLS
-        for i in range(1, max_len):
-            assert (ex.mask[i] == 1) == (ex.ids[i] != tp.PAD)
-        assert ex.n_real == sum(ex.mask)
-        assert ex.extent == ex.n_real == min(len(tokens), max_len - 2) + 2
+        ids = tp.encode(tokens, vocab, max_len)
+        assert len(ids) == min(len(tokens), max_len - 2) + 2
+        assert ids[0] == tp.CLS and ids[-1] == tp.SEP
+        assert tp.PAD not in ids

@@ -64,7 +64,7 @@ class TestFlatAdam:
     @pytest.mark.parametrize("val_every", [3, 1000])
     def test_matches_per_tensor_updates(self, val_every):
         prepared, config = soc_setup()
-        assert {len(ex.identity_positions) for ex in prepared} >= set(range(1, 8))
+        assert set(np.diff(prepared.offsets).tolist()) >= set(range(1, 8))
         schedule = tr.TrainSchedule(batch_size=8, lr0=3e-3, val_every=val_every,
                                     epoch_cap=4)
         got, history = tr.train(prepared, prepared, config, schedule, ag.AugmentMode.SS,
@@ -136,7 +136,7 @@ def perturbed_params(config, seed=1):
 def test_soc_matches_per_target_loop():
     prepared, config = soc_setup(dropout_rate=0.0)
     params = perturbed_params(config)
-    batch = prepared[:16]
+    batch = oracles.rows(prepared)[:16]
     # 1 to 7 identity tokens per target: sums of fewer than 8 terms.
     assert {len(ex.identity_positions) for ex in batch} >= set(range(1, 8))
     args = oracles.soc_args(batch, config)
@@ -155,11 +155,12 @@ def test_soc_variants_match_combined_pass(n_layers):
     prepared, config = soc_setup(n=40, dropout_rate=0.0, n_layers=n_layers)
     params = perturbed_params(config, seed=n_layers)
     rows = np.random.default_rng(0).permutation(len(prepared))[:20]
-    batch = [prepared[r] for r in rows]
+    examples = oracles.rows(prepared)
+    batch = [examples[r] for r in rows]
     assert {len(ex.identity_positions) for ex in batch} >= {0, *range(1, 8)}
-    data = enc.assemble([ex.aug for ex in prepared], config)
-    penalty, grads = tr._soc_loss_and_grads(data, rows, tr._identity_csr(prepared), params,
-                                            config, 0.4)
+    occlusions = (prepared.offsets, prepared.positions)
+    penalty, grads = tr._soc_loss_and_grads(prepared.data, rows, occlusions, params, config,
+                                            0.4)
     want_penalty, want_grads = oracles.soc_loss_and_grads_combined(batch, params, config, 0.4)
     assert penalty == want_penalty
     assert set(grads) == set(want_grads)
@@ -170,10 +171,11 @@ def test_soc_variants_match_combined_pass(n_layers):
 
 def test_soc_variants_mask_one_identity_key_each():
     prepared, config = soc_setup(n=16)
+    examples = oracles.rows(prepared)
     rows = np.arange(3, 12)
-    data = enc.assemble([ex.aug for ex in prepared], config)
-    batch, orig_rows, occ_rows = tr._soc_variants(data, rows, tr._identity_csr(prepared))
-    targets = [prepared[r] for r in rows if prepared[r].identity_positions]
+    data, occlusions = prepared.data, (prepared.offsets, prepared.positions)
+    batch, orig_rows, occ_rows = tr._soc_variants(data, rows, occlusions)
+    targets = [examples[r] for r in rows if examples[r].identity_positions]
     assert np.bincount(batch.src[occ_rows]).tolist() == [
         len(ex.identity_positions) for ex in targets]
     assert batch.src[orig_rows].tolist() == list(range(len(targets)))
@@ -182,7 +184,7 @@ def test_soc_variants_mask_one_identity_key_each():
     for ex in targets:
         want.append(ex.aug)
         want.extend(oracles._occlude(ex.aug, p) for p in ex.identity_positions)
-    expected = enc.assemble(want, config)
+    expected = oracles.assemble(want, config)
     assert same_bits(batch.kmask, expected.kmask)
     assert same_bits(batch.ids[batch.src], expected.ids)
     assert same_bits(batch.fill[batch.src], expected.fill)
@@ -190,8 +192,8 @@ def test_soc_variants_mask_one_identity_key_each():
     assert len(batch) == len(want)
     assert [(v.base.n_real, v.slot_mask) for v in batch] == [
         (ex.base.n_real, ex.slot_mask) for ex in want]
-    plain = np.array([r for r in rows if not prepared[r].identity_positions], dtype=np.intp)
-    assert tr._soc_variants(data, plain, tr._identity_csr(prepared)) is None
+    plain = np.array([r for r in rows if not examples[r].identity_positions], dtype=np.intp)
+    assert tr._soc_variants(data, plain, occlusions) is None
 
 
 class TestNonFinite:

@@ -13,7 +13,7 @@ from subsense import subjectivity as sj
 from subsense import textprep as tp
 from subsense import trainer as tr
 from subsense.datasets import Comment, Label
-from subsense.errors import ConfigError, ContractError, DegenerateLabelsError
+from subsense.errors import ConfigError, ContractError, DegenerateLabelsError, EmptyDatasetError
 
 import oracles
 
@@ -113,32 +113,33 @@ class TestOcclusionPenalty:
         data = comments(3, 3)
         prepared, config = make_setup(data)
         params = enc.init(config)
-        assert oracles.occlusion_penalty(prepared[0], params, config) == 0.0
+        assert oracles.occlusion_penalty(oracles.rows(prepared)[0], params, config) == 0.0
 
     def test_constant_model(self):
         data = [Comment("a", "the muslim community met", Label.NONTOXIC)] + comments(3, 3)
         prepared, config = make_setup(data)
         params = enc.init(config)
         params["head.w"] = np.zeros_like(params["head.w"])
-        assert prepared[0].identity_positions
-        assert oracles.occlusion_penalty(prepared[0], params, config) == 0.0
+        first = oracles.rows(prepared)[0]
+        assert first.identity_positions
+        assert oracles.occlusion_penalty(first, params, config) == 0.0
 
     def test_matches_two_forward_oracle(self):
         data = [Comment("a", "the muslim women spoke", Label.TOXIC)] + comments(3, 3)
         prepared, config = make_setup(data)
         params = enc.init(config)
-        target = prepared[0]
+        target = oracles.rows(prepared)[0]
         assert len(target.identity_positions) == 2
 
-        base_logits, _ = enc.forward(enc.assemble([target.aug], config), params, config)
+        base_logits, _ = enc.forward(oracles.assemble([target.aug], config), params, config)
         total = 0.0
         for pos in target.identity_positions:
             mask = list(target.aug.base.mask)
             mask[pos] = 0
             occluded = dataclasses.replace(
-                target.aug, base=tp.EncodedExample(target.aug.base.ids, tuple(mask))
+                target.aug, base=oracles.EncodedExample(target.aug.base.ids, tuple(mask))
             )
-            occ_logits, _ = enc.forward(enc.assemble([occluded], config), params, config)
+            occ_logits, _ = enc.forward(oracles.assemble([occluded], config), params, config)
             total += (base_logits[0, Label.TOXIC] - occ_logits[0, Label.TOXIC]) ** 2
         expected = total / len(target.identity_positions)
         assert oracles.occlusion_penalty(target, params, config) == pytest.approx(
@@ -152,7 +153,7 @@ class TestOcclusionPenalty:
         ] + comments(2, 2)
         prepared, config = make_setup(data, mode=ag.AugmentMode.SS)
         params = enc.init(config)
-        batch = prepared[:2]
+        batch = oracles.rows(prepared)[:2]
         soc_weight = 0.7
 
         penalty, grads = tr._soc_loss_and_grads(*oracles.soc_args(batch, config), params, config,
@@ -194,7 +195,7 @@ class TestPredict:
         data = comments(2, 2)
         prepared, config = make_setup(data)
         params = self.constant_params(config, [-2.0, 2.0])
-        label, prob = oracles.predict(params, config, prepared[0].aug)
+        label, prob = oracles.predict(params, config, oracles.rows(prepared)[0].aug)
         assert label is Label.TOXIC
         assert prob == pytest.approx(0.9820, abs=1e-4)
 
@@ -202,7 +203,7 @@ class TestPredict:
         data = comments(2, 2)
         prepared, config = make_setup(data)
         params = self.constant_params(config, [0.0, 0.0])
-        label, prob = oracles.predict(params, config, prepared[0].aug)
+        label, prob = oracles.predict(params, config, oracles.rows(prepared)[0].aug)
         assert label is Label.NONTOXIC
         assert prob == pytest.approx(0.5)
 
@@ -211,7 +212,7 @@ class TestPredict:
         ss_prepared, config = make_setup(data, mode=ag.AugmentMode.SS)
         base_prepared, _ = make_setup(data, mode=ag.AugmentMode.BASELINE)
         params = enc.init(config)
-        for ss_ex, base_ex in zip(ss_prepared, base_prepared):
+        for ss_ex, base_ex in zip(oracles.rows(ss_prepared), oracles.rows(base_prepared)):
             assert ss_ex.aug.slot_mask == 0  # no identity terms in this data
             assert oracles.predict(params, config, ss_ex.aug) == oracles.predict(
                 params, config, base_ex.aug
@@ -253,23 +254,22 @@ class TestPredict:
         params = enc.init(config)
         for name, tensor in params.items():
             params[name] = tensor + rng.normal(scale=1.0, size=tensor.shape)
-        return params, config, [ex.aug for ex in prepared]
+        return params, config, prepared
 
     def test_predict_batch_returns_input_order(self):
-        params, config, examples = self.shuffled_lengths()
-        extents = [ex.base.extent for ex in examples]
+        params, config, prepared = self.shuffled_lengths()
+        extents = prepared.data.extent.tolist()
         assert extents != sorted(extents) and min(extents) < config.max_len
-        preds, probs = tr.predict_batch(params, config, enc.assemble(examples, config),
-                                        batch_size=8)
+        preds, probs = tr.predict_batch(params, config, prepared.data, batch_size=8)
         assert set(preds) == {Label.TOXIC, Label.NONTOXIC}
-        for ex, label, prob in zip(examples, preds, probs, strict=True):
-            one_label, one_prob = oracles.predict(params, config, ex)
+        for ex, label, prob in zip(oracles.rows(prepared), preds, probs, strict=True):
+            one_label, one_prob = oracles.predict(params, config, ex.aug)
             assert label is one_label
             assert abs(prob - one_prob) <= 1e-12
 
     def test_predict_batch_is_repeatable(self):
-        params, config, examples = self.shuffled_lengths()
-        data = enc.assemble(examples, config)
+        params, config, prepared = self.shuffled_lengths()
+        data = prepared.data
         first = tr.predict_batch(params, config, data, batch_size=8)
         assert tr.predict_batch(params, config, data, batch_size=8) == first
 
@@ -298,10 +298,7 @@ class TestTrain:
         )
         best = history.best_val_f1()
         assert best is not None
-        achieved = tr.validation_f1(
-            params, config, enc.assemble([e.aug for e in prepared], config),
-            [e.label for e in prepared],
-        )
+        achieved = tr.validation_f1(params, config, prepared.data, prepared.labels)
         assert achieved == pytest.approx(best)
 
     def test_lr_monotone_and_halved_only_at_validations(self):
@@ -349,7 +346,7 @@ class TestTrain:
         # Identity-free data: a positive soc weight must change nothing either.
         data = comments(8, 8)
         prepared, config = make_setup(data, mode=ag.AugmentMode.SS)
-        assert all(not ex.identity_positions for ex in prepared)
+        assert len(prepared.positions) == 0
         schedule = tr.TrainSchedule(batch_size=8, lr0=1e-3, val_every=4, epoch_cap=3)
         _, h0 = tr.train(prepared, prepared, config, schedule, ag.AugmentMode.SS,
                          soc_weight=0.0, seed=2)
@@ -372,12 +369,12 @@ class TestTrain:
     def test_slot_only_mode_trains(self):
         data = comments(6, 6)
         prepared, config = make_setup(data, mode=ag.AugmentMode.SO)
-        assert all(ex.aug.slot_mask == 1 for ex in prepared)
+        assert prepared.data.kmask[:, -1].all()
         schedule = tr.TrainSchedule(batch_size=6, lr0=1e-3, val_every=4, epoch_cap=2)
         params, history = tr.train(prepared, prepared, config, schedule,
                                    ag.AugmentMode.SO, seed=4)
         assert history.entries
-        label, prob = oracles.predict(params, config, prepared[0].aug)
+        label, prob = oracles.predict(params, config, oracles.rows(prepared)[0].aug)
         assert 0.0 <= prob <= 1.0
 
     def test_mode_mismatch_rejected(self):
@@ -395,11 +392,18 @@ class TestTrain:
             tr.train(prepared, prepared, config, schedule, ag.AugmentMode.BASELINE)
 
     def test_empty_sets_rejected(self):
-        data = comments(5, 5)
-        prepared, config = make_setup(data)
+        vocab = tp.build_vocab(comments(1, 1), max_size=50)
+        with pytest.raises(EmptyDatasetError):
+            tr.prepare_examples([], vocab, sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9)]),
+                                idn.default_terms(), 10, ag.AugmentMode.BASELINE)
+
+    @pytest.mark.parametrize("overrides", [{"max_len": 8}, {"max_len": 12}, {"vocab_size": 10}])
+    def test_set_encoded_for_another_config_rejected(self, overrides):
+        prepared, config = make_setup(comments(5, 5))
+        config = dataclasses.replace(config, **overrides)
         schedule = tr.TrainSchedule(batch_size=4, epoch_cap=1)
-        with pytest.raises(ContractError):
-            tr.train([], prepared, config, schedule, ag.AugmentMode.BASELINE)
+        with pytest.raises(ContractError, match="do not fit"):
+            tr.train(prepared, prepared, config, schedule, ag.AugmentMode.BASELINE)
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigError):
@@ -488,6 +492,6 @@ class TestIdentityPositions:
             return
         vocab = tp.Vocab.from_tokens(["muslim"])
         lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9)])
-        (ex,) = tr.prepare_examples([Comment("c", text, Label.TOXIC)], vocab, lexicon,
-                                    idn.default_terms(), max_len, ag.AugmentMode.SS)
-        assert ex.aug.slot_mask == (1 if ex.identity_positions else 0)
+        prepared = tr.prepare_examples([Comment("c", text, Label.TOXIC)], vocab, lexicon,
+                                       idn.default_terms(), max_len, ag.AugmentMode.SS)
+        assert prepared.data.kmask[0, -1] == (len(prepared.positions) > 0)
