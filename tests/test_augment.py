@@ -46,11 +46,11 @@ class TestGateRules:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("bad", [1.2, -0.1, float("nan"), float("inf")])
-    def test_fill_range(self, bad):
+    def test_fill_range(self):
         prepared = prepare(["the women spoke", "boring meeting"], ag.AugmentMode.SS)
-        with pytest.raises(ContractError, match="slot_fill out of"):
-            with_columns(prepared, fill=np.array([0.5, bad]))
+        for bad in (1.2, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="slot_fill out of"):
+                with_columns(prepared, fill=np.array([0.5, bad]))
 
     def test_baseline_mask_rule(self):
         prepared = prepare(["the women spoke", "boring meeting"], ag.AugmentMode.BASELINE)

@@ -6,9 +6,12 @@ import pytest
 
 from subsense import augment as ag
 from subsense import encoder as enc
+from subsense import identity as idn
+from subsense import subjectivity as sj
 from subsense import textprep as tp
 from subsense import trainer as tr
-from subsense.errors import ConfigError, ContractError, ResourceError
+from subsense.datasets import Comment, Label
+from subsense.errors import ConfigError, ContractError, EmptyDatasetError, ResourceError
 
 import oracles
 
@@ -29,6 +32,13 @@ def example(tokens, fill, slot_mask, max_len=6, mode=ag.AugmentMode.SS):
         slot_mask = 0
     encoded = oracles.encode(tokens, VOCAB, max_len)
     return oracles.AugmentedExample(encoded, fill, slot_mask, mode)
+
+
+def prepare(texts, max_len, mode=ag.AugmentMode.SS):
+    """The prepared set of ``texts``, labels alternating."""
+    comments = [Comment(f"c{i}", text, Label(i % 2)) for i, text in enumerate(texts)]
+    return tr.prepare_examples(comments, VOCAB, sj.default_lexicon(), idn.default_terms(),
+                               max_len, mode)
 
 
 def random_batch(rng, config, size, slot_mask=0):
@@ -177,6 +187,16 @@ class TestForward:
         l1, _ = enc.forward(oracles.assemble(batch, config), params, config)
         l2, _ = enc.forward(oracles.assemble(batch, config), params, config)
         assert l1.tobytes() == l2.tobytes()
+
+    def test_length_mismatch_rejected(self):
+        config = tiny_config()
+        prepared = prepare(["w1", "w2 w3"], max_len=8)
+        with pytest.raises(ContractError, match="max_len"):
+            tr.train(prepared, prepared, config, tr.TrainSchedule(), ag.AugmentMode.SS)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(EmptyDatasetError):
+            prepare([], max_len=tiny_config().max_len)
 
     def test_dropout_only_in_train_mode(self):
         config = tiny_config(dropout_rate=0.5)

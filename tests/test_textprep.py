@@ -119,7 +119,7 @@ class TestEncode:
         with pytest.raises(ContractError):
             tp.encode(["a"], vocab, 2)
 
-    def test_set_invariants(self):
+    def test_example_invariants(self):
         """A prepared set refuses columns of other lengths, rows longer than
         its max_len and ids outside its vocabulary."""
         vocab = tp.Vocab.from_tokens(["a", "b"])
@@ -145,9 +145,20 @@ def token_lists(draw):
 
 class TestProperties:
     @given(token_lists(), st.integers(min_value=3, max_value=24))
-    def test_lengths_and_layout(self, tokens, max_len):
+    def test_lengths_and_mask_consistency(self, tokens, max_len):
         vocab = tp.build_vocab(["a b c d e f g"], max_size=20)
         ids = tp.encode(tokens, vocab, max_len)
         assert len(ids) == min(len(tokens), max_len - 2) + 2
         assert ids[0] == tp.CLS and ids[-1] == tp.SEP
         assert tp.PAD not in ids
+        # In a prepared set the row is padded past its extent, and the token
+        # mask holds exactly the positions that are not padding.
+        prepared = tr.prepare_examples(
+            [Comment("x", " ".join(tokens), Label.TOXIC)], vocab,
+            sj.SubjectivityLexicon([sj.LexiconEntry("a", 0.5)]), idn.default_terms(),
+            max_len, AugmentMode.SS)
+        data = prepared.data
+        assert data.extent.tolist() == [len(ids)]
+        assert data.ids[0, :len(ids)].tolist() == ids
+        assert data.kmask[0, :-1].tolist() == (data.ids[0] != tp.PAD).tolist()
+        assert int(data.kmask[0, :-1].sum()) == data.extent[0]
