@@ -9,7 +9,7 @@ identity presence and subjectivity.
 
 from .augment import AugmentMode
 from .datasets import Comment, DatasetKind, Label, convert, split, synth_generate
-from .encoder import EncoderParams, ModelConfig, backward, forward, init
+from .encoder import ModelConfig, backward, forward, init
 from .errors import SubsenseError
 from .identity import IdentityLexicon, IdentityMatch, coverage, default_terms, detect
 from .subjectivity import (
@@ -19,7 +19,6 @@ from .subjectivity import (
     assess,
     default_lexicon,
     load_lexicon,
-    load_lexicon_tsv,
     score,
 )
 from .textprep import Vocab, build_vocab, encode, word_split
@@ -30,11 +29,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentMode",
     "Comment", "DatasetKind", "Label", "convert", "split", "synth_generate",
-    "EncoderParams", "ModelConfig", "backward", "forward", "init",
+    "ModelConfig", "backward", "forward", "init",
     "SubsenseError",
     "IdentityLexicon", "IdentityMatch", "coverage", "default_terms", "detect",
     "LexiconEntry", "SubjectivityLexicon", "SubjectivityScore", "assess",
-    "default_lexicon", "load_lexicon", "load_lexicon_tsv", "score",
+    "default_lexicon", "load_lexicon", "score",
     "Vocab", "build_vocab", "encode", "word_split",
     "ClassWeights", "TrainSchedule", "class_weights", "train",
     "__version__",

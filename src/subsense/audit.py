@@ -9,6 +9,7 @@ standard deviation is the population formula.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +58,12 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
+def _outcome(pred: Label, gold: Label) -> str:
+    if pred == Label.TOXIC:
+        return "TP" if gold == Label.TOXIC else "FP"
+    return "FN" if gold == Label.TOXIC else "TN"
+
+
 def confusion(preds, golds) -> ConfusionCounts:
     """Exact counts with TOXIC as the positive class."""
     preds, golds = list(preds), list(golds)
@@ -64,19 +71,8 @@ def confusion(preds, golds) -> ConfusionCounts:
         raise ContractError(f"length mismatch: {len(preds)} predictions, {len(golds)} golds")
     if not preds:
         raise ContractError("confusion needs at least one prediction")
-    tp = fp = tn = fn = 0
-    for p, g in zip(preds, golds):
-        if p == Label.TOXIC:
-            if g == Label.TOXIC:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if g == Label.TOXIC:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp, fp, tn, fn)
+    n = Counter(map(_outcome, preds, golds))
+    return ConfusionCounts(n["TP"], n["FP"], n["TN"], n["FN"])
 
 
 def f1(counts: ConfusionCounts) -> float:
@@ -85,12 +81,6 @@ def f1(counts: ConfusionCounts) -> float:
     if denom == 0:
         return 0.0
     return 2.0 * counts.tp / denom
-
-
-def _outcome(pred: Label, gold: Label) -> str:
-    if pred == Label.TOXIC:
-        return "TP" if gold == Label.TOXIC else "FP"
-    return "FN" if gold == Label.TOXIC else "TN"
 
 
 def _quantile(sorted_values, q: float) -> float:
@@ -140,10 +130,6 @@ class BiasCell:
     def size(self) -> int:
         return len(self.scores)
 
-    @property
-    def key(self) -> tuple[str, bool]:
-        return (self.outcome, self.with_identity)
-
 
 def bias_groups(preds, golds, features) -> dict[tuple[str, bool], BiasCell]:
     """Partition evaluated comments into the 8 outcome-by-identity cells.
@@ -164,11 +150,6 @@ def bias_groups(preds, golds, features) -> dict[tuple[str, bool], BiasCell]:
         key: BiasCell(key[0], key[1], tuple(vals), quartiles(vals) if vals else None)
         for key, vals in buckets.items()
     }
-
-
-def named_groups(cells: dict[tuple[str, bool], BiasCell]) -> dict[str, BiasCell]:
-    """The conventional highlighted subset: TPwIT, FPwIT, TNwoIT, FNwoIT."""
-    return {name: cells[key] for name, key in NAMED_GROUPS.items()}
 
 
 @dataclass(frozen=True)

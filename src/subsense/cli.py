@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -239,11 +240,7 @@ def _cmd_train(args) -> int:
     history.to_csv(outdir / "history.csv")
     run_config = {
         "model": config.to_dict(),
-        "schedule": {
-            "batch_size": schedule.batch_size, "lr0": schedule.lr0,
-            "val_every": schedule.val_every, "max_halvings": schedule.max_halvings,
-            "halving_factor": schedule.halving_factor, "epoch_cap": schedule.epoch_cap,
-        },
+        "schedule": dataclasses.asdict(schedule),
         "mode": mode.value,
         "soc_weight": args.soc_weight,
         "seed": args.seed,

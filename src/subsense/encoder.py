@@ -56,6 +56,7 @@ operations it always did.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -117,41 +118,16 @@ class ModelConfig:
         return cls(**d)
 
 
-class EncoderParams:
-    """Named tensor container; shapes follow ``param_shapes``."""
-
-    def __init__(self, tensors: dict[str, np.ndarray]):
-        self._tensors = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._tensors[name]
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self._tensors[name] = np.asarray(value, dtype=np.float64)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams({k: v.copy() for k, v in self._tensors.items()})
-
-
-def flat_params(params: EncoderParams) -> tuple[np.ndarray, EncoderParams]:
-    """Copy ``params`` into one contiguous vector, tensors in ``names()``
-    order, and return it with an ``EncoderParams`` of named views into it:
-    an in-place update of the vector updates every tensor."""
-    flat = np.concatenate([t for _, t in params.items()], axis=None)
+def flat_params(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Copy ``params`` into one contiguous vector, tensors in key order, and
+    return it with a dict of named views into it: an in-place update of the
+    vector updates every tensor."""
+    flat = np.concatenate(list(params.values()), axis=None)
     views, offset = {}, 0
     for name, tensor in params.items():
         views[name] = flat[offset : offset + tensor.size].reshape(tensor.shape)
         offset += tensor.size
-    return flat, EncoderParams(views)
+    return flat, views
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -182,8 +158,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init(config: ModelConfig) -> EncoderParams:
-    """Seed-deterministic init: scaled-uniform weights, gains 1, biases 0."""
+def init(config: ModelConfig) -> dict[str, np.ndarray]:
+    """Seed-deterministic init in ``param_shapes`` order: scaled-uniform
+    weights, gains 1, biases 0."""
     rng = np.random.default_rng(config.seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
@@ -194,10 +171,10 @@ def init(config: ModelConfig) -> EncoderParams:
         else:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
             tensors[name] = rng.uniform(-limit, limit, size=shape)
-    return EncoderParams(tensors)
+    return tensors
 
 
-def validate_params(params: EncoderParams, config: ModelConfig) -> None:
+def validate_params(params: dict[str, np.ndarray], config: ModelConfig) -> None:
     shapes = param_shapes(config)
     for name, shape in shapes.items():
         if name not in params:
@@ -208,7 +185,7 @@ def validate_params(params: EncoderParams, config: ModelConfig) -> None:
             )
         if not np.all(np.isfinite(params[name])):
             raise ContractError(f"parameter {name} contains non-finite values")
-    extra = set(params.names()) - set(shapes)
+    extra = set(params) - set(shapes)
     if extra:
         raise ContractError(f"unexpected parameters: {sorted(extra)}")
 
@@ -531,7 +508,7 @@ def backward(cache, params, config, dlogits):
     return grads, slot_fill_grad
 
 
-def save_params(params: EncoderParams, path) -> None:
+def save_params(params: dict[str, np.ndarray], path) -> None:
     """Flat binary checkpoint: magic, JSON shape manifest, raw tensors."""
     manifest = {
         "tensors": [
@@ -548,28 +525,36 @@ def save_params(params: EncoderParams, path) -> None:
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def load_params(path) -> EncoderParams:
+def load_params(path) -> dict[str, np.ndarray]:
+    """The checkpoint's tensors by name, in file order. A header that does
+    not describe the file is a ``ContractError`` naming it."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"checkpoint not found: {p}")
     blob = p.read_bytes()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ContractError(f"{p} is not a recognised checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    manifest_len = int.from_bytes(blob[offset : offset + 8], "little")
-    offset += 8
-    manifest = json.loads(blob[offset : offset + manifest_len].decode("utf-8"))
-    offset += manifest_len
+    start = len(CHECKPOINT_MAGIC) + 8
+    offset = start + int.from_bytes(blob[start - 8 : start], "little")
+    if offset > len(blob):
+        raise ContractError(f"checkpoint {p} truncated in its manifest")
+    try:
+        manifest = json.loads(blob[start:offset].decode("utf-8"))
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["tensors"]]
+    except (ValueError, KeyError, TypeError):
+        raise ContractError(
+            f"checkpoint {p}: manifest is not UTF-8 JSON giving each tensor a name and shape"
+        ) from None
     tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in entries:
+        if not isinstance(name, str) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ContractError(f"checkpoint {p}: tensor {name!r} has shape {list(shape)}")
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(blob):
-            raise ContractError(f"checkpoint {p} truncated at tensor {entry['name']}")
+            raise ContractError(f"checkpoint {p} truncated at tensor {name}")
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        tensors[entry["name"]] = arr.copy()
+        tensors[name] = arr.copy()
         offset += nbytes
     if offset != len(blob):
         raise ContractError(f"checkpoint {p} has trailing bytes")
-    return EncoderParams(tensors)
+    return tensors

@@ -162,15 +162,11 @@ def load_lexicon(path) -> SubjectivityLexicon:
 
     XML holds one ``<word>`` element per sense with the attributes form,
     subjectivity and optional intensity; the polarity and pos attributes of
-    older files are ignored.
+    older files are ignored. TSV holds the columns form, subjectivity,
+    polarity (ignored) and intensity, the last two optional; '#' lines are
+    comments.
     """
     return _load(path, _tsv_records if str(path).endswith(".tsv") else _xml_records)
-
-
-def load_lexicon_tsv(path) -> SubjectivityLexicon:
-    """Plain-TSV loader: columns form, subjectivity, polarity (ignored) and
-    intensity, the last two optional. '#' lines are comments."""
-    return _load(path, _tsv_records)
 
 
 def write_lexicon_tsv(lexicon: SubjectivityLexicon, path) -> None:

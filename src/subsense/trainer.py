@@ -22,7 +22,7 @@ from . import audit
 from .atomic import replacing
 from .augment import AugmentMode, augment
 from .datasets import Label
-from .encoder import Batch, EncoderParams, ModelConfig, backward, flat_params, forward, init
+from .encoder import Batch, ModelConfig, backward, flat_params, forward, init
 from .errors import (ConfigError, ContractError, DegenerateLabelsError, EmptyDatasetError,
                      check_fields)
 from .identity import IdentityLexicon, detect, holds_term
@@ -394,13 +394,13 @@ def train(
 
     # Every tensor is a view into ``flat``, so Adam updates them all at once.
     flat, params = flat_params(init(config))
-    names = params.names()
+    names = tuple(params)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     work = np.empty_like(flat)
     ctrl = HalvingController(schedule.lr0, schedule.max_halvings, schedule.halving_factor)
     history = TrainHistory()
-    best_params: EncoderParams | None = None
+    best_params: dict[str, np.ndarray] | None = None
     rng = np.random.default_rng(seed)
     step = 0
     n = len(train_set)
@@ -436,7 +436,7 @@ def train(
                 val_f1 = validation_f1(params, config, val_set.data, val_set.labels)
                 outcome = ctrl.observe(val_f1)
                 if outcome == "improved":
-                    best_params = params.copy()
+                    best_params = {k: t.copy() for k, t in params.items()}
                 if progress is not None:
                     progress(
                         f"step {step} loss {loss:.4f} val_f1 {val_f1:.4f} "

@@ -347,7 +347,7 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
             if step % schedule.val_every == 0:
                 val_f1 = _tr.validation_f1(params, config, val_set.data, val_set.labels)
                 if ctrl.observe(val_f1) == "improved":
-                    best_params = params.copy()
+                    best_params = {k: t.copy() for k, t in params.items()}
             history.entries.append(_tr.HistoryEntry(step, loss, val_f1, ctrl.lr, ctrl.halvings))
             if ctrl.exhausted:
                 history.stop_reason = "max_halvings"

@@ -165,11 +165,14 @@ class TestBiasGroups:
 
     def test_named_groups_view(self):
         comments, preds, golds = sample_comments(5)
-        cells = audit.bias_groups(preds, golds, oracles.features(comments, TERMS, SCORING))
-        named = audit.named_groups(cells)
+        features = oracles.features(comments, TERMS, SCORING)
+        payload = audit.audit_report(comments, preds, golds, features).to_json_dict()
+        named, cells = payload["named_groups"], payload["cells"]
         assert set(named) == {"TPwIT", "FPwIT", "TNwoIT", "FNwoIT"}
-        assert named["TPwIT"] is cells[("TP", True)]
-        assert named["TNwoIT"] is cells[("TN", False)]
+        assert named["TPwIT"] == cells["TP_with_identity"]
+        assert named["FPwIT"] == cells["FP_with_identity"]
+        assert named["TNwoIT"] == cells["TN_without_identity"]
+        assert named["FNwoIT"] == cells["FN_without_identity"]
 
     def test_alignment_checked(self):
         comments, preds, golds = sample_comments(6)

@@ -415,6 +415,22 @@ class TestBadInputExitsTwo:
         assert str(vocab) in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:10],
+        lambda blob: blob[:8] + (10**9).to_bytes(8, "little") + blob[16:],
+        lambda blob: blob.replace(b'"name"', b'"nome"'),
+    ], ids=["cut-to-10-bytes", "manifest-length-past-end", "entry-without-name"])
+    def test_corrupt_checkpoint(self, pipeline, tmp_path, capsys, corrupt):
+        checkpoint = tmp_path / "checkpoint.bin"
+        checkpoint.write_bytes(corrupt((pipeline["run"] / "checkpoint.bin").read_bytes()))
+        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
+        manifest["artifacts"]["checkpoint"] = str(checkpoint)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert _eval(tmp_path / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        err = self.one_line_error(capsys)
+        assert str(checkpoint) in err and "Traceback" not in err
+        assert not (tmp_path / "eval.json").exists()
+
     def test_write_error(self, pipeline, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
@@ -444,7 +460,7 @@ def old_path(pipeline):
     comments = datasets.read_canonical(data / "test.csv")
     prepared = trainer.prepare_examples(
         comments, textprep.Vocab.load(run / "vocab.txt"),
-        subjectivity.load_lexicon_tsv(data / "lexicon.tsv"), identity.default_terms(),
+        subjectivity.load_lexicon(data / "lexicon.tsv"), identity.default_terms(),
         config.max_len, AugmentMode.SS,
     )
     params = encoder.load_params(run / "checkpoint.bin")

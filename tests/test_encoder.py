@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -92,7 +93,7 @@ class TestConfig:
 class TestInit:
     def test_deterministic(self):
         a, b = enc.init(tiny_config()), enc.init(tiny_config())
-        assert a.names() == b.names()
+        assert tuple(a) == tuple(b)
         for name, tensor in a.items():
             assert np.array_equal(tensor, b[name])
 
@@ -320,6 +321,19 @@ class TestGradientOracle:
         assert worst < 1e-4, f"worst relative error {worst:.2e} at {worst_at}"
 
 
+def checkpoint_bytes(manifest, length=None):
+    """A checkpoint whose manifest is ``manifest`` (bytes, or an object
+    written as JSON) and whose length field reads ``length`` (the manifest's
+    length if None), followed by two float64 zeros."""
+    if not isinstance(manifest, bytes):
+        manifest = json.dumps(manifest).encode("utf-8")
+    n = len(manifest) if length is None else length
+    return enc.CHECKPOINT_MAGIC + n.to_bytes(8, "little") + manifest + bytes(16)
+
+
+HEAD_B = {"tensors": [{"name": "head.b", "shape": [2], "dtype": "<f8"}]}
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = tiny_config(n_layers=2)
@@ -327,7 +341,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         enc.save_params(params, path)
         loaded = enc.load_params(path)
-        assert loaded.names() == params.names()
+        assert tuple(loaded) == tuple(params)
         for name, tensor in params.items():
             assert np.array_equal(tensor, loaded[name])
         enc.validate_params(loaded, config)
@@ -341,6 +355,41 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ResourceError):
             enc.load_params(tmp_path / "nope.bin")
+
+    def test_hand_built_checkpoint_loads(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(checkpoint_bytes(HEAD_B))
+        loaded = enc.load_params(path)
+        assert list(loaded) == ["head.b"]
+        assert np.array_equal(loaded["head.b"], np.zeros(2))
+
+    @pytest.mark.parametrize("blob", [
+        checkpoint_bytes(HEAD_B)[:10],
+        checkpoint_bytes(HEAD_B, length=10**9),
+        checkpoint_bytes(b"\xff\xfe"),
+        checkpoint_bytes(b'{"tensors": ['),
+        checkpoint_bytes([HEAD_B]),
+        checkpoint_bytes({"tensors": ["head.b"]}),
+        checkpoint_bytes({"tensors": [{"shape": [2]}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b"}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b", "shape": 2}]}),
+        checkpoint_bytes({"tensors": [{"name": ["head.b"], "shape": [2]}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b", "shape": [-2]}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b", "shape": [2.0]}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b", "shape": ["2"]}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b", "shape": [True, 2]}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b", "shape": [None]}]}),
+    ], ids=["cut-to-10-bytes", "manifest-length-past-end", "manifest-not-utf8",
+            "manifest-not-json", "manifest-not-object", "entry-not-object",
+            "entry-without-name", "entry-without-shape", "shape-not-list", "name-not-str",
+            "negative-dim", "float-dim", "str-dim", "bool-dim", "null-dim"])
+    def test_corrupt_header(self, tmp_path, blob):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ContractError) as info:
+            enc.load_params(path)
+        message = str(info.value)
+        assert str(path) in message and "\n" not in message
 
     def test_truncated_payload(self, tmp_path):
         config = tiny_config()

@@ -142,8 +142,8 @@ def check_train_logits_and_gradients(config, params, batch):
     upstream = np.random.default_rng(9).normal(size=logits.shape)
     grads, slot_grad = enc.backward(cache, params, config, upstream)
     ref_grads, ref_slot_grad = ref.backward(ref_cache, params, config, upstream)
-    assert set(grads) == set(params.names())
-    for name in params.names():
+    assert set(grads) == set(params)
+    for name in tuple(params):
         assert max_abs_diff(grads[name], ref_grads[name]) <= TOL, name
     assert max_abs_diff(slot_grad, ref_slot_grad) <= TOL
     assert np.all(slot_grad[0::2] == 0.0)  # gate closed: slot disconnected

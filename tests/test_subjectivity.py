@@ -65,7 +65,7 @@ class TestLoading:
             "boring\t1.0\n"
             "broken\tnot-a-number\n"
         )
-        lex = sj.load_lexicon_tsv(path)
+        lex = sj.load_lexicon(path)
         assert len(lex) == 2
         assert lex.skipped == 1
         assert lex.mean_subjectivity("boring") == 1.0
@@ -76,14 +76,14 @@ class TestLoading:
         sj.write_lexicon_tsv(lex, path)
         assert path.read_text(encoding="utf-8").splitlines()[1:] == [
             "good\t0.6\t0.0\t1.0", "very\t0.3\t0.0\t1.3"]
-        back = sj.load_lexicon_tsv(path)
+        back = sj.load_lexicon(path)
         assert len(back) == 2
         assert back.mean_intensity("very") == 1.3
 
     def test_tsv_polarity_column_is_ignored(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("good\t0.6\tnot-a-number\t1.3\nbad\t0.65\t-4\n")
-        lex = sj.load_lexicon_tsv(path)
+        lex = sj.load_lexicon(path)
         assert lex.skipped == 0
         assert lex.senses("good") == (sj.LexiconEntry("good", 0.6, intensity=1.3),)
         assert lex.senses("bad") == (sj.LexiconEntry("bad", 0.65),)
@@ -99,14 +99,19 @@ class TestLoading:
         assert lex.senses("good") == (sj.LexiconEntry("good", 0.6, intensity=1.3),)
 
     def test_load_lexicon_reads_tsv_by_suffix(self, tmp_path):
+        text = ("# form\tsubjectivity\tpolarity\tintensity\n"
+                "good\t0.6\t0.7\t1.0\nvery\t0.3\t0.2\t1.3\nbroken\n")
         path = tmp_path / "lex.tsv"
-        path.write_text("# form\tsubjectivity\tpolarity\tintensity\n"
-                        "good\t0.6\t0.7\t1.0\nvery\t0.3\t0.2\t1.3\nbroken\n")
-        lex, tsv = sj.load_lexicon(path), sj.load_lexicon_tsv(path)
-        assert lex.skipped == tsv.skipped == 1
-        assert sorted(lex.forms) == sorted(tsv.forms) == ["good", "very"]
-        for form in tsv.forms:
-            assert lex.senses(form) == tsv.senses(form)
+        path.write_text(text)
+        lex = sj.load_lexicon(path)
+        assert lex.skipped == 1
+        assert sorted(lex.forms) == ["good", "very"]
+        assert lex.senses("good") == (sj.LexiconEntry("good", 0.6),)
+        assert lex.senses("very") == (sj.LexiconEntry("very", 0.3, intensity=1.3),)
+        xml_path = tmp_path / "lex.xml"
+        xml_path.write_text(text)
+        with pytest.raises(ResourceError):
+            sj.load_lexicon(xml_path)
 
 
 class TestEntryInvariants:

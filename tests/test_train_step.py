@@ -74,8 +74,8 @@ class TestFlatAdam:
         assert len(history.entries) == 12
         assert history.entries == want_history.entries
         assert history.stop_reason == want_history.stop_reason
-        assert got.names() == want.names()
-        for name in want.names():
+        assert tuple(got) == tuple(want)
+        for name in tuple(want):
             assert same_bits(got[name], want[name]), name
 
     def test_flat_params_are_named_views(self):
@@ -83,7 +83,7 @@ class TestFlatAdam:
                                  d_ff=8)
         params = enc.init(config)
         flat, views = enc.flat_params(params)
-        assert views.names() == params.names()
+        assert tuple(views) == tuple(params)
         assert flat.size == sum(t.size for _, t in params.items())
         for name, tensor in params.items():
             assert same_bits(views[name], tensor)

@@ -186,7 +186,7 @@ class TestOcclusionPenalty:
 class TestPredict:
     def constant_params(self, config, bias):
         params = enc.init(config)
-        for name in params.names():
+        for name in tuple(params):
             params[name] = np.zeros_like(params[name])
         params["head.b"] = np.array(bias, dtype=float)
         return params
