@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,13 +24,15 @@ from .errors import (
     UsageError, check_fields, read_text,
 )
 
-MANIFEST_VERSION = 1
-# Manifest keys that eval, audit and compare read.
-MANIFEST_KEYS = (
-    "config_digest", "seed", "mode", "soc_weight", "dataset_id", "lexicon",
-    "identity_terms", "artifacts",
-)
-ARTIFACT_KEYS = ("checkpoint", "config", "vocab", "eval_report", "audit_report")
+# A run directory is its own unit: eval, audit and compare find each of its
+# files (checkpoint.bin, config.json, vocab.txt, eval.json, audit.json and the
+# lexicon copies) by a fixed name beside the manifest they are given.
+MANIFEST_VERSION = 2
+# Types of the manifest keys that eval, audit and compare read, and of the
+# eval report keys that compare reads.
+RUN_KEYS = {"config_digest": str, "seed": int, "mode": str, "soc_weight": float,
+            "dataset_id": str, "lexicon": str, "identity_terms": str}
+EVAL_KEYS = {"f1": float, "fp": float, "fn": float}
 # eval writes its predictions beside its report and audit reads them from
 # beside its own, so an audit never runs the encoder again.
 PREDICTIONS_FILE = "predictions.csv"
@@ -71,25 +72,13 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _resolve_subj_lexicon(path_arg):
-    """Explicit flag beats SUBSENSE_LEXICON beats the packaged lexicon."""
-    if path_arg:
-        return subjectivity.load_lexicon(path_arg), str(path_arg)
-    env = os.environ.get(subjectivity.ENV_LEXICON)
-    if env:
-        return subjectivity.default_lexicon(), env
-    return subjectivity.default_lexicon(), "packaged"
-
-
-def _resolve_id_lexicon(path_arg):
-    if path_arg:
-        return identity.load_terms(path_arg), str(path_arg)
-    return identity.default_terms(), "paper-25"
+def _identity_terms(path):
+    return identity.load_terms(path) if path else identity.default_terms()
 
 
 def _cmd_score(args) -> int:
-    lexicon, _ = _resolve_subj_lexicon(args.lexicon)
-    terms, _ = _resolve_id_lexicon(args.identity_terms)
+    lexicon = subjectivity.load_lexicon(subjectivity.lexicon_path(args.lexicon))
+    terms = _identity_terms(args.identity_terms)
     if args.text is None and args.file is None:
         raise UsageError("score needs --text or --file")
     if args.text is not None:
@@ -176,6 +165,19 @@ def _checked_section(doc, section: str, cls, path, error) -> dict:
     return values
 
 
+def _checked_keys(doc, types: dict, path, name: str) -> dict:
+    """``doc``, parsed from ``path``, if it is an object holding every key of
+    ``types`` with a value of its type (``check_fields``); else a
+    ContractError naming ``path``."""
+    if not isinstance(doc, dict):
+        raise ContractError(f"{path}: {name} must be a JSON object")
+    try:
+        check_fields(types, {k: doc[k] for k in types if k in doc}, name, complete=True)
+    except ConfigError as exc:
+        raise ContractError(f"{path}: {exc}") from None
+    return doc
+
+
 def _config_section(args, section: str, cls) -> dict:
     """The checked ``section`` object of the --config file; empty without
     --config."""
@@ -212,19 +214,18 @@ def _cmd_train(args) -> int:
     mode = AugmentMode.parse(args.mode)
     train_comments = _read_comments(args.train)
     val_comments = _read_comments(args.val)
-    subj_lex, subj_label = _resolve_subj_lexicon(args.lexicon)
-    id_lex, id_label = _resolve_id_lexicon(args.identity_terms)
+    subj_path = subjectivity.lexicon_path(args.lexicon)
+    subj_lex = subjectivity.load_lexicon(subj_path)
+    id_lex = _identity_terms(args.identity_terms)
 
     vocab = textprep.build_vocab(
         train_comments, max_size=args.vocab_size, min_freq=args.min_freq
     )
     config = _model_config_from_args(args, len(vocab))
     schedule = _schedule_from_args(args)
-    train_set = trainer.prepare_examples(
-        train_comments, vocab, subj_lex, id_lex, config.max_len, mode
-    )
-    val_set = trainer.prepare_examples(
-        val_comments, vocab, subj_lex, id_lex, config.max_len, mode
+    train_set, val_set = (
+        trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
+        for comments in (train_comments, val_comments)
     )
 
     progress = print if args.verbose else None
@@ -247,6 +248,14 @@ def _cmd_train(args) -> int:
         "min_freq": args.min_freq,
     }
     _write_json(run_config, outdir / "config.json")
+    # eval reads these copies, never the files train read.
+    lexicon_copy = "lexicon.tsv" if subjectivity.is_tsv(subj_path) else "lexicon.xml"
+    copies = {lexicon_copy: subj_path}
+    if args.identity_terms:
+        copies["identity_terms.txt"] = args.identity_terms
+    for name, source in copies.items():
+        with replacing(outdir / name, "wb") as fh:
+            fh.write(Path(source).read_bytes())
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "config_digest": _sha256_json(run_config),
@@ -254,20 +263,13 @@ def _cmd_train(args) -> int:
         "mode": mode.value,
         "soc_weight": args.soc_weight,
         "dataset_id": args.dataset_id or Path(args.train).stem,
+        # The train and val CSVs, and the source of each copy by its name.
         "inputs": {
-            "train": {"path": str(args.train), "sha256": _sha256_file(args.train)},
-            "val": {"path": str(args.val), "sha256": _sha256_file(args.val)},
+            key: {"path": str(path), "sha256": _sha256_file(path)}
+            for key, path in (("train", args.train), ("val", args.val), *copies.items())
         },
-        "lexicon": subj_label,
-        "identity_terms": id_label,
-        "artifacts": {
-            "checkpoint": str(outdir / "checkpoint.bin"),
-            "history": str(outdir / "history.csv"),
-            "config": str(outdir / "config.json"),
-            "vocab": str(outdir / "vocab.txt"),
-            "eval_report": str(outdir / "eval.json"),
-            "audit_report": str(outdir / "audit.json"),
-        },
+        "lexicon": lexicon_copy,
+        "identity_terms": "identity_terms.txt" if args.identity_terms else "paper-25",
     }
     _write_json(manifest, outdir / "manifest.json")
     best = history.best_val_f1()
@@ -280,26 +282,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_manifest(path) -> dict:
+def _load_manifest(path) -> tuple[dict, Path]:
+    """The checked manifest at ``path`` and its run directory."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"manifest not found: {p}")
     manifest = _read_json(p, ContractError)
     if not isinstance(manifest, dict) or manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ContractError(f"unsupported manifest version in {p}")
-    missing = [k for k in MANIFEST_KEYS if k not in manifest]
-    if not missing:
-        artifacts = manifest["artifacts"]
-        if not isinstance(artifacts, dict):
-            raise ContractError(f"manifest {p}: artifacts must be a JSON object")
-        missing = [f"artifacts.{k}" for k in ARTIFACT_KEYS if k not in artifacts]
-    if missing:
-        raise ContractError(f"manifest {p} lacks {', '.join(missing)}")
-    return manifest
+    _checked_keys(manifest, RUN_KEYS, p, "manifest")
+    if (manifest["lexicon"] not in ("lexicon.tsv", "lexicon.xml")
+            or manifest["identity_terms"] not in ("identity_terms.txt", "paper-25")):
+        raise ContractError(f"{p}: lexicon or identity_terms names no copy train writes")
+    return manifest, p.parent
 
 
-def _rebuild_run(manifest):
-    config_path = manifest["artifacts"]["config"]
+def _rebuild_run(manifest, run: Path):
+    config_path = run / "config.json"
     run_config = _read_json(config_path, ContractError)
     model = _checked_section(run_config, "model", encoder.ModelConfig, config_path,
                              ContractError)
@@ -307,24 +306,23 @@ def _rebuild_run(manifest):
         config = encoder.ModelConfig.from_dict(model)
     except ConfigError as exc:
         raise ContractError(f"{config_path}: {exc}") from None
-    vocab = textprep.Vocab.load(manifest["artifacts"]["vocab"])
+    vocab = textprep.Vocab.load(run / "vocab.txt")
     if len(vocab) != config.vocab_size:
-        raise ContractError(f"{manifest['artifacts']['vocab']} holds {len(vocab)} tokens, "
+        raise ContractError(f"{run / 'vocab.txt'} holds {len(vocab)} tokens, "
                             f"{config_path} says {config.vocab_size}")
-    params = encoder.load_params(manifest["artifacts"]["checkpoint"])
+    params = encoder.load_params(run / "checkpoint.bin")
     encoder.validate_params(params, config)
-    subj_path = manifest["lexicon"]
-    subj_lex, _ = _resolve_subj_lexicon(None if subj_path == "packaged" else subj_path)
-    id_path = manifest["identity_terms"]
-    id_lex, _ = _resolve_id_lexicon(None if id_path == "paper-25" else id_path)
+    subj_lex = subjectivity.load_lexicon(run / manifest["lexicon"])
+    terms = manifest["identity_terms"]
+    id_lex = _identity_terms(None if terms == "paper-25" else run / terms)
     mode = AugmentMode.parse(manifest["mode"])
     return config, vocab, params, subj_lex, id_lex, mode
 
 
-def _predictions_tag(manifest, test_sha256: str) -> str:
+def _predictions_tag(manifest, run: Path, test_sha256: str) -> str:
     """First line of ``predictions.csv``: the checkpoint, test CSV and run
     configuration the predictions were made from."""
-    checkpoint = _sha256_file(manifest["artifacts"]["checkpoint"])
+    checkpoint = _sha256_file(run / "checkpoint.bin")
     return (f"# subsense predictions checkpoint={checkpoint} test={test_sha256} "
             f"config={manifest['config_digest']}")
 
@@ -374,28 +372,25 @@ def _read_predictions(path, tag, comments):
 
 
 def _cmd_eval(args) -> int:
-    manifest = _load_manifest(args.manifest)
-    config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest)
+    manifest, run = _load_manifest(args.manifest)
+    config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest, run)
     comments = _read_comments(args.test)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
     preds, probs = trainer.predict_batch(params, config, prepared.data)
     counts = audit.confusion(preds, [c.label for c in comments])
     test_sha256 = _sha256_file(args.test)
     report = {
-        "config_digest": manifest["config_digest"],
-        "mode": manifest["mode"],
-        "seed": manifest["seed"],
-        "soc_weight": manifest["soc_weight"],
-        "dataset_id": manifest["dataset_id"],
+        **{k: manifest[k] for k in ("config_digest", "mode", "seed", "soc_weight", "dataset_id")},
         "test": {"path": str(args.test), "sha256": test_sha256},
         "n": counts.total,
         "tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn,
         "f1": audit.f1(counts),
     }
-    out = Path(args.output) if args.output else Path(manifest["artifacts"]["eval_report"])
+    out = Path(args.output) if args.output else run / "eval.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_predictions(out.parent / PREDICTIONS_FILE, _predictions_tag(manifest, test_sha256),
-                       comments, preds, probs, prepared.features)
+    tag = _predictions_tag(manifest, run, test_sha256)
+    _write_predictions(out.parent / PREDICTIONS_FILE, tag, comments, preds, probs,
+                       prepared.features)
     _write_json(report, out)
     print(f"f1 {report['f1']:.4f} (tp {counts.tp} fp {counts.fp} tn {counts.tn} fn {counts.fn})")
     print(f"report: {out}")
@@ -403,10 +398,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    manifest = _load_manifest(args.manifest)
-    out = Path(args.output) if args.output else Path(manifest["artifacts"]["audit_report"])
+    manifest, run = _load_manifest(args.manifest)
+    out = Path(args.output) if args.output else run / "audit.json"
     comments = _read_comments(args.test)
-    tag = _predictions_tag(manifest, _sha256_file(args.test))
+    tag = _predictions_tag(manifest, run, _sha256_file(args.test))
     preds, features = _read_predictions(out.parent / PREDICTIONS_FILE, tag, comments)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     _write_json(report.to_json_dict(), out)
@@ -424,33 +419,23 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     rows: dict[str, list[tuple[float, int, int]]] = {}
     for mpath in args.manifests:
-        manifest = _load_manifest(mpath)
-        eval_path = Path(manifest["artifacts"]["eval_report"])
+        manifest, run = _load_manifest(mpath)
+        eval_path = run / "eval.json"
         if not eval_path.exists():
             raise ContractError(f"no eval report for {mpath}; run `subsense eval` first")
-        report = _read_json(eval_path, ContractError)
+        report = _checked_keys(_read_json(eval_path, ContractError), EVAL_KEYS, eval_path,
+                               "eval report")
         name = manifest["mode"]
         if manifest["soc_weight"]:
             name += f"+soc({manifest['soc_weight']})"
         rows.setdefault(name, []).append((report["f1"], report["fp"], report["fn"]))
     named = [(name, audit.aggregate(runs)) for name, runs in sorted(rows.items())]
-    f1_table = audit.render_f1_table(named)
-    fpfn_table = audit.render_fp_fn_table(named)
-    print(f1_table)
-    print()
-    print(fpfn_table)
+    print(audit.render_f1_table(named), audit.render_fp_fn_table(named), sep="\n\n")
     if args.output:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        _write_json(
-            {
-                name: {
-                    "runs": len(agg.f1_values), "f1": agg.mean_f1, "std": agg.std_f1,
-                    "fp": agg.mean_fp, "fn": agg.mean_fn,
-                }
-                for name, agg in named
-            },
-            args.output,
-        )
+        _write_json({name: {"runs": len(agg.f1_values), "f1": agg.mean_f1, "std": agg.std_f1,
+                            "fp": agg.mean_fp, "fn": agg.mean_fn} for name, agg in named},
+                    args.output)
     return 0
 
 

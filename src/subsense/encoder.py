@@ -540,15 +540,18 @@ def load_params(path) -> dict[str, np.ndarray]:
         raise ContractError(f"checkpoint {p} truncated in its manifest")
     try:
         manifest = json.loads(blob[start:offset].decode("utf-8"))
-        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["tensors"]]
+        entries = [(entry["name"], tuple(entry["shape"]), entry.get("dtype"))
+                   for entry in manifest["tensors"]]
     except (ValueError, KeyError, TypeError):
         raise ContractError(
             f"checkpoint {p}: manifest is not UTF-8 JSON giving each tensor a name and shape"
         ) from None
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in entries:
+    for name, shape, dtype in entries:
         if not isinstance(name, str) or not all(type(n) is int and n >= 0 for n in shape):
             raise ContractError(f"checkpoint {p}: tensor {name!r} has shape {list(shape)}")
+        if dtype != "<f8":  # the one dtype save_params writes
+            raise ContractError(f"checkpoint {p}: tensor {name!r} has dtype {dtype!r}, not '<f8'")
         nbytes = math.prod(shape) * 8
         if offset + nbytes > len(blob):
             raise ContractError(f"checkpoint {p} truncated at tensor {name}")

@@ -47,11 +47,11 @@ class UsageError(SubsenseError):
 
 
 def check_fields(cls, values: dict, name: str, complete: bool = False) -> None:
-    """Raise ``ConfigError`` unless every key of ``values`` is a field of the
-    dataclass ``cls`` holding a value of the field's type: an int also fills
-    a float field, a bool fills neither. With ``complete`` every field must
-    be present. Messages name a key as ``<name>.<key>``."""
-    types = typing.get_type_hints(cls)
+    """Raise ``ConfigError`` unless every key of ``values`` is a field of
+    ``cls`` (a dataclass, or a dict of names to types) holding a value of its
+    type: an int also fills a float field, a bool fills neither. With
+    ``complete`` every field must be present. Messages name a key as ``<name>.<key>``."""
+    types = cls if isinstance(cls, dict) else typing.get_type_hints(cls)
     unknown = sorted(set(values) - set(types))
     if unknown:
         raise ConfigError(f"unknown {name} keys {', '.join(unknown)}")

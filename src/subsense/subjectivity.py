@@ -166,7 +166,17 @@ def load_lexicon(path) -> SubjectivityLexicon:
     polarity (ignored) and intensity, the last two optional; '#' lines are
     comments.
     """
-    return _load(path, _tsv_records if str(path).endswith(".tsv") else _xml_records)
+    return _load(path, _tsv_records if is_tsv(path) else _xml_records)
+
+
+def is_tsv(path) -> bool:
+    """Whether ``load_lexicon`` reads the file at ``path`` as TSV, not XML."""
+    return str(path).endswith(".tsv")
+
+
+def lexicon_path(path=None) -> Path:
+    """``path`` if given, else the file SUBSENSE_LEXICON names, else the packaged lexicon."""
+    return Path(path or os.environ.get(ENV_LEXICON) or DEFAULT_LEXICON_XML)
 
 
 def write_lexicon_tsv(lexicon: SubjectivityLexicon, path) -> None:
@@ -185,8 +195,8 @@ def _cached_lexicon(path: str) -> SubjectivityLexicon:
 
 
 def default_lexicon() -> SubjectivityLexicon:
-    """The packaged reference lexicon, overridable via SUBSENSE_LEXICON."""
-    return _cached_lexicon(os.environ.get(ENV_LEXICON) or str(DEFAULT_LEXICON_XML))
+    """The lexicon ``lexicon_path()`` names, loaded once per path."""
+    return _cached_lexicon(str(lexicon_path()))
 
 
 def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):

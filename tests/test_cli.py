@@ -44,6 +44,11 @@ def pipeline(tmp_path_factory):
     return {"root": root, "data": data, "run": run}
 
 
+def copy_run(pipeline, dest):
+    """A copy of the pipeline's run directory at ``dest``."""
+    return Path(shutil.copytree(pipeline["run"], dest))
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.dispatch(["frobnicate"]) == 1
@@ -296,9 +301,8 @@ class TestBadInputExitsTwo:
         {"d_model": "x"}, {"n_layers": 1.0}, {"unknown": 1}, [1], None, "drop max_len",
     ])
     def test_run_config_broken_model(self, pipeline, tmp_path, capsys, model):
-        run = tmp_path / "run"
-        run.mkdir()
-        run_config = json.loads((pipeline["run"] / "config.json").read_text())
+        run = copy_run(pipeline, tmp_path / "run")
+        run_config = json.loads((run / "config.json").read_text())
         if model == "drop max_len":
             del run_config["model"]["max_len"]
         elif isinstance(model, dict):
@@ -306,9 +310,6 @@ class TestBadInputExitsTwo:
         else:
             run_config["model"] = model
         (run / "config.json").write_text(json.dumps(run_config), encoding="utf-8")
-        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
-        manifest["artifacts"]["config"] = str(run / "config.json")
-        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         code = cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
                              "--test", str(pipeline["data"] / "test.csv"),
                              "--output", str(tmp_path / "eval.json")])
@@ -316,7 +317,7 @@ class TestBadInputExitsTwo:
         assert "config.json" in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
 
-    @pytest.mark.parametrize("drop", ["artifacts", "mode", "config_digest"])
+    @pytest.mark.parametrize("drop", ["lexicon", "mode", "config_digest"])
     def test_manifest_missing_key(self, pipeline, tmp_path, capsys, drop):
         manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
         del manifest[drop]
@@ -329,12 +330,56 @@ class TestBadInputExitsTwo:
         assert drop in self.one_line_error(capsys)
 
     def test_manifest_missing_artifact(self, pipeline, tmp_path, capsys):
-        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
-        del manifest["artifacts"]["vocab"]
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-        assert cli.dispatch(["compare", str(path)]) == 2
-        assert "artifacts.vocab" in self.one_line_error(capsys)
+        run = copy_run(pipeline, tmp_path / "run")
+        (run / "vocab.txt").unlink()
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        assert str(run / "vocab.txt") in self.one_line_error(capsys)
+
+    def test_version_1_manifest(self, pipeline, tmp_path, capsys):
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["manifest_version"] = 1
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        assert "unsupported manifest version" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("key,value", [
+        ("mode", 3), ("seed", "1"), ("seed", 1.5), ("seed", True), ("soc_weight", "0.1"),
+        ("soc_weight", None), ("lexicon", None), ("identity_terms", ["paper-25"]),
+        ("config_digest", 7), ("dataset_id", {}),
+    ])
+    def test_manifest_wrong_type(self, pipeline, tmp_path, capsys, key, value):
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest[key] = value
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        assert f"manifest.{key}" in self.one_line_error(capsys)
+        assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
+        assert f"manifest.{key}" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("key,value", [
+        ("lexicon", "../data/lexicon.tsv"), ("lexicon", "packaged"),
+        ("identity_terms", "terms.txt"),
+    ])
+    def test_manifest_names_no_copy(self, pipeline, tmp_path, capsys, key, value):
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest[key] = value
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        assert key in self.one_line_error(capsys)
+        assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize("report", [
+        {}, [], {"f1": "0.5", "fp": 1, "fn": 2}, {"f1": 0.5, "fp": None, "fn": 2},
+        {"f1": 0.5, "fp": 1}, {"f1": 0.5, "fp": 1, "fn": True},
+    ])
+    def test_compare_eval_report_without_numbers(self, pipeline, tmp_path, capsys, report):
+        run = copy_run(pipeline, tmp_path / "run")
+        (run / "eval.json").write_text(json.dumps(report), encoding="utf-8")
+        assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
+        assert str(run / "eval.json") in self.one_line_error(capsys)
 
     def test_manifest_not_json(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
@@ -358,12 +403,10 @@ class TestBadInputExitsTwo:
     ], ids=["lexicon-tsv", "lexicon-xml", "identity-terms", "score-file", "split", "convert",
             "vocab"])
     def test_input_not_utf8(self, pipeline, tmp_path, capsys, name, argv):
-        bad = tmp_path / name
+        run = copy_run(pipeline, tmp_path / "run")
+        bad = (run if name == "vocab.txt" else tmp_path) / name
         bad.write_bytes(b"good\t0.6\n\xff\n")
-        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
-        manifest["artifacts"]["vocab"] = str(bad)
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        fill = {"bad": bad, "tmp": tmp_path, "manifest": tmp_path / "manifest.json",
+        fill = {"bad": bad, "tmp": tmp_path, "manifest": run / "manifest.json",
                 "test": pipeline["data"] / "test.csv"}
         assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
         assert str(bad) in self.one_line_error(capsys)
@@ -405,13 +448,10 @@ class TestBadInputExitsTwo:
         assert self.one_line_error(capsys) == f"error: no comments in {empty}"
 
     def test_vocab_of_another_size(self, pipeline, tmp_path, capsys):
-        vocab = tmp_path / "vocab.txt"
-        vocab.write_text((pipeline["run"] / "vocab.txt").read_text(encoding="utf-8") + "extra\n",
-                         encoding="utf-8")
-        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
-        manifest["artifacts"]["vocab"] = str(vocab)
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        assert _eval(tmp_path / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        run = copy_run(pipeline, tmp_path / "run")
+        vocab = run / "vocab.txt"
+        vocab.write_text(vocab.read_text(encoding="utf-8") + "extra\n", encoding="utf-8")
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
         assert str(vocab) in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
 
@@ -419,14 +459,13 @@ class TestBadInputExitsTwo:
         lambda blob: blob[:10],
         lambda blob: blob[:8] + (10**9).to_bytes(8, "little") + blob[16:],
         lambda blob: blob.replace(b'"name"', b'"nome"'),
-    ], ids=["cut-to-10-bytes", "manifest-length-past-end", "entry-without-name"])
+        lambda blob: blob.replace(b'"<f8"', b'"<f4"', 1),
+    ], ids=["cut-to-10-bytes", "manifest-length-past-end", "entry-without-name", "dtype-f4"])
     def test_corrupt_checkpoint(self, pipeline, tmp_path, capsys, corrupt):
-        checkpoint = tmp_path / "checkpoint.bin"
-        checkpoint.write_bytes(corrupt((pipeline["run"] / "checkpoint.bin").read_bytes()))
-        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
-        manifest["artifacts"]["checkpoint"] = str(checkpoint)
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        assert _eval(tmp_path / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        run = copy_run(pipeline, tmp_path / "run")
+        checkpoint = run / "checkpoint.bin"
+        checkpoint.write_bytes(corrupt(checkpoint.read_bytes()))
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
         err = self.one_line_error(capsys)
         assert str(checkpoint) in err and "Traceback" not in err
         assert not (tmp_path / "eval.json").exists()
@@ -569,16 +608,11 @@ class TestPredictionsHandoff:
         self.refused(capsys, tmp_path / "predictions.csv")
 
     def test_checkpoint_replaced_after_eval(self, pipeline, other_run, tmp_path, capsys):
-        run, test = pipeline["run"], pipeline["data"] / "test.csv"
-        checkpoint = tmp_path / "checkpoint.bin"
-        shutil.copyfile(run / "checkpoint.bin", checkpoint)
-        manifest = json.loads((run / "manifest.json").read_text())
-        manifest["artifacts"]["checkpoint"] = str(checkpoint)
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest), encoding="utf-8")
+        run, test = copy_run(pipeline, tmp_path / "run"), pipeline["data"] / "test.csv"
+        path = run / "manifest.json"
         assert _eval(path, test, tmp_path) == 0
         assert _audit(path, test, tmp_path) == 0
-        shutil.copyfile(other_run / "checkpoint.bin", checkpoint)
+        shutil.copyfile(other_run / "checkpoint.bin", run / "checkpoint.bin")
         capsys.readouterr()
         assert _audit(path, test, tmp_path) == 2
         self.refused(capsys, tmp_path / "predictions.csv")
@@ -624,3 +658,102 @@ class TestPredictionsHandoff:
         for path in (reports / "eval.json", reports / "predictions.csv",
                      reports / "audit.json", reports / "audit.txt", cells):
             assert path.exists(), path
+
+
+@pytest.fixture(scope="module")
+def packaged_run(pipeline):
+    """A run of the pipeline's data trained on the packaged lexicon."""
+    data = pipeline["data"]
+    run = pipeline["root"] / "run-packaged"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("SUBSENSE_LEXICON", raising=False)
+        assert cli.dispatch([
+            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--mode", "ss", "--seed", "1", "--outdir", str(run), *TRAIN_FLAGS,
+        ]) == 0
+    return run
+
+
+class TestRunDirectory:
+    """eval, audit and compare read a run's files from the directory of the
+    manifest they are given, whatever the working directory."""
+
+    REPORTS = ("eval.json", "predictions.csv", "audit.json", "audit.txt")
+
+    def test_copied_run_from_another_directory(self, pipeline, tmp_path, monkeypatch, capsys):
+        run, test = pipeline["run"], str(pipeline["data"] / "test.csv")
+        for command in ("eval", "audit"):
+            assert cli.dispatch([command, "--manifest", str(run / "manifest.json"),
+                                 "--test", test]) == 0
+        copy = copy_run(pipeline, tmp_path / "copy")
+        for name in self.REPORTS:
+            (copy / name).unlink()
+        before = {p.name: (sha(p), p.stat().st_mtime_ns) for p in run.iterdir()}
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        for command in ("eval", "audit"):
+            assert cli.dispatch([command, "--manifest", "../copy/manifest.json",
+                                 "--test", test]) == 0
+        capsys.readouterr()
+        assert {p.name: (sha(p), p.stat().st_mtime_ns) for p in run.iterdir()} == before
+        for name in self.REPORTS:
+            assert (copy / name).read_bytes() == (run / name).read_bytes(), name
+        assert cli.dispatch(["compare", "../copy/manifest.json"]) == 0
+        assert "ss" in capsys.readouterr().out
+
+    def test_train_copies_its_lexicons(self, pipeline, tmp_path, monkeypatch, capsys):
+        data, run = pipeline["data"], tmp_path / "run"
+        terms = tmp_path / "terms.txt"
+        terms.write_text("women\nmuslim\n", encoding="utf-8")
+        monkeypatch.setenv("SUBSENSE_LEXICON", str(data / "lexicon.tsv"))
+        assert cli.dispatch([
+            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--mode", "ss", "--seed", "1", "--outdir", str(run),
+            "--identity-terms", str(terms), *TRAIN_FLAGS,
+        ]) == 0
+        capsys.readouterr()
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["manifest_version"] == 2 and "artifacts" not in manifest
+        assert (manifest["lexicon"], manifest["identity_terms"]) == (
+            "lexicon.tsv", "identity_terms.txt")
+        assert (run / "lexicon.tsv").read_bytes() == (data / "lexicon.tsv").read_bytes()
+        assert (run / "identity_terms.txt").read_bytes() == terms.read_bytes()
+        assert manifest["inputs"]["lexicon.tsv"] == {
+            "path": str(data / "lexicon.tsv"), "sha256": sha(data / "lexicon.tsv")}
+        assert manifest["inputs"]["identity_terms.txt"]["sha256"] == sha(terms)
+
+    def test_packaged_lexicon_is_copied(self, packaged_run):
+        manifest = json.loads((packaged_run / "manifest.json").read_text())
+        assert (manifest["lexicon"], manifest["identity_terms"]) == ("lexicon.xml", "paper-25")
+        assert (packaged_run / "lexicon.xml").read_bytes() == (
+            subjectivity.DEFAULT_LEXICON_XML.read_bytes())
+        assert not (packaged_run / "identity_terms.txt").exists()
+
+    def test_eval_ignores_subsense_lexicon(self, pipeline, packaged_run, tmp_path, monkeypatch,
+                                           capsys):
+        manifest, test = packaged_run / "manifest.json", pipeline["data"] / "test.csv"
+        monkeypatch.delenv("SUBSENSE_LEXICON", raising=False)
+        assert _eval(manifest, test, tmp_path / "plain") == 0
+        words = {w for c in datasets.read_canonical(test) for w in textprep.word_split(c.text)
+                 if w[0].isalnum()}
+        every_word = tmp_path / "every-word.tsv"
+        every_word.write_text("".join(f"{w}\t0.125\n" for w in sorted(words)), encoding="utf-8")
+        monkeypatch.setenv("SUBSENSE_LEXICON", str(every_word))
+        assert _eval(manifest, test, tmp_path / "env") == 0
+        capsys.readouterr()
+        assert (tmp_path / "env" / "predictions.csv").read_bytes() == (
+            tmp_path / "plain" / "predictions.csv").read_bytes()
+
+    def test_relative_lexicon_after_chdir(self, pipeline, tmp_path, monkeypatch, capsys):
+        data, run = pipeline["data"], tmp_path / "run"
+        monkeypatch.chdir(data)
+        assert cli.dispatch([
+            "train", "--train", "train.csv", "--val", "val.csv", "--mode", "ss", "--seed", "1",
+            "--outdir", str(run), "--lexicon", "lexicon.tsv", *TRAIN_FLAGS,
+        ]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert cli.dispatch(["eval", "--manifest", "run/manifest.json",
+                             "--test", str(data / "test.csv")]) == 0
+        capsys.readouterr()
+        assert (run / "predictions.csv").read_bytes() == (
+            pipeline["run"] / "predictions.csv").read_bytes()

@@ -379,10 +379,13 @@ class TestCheckpoint:
         checkpoint_bytes({"tensors": [{"name": "head.b", "shape": ["2"]}]}),
         checkpoint_bytes({"tensors": [{"name": "head.b", "shape": [True, 2]}]}),
         checkpoint_bytes({"tensors": [{"name": "head.b", "shape": [None]}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b", "shape": [2], "dtype": "<f4"}]}),
+        checkpoint_bytes({"tensors": [{"name": "head.b", "shape": [2]}]}),
     ], ids=["cut-to-10-bytes", "manifest-length-past-end", "manifest-not-utf8",
             "manifest-not-json", "manifest-not-object", "entry-not-object",
             "entry-without-name", "entry-without-shape", "shape-not-list", "name-not-str",
-            "negative-dim", "float-dim", "str-dim", "bool-dim", "null-dim"])
+            "negative-dim", "float-dim", "str-dim", "bool-dim", "null-dim", "dtype-f4",
+            "entry-without-dtype"])
     def test_corrupt_header(self, tmp_path, blob):
         path = tmp_path / "ckpt.bin"
         path.write_bytes(blob)
