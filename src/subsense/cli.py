@@ -31,8 +31,8 @@ MANIFEST_VERSION = 2
 # Types of the manifest keys that eval, audit and compare read, and of the
 # eval report keys that compare reads.
 RUN_KEYS = {"config_digest": str, "seed": int, "mode": str, "soc_weight": float,
-            "dataset_id": str, "lexicon": str, "identity_terms": str}
-EVAL_KEYS = {"f1": float, "fp": float, "fn": float}
+            "dataset_id": str, "lexicon": str, "identity_terms": str, "inputs": dict}
+EVAL_KEYS = {"config_digest": str, "f1": float, "fp": float, "fn": float}
 # eval writes its predictions beside its report and audit reads them from
 # beside its own, so an audit never runs the encoder again.
 PREDICTIONS_FILE = "predictions.csv"
@@ -151,20 +151,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _checked_section(doc, section: str, cls, path, error) -> dict:
-    """The ``section`` object of a parsed JSON file, its keys and values
-    checked against the fields of ``cls`` by ``check_fields``; anything else
-    raises ``error`` naming ``path``."""
-    values = doc.get(section, {}) if isinstance(doc, dict) else None
-    if not isinstance(values, dict):
-        raise error(f"{path}: {section!r} must be a JSON object")
-    try:
-        check_fields(cls, values, section)
-    except ConfigError as exc:
-        raise error(f"{path}: {exc}") from None
-    return values
-
-
 def _checked_keys(doc, types: dict, path, name: str) -> dict:
     """``doc``, parsed from ``path``, if it is an object holding every key of
     ``types`` with a value of its type (``check_fields``); else a
@@ -179,12 +165,20 @@ def _checked_keys(doc, types: dict, path, name: str) -> dict:
 
 
 def _config_section(args, section: str, cls) -> dict:
-    """The checked ``section`` object of the --config file; empty without
-    --config."""
+    """The ``section`` object of the --config file, its keys and values
+    checked against the fields of ``cls`` by ``check_fields``; empty without
+    --config or without the section."""
     if not args.config:
         return {}
-    return _checked_section(_read_json(args.config, ConfigError), section, cls,
-                            args.config, ConfigError)
+    doc = _read_json(args.config, ConfigError)
+    values = doc.get(section, {}) if isinstance(doc, dict) else None
+    if not isinstance(values, dict):
+        raise ConfigError(f"{args.config}: {section!r} must be a JSON object")
+    try:
+        check_fields(cls, values, section)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+    return values
 
 
 def _model_config_from_args(args, vocab_size: int) -> encoder.ModelConfig:
@@ -297,11 +291,25 @@ def _load_manifest(path) -> tuple[dict, Path]:
     return manifest, p.parent
 
 
+def _checked_copy(manifest, run: Path, name: str) -> Path:
+    """The run's copy ``name``, if it hashes to the sha256 that the
+    manifest's ``inputs`` records for it; else a ContractError."""
+    entry = manifest["inputs"].get(name)
+    digest = entry.get("sha256") if isinstance(entry, dict) else None
+    if not isinstance(digest, str):
+        raise ContractError(f"manifest.inputs[{name!r}] records no sha256 for {run / name}")
+    if _sha256_file(run / name) != digest:
+        raise ContractError(f"{run / name} is not the copy train made: its sha256 differs "
+                            f"from manifest.inputs[{name!r}]")
+    return run / name
+
+
 def _rebuild_run(manifest, run: Path):
     config_path = run / "config.json"
     run_config = _read_json(config_path, ContractError)
-    model = _checked_section(run_config, "model", encoder.ModelConfig, config_path,
-                             ContractError)
+    model = run_config.get("model") if isinstance(run_config, dict) else None
+    if not isinstance(model, dict):
+        raise ContractError(f"{config_path}: 'model' must be a JSON object")
     try:
         config = encoder.ModelConfig.from_dict(model)
     except ConfigError as exc:
@@ -310,11 +318,10 @@ def _rebuild_run(manifest, run: Path):
     if len(vocab) != config.vocab_size:
         raise ContractError(f"{run / 'vocab.txt'} holds {len(vocab)} tokens, "
                             f"{config_path} says {config.vocab_size}")
-    params = encoder.load_params(run / "checkpoint.bin")
-    encoder.validate_params(params, config)
-    subj_lex = subjectivity.load_lexicon(run / manifest["lexicon"])
+    params = encoder.load_params(run / "checkpoint.bin", config)
+    subj_lex = subjectivity.load_lexicon(_checked_copy(manifest, run, manifest["lexicon"]))
     terms = manifest["identity_terms"]
-    id_lex = _identity_terms(None if terms == "paper-25" else run / terms)
+    id_lex = _identity_terms(None if terms == "paper-25" else _checked_copy(manifest, run, terms))
     mode = AugmentMode.parse(manifest["mode"])
     return config, vocab, params, subj_lex, id_lex, mode
 
@@ -425,6 +432,9 @@ def _cmd_compare(args) -> int:
             raise ContractError(f"no eval report for {mpath}; run `subsense eval` first")
         report = _checked_keys(_read_json(eval_path, ContractError), EVAL_KEYS, eval_path,
                                "eval report")
+        if report["config_digest"] != manifest["config_digest"]:
+            raise ContractError(f"{eval_path} reports another run config than {mpath}; "
+                                "run `subsense eval` again")
         name = manifest["mode"]
         if manifest["soc_weight"]:
             name += f"+soc({manifest['soc_weight']})"

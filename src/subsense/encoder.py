@@ -118,16 +118,23 @@ class ModelConfig:
         return cls(**d)
 
 
+def _views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """Named views into ``flat``, one per entry of ``shapes`` (name to
+    shape), laid out one after another in its order."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 def flat_params(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Copy ``params`` into one contiguous vector, tensors in key order, and
     return it with a dict of named views into it: an in-place update of the
     vector updates every tensor."""
     flat = np.concatenate(list(params.values()), axis=None)
-    views, offset = {}, 0
-    for name, tensor in params.items():
-        views[name] = flat[offset : offset + tensor.size].reshape(tensor.shape)
-        offset += tensor.size
-    return flat, views
+    return flat, _views(flat, {name: tensor.shape for name, tensor in params.items()})
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -172,22 +179,6 @@ def init(config: ModelConfig) -> dict[str, np.ndarray]:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
             tensors[name] = rng.uniform(-limit, limit, size=shape)
     return tensors
-
-
-def validate_params(params: dict[str, np.ndarray], config: ModelConfig) -> None:
-    shapes = param_shapes(config)
-    for name, shape in shapes.items():
-        if name not in params:
-            raise ContractError(f"missing parameter {name}")
-        if params[name].shape != shape:
-            raise ContractError(
-                f"parameter {name} has shape {params[name].shape}, expected {shape}"
-            )
-        if not np.all(np.isfinite(params[name])):
-            raise ContractError(f"parameter {name} contains non-finite values")
-    extra = set(params) - set(shapes)
-    if extra:
-        raise ContractError(f"unexpected parameters: {sorted(extra)}")
 
 
 def _rms_forward(x, gain, bias):
@@ -508,56 +499,41 @@ def backward(cache, params, config, dlogits):
     return grads, slot_fill_grad
 
 
-def save_params(params: dict[str, np.ndarray], path) -> None:
-    """Flat binary checkpoint: magic, JSON shape manifest, raw tensors."""
-    manifest = {
-        "tensors": [
-            {"name": name, "shape": list(tensor.shape), "dtype": "<f8"}
-            for name, tensor in params.items()
-        ]
-    }
+def _header(shapes) -> bytes:
+    """What a checkpoint holds before its tensors: the magic, the length of
+    the JSON manifest and the manifest, which gives each tensor of
+    ``shapes`` (name to shape) its name, shape and dtype ``<f8``."""
+    manifest = {"tensors": [{"name": name, "shape": list(shape), "dtype": "<f8"}
+                            for name, shape in shapes.items()]}
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return CHECKPOINT_MAGIC + len(payload).to_bytes(8, "little") + payload
+
+
+def save_params(params: dict[str, np.ndarray], path) -> None:
+    """Flat binary checkpoint: ``_header``, then the raw tensors in order."""
     with replacing(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(payload).to_bytes(8, "little"))
-        fh.write(payload)
-        for _, tensor in params.items():
+        fh.write(_header({name: tensor.shape for name, tensor in params.items()}))
+        for tensor in params.values():
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def load_params(path) -> dict[str, np.ndarray]:
-    """The checkpoint's tensors by name, in file order. A header that does
-    not describe the file is a ``ContractError`` naming it."""
+def load_params(path, config: ModelConfig) -> dict[str, np.ndarray]:
+    """The tensors of the ``config`` checkpoint at ``path`` in
+    ``param_shapes`` order, named views into one vector. The file must be
+    exactly what ``save_params`` writes for those tensors, every value
+    finite; anything else is a one-line ``ContractError`` naming it."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"checkpoint not found: {p}")
+    shapes = param_shapes(config)
+    header = _header(shapes)
     blob = p.read_bytes()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ContractError(f"{p} is not a recognised checkpoint (bad magic)")
-    start = len(CHECKPOINT_MAGIC) + 8
-    offset = start + int.from_bytes(blob[start - 8 : start], "little")
-    if offset > len(blob):
-        raise ContractError(f"checkpoint {p} truncated in its manifest")
-    try:
-        manifest = json.loads(blob[start:offset].decode("utf-8"))
-        entries = [(entry["name"], tuple(entry["shape"]), entry.get("dtype"))
-                   for entry in manifest["tensors"]]
-    except (ValueError, KeyError, TypeError):
-        raise ContractError(
-            f"checkpoint {p}: manifest is not UTF-8 JSON giving each tensor a name and shape"
-        ) from None
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape, dtype in entries:
-        if not isinstance(name, str) or not all(type(n) is int and n >= 0 for n in shape):
-            raise ContractError(f"checkpoint {p}: tensor {name!r} has shape {list(shape)}")
-        if dtype != "<f8":  # the one dtype save_params writes
-            raise ContractError(f"checkpoint {p}: tensor {name!r} has dtype {dtype!r}, not '<f8'")
-        nbytes = math.prod(shape) * 8
-        if offset + nbytes > len(blob):
-            raise ContractError(f"checkpoint {p} truncated at tensor {name}")
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        tensors[name] = arr.copy()
-        offset += nbytes
-    if offset != len(blob):
-        raise ContractError(f"checkpoint {p} has trailing bytes")
-    return tensors
+    if not blob.startswith(header):
+        raise ContractError(f"{p} is not a checkpoint of the given config (its header differs)")
+    size = len(header) + 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(blob) != size:
+        raise ContractError(f"checkpoint {p} has {len(blob)} bytes, its config needs {size}")
+    flat = np.frombuffer(blob, dtype="<f8", offset=len(header)).copy()
+    if not np.isfinite(flat).all():
+        raise ContractError(f"checkpoint {p} holds non-finite values")
+    return _views(flat, shapes)

@@ -48,6 +48,6 @@ def test_artifact_writers_leave_only_their_files(tmp_path):
         "checkpoint.bin", "corpus.csv", "history.csv", "lexicon.tsv", "vocab.txt"]
     assert ds.read_canonical(tmp_path / "corpus.csv") == list(corpus.comments)
     assert len(sj.load_lexicon(tmp_path / "lexicon.tsv")) == 100
-    loaded = enc.load_params(tmp_path / "checkpoint.bin")
+    loaded = enc.load_params(tmp_path / "checkpoint.bin", config)
     for name, tensor in params.items():
         assert np.array_equal(loaded[name], tensor)

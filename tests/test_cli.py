@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -227,6 +228,29 @@ class TestTrainArtifacts:
         assert cli.dispatch(["compare", str(rundir / "manifest.json")]) == 2
         assert "eval" in capsys.readouterr().err
 
+    def test_compare_refuses_an_earlier_runs_eval(self, pipeline, tmp_path, capsys):
+        """An eval.json that an ss run left in a directory the baseline was
+        then trained into is refused, until eval runs again."""
+        data, run = pipeline["data"], tmp_path / "rerun"
+        for mode, seed in (("ss", "1"), ("baseline", "2")):
+            assert cli.dispatch([
+                "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+                "--mode", mode, "--seed", seed, "--outdir", str(run),
+                "--lexicon", str(data / "lexicon.tsv"), *TRAIN_FLAGS,
+            ]) == 0
+            if mode == "ss":
+                assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
+                                     "--test", str(data / "test.csv")]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert str(run / "eval.json") in err and "\n" not in err
+        assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
+                             "--test", str(data / "test.csv")]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(["compare", str(run / "manifest.json")]) == 0
+        assert "baseline" in capsys.readouterr().out
+
 
 class TestBadInputExitsTwo:
     """Malformed inputs end with exit 2 and a one-line message."""
@@ -346,7 +370,7 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("key,value", [
         ("mode", 3), ("seed", "1"), ("seed", 1.5), ("seed", True), ("soc_weight", "0.1"),
         ("soc_weight", None), ("lexicon", None), ("identity_terms", ["paper-25"]),
-        ("config_digest", 7), ("dataset_id", {}),
+        ("config_digest", 7), ("dataset_id", {}), ("inputs", ["lexicon.tsv"]), ("inputs", None),
     ])
     def test_manifest_wrong_type(self, pipeline, tmp_path, capsys, key, value):
         run = copy_run(pipeline, tmp_path / "run")
@@ -369,6 +393,38 @@ class TestBadInputExitsTwo:
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
         assert key in self.one_line_error(capsys)
+        assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize("entry", [None, "0" * 64, {}, {"sha256": 7}, "drop"],
+                             ids=["null", "str", "no-sha256", "int-sha256", "missing"])
+    def test_manifest_inputs_entry_of_a_copy(self, pipeline, tmp_path, capsys, entry):
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        if entry == "drop":
+            del manifest["inputs"]["lexicon.tsv"]
+        else:
+            manifest["inputs"]["lexicon.tsv"] = entry
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        assert "manifest.inputs['lexicon.tsv']" in self.one_line_error(capsys)
+        assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize("copy", ["lexicon.tsv", "lexicon.xml"])
+    def test_edited_lexicon_copy(self, pipeline, packaged_run, tmp_path, capsys, copy):
+        """A lexicon copy whose subjectivity values were edited after train."""
+        source = pipeline["run"] if copy == "lexicon.tsv" else packaged_run
+        run = Path(shutil.copytree(source, tmp_path / "run"))
+        lexicon = run / copy
+        text = lexicon.read_text(encoding="utf-8")
+        if copy == "lexicon.tsv":
+            rows = [line.split("\t") for line in text.splitlines()]
+            text = "".join("\t".join(row if row[0].startswith("#") else [row[0], "0.9", *row[2:]])
+                           + "\n" for row in rows)
+        else:
+            text = re.sub(r'subjectivity="[^"]*"', 'subjectivity="0.9"', text)
+        lexicon.write_text(text, encoding="utf-8")
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        assert str(lexicon) in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize("report", [
@@ -502,7 +558,7 @@ def old_path(pipeline):
         subjectivity.load_lexicon(data / "lexicon.tsv"), identity.default_terms(),
         config.max_len, AugmentMode.SS,
     )
-    params = encoder.load_params(run / "checkpoint.bin")
+    params = encoder.load_params(run / "checkpoint.bin", config)
     preds, probs = trainer.predict_batch(params, config, prepared.data)
     features = prepared.features
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
@@ -721,6 +777,12 @@ class TestRunDirectory:
         assert manifest["inputs"]["lexicon.tsv"] == {
             "path": str(data / "lexicon.tsv"), "sha256": sha(data / "lexicon.tsv")}
         assert manifest["inputs"]["identity_terms.txt"]["sha256"] == sha(terms)
+        # eval refuses a copy edited after train.
+        with open(run / "identity_terms.txt", "a", encoding="utf-8") as fh:
+            fh.write("jews\n")
+        assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
+                             "--test", str(data / "test.csv")]) == 2
+        assert str(run / "identity_terms.txt") in capsys.readouterr().err
 
     def test_packaged_lexicon_is_copied(self, packaged_run):
         manifest = json.loads((packaged_run / "manifest.json").read_text())
