@@ -32,7 +32,7 @@ MANIFEST_VERSION = 2
 # eval report keys that compare reads.
 RUN_KEYS = {"config_digest": str, "seed": int, "mode": str, "soc_weight": float,
             "dataset_id": str, "lexicon": str, "identity_terms": str, "inputs": dict}
-EVAL_KEYS = {"config_digest": str, "f1": float, "fp": float, "fn": float}
+EVAL_KEYS = {"config_digest": str, "checkpoint_sha256": str, "f1": float, "fp": float, "fn": float}
 # eval writes its predictions beside its report and audit reads them from
 # beside its own, so an audit never runs the encoder again.
 PREDICTIONS_FILE = "predictions.csv"
@@ -326,11 +326,10 @@ def _rebuild_run(manifest, run: Path):
     return config, vocab, params, subj_lex, id_lex, mode
 
 
-def _predictions_tag(manifest, run: Path, test_sha256: str) -> str:
+def _predictions_tag(manifest, checkpoint_sha256: str, test_sha256: str) -> str:
     """First line of ``predictions.csv``: the checkpoint, test CSV and run
     configuration the predictions were made from."""
-    checkpoint = _sha256_file(run / "checkpoint.bin")
-    return (f"# subsense predictions checkpoint={checkpoint} test={test_sha256} "
+    return (f"# subsense predictions checkpoint={checkpoint_sha256} test={test_sha256} "
             f"config={manifest['config_digest']}")
 
 
@@ -386,8 +385,10 @@ def _cmd_eval(args) -> int:
     preds, probs = trainer.predict_batch(params, config, prepared.data)
     counts = audit.confusion(preds, [c.label for c in comments])
     test_sha256 = _sha256_file(args.test)
+    checkpoint_sha256 = _sha256_file(run / "checkpoint.bin")
     report = {
         **{k: manifest[k] for k in ("config_digest", "mode", "seed", "soc_weight", "dataset_id")},
+        "checkpoint_sha256": checkpoint_sha256,
         "test": {"path": str(args.test), "sha256": test_sha256},
         "n": counts.total,
         "tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn,
@@ -395,7 +396,7 @@ def _cmd_eval(args) -> int:
     }
     out = Path(args.output) if args.output else run / "eval.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    tag = _predictions_tag(manifest, run, test_sha256)
+    tag = _predictions_tag(manifest, checkpoint_sha256, test_sha256)
     _write_predictions(out.parent / PREDICTIONS_FILE, tag, comments, preds, probs,
                        prepared.features)
     _write_json(report, out)
@@ -408,7 +409,7 @@ def _cmd_audit(args) -> int:
     manifest, run = _load_manifest(args.manifest)
     out = Path(args.output) if args.output else run / "audit.json"
     comments = _read_comments(args.test)
-    tag = _predictions_tag(manifest, run, _sha256_file(args.test))
+    tag = _predictions_tag(manifest, _sha256_file(run / "checkpoint.bin"), _sha256_file(args.test))
     preds, features = _read_predictions(out.parent / PREDICTIONS_FILE, tag, comments)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     _write_json(report.to_json_dict(), out)
@@ -435,6 +436,9 @@ def _cmd_compare(args) -> int:
         if report["config_digest"] != manifest["config_digest"]:
             raise ContractError(f"{eval_path} reports another run config than {mpath}; "
                                 "run `subsense eval` again")
+        if report["checkpoint_sha256"] != _sha256_file(run / "checkpoint.bin"):
+            raise ContractError(f"{eval_path} reports another checkpoint than "
+                                f"{run / 'checkpoint.bin'}; run `subsense eval` again")
         name = manifest["mode"]
         if manifest["soc_weight"]:
             name += f"+soc({manifest['soc_weight']})"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -109,14 +110,22 @@ _T42K_MAP = {
 }
 
 
-def _field(row: dict, column: str, rownum: int) -> str:
-    if column not in row or row[column] is None:
+def _present(value, column: str, rownum: int) -> str:
+    if value is None:
         raise SchemaError(f"row {rownum}: missing column {column!r}")
-    return row[column]
+    return value
+
+
+def _canonical_comment(label, text, cid, rownum: int) -> Comment:
+    """The canonical row rule: the label is checked first, then the text, and
+    an empty id becomes ``synthetic-NNNNNN``. None is a column the row lacks."""
+    label = Label.parse(_present(label, "label", rownum))
+    text = _present(text, "text", rownum)
+    return Comment((cid or "").strip() or f"synthetic-{rownum:06d}", text, label)
 
 
 def _mapped_label(row: dict, mapping: dict, rownum: int):
-    raw = _field(row, "label", rownum)
+    raw = _present(row.get("label"), "label", rownum)
     key = raw.strip().lower()
     if key not in mapping:
         raise SchemaError(f"row {rownum}: unknown label {raw!r}")
@@ -125,7 +134,7 @@ def _mapped_label(row: dict, mapping: dict, rownum: int):
 
 def _wiki_label(row: dict, rownum: int) -> Label:
     for col in WIKI_LABEL_COLUMNS:
-        raw = _field(row, col, rownum).strip()
+        raw = _present(row.get(col), col, rownum).strip()
         if raw not in ("0", "1"):
             raise SchemaError(f"row {rownum}: column {col!r} must be 0 or 1, got {raw!r}")
         if raw == "1":
@@ -144,6 +153,9 @@ def convert(kind: DatasetKind, rows) -> ConversionResult:
     n_dropped = 0
     for idx, row in enumerate(rows, start=1):
         n_input += 1
+        if kind is DatasetKind.SYNTHETIC:
+            comments.append(_canonical_comment(*map(row.get, ("label", "text", "id")), idx))
+            continue
         if kind is DatasetKind.WS:
             label = _mapped_label(row, _WS_MAP, idx)
         elif kind is DatasetKind.TWITTER18K:
@@ -155,30 +167,47 @@ def convert(kind: DatasetKind, rows) -> ConversionResult:
                 continue
         elif kind is DatasetKind.WIKI:
             label = _wiki_label(row, idx)
-        elif kind is DatasetKind.SYNTHETIC:
-            label = Label.parse(_field(row, "label", idx))
         else:  # pragma: no cover
             raise SchemaError(f"unsupported kind {kind}")
-        text = _field(row, "text", idx)
+        text = _present(row.get("text"), "text", idx)
         cid = (row.get("id") or "").strip() or f"{kind.value}-{idx:06d}"
         comments.append(Comment(cid, text, label))
     return ConversionResult(tuple(comments), n_input, n_dropped)
 
 
-def load_rows(path) -> list[dict]:
+@contextmanager
+def _dataset_file(path):
+    """The file at ``path`` opened for ``csv``; a missing file or non-UTF-8 text raises."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"dataset file not found: {p}")
     with open(p, newline="", encoding="utf-8-sig") as fh:
         try:
-            return list(csv.DictReader(fh))
+            yield fh
         except UnicodeDecodeError as exc:
             raise ResourceError(f"dataset file {p} is not UTF-8 text: {exc}") from None
 
 
+def load_rows(path) -> list[dict]:
+    with _dataset_file(path) as fh:
+        return list(csv.DictReader(fh))
+
+
 def read_canonical(path) -> list[Comment]:
-    result = convert(DatasetKind.SYNTHETIC, load_rows(path))
-    return list(result.comments)
+    """The comments of a canonical CSV (columns id, text, label), each built as
+    its row is read. Blank rows are skipped and not numbered, and a repeated
+    column name means its last column, as with ``csv.DictReader``."""
+    with _dataset_file(path) as fh:
+        reader = csv.reader(fh)
+        at = {name: i for i, name in enumerate(next(reader, []))}
+        cols = [at.get(name, -1) for name in ("label", "text", "id")]  # -1: the header lacks it
+        try:
+            return [_canonical_comment(*[row[i] if -1 < i < len(row) else None for i in cols], n)
+                    for n, row in enumerate(filter(None, reader), start=1)]
+        except SchemaError:
+            for _ in reader:  # bad bytes later in the file are reported first
+                pass
+            raise
 
 
 def write_canonical(comments, path) -> None:

@@ -57,8 +57,10 @@ class SubjectivityLexicon:
         self._subjectivity = {f: sum(e.subjectivity for e in s) / len(s) for f, s in table.items()}
         self._intensity = {f: sum(e.intensity for e in s) / len(s) for f, s in table.items()}
         # Every text a multi-word form continues past a space ("fed" of "fed
-        # up"); a token outside this set can only match a one-word form.
+        # up"); a token outside this set can only match a one-word form, and
+        # a token outside ``_starts`` matches nothing.
         self._heads = frozenset(f[:i] for f in table for i, ch in enumerate(f) if ch == " ")
+        self._starts = self._heads.union(table)
         self.skipped = skipped
         self.max_form_words = max((f.count(" ") + 1 for f in table), default=1)
 
@@ -213,25 +215,19 @@ def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):
     return None
 
 
-def assess(tokens, lexicon: SubjectivityLexicon) -> list[Assessment]:
-    """Longest-match scan producing one assessment per lexicon hit.
-
-    A single-token entry with mean intensity != 1 that directly precedes
-    another hit is consumed as that hit's modifier instead of producing its
-    own assessment; only one modifier ever applies to a match.
-    """
-    tokens = list(tokens)
-    out: list[Assessment] = []
+def _hits(tokens, lexicon: SubjectivityLexicon):
+    """(start, width, contribution) of each lexicon hit in ``tokens``, in order.
+    The scan steps only over forms and heads of forms, as no other token starts
+    a match; a modifier is taken only when the very next token starts one, so
+    it never carries across a token that matches nothing."""
+    starts = lexicon._starts
     pending: float | None = None
-    table, heads = lexicon._table, lexicon._heads
-    i = 0
-    while i < len(tokens):
-        # A token that is neither a form nor the first word of one matches nothing.
-        tok = tokens[i]
-        m = _match_at(tokens, i, lexicon) if tok in table or tok in heads else None
+    end = 0  # first token not inside an earlier match
+    for i in [i for i, tok in enumerate(tokens) if tok in starts]:
+        if i < end:
+            continue
+        m = _match_at(tokens, i, lexicon)
         if m is None:
-            pending = None
-            i += 1
             continue
         form, width = m
         if (
@@ -240,15 +236,25 @@ def assess(tokens, lexicon: SubjectivityLexicon) -> list[Assessment]:
             and _match_at(tokens, i + 1, lexicon) is not None
         ):
             pending = lexicon.mean_intensity(form)
-            i += 1
             continue
         subj = lexicon.mean_subjectivity(form)
         if pending is not None:
             subj = min(1.0, max(0.0, subj * pending))
-        out.append(Assessment(i, i + width, tuple(tokens[i : i + width]), subj))
-        pending = None
-        i += width
-    return out
+            pending = None
+        yield i, width, subj
+        end = i + width
+
+
+def assess(tokens, lexicon: SubjectivityLexicon) -> list[Assessment]:
+    """Longest-match scan producing one assessment per lexicon hit.
+
+    A single-token entry with mean intensity != 1 that directly precedes
+    another hit is consumed as that hit's modifier instead of producing its
+    own assessment; only one modifier ever applies to a match.
+    """
+    tokens = list(tokens)
+    return [Assessment(i, i + width, tuple(tokens[i : i + width]), subj)
+            for i, width, subj in _hits(tokens, lexicon)]
 
 
 def score(text: str, lexicon: SubjectivityLexicon, tokens=None) -> SubjectivityScore:
@@ -261,8 +267,8 @@ def score(text: str, lexicon: SubjectivityLexicon, tokens=None) -> SubjectivityS
     """
     if tokens is None:
         tokens = word_split(text)
-    assessments = assess([t for t in tokens if t[0].isalnum()], lexicon)
-    if not assessments:
+    values = [subj for _, _, subj in _hits([t for t in tokens if t[0].isalnum()], lexicon)]
+    if not values:
         return SubjectivityScore(0.0, 0)
-    value = sum(a.subjectivity for a in assessments) / len(assessments)
-    return SubjectivityScore(min(1.0, max(0.0, value)), len(assessments))
+    value = sum(values) / len(values)
+    return SubjectivityScore(min(1.0, max(0.0, value)), len(values))

@@ -14,12 +14,16 @@ against. The next part is the per-row pipeline from before
 ``trainer.prepare_examples`` wrote a columnar ``PreparedSet``; tests that
 build batches from single examples go through it. The last part holds
 frozen copies of identity detection, the feature pass and the audit from
-before the audit reused the trainer's per-comment features.
+before the audit reused the trainer's per-comment features. ``read_canonical``
+is the canonical CSV reader as it was before it streamed its rows: a list of
+``csv.DictReader`` dicts, then the per-row rule of ``convert``.
 """
 
+import csv
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +31,8 @@ from subsense import audit as _audit
 from subsense import encoder as _enc
 from subsense import trainer as _tr
 from subsense.augment import AugmentMode
-from subsense.datasets import Label
-from subsense.errors import ContractError
+from subsense.datasets import Comment, Label
+from subsense.errors import ContractError, ResourceError, SchemaError
 from subsense.identity import IdentityMatch, detect as _detect
 from subsense.subjectivity import Assessment, SubjectivityScore, score as _score
 from subsense.textprep import CLS, PAD, SEP, UNK, word_split as _word_split
@@ -526,3 +530,32 @@ def audit_report(comments, preds, golds, id_lexicon, subj_lexicon):
         bias_groups(comments, preds, golds, id_lexicon, subj_lexicon),
         tuple(error_listing(comments, preds, golds, id_lexicon, subj_lexicon)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The canonical CSV reader before it streamed: every row is read into a
+# ``csv.DictReader`` dict first, then converted.
+
+
+def read_canonical(path) -> list[Comment]:
+    p = Path(path)
+    if not p.exists():
+        raise ResourceError(f"dataset file not found: {p}")
+    with open(p, newline="", encoding="utf-8-sig") as fh:
+        try:
+            rows = list(csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise ResourceError(f"dataset file {p} is not UTF-8 text: {exc}") from None
+
+    def field_of(row, column, rownum):
+        if column not in row or row[column] is None:
+            raise SchemaError(f"row {rownum}: missing column {column!r}")
+        return row[column]
+
+    comments = []
+    for idx, row in enumerate(rows, start=1):
+        label = Label.parse(field_of(row, "label", idx))
+        text = field_of(row, "text", idx)
+        cid = (row.get("id") or "").strip() or f"synthetic-{idx:06d}"
+        comments.append(Comment(cid, text, label))
+    return comments

@@ -251,6 +251,37 @@ class TestTrainArtifacts:
         assert cli.dispatch(["compare", str(run / "manifest.json")]) == 0
         assert "baseline" in capsys.readouterr().out
 
+    def test_compare_refuses_the_eval_of_an_earlier_checkpoint(self, pipeline, tmp_path, capsys):
+        """A run retrained on other data with the same flags keeps its config
+        digest, so only the checkpoint digest tells its predecessor's
+        eval.json apart."""
+        data, run = pipeline["data"], tmp_path / "rerun"
+        flags = [*TRAIN_FLAGS[:-1], "30"]
+        assert flags[-2] == "--vocab-size"
+        digests = []
+        for train_csv in ("train.csv", "test.csv"):
+            assert cli.dispatch([
+                "train", "--train", str(data / train_csv), "--val", str(data / "val.csv"),
+                "--mode", "ss", "--seed", "1", "--outdir", str(run),
+                "--lexicon", str(data / "lexicon.tsv"), *flags,
+            ]) == 0
+            digests.append(json.loads((run / "manifest.json").read_text())["config_digest"])
+            if train_csv == "train.csv":
+                assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
+                                     "--test", str(data / "test.csv")]) == 0
+                assert cli.dispatch(["compare", str(run / "manifest.json")]) == 0
+        assert digests[0] == digests[1]
+        capsys.readouterr()
+        assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert str(run / "eval.json") in err and "checkpoint" in err and "\n" not in err
+        assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
+                             "--test", str(data / "test.csv")]) == 0
+        report = json.loads((run / "eval.json").read_text())
+        assert report["checkpoint_sha256"] == hashlib.sha256(
+            (run / "checkpoint.bin").read_bytes()).hexdigest()
+        assert cli.dispatch(["compare", str(run / "manifest.json")]) == 0
+
 
 class TestBadInputExitsTwo:
     """Malformed inputs end with exit 2 and a one-line message."""

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +15,7 @@ from subsense import subjectivity as sj
 from subsense import textprep as tp
 from subsense.errors import ContractError, ResourceError, SchemaError, StratificationError
 
+import oracles
 from conftest import DATA_DIR
 
 CORPORA_ENV = "SUBSENSE_DATA_DIR"
@@ -112,6 +115,68 @@ class TestConvertFixtures:
         assert (result.n_input, len(result.comments), result.n_toxic) == (10, 10, 5)
 
 
+def outcome(read, path):
+    """The comments ``read`` returns for ``path``, or the class and message
+    of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CELLS = st.one_of(
+    st.sampled_from(["", " ", "c-7", "a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "toxic"]),
+    st.text(max_size=6),
+)
+# Cells by column name; a label is most often a valid one.
+COLUMN_CELLS = {
+    "label": st.sampled_from(["toxic", "nontoxic", " Toxic ", "NONTOXIC", "toxic", "nontoxic",
+                              "spam", ""]),
+    "id": st.sampled_from(["", " ", "c-1", "c-1", "a,b"]),
+}
+CANONICAL_HEADERS = st.permutations(["id", "text", "label"])
+HEADERS = st.one_of(
+    CANONICAL_HEADERS, CANONICAL_HEADERS, CANONICAL_HEADERS, st.none(),
+    st.lists(st.sampled_from(["id", "text", "label", "note", "", "Label"]), max_size=5),
+)
+
+
+@st.composite
+def canonical_csv_bytes(draw):
+    """CSV bytes around the canonical schema: a header that may lack, reorder or
+    repeat columns (or no header), rows fitting it or shorter or longer,
+    blank lines, quoted commas and newlines, CRLF or LF line ends, a BOM, a
+    long tail of rows, and sometimes one byte that is not UTF-8."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\r\n", "\n"])))
+    header = draw(HEADERS)
+    rows = [] if header is None else [header]
+    for _ in range(draw(st.sampled_from(range(7)))):
+        row = [draw(COLUMN_CELLS.get(name, CELLS)) for name in header or ()]
+        shape = draw(st.sampled_from(["fit"] * 5 + ["short", "long", "any"]))
+        if shape == "short":
+            row = row[:draw(st.integers(0, max(len(row) - 1, 0)))]
+        elif shape == "long":
+            row += draw(st.lists(CELLS, min_size=1, max_size=2))
+        elif shape == "any":
+            row = draw(st.lists(CELLS, max_size=5))
+        rows.append(row)
+    if draw(st.booleans()):
+        # Past the first 8 KiB the file is decoded only as its rows are read.
+        rows += [[{"label": "toxic"}.get(name, "padding " * 6) for name in header or ()]] * 200
+    for row in rows:
+        if draw(st.integers(0, 4)) == 3:
+            writer.writerow([])
+        writer.writerow(row)
+    data = out.getvalue().encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 3)) == 2:
+        at = draw(st.integers(0, len(data)) | st.just(len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
 class TestCanonicalIO:
     def test_round_trip(self, tmp_path):
         comments = [
@@ -125,6 +190,15 @@ class TestCanonicalIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ResourceError):
             ds.load_rows(tmp_path / "nope.csv")
+        assert outcome(ds.read_canonical, tmp_path / "nope.csv") == outcome(
+            oracles.read_canonical, tmp_path / "nope.csv")
+
+    @settings(max_examples=400, deadline=None)
+    @given(canonical_csv_bytes())
+    def test_reader_matches_the_dict_reader(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "canonical.csv"
+        path.write_bytes(data)
+        assert outcome(ds.read_canonical, path) == outcome(oracles.read_canonical, path)
 
 
 class TestSplit:

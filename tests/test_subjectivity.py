@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from subsense import subjectivity as sj
 from subsense.errors import ContractError, EmptyLexiconError, ResourceError
+from subsense.textprep import word_split
 
 from score_vectors import PAIRED_COMMENTS, SPOT_SCORES
 
@@ -180,6 +182,42 @@ class TestAssess:
         assert len(result) == 1
         assert result[0].words == ("fed", "up")
         assert result[0].subjectivity == 0.9
+
+
+WALK_LEXICON = make_lexicon([
+    ("very", 0.3, 1.3), ("so", 0.2, 0.5), ("gripping", 0.9), ("plain", 0.5),
+    ("fed", 0.2), ("fed up", 0.8), ("worn out", 0.7), ("out", 0.4),
+])
+
+
+class TestWalkEdges:
+    """The walk steps only over forms and form heads; each case is checked
+    against the frozen every-word scan."""
+
+    @pytest.mark.parametrize("text", [
+        "very ordinary gripping",  # a modifier, then a non-form word, then a form
+        "very plain gripping",
+        "very so gripping",  # two modifiers in a row
+        "so very plain",
+        "very fed up",  # a modifier before a multi-word form
+        "so worn out now",
+        "worn down gripping",  # the head of a multi-word form whose continuation fails
+        "very worn down",
+        "fed down so gripping",
+        "gripping very",  # a modifier as the last word
+        "very",
+        "plain so",
+        "very, gripping",  # punctuation between a modifier and its form
+        "so ... fed up!",
+        "worn, out",
+    ])
+    def test_matches_every_word_scan(self, text):
+        tokens = word_split(text)
+        words = [t for t in tokens if t[0].isalnum()]
+        for toks in (tokens, words):
+            assert sj.assess(toks, WALK_LEXICON) == oracles.assess(toks, WALK_LEXICON)
+        assert sj.score(text, WALK_LEXICON) == oracles.score(text, WALK_LEXICON)
+        assert sj.score(text, WALK_LEXICON, tokens) == oracles.score(text, WALK_LEXICON)
 
 
 class TestScore:
