@@ -16,7 +16,6 @@ from .subjectivity import (
     LexiconEntry,
     SubjectivityLexicon,
     SubjectivityScore,
-    assess,
     default_lexicon,
     load_lexicon,
     score,
@@ -32,7 +31,7 @@ __all__ = [
     "ModelConfig", "backward", "forward", "init",
     "SubsenseError",
     "IdentityLexicon", "IdentityMatch", "coverage", "default_terms", "detect",
-    "LexiconEntry", "SubjectivityLexicon", "SubjectivityScore", "assess",
+    "LexiconEntry", "SubjectivityLexicon", "SubjectivityScore",
     "default_lexicon", "load_lexicon", "score",
     "Vocab", "build_vocab", "encode", "word_split",
     "ClassWeights", "TrainSchedule", "class_weights", "train",

@@ -121,8 +121,6 @@ def quartiles(values) -> Quartiles:
 
 @dataclass(frozen=True)
 class BiasCell:
-    outcome: str
-    with_identity: bool
     scores: tuple[float, ...]
     stats: Quartiles | None
 
@@ -147,7 +145,7 @@ def bias_groups(preds, golds, features) -> dict[tuple[str, bool], BiasCell]:
     for pred, gold, (subjectivity, terms) in zip(preds, golds, features):
         buckets[(_outcome(pred, gold), bool(terms))].append(subjectivity)
     return {
-        key: BiasCell(key[0], key[1], tuple(vals), quartiles(vals) if vals else None)
+        key: BiasCell(tuple(vals), quartiles(vals) if vals else None)
         for key, vals in buckets.items()
     }
 

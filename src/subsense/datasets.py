@@ -119,7 +119,11 @@ def _present(value, column: str, rownum: int) -> str:
 def _canonical_comment(label, text, cid, rownum: int) -> Comment:
     """The canonical row rule: the label is checked first, then the text, and
     an empty id becomes ``synthetic-NNNNNN``. None is a column the row lacks."""
-    label = Label.parse(_present(label, "label", rownum))
+    raw = _present(label, "label", rownum)
+    try:
+        label = Label.parse(raw)
+    except SchemaError as exc:
+        raise SchemaError(f"row {rownum}: {exc}") from None
     text = _present(text, "text", rownum)
     return Comment((cid or "").strip() or f"synthetic-{rownum:06d}", text, label)
 
@@ -177,7 +181,8 @@ def convert(kind: DatasetKind, rows) -> ConversionResult:
 
 @contextmanager
 def _dataset_file(path):
-    """The file at ``path`` opened for ``csv``; a missing file or non-UTF-8 text raises."""
+    """The file at ``path`` opened for ``csv``; a missing file, non-UTF-8 text
+    or a row ``csv`` cannot read (such as a field past its size limit) raises."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"dataset file not found: {p}")
@@ -186,6 +191,8 @@ def _dataset_file(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise ResourceError(f"dataset file {p} is not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise ResourceError(f"dataset file {p} is not a readable CSV: {exc}") from None
 
 
 def load_rows(path) -> list[dict]:

@@ -7,7 +7,7 @@ fire inside "whitewash".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,103 +28,86 @@ CURATED_TERMS_FILE = Path(__file__).parent / "data" / "identity_terms_curated.tx
 
 @dataclass(frozen=True)
 class IdentityLexicon:
-    """Ordered set of lowercase single-word identity terms."""
+    """Ordered set of lowercase single-word identity terms, each starting and
+    ending with a letter or digit, so that a term ``detect`` finds in a text
+    is held by one of its ``word_split`` tokens."""
 
     terms: tuple[str, ...]
-    source_label: str
-    _term_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
         for t in self.terms:
             if not t or t != t.lower() or any(c.isspace() for c in t):
                 raise ContractError(f"identity term must be lowercase single word: {t!r}")
+            if not (t[0].isalnum() and t[-1].isalnum()):
+                raise ContractError(f"identity term must start and end with a letter or digit: "
+                                    f"{t!r}")
             if t in seen:
                 raise ContractError(f"duplicate identity term: {t!r}")
             seen.add(t)
-        object.__setattr__(self, "_term_set", frozenset(seen))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._term_set
-
-    def __iter__(self):
-        return iter(self.terms)
 
 
 @dataclass(frozen=True)
 class IdentityMatch:
-    """Detection result; present is true exactly when matches is non-empty."""
+    """The lexicon terms a text holds, each once, in order of first
+    whole-word occurrence."""
 
-    present: bool
-    matches: tuple[tuple[str, tuple[int, int]], ...]
-
-    def __post_init__(self):
-        if self.present != bool(self.matches):
-            raise ContractError("present must mirror non-empty matches")
+    terms: tuple[str, ...]
 
     @property
-    def terms(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for term, _ in self.matches:
-            if term not in seen:
-                seen.append(term)
-        return tuple(seen)
+    def present(self) -> bool:
+        return bool(self.terms)
 
 
 def default_terms() -> IdentityLexicon:
     """The stock 25-term lexicon."""
-    return IdentityLexicon(STOCK_TERMS, "paper-25")
+    return IdentityLexicon(STOCK_TERMS)
 
 
 def load_terms(path) -> IdentityLexicon:
     """Load a term list: one term per line, '#' lines ignored, lowercased."""
-    p = Path(path)
     terms: list[str] = []
-    for line in read_text(p, "identity term file").splitlines():
+    for line in read_text(Path(path), "identity term file").splitlines():
         word = line.strip().lower()
         if word and not word.startswith("#") and word not in terms:
             terms.append(word)
-    return IdentityLexicon(tuple(terms), p.name)
+    return IdentityLexicon(tuple(terms))
 
 
-def _whole_word_spans(text_lower: str, term: str) -> list[tuple[int, int]]:
-    spans = []
-    start = 0
-    while True:
-        i = text_lower.find(term, start)
-        if i < 0:
-            break
+def _first_whole_word(text_lower: str, term: str) -> int:
+    """Start of the first whole-word occurrence of ``term`` in ``text_lower``, or -1."""
+    i = text_lower.find(term)
+    while i >= 0:
         j = i + len(term)
-        left_ok = i == 0 or not text_lower[i - 1].isalnum()
-        right_ok = j == len(text_lower) or not text_lower[j].isalnum()
-        if left_ok and right_ok:
-            spans.append((i, j))
-        start = i + 1
-    return spans
+        if ((i == 0 or not text_lower[i - 1].isalnum())
+                and (j == len(text_lower) or not text_lower[j].isalnum())):
+            return i
+        i = text_lower.find(term, i + 1)
+    return -1
 
 
-def holds_term(word: str, terms) -> bool:
+def holds_term(word: str, terms: tuple[str, ...]) -> bool:
     """Whether a lowercase word, such as a ``word_split`` token, contains one
-    of ``terms`` (a lexicon, or the terms ``detect`` found) as a whole word by
-    ``detect``'s rule: "muslim's" and "islam,jews" do, "muslimness" does not.
-    A word of letters and digits alone holds a term only by being one."""
+    of ``terms`` as a whole word by ``detect``'s rule: "muslim's" and
+    "islam,jews" do, "muslimness" does not. A word of letters and digits
+    alone holds a term only by being one."""
     if word in terms:
         return True
-    return not word.isalnum() and any(_whole_word_spans(word, t) for t in terms)
+    return not word.isalnum() and any(_first_whole_word(word, t) >= 0 for t in terms)
 
 
 def detect(text: str, lexicon: IdentityLexicon) -> IdentityMatch:
-    """Report every whole-word occurrence of any lexicon term."""
+    """The lexicon terms that occur in ``text`` as whole words, in order of
+    first occurrence."""
     lowered = text.lower()
-    found: list[tuple[str, tuple[int, int]]] = []
+    found = []
     for term in lexicon.terms:
         if term in lowered:  # a quick scan rules most terms out
-            found.extend((term, span) for span in _whole_word_spans(lowered, term))
-    found.sort(key=lambda m: (m[1][0], m[1][1], m[0]))
-    return IdentityMatch(bool(found), tuple(found))
+            start = _first_whole_word(lowered, term)
+            if start >= 0:
+                found.append((start, start + len(term), term))
+    found.sort()
+    return IdentityMatch(tuple(term for _, _, term in found))
 
 
 def coverage(comments, lexicon: IdentityLexicon) -> float:

@@ -100,16 +100,6 @@ class SubjectivityScore:
             raise ContractError("zero matches must score 0.0")
 
 
-@dataclass(frozen=True)
-class Assessment:
-    """One lexicon hit: token span [start, end) and its contribution."""
-
-    start: int
-    end: int
-    words: tuple[str, ...]
-    subjectivity: float
-
-
 def _entry(attrs: dict) -> LexiconEntry | None:
     """The entry one record's attributes make, or None if they make none."""
     try:
@@ -216,10 +206,11 @@ def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):
 
 
 def _hits(tokens, lexicon: SubjectivityLexicon):
-    """(start, width, contribution) of each lexicon hit in ``tokens``, in order.
-    The scan steps only over forms and heads of forms, as no other token starts
-    a match; a modifier is taken only when the very next token starts one, so
-    it never carries across a token that matches nothing."""
+    """(start, width, contribution) of each lexicon hit in ``tokens``, in order,
+    by a longest-match scan. A one-token form with mean intensity != 1 that
+    directly precedes another hit is that hit's modifier, not a hit of its
+    own; only one modifier ever applies to a match. The scan steps only over
+    forms and heads of forms, as no other token starts a match."""
     starts = lexicon._starts
     pending: float | None = None
     end = 0  # first token not inside an earlier match
@@ -245,20 +236,8 @@ def _hits(tokens, lexicon: SubjectivityLexicon):
         end = i + width
 
 
-def assess(tokens, lexicon: SubjectivityLexicon) -> list[Assessment]:
-    """Longest-match scan producing one assessment per lexicon hit.
-
-    A single-token entry with mean intensity != 1 that directly precedes
-    another hit is consumed as that hit's modifier instead of producing its
-    own assessment; only one modifier ever applies to a match.
-    """
-    tokens = list(tokens)
-    return [Assessment(i, i + width, tuple(tokens[i : i + width]), subj)
-            for i, width, subj in _hits(tokens, lexicon)]
-
-
 def score(text: str, lexicon: SubjectivityLexicon, tokens=None) -> SubjectivityScore:
-    """Mean assessment contribution over the word-split, lowercased text.
+    """Mean hit contribution over the word-split, lowercased text.
 
     A caller that has already split ``text`` passes ``word_split(text)`` as
     ``tokens`` to skip the second split. Pure-punctuation tokens, which

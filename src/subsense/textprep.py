@@ -7,7 +7,7 @@ exactly on its real positions; ``encode`` returns its unpadded ids.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -47,34 +47,22 @@ def word_split(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocab:
-    """Token/id bijection with the four reserved specials at ids 0..3."""
+    """Tokens in id order, the four reserved specials at ids 0..3;
+    ``token_to_id`` is their inverse, built once."""
 
-    token_to_id: dict[str, int]
     id_to_token: tuple[str, ...]
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ContractError("vocab maps are not a bijection")
-        for i, tok in enumerate(SPECIAL_TOKENS):
-            if self.id_to_token[i] != tok or self.token_to_id.get(tok) != i:
-                raise ContractError(f"special token {tok} must sit at id {i}")
-        for tok, i in self.token_to_id.items():
-            if self.id_to_token[i] != tok:
-                raise ContractError("vocab maps are not a bijection")
-            if i < len(SPECIAL_TOKENS) and tok not in SPECIAL_TOKENS:
-                raise ContractError(f"token {tok!r} maps into the reserved id range")
+        if self.id_to_token[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
+            raise ContractError("the reserved special tokens must come first, at ids 0..3")
+        token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        if len(token_to_id) != len(self.id_to_token):
+            raise ContractError("duplicate token in vocabulary")
+        object.__setattr__(self, "token_to_id", token_to_id)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK)
-
-    def token(self, i: int) -> str:
-        return self.id_to_token[i]
 
     def save(self, path) -> None:
         with replacing(path, "w", encoding="utf-8") as fh:
@@ -84,19 +72,15 @@ class Vocab:
     @classmethod
     def from_tokens(cls, tokens) -> "Vocab":
         """Build from non-special tokens in id order (specials are prepended)."""
-        id_to_token = list(SPECIAL_TOKENS) + list(tokens)
-        token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-        if len(token_to_id) != len(id_to_token):
-            raise ContractError("duplicate token in vocabulary")
-        return cls(token_to_id, tuple(id_to_token))
+        return cls(SPECIAL_TOKENS + tuple(tokens))
 
     @classmethod
     def load(cls, path) -> "Vocab":
         p = Path(path)
-        lines = read_text(p, "vocab file").splitlines()
-        if lines[: len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
-            raise ContractError(f"vocab file {p} does not start with the reserved specials")
-        return cls.from_tokens(lines[len(SPECIAL_TOKENS):])
+        try:
+            return cls(tuple(read_text(p, "vocab file").splitlines()))
+        except ContractError as exc:
+            raise ContractError(f"vocab file {p}: {exc}") from None
 
 
 def build_vocab(corpus, max_size: int = 8000, min_freq: int = 1) -> Vocab:

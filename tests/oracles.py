@@ -14,9 +14,11 @@ against. The next part is the per-row pipeline from before
 ``trainer.prepare_examples`` wrote a columnar ``PreparedSet``; tests that
 build batches from single examples go through it. The last part holds
 frozen copies of identity detection, the feature pass and the audit from
-before the audit reused the trainer's per-comment features. ``read_canonical``
-is the canonical CSV reader as it was before it streamed its rows: a list of
-``csv.DictReader`` dicts, then the per-row rule of ``convert``.
+before the audit reused the trainer's per-comment features, with the result
+types they returned. ``read_canonical`` is the canonical CSV reader as it was
+before it streamed its rows: a list of ``csv.DictReader`` dicts, then the
+per-row rule of ``convert``, with the row number on a bad label and one
+line for a row ``csv`` cannot read.
 """
 
 import csv
@@ -33,8 +35,8 @@ from subsense import trainer as _tr
 from subsense.augment import AugmentMode
 from subsense.datasets import Comment, Label
 from subsense.errors import ContractError, ResourceError, SchemaError
-from subsense.identity import IdentityMatch, detect as _detect
-from subsense.subjectivity import Assessment, SubjectivityScore, score as _score
+from subsense.identity import detect as _detect
+from subsense.subjectivity import SubjectivityScore, score as _score
 from subsense.textprep import CLS, PAD, SEP, UNK, word_split as _word_split
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,39 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
 # its own text and recomputes each form's sense means, and the audit scores
 # and detects each comment again. ``detect`` scans the text for every term,
 # as it did before it skipped the terms the text does not contain. The new
-# code must equal them exactly.
+# code must equal them exactly. ``IdentityMatch`` and ``Assessment`` are the
+# result types those copies returned: every whole-word span of every term,
+# and one record per lexicon hit.
+
+
+@dataclass(frozen=True)
+class IdentityMatch:
+    """Detection result; present is true exactly when matches is non-empty."""
+
+    present: bool
+    matches: tuple[tuple[str, tuple[int, int]], ...]
+
+    def __post_init__(self):
+        if self.present != bool(self.matches):
+            raise ContractError("present must mirror non-empty matches")
+
+    @property
+    def terms(self) -> tuple[str, ...]:
+        seen: list[str] = []
+        for term, _ in self.matches:
+            if term not in seen:
+                seen.append(term)
+        return tuple(seen)
+
+
+@dataclass(frozen=True)
+class Assessment:
+    """One lexicon hit: token span [start, end) and its contribution."""
+
+    start: int
+    end: int
+    words: tuple[str, ...]
+    subjectivity: float
 
 
 def _whole_word_spans(text_lower, term):
@@ -456,6 +490,12 @@ def assess(tokens, lexicon) -> list[Assessment]:
     return out
 
 
+def hits(tokens, lexicon) -> list[tuple[int, int, float]]:
+    """``assess`` as the (start, width, contribution) triples that
+    ``subjectivity._hits`` yields."""
+    return [(a.start, a.end - a.start, a.subjectivity) for a in assess(tokens, lexicon)]
+
+
 def score(text, lexicon) -> SubjectivityScore:
     tokens = [t for t in word_split(text) if any(ch.isalnum() for ch in t)]
     assessments = assess(tokens, lexicon)
@@ -502,8 +542,7 @@ def bias_groups(comments, preds, golds, id_lexicon, subj_lexicon):
         key = (_audit._outcome(pred, gold), detect(comment.text, id_lexicon).present)
         buckets[key].append(score(comment.text, subj_lexicon).value)
     return {
-        key: _audit.BiasCell(key[0], key[1], tuple(vals),
-                             _audit.quartiles(vals) if vals else None)
+        key: _audit.BiasCell(tuple(vals), _audit.quartiles(vals) if vals else None)
         for key, vals in buckets.items()
     }
 
@@ -546,6 +585,8 @@ def read_canonical(path) -> list[Comment]:
             rows = list(csv.DictReader(fh))
         except UnicodeDecodeError as exc:
             raise ResourceError(f"dataset file {p} is not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise ResourceError(f"dataset file {p} is not a readable CSV: {exc}") from None
 
     def field_of(row, column, rownum):
         if column not in row or row[column] is None:
@@ -554,7 +595,11 @@ def read_canonical(path) -> list[Comment]:
 
     comments = []
     for idx, row in enumerate(rows, start=1):
-        label = Label.parse(field_of(row, "label", idx))
+        raw = field_of(row, "label", idx)
+        try:
+            label = Label.parse(raw)
+        except SchemaError as exc:
+            raise SchemaError(f"row {idx}: {exc}") from None
         text = field_of(row, "text", idx)
         cid = (row.get("id") or "").strip() or f"synthetic-{idx:06d}"
         comments.append(Comment(cid, text, label))

@@ -478,6 +478,19 @@ class TestBadInputExitsTwo:
         assert cli.dispatch(["score", "--file", str(tmp_path)]) == 2
         self.one_line_error(capsys)
 
+    def test_identity_term_with_punctuation_at_an_end(self, tmp_path, capsys):
+        terms = tmp_path / "terms.txt"
+        terms.write_text("women\nc++\n", encoding="utf-8")
+        assert cli.dispatch(["score", "--text", "i love c++", "--identity-terms", str(terms)]) == 2
+        assert "'c++'" in self.one_line_error(capsys)
+
+    def test_csv_field_past_the_size_limit(self, tmp_path, capsys):
+        long = tmp_path / "long.csv"
+        long.write_text("id,text,label\na," + "x" * 200_000 + ",toxic\n", encoding="utf-8")
+        argv = ["split", "--input", str(long), "--outdir", str(tmp_path / "out"), "--seed", "1"]
+        assert cli.dispatch(argv) == 2
+        assert str(long) in self.one_line_error(capsys)
+
     @pytest.mark.parametrize("name,argv", [
         ("bad.tsv", ["score", "--text", "good", "--lexicon", "{bad}"]),
         ("bad.xml", ["score", "--text", "good", "--lexicon", "{bad}"]),

@@ -193,6 +193,22 @@ class TestCanonicalIO:
         assert outcome(ds.read_canonical, tmp_path / "nope.csv") == outcome(
             oracles.read_canonical, tmp_path / "nope.csv")
 
+    def test_unknown_label_names_its_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,text,label\na,fine,toxic\nb,hmm,maybe\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            ds.read_canonical(path)
+        assert str(exc.value) == "row 2: unknown canonical label 'maybe'"
+        assert outcome(ds.read_canonical, path) == outcome(oracles.read_canonical, path)
+
+    def test_field_past_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("id,text,label\na," + "x" * 200_000 + ",toxic\n", encoding="utf-8")
+        for read in (ds.read_canonical, ds.load_rows, oracles.read_canonical):
+            with pytest.raises(ResourceError) as exc:
+                read(path)
+            assert str(path) in str(exc.value) and "field larger than field limit" in str(exc.value)
+
     @settings(max_examples=400, deadline=None)
     @given(canonical_csv_bytes())
     def test_reader_matches_the_dict_reader(self, tmp_path_factory, data):
@@ -304,7 +320,7 @@ class TestSynth:
         corpus = ds.synth_generate(150, theta=0.5, noise=0.0, seed=9)
         vocab = tp.build_vocab(corpus.comments, max_size=500, min_freq=2)
         for i in range(len(corpus.comments)):
-            assert f"opw{i:05d}" not in vocab
+            assert f"opw{i:05d}" not in vocab.token_to_id
 
     def test_noise_flips_some_labels(self):
         corpus = ds.synth_generate(400, theta=0.5, noise=0.2, seed=10)

@@ -133,7 +133,7 @@ class TestForward:
         ex = example(["w1", "w2"], 0.5, 1)
         ids = list(ex.base.ids)
         assert ids[5] == tp.PAD and ex.base.mask[5] == 0
-        ids[5] = VOCAB.id("w7")
+        ids[5] = VOCAB.token_to_id["w7"]
         altered = dataclasses.replace(
             ex, base=oracles.EncodedExample(tuple(ids), ex.base.mask)
         )

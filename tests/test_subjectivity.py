@@ -140,48 +140,44 @@ class TestEntryInvariants:
             sj.SubjectivityScore(0.5, 0)
 
 
+def hits(tokens, lexicon):
+    return list(sj._hits(tokens, lexicon))
+
+
 class TestAssess:
+    """The lexicon hits ``score`` averages, as (start, width, contribution)."""
+
     def test_no_hits(self):
         lex = make_lexicon([("boring", 1.0)])
-        assert sj.assess(["plain", "words", "here"], lex) == []
+        assert hits(["plain", "words", "here"], lex) == []
 
     def test_single_sense_passthrough(self):
         lex = make_lexicon([("boring", 1.0)])
-        result = sj.assess(["boring"], lex)
-        assert len(result) == 1
-        assert result[0].subjectivity == 1.0
+        assert hits(["boring"], lex) == [(0, 1, 1.0)]
 
     def test_modifier_multiplies_and_clamps(self):
         # min(1.0, 0.9 * 1.3) = 1.0, and the modifier is consumed.
         lex = make_lexicon([("very", 0.3, 1.3), ("gripping", 0.9)])
-        result = sj.assess(["very", "gripping"], lex)
-        assert len(result) == 1
-        assert result[0].subjectivity == 1.0
-        assert result[0].words == ("gripping",)
+        assert hits(["very", "gripping"], lex) == [(1, 1, 1.0)]
 
     def test_modifier_below_clamp(self):
         lex = make_lexicon([("very", 0.3, 1.3), ("plain", 0.5)])
-        result = sj.assess(["very", "plain"], lex)
-        assert len(result) == 1
-        assert result[0].subjectivity == pytest.approx(0.65)
+        [(start, width, subj)] = hits(["very", "plain"], lex)
+        assert (start, width) == (1, 1)
+        assert subj == pytest.approx(0.65)
 
     def test_standalone_modifier_scores_itself(self):
         lex = make_lexicon([("very", 0.3, 1.3)])
-        result = sj.assess(["very", "ordinary"], lex)
-        assert len(result) == 1
-        assert result[0].subjectivity == 0.3
+        assert hits(["very", "ordinary"], lex) == [(0, 1, 0.3)]
 
     def test_sense_averaging(self):
         lex = make_lexicon([("fine", 0.2), ("fine", 0.8)])
-        result = sj.assess(["fine"], lex)
-        assert result[0].subjectivity == pytest.approx(0.5)
+        [(_, _, subj)] = hits(["fine"], lex)
+        assert subj == pytest.approx(0.5)
 
     def test_longest_match_wins(self):
         lex = make_lexicon([("fed", 0.1), ("up", 0.2), ("fed up", 0.9)])
-        result = sj.assess(["fed", "up"], lex)
-        assert len(result) == 1
-        assert result[0].words == ("fed", "up")
-        assert result[0].subjectivity == 0.9
+        assert hits(["fed", "up"], lex) == [(0, 2, 0.9)]
 
 
 WALK_LEXICON = make_lexicon([
@@ -215,7 +211,7 @@ class TestWalkEdges:
         tokens = word_split(text)
         words = [t for t in tokens if t[0].isalnum()]
         for toks in (tokens, words):
-            assert sj.assess(toks, WALK_LEXICON) == oracles.assess(toks, WALK_LEXICON)
+            assert hits(toks, WALK_LEXICON) == oracles.hits(toks, WALK_LEXICON)
         assert sj.score(text, WALK_LEXICON) == oracles.score(text, WALK_LEXICON)
         assert sj.score(text, WALK_LEXICON, tokens) == oracles.score(text, WALK_LEXICON)
 

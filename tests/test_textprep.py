@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -40,17 +41,17 @@ class TestBuildVocab:
     def test_frequency_order(self):
         vocab = tp.build_vocab(["a a b"], max_size=6, min_freq=1)
         assert len(vocab) == 6
-        assert vocab.id("a") == 4
-        assert vocab.id("b") == 5
+        assert vocab.token_to_id["a"] == 4
+        assert vocab.token_to_id["b"] == 5
 
     def test_min_freq_threshold(self):
         vocab = tp.build_vocab(["a a b"], max_size=6, min_freq=2)
-        assert "a" in vocab
-        assert "b" not in vocab
+        assert "a" in vocab.token_to_id
+        assert "b" not in vocab.token_to_id
 
     def test_lexicographic_tie_break(self):
         vocab = tp.build_vocab(["y x"], max_size=5, min_freq=1)
-        assert "x" in vocab and "y" not in vocab
+        assert "x" in vocab.token_to_id and "y" not in vocab.token_to_id
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyDatasetError):
@@ -61,7 +62,7 @@ class TestBuildVocab:
             text = "hello there"
 
         vocab = tp.build_vocab([Thing()], max_size=10)
-        assert "hello" in vocab
+        assert "hello" in vocab.token_to_id
 
     def test_max_size_guard(self):
         with pytest.raises(ContractError):
@@ -71,14 +72,14 @@ class TestBuildVocab:
 class TestVocab:
     def test_reserved_ids(self):
         vocab = tp.build_vocab(["a b"], max_size=10)
-        assert vocab.token(tp.PAD) == "[PAD]"
-        assert vocab.token(tp.UNK) == "[UNK]"
-        assert vocab.token(tp.CLS) == "[CLS]"
-        assert vocab.token(tp.SEP) == "[SEP]"
+        assert vocab.id_to_token[tp.PAD] == "[PAD]"
+        assert vocab.id_to_token[tp.UNK] == "[UNK]"
+        assert vocab.id_to_token[tp.CLS] == "[CLS]"
+        assert vocab.id_to_token[tp.SEP] == "[SEP]"
 
     def test_unknown_maps_to_unk(self):
         vocab = tp.build_vocab(["a b"], max_size=10)
-        assert vocab.id("zzz") == tp.UNK
+        assert tp.encode(["zzz"], vocab, 5)[1] == tp.UNK
 
     def test_save_load_round_trip(self, tmp_path):
         vocab = tp.build_vocab(["c a b a"], max_size=10)
@@ -86,6 +87,15 @@ class TestVocab:
         vocab.save(path)
         loaded = tp.Vocab.load(path)
         assert loaded.id_to_token == vocab.id_to_token
+
+    @pytest.mark.parametrize("lines", [["a", "[PAD]", "[UNK]", "[CLS]", "[SEP]"],
+                                       ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", "a"]],
+                             ids=["specials-not-first", "duplicate"])
+    def test_bad_vocab_file_is_named(self, tmp_path, lines):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ContractError, match=f"^vocab file {re.escape(str(path))}: "):
+            tp.Vocab.load(path)
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(ContractError):
@@ -99,15 +109,15 @@ class TestVocab:
 class TestEncode:
     def test_layout(self):
         vocab = tp.Vocab.from_tokens(["a"])
-        assert tp.encode(["a"], vocab, 5) == [tp.CLS, vocab.id("a"), tp.SEP]
+        assert tp.encode(["a"], vocab, 5) == [tp.CLS, vocab.token_to_id["a"], tp.SEP]
 
     def test_head_truncation_to_126(self):
         vocab = tp.Vocab.from_tokens([f"w{i}" for i in range(200)])
         tokens = [f"w{i}" for i in range(200)]
         ids = tp.encode(tokens, vocab, 128)
         assert len(ids) == 128
-        assert ids[1] == vocab.id("w0")
-        assert ids[126] == vocab.id("w125")
+        assert ids[1] == vocab.token_to_id["w0"]
+        assert ids[126] == vocab.token_to_id["w125"]
         assert ids[127] == tp.SEP
 
     def test_oov_token(self):

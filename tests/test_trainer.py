@@ -444,7 +444,7 @@ class TestTrain:
 
 class TestIdentityPositions:
     def test_offsets_and_truncation(self):
-        terms = idn.default_terms()
+        terms = idn.default_terms().terms
         tokens = ["the", "muslim", "women", "spoke"]
         assert tr.identity_token_positions(tokens, terms, 10) == (2, 3)
         # max_len 4 keeps only the first 2 tokens: "women" is truncated away.
@@ -462,7 +462,7 @@ class TestIdentityPositions:
         terms = idn.default_terms()
         tokens = tp.word_split(text)
         found = idn.detect(text, terms).terms
-        for lexicon in (terms, found):
+        for lexicon in (terms.terms, found):
             positions = tr.identity_token_positions(tokens, lexicon, 16)
             assert tuple(tokens[p - 1] for p in positions) == marked
 
