@@ -12,8 +12,9 @@ def replacing(path, mode: str = "w", **open_kwargs):
     """Write through a temporary file beside ``path``, then move it onto
     ``path`` with ``os.replace``: a reader sees the old file or the whole new
     one, never part of it. On an error the temporary file is removed and
-    ``path`` is left as it was."""
+    ``path`` is left as it was. A missing directory of ``path`` is created."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_kwargs) as fh:

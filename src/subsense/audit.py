@@ -130,7 +130,8 @@ class BiasCell:
 
 
 def bias_groups(preds, golds, features) -> dict[tuple[str, bool], BiasCell]:
-    """Partition evaluated comments into the 8 outcome-by-identity cells.
+    """Partition evaluated comments into the 8 outcome-by-identity cells,
+    keyed and ordered ``OUTCOMES`` by (with, without) identity.
 
     ``features`` holds each comment's ``CommentFeatures``. Every comment
     lands in exactly one cell; each cell carries its members' subjectivity
@@ -211,7 +212,6 @@ def render_fp_fn_table(named_aggregates) -> str:
 @dataclass(frozen=True)
 class ErrorRow:
     comment_id: str
-    text: str
     error: str  # FP or FN
     terms: tuple[str, ...]
     subjectivity: float
@@ -220,18 +220,21 @@ class ErrorRow:
 def error_listing(comments, preds, golds, features) -> list[ErrorRow]:
     """Sortable list of misclassified comments with matched identity terms
     and subjectivity scores (the error-table shape), read from each
-    comment's ``CommentFeatures``."""
+    comment's ``CommentFeatures``; of the comment itself only its id."""
     rows = []
     for comment, pred, gold, (subjectivity, terms) in zip(comments, preds, golds, features):
         outcome = _outcome(pred, gold)
         if outcome in ("FP", "FN"):
-            rows.append(ErrorRow(comment.id, comment.text, outcome, terms, subjectivity))
+            rows.append(ErrorRow(comment.id, outcome, terms, subjectivity))
     rows.sort(key=lambda r: (r.error, -r.subjectivity, r.comment_id))
     return rows
 
 
 @dataclass(frozen=True)
 class AuditReport:
+    """Every view keeps the cell order of ``bias_groups``. The JSON view holds
+    no comment text and no score list (see ``cells_csv_rows``)."""
+
     counts: ConfusionCounts
     f1: float
     cells: dict[tuple[str, bool], BiasCell]
@@ -239,28 +242,21 @@ class AuditReport:
 
     def to_json_dict(self) -> dict:
         def cell_dict(cell: BiasCell) -> dict:
-            d = {"size": cell.size, "scores": list(cell.scores)}
-            if cell.stats is not None:
-                d["quartiles"] = {
-                    "min": cell.stats.low, "q1": cell.stats.q1,
-                    "median": cell.stats.median, "q3": cell.stats.q3,
-                    "max": cell.stats.high,
-                }
-            return d
+            s = cell.stats
+            return {"size": cell.size} if s is None else {"size": cell.size, "quartiles": {
+                "min": s.low, "q1": s.q1, "median": s.median, "q3": s.q3, "max": s.high}}
         return {
             "counts": {"tp": self.counts.tp, "fp": self.counts.fp,
                        "tn": self.counts.tn, "fn": self.counts.fn},
             "f1": self.f1,
-            "cells": {
-                f"{o}_{'with' if w else 'without'}_identity": cell_dict(self.cells[(o, w)])
-                for o in OUTCOMES for w in (True, False)
-            },
+            "cells": {f"{o}_{'with' if w else 'without'}_identity": cell_dict(cell)
+                      for (o, w), cell in self.cells.items()},
             "named_groups": {
-                name: cell_dict(self.cells[key]) for name, key in NAMED_GROUPS.items()
+                name: {"size": self.cells[key].size} for name, key in NAMED_GROUPS.items()
             },
             "errors": [
                 {"id": r.comment_id, "error": r.error, "terms": list(r.terms),
-                 "subjectivity": r.subjectivity, "text": r.text}
+                 "subjectivity": r.subjectivity}
                 for r in self.errors
             ],
         }
@@ -273,32 +269,22 @@ class AuditReport:
         ]
         header = ["cell", "n", "min", "q1", "median", "q3", "max"]
         rows = []
-        for o in OUTCOMES:
-            for w in (True, False):
-                cell = self.cells[(o, w)]
-                tag = f"{o} {'with' if w else 'without'} identity"
-                if cell.stats is None:
-                    rows.append([tag, "0", "-", "-", "-", "-", "-"])
-                else:
-                    s = cell.stats
-                    rows.append([tag, str(cell.size)] + [
-                        f"{v:.4f}" for v in (s.low, s.q1, s.median, s.q3, s.high)
-                    ])
+        for (o, w), cell in self.cells.items():
+            s = cell.stats
+            values = ("-",) * 5 if s is None else (
+                f"{v:.4f}" for v in (s.low, s.q1, s.median, s.q3, s.high))
+            rows.append([f"{o} {'with' if w else 'without'} identity", str(cell.size), *values])
         lines.append(_render_table(header, rows))
         if self.errors:
-            lines.append("")
-            lines.append("errors (sorted by kind, then subjectivity desc):")
-            for r in self.errors:
-                terms = ",".join(r.terms) if r.terms else "-"
-                lines.append(f"  {r.error} s={r.subjectivity:.4f} terms={terms} id={r.comment_id}")
+            lines += ["", "errors (sorted by kind, then subjectivity desc):"]
+            lines.extend(f"  {r.error} s={r.subjectivity:.4f} terms={','.join(r.terms) or '-'} "
+                         f"id={r.comment_id}" for r in self.errors)
         return "\n".join(lines) + "\n"
 
     def cells_csv_rows(self) -> list[list[str]]:
         rows = [["cell", "with_identity", "subjectivity"]]
-        for o in OUTCOMES:
-            for w in (True, False):
-                for v in self.cells[(o, w)].scores:
-                    rows.append([o, str(w).lower(), repr(v)])
+        for (o, w), cell in self.cells.items():
+            rows.extend([o, str(w).lower(), repr(v)] for v in cell.scores)
         return rows
 
 

@@ -72,6 +72,19 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
+def _distinct_files(paths: dict) -> None:
+    """Refuse two of the files a command writes or reads beside its report
+    (``paths`` by role; None when absent) that resolve to one file."""
+    seen: dict[Path, str] = {}
+    for role, path in paths.items():
+        if path is not None:
+            named = f"{role} {path}"
+            other = seen.setdefault(Path(path).resolve(), named)
+            if other != named:
+                raise ContractError(f"{named} and {other} are the same file; "
+                                    "give each its own path")
+
+
 def _identity_terms(path):
     return identity.load_terms(path) if path else identity.default_terms()
 
@@ -97,9 +110,7 @@ def _cmd_score(args) -> int:
 def _cmd_convert(args) -> int:
     kind = datasets.DatasetKind.parse(args.kind)
     result = datasets.convert(kind, datasets.load_rows(args.input))
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    datasets.write_canonical(result.comments, out)
+    datasets.write_canonical(result.comments, args.output)
     print(
         f"read {result.n_input} rows, kept {len(result.comments)} "
         f"(toxic {result.n_toxic}, nontoxic {result.n_nontoxic}), dropped {result.n_dropped}"
@@ -118,10 +129,8 @@ def _read_comments(path) -> list[datasets.Comment]:
 def _cmd_split(args) -> int:
     comments = datasets.read_canonical(args.input)
     train, val, test = datasets.split(comments, args.seed)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("val", val), ("test", test)):
-        datasets.write_canonical(part, outdir / f"{name}.csv")
+        datasets.write_canonical(part, Path(args.outdir) / f"{name}.csv")
     print(f"split {len(comments)} -> train {len(train)} / val {len(val)} / test {len(test)}")
     return 0
 
@@ -129,7 +138,6 @@ def _cmd_split(args) -> int:
 def _cmd_synth(args) -> int:
     corpus = datasets.synth_generate(args.n, args.theta, args.noise, args.seed)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     datasets.write_canonical(corpus.comments, outdir / "corpus.csv")
     subjectivity.write_lexicon_tsv(corpus.lexicon, outdir / "lexicon.tsv")
     planted = {
@@ -229,7 +237,6 @@ def _cmd_train(args) -> int:
     )
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     vocab.save(outdir / "vocab.txt")
     encoder.save_params(params, outdir / "checkpoint.bin")
     history.to_csv(outdir / "history.csv")
@@ -379,6 +386,8 @@ def _read_predictions(path, tag, comments):
 
 def _cmd_eval(args) -> int:
     manifest, run = _load_manifest(args.manifest)
+    out = Path(args.output) if args.output else run / "eval.json"
+    _distinct_files({"predictions": out.parent / PREDICTIONS_FILE, "report": out})
     config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest, run)
     comments = _read_comments(args.test)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
@@ -394,8 +403,6 @@ def _cmd_eval(args) -> int:
         "tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn,
         "f1": audit.f1(counts),
     }
-    out = Path(args.output) if args.output else run / "eval.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
     tag = _predictions_tag(manifest, checkpoint_sha256, test_sha256)
     _write_predictions(out.parent / PREDICTIONS_FILE, tag, comments, preds, probs,
                        prepared.features)
@@ -408,15 +415,17 @@ def _cmd_eval(args) -> int:
 def _cmd_audit(args) -> int:
     manifest, run = _load_manifest(args.manifest)
     out = Path(args.output) if args.output else run / "audit.json"
+    text_out = out.with_suffix(".txt")
+    _distinct_files({"predictions": out.parent / PREDICTIONS_FILE, "report": out,
+                     "text report": text_out, "--cells-csv": args.cells_csv})
     comments = _read_comments(args.test)
     tag = _predictions_tag(manifest, _sha256_file(run / "checkpoint.bin"), _sha256_file(args.test))
     preds, features = _read_predictions(out.parent / PREDICTIONS_FILE, tag, comments)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     _write_json(report.to_json_dict(), out)
-    with replacing(out.with_suffix(".txt"), "w", encoding="utf-8") as fh:
+    with replacing(text_out, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
     if args.cells_csv:
-        Path(args.cells_csv).parent.mkdir(parents=True, exist_ok=True)
         with replacing(args.cells_csv, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(report.cells_csv_rows())
     print(report.to_text())
@@ -446,7 +455,6 @@ def _cmd_compare(args) -> int:
     named = [(name, audit.aggregate(runs)) for name, runs in sorted(rows.items())]
     print(audit.render_f1_table(named), audit.render_fp_fn_table(named), sep="\n\n")
     if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         _write_json({name: {"runs": len(agg.f1_values), "f1": agg.mean_f1, "std": agg.std_f1,
                             "fp": agg.mean_fp, "fn": agg.mean_fn} for name, agg in named},
                     args.output)

@@ -67,11 +67,14 @@ def default_terms() -> IdentityLexicon:
 def load_terms(path) -> IdentityLexicon:
     """Load a term list: one term per line, '#' lines ignored, lowercased."""
     terms: list[str] = []
-    for line in read_text(Path(path), "identity term file").splitlines():
+    for line in read_text(path, "identity term file").splitlines():
         word = line.strip().lower()
         if word and not word.startswith("#") and word not in terms:
             terms.append(word)
-    return IdentityLexicon(tuple(terms))
+    try:
+        return IdentityLexicon(tuple(terms))
+    except ContractError as exc:
+        raise ContractError(f"identity term file {path}: {exc}") from None
 
 
 def _first_whole_word(text_lower: str, term: str) -> int:

@@ -554,7 +554,7 @@ def error_listing(comments, preds, golds, id_lexicon, subj_lexicon):
         if outcome not in ("FP", "FN"):
             continue
         rows.append(_audit.ErrorRow(
-            comment.id, comment.text, outcome, detect(comment.text, id_lexicon).terms,
+            comment.id, outcome, detect(comment.text, id_lexicon).terms,
             score(comment.text, subj_lexicon).value,
         ))
     rows.sort(key=lambda r: (r.error, -r.subjectivity, r.comment_id))

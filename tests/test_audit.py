@@ -169,10 +169,11 @@ class TestBiasGroups:
         payload = audit.audit_report(comments, preds, golds, features).to_json_dict()
         named, cells = payload["named_groups"], payload["cells"]
         assert set(named) == {"TPwIT", "FPwIT", "TNwoIT", "FNwoIT"}
-        assert named["TPwIT"] == cells["TP_with_identity"]
-        assert named["FPwIT"] == cells["FP_with_identity"]
-        assert named["TNwoIT"] == cells["TN_without_identity"]
-        assert named["FNwoIT"] == cells["FN_without_identity"]
+        # A named group holds only its cell's size: the cell itself holds the rest.
+        assert named["TPwIT"] == {"size": cells["TP_with_identity"]["size"]}
+        assert named["FPwIT"] == {"size": cells["FP_with_identity"]["size"]}
+        assert named["TNwoIT"] == {"size": cells["TN_without_identity"]["size"]}
+        assert named["FNwoIT"] == {"size": cells["FN_without_identity"]["size"]}
 
     def test_alignment_checked(self):
         comments, preds, golds = sample_comments(6)

@@ -570,6 +570,24 @@ class TestBadInputExitsTwo:
         assert str(checkpoint) in err and "Traceback" not in err
         assert not (tmp_path / "eval.json").exists()
 
+    @pytest.mark.parametrize("argv, clash", [
+        (["audit", "--output", "{tmp}/report.txt"], "report.txt"),
+        (["audit", "--output", "{tmp}/audit.json", "--cells-csv", "{tmp}/predictions.csv"],
+         "predictions.csv"),
+        (["eval", "--output", "{tmp}/predictions.csv"], "predictions.csv"),
+    ], ids=["audit-json-on-its-text-report", "cells-csv-on-predictions",
+            "eval-json-on-predictions"])
+    def test_outputs_that_are_one_file(self, pipeline, tmp_path, capsys, argv, clash):
+        manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
+        assert _eval(manifest, test, tmp_path) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        command, *flags = argv
+        assert cli.dispatch([command, "--manifest", str(manifest), "--test", str(test),
+                             *(flag.format(tmp=tmp_path) for flag in flags)]) == 2
+        assert self.one_line_error(capsys).count(str(tmp_path / clash)) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_write_error(self, pipeline, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
@@ -682,6 +700,39 @@ class TestPredictionsHandoff:
         expected_cells = io.StringIO(newline="")
         csv.writer(expected_cells).writerows(report.cells_csv_rows())
         assert cells.read_bytes() == expected_cells.getvalue().encode("utf-8")
+
+    def test_audit_json_copies_no_per_comment_record(self, pipeline, capsys):
+        run, data = pipeline["run"], pipeline["data"]
+        assert cli.dispatch(["audit", "--manifest", str(run / "manifest.json"),
+                             "--test", str(data / "test.csv")]) == 0
+        capsys.readouterr()
+        payload = json.loads((run / "audit.json").read_text(encoding="utf-8"))
+
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from keys(value)
+
+        assert not {"text", "scores"} & set(keys(payload))
+        lines = (run / "predictions.csv").read_text(encoding="utf-8").splitlines()
+        rows = {row["id"]: row for row in csv.DictReader(lines[1:])}
+        golds = {c.id: c.label for c in datasets.read_canonical(data / "test.csv")}
+        wrong = [cid for cid, row in rows.items()
+                 if datasets.Label.parse(row["pred"]) != golds[cid]]
+        assert wrong
+        assert sorted(e["id"] for e in payload["errors"]) == sorted(wrong)
+        for entry in payload["errors"]:
+            row = rows[entry["id"]]
+            assert entry == {
+                "id": row["id"],
+                "error": "FP" if row["pred"] == "toxic" else "FN",
+                "terms": row["terms"].split(),
+                "subjectivity": float(row["subjectivity"]),
+            }
 
     def test_audit_without_eval(self, other_run, capsys):
         assert cli.dispatch(["audit", "--manifest", str(other_run / "manifest.json"),

@@ -229,6 +229,14 @@ class TestLoadTerms:
         with pytest.raises(ResourceError):
             idn.load_terms(tmp_path / "nope.txt")
 
+    def test_refused_term_names_the_file(self, tmp_path):
+        path = tmp_path / "terms.txt"
+        path.write_text("women\nc++\n", encoding="utf-8")
+        with pytest.raises(ContractError) as caught:
+            idn.load_terms(path)
+        assert str(caught.value) == (f"identity term file {path}: identity term must start "
+                                     "and end with a letter or digit: 'c++'")
+
     def test_curated_list_adds_democrat(self):
         terms = idn.load_terms(idn.CURATED_TERMS_FILE).terms
         assert "democrat" in terms
