@@ -2,8 +2,8 @@
 evaluation, auditing and run comparison.
 
 Exit codes: 0 success, 1 usage error, 2 data, contract or file error. Every train
-run writes a manifest capturing the configuration digest, seed, mode and
-input digests needed to reproduce it.
+run writes a manifest holding the seed, mode, input digests and the sha256 of
+each run file that eval and audit read.
 """
 
 from __future__ import annotations
@@ -26,16 +26,21 @@ from .errors import (
 
 # A run directory is its own unit: eval, audit and compare find each of its
 # files (checkpoint.bin, config.json, vocab.txt, eval.json, audit.json and the
-# lexicon copies) by a fixed name beside the manifest they are given.
-MANIFEST_VERSION = 2
+# lexicon copies) by a fixed name beside the manifest they are given. The
+# manifest's ``files`` holds the sha256 of each file they read from the run,
+# and every report names the sha256 of the manifest it was made from.
+MANIFEST_VERSION = 3
+RUN_FILES = ("config.json", "vocab.txt", "checkpoint.bin")  # and the lexicon copies
 # Types of the manifest keys that eval, audit and compare read, and of the
 # eval report keys that compare reads.
-RUN_KEYS = {"config_digest": str, "seed": int, "mode": str, "soc_weight": float,
-            "dataset_id": str, "lexicon": str, "identity_terms": str, "inputs": dict}
-EVAL_KEYS = {"config_digest": str, "checkpoint_sha256": str, "f1": float, "fp": float, "fn": float}
+RUN_KEYS = {"seed": int, "mode": str, "soc_weight": float, "dataset_id": str, "lexicon": str,
+            "identity_terms": str, "inputs": dict, "files": dict}
+EVAL_KEYS = {"manifest_sha256": str, "f1": float, "fp": float, "fn": float}
 # eval writes its predictions beside its report and audit reads them from
-# beside its own, so an audit never runs the encoder again.
+# beside its own, so an audit never runs the encoder again. The first line
+# names the sha256 of the manifest and test CSV they were made from.
 PREDICTIONS_FILE = "predictions.csv"
+PREDICTIONS_TAG = "# subsense predictions manifest={} test={}"
 PREDICTION_COLUMNS = ["id", "pred", "p_toxic", "subjectivity", "terms"]
 
 
@@ -50,10 +55,6 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _sha256_json(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _read_json(path, error):
@@ -72,15 +73,15 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _distinct_files(paths: dict) -> None:
-    """Refuse two of the files a command writes or reads beside its report
-    (``paths`` by role; None when absent) that resolve to one file."""
-    seen: dict[Path, str] = {}
-    for role, path in paths.items():
+def _distinct_files(paths) -> None:
+    """Refuse two of the files a command writes or reads (``paths``, pairs of
+    role and path; None when absent) that resolve to one file in two roles."""
+    seen: dict[Path, tuple[str, str]] = {}
+    for role, path in paths:
         if path is not None:
             named = f"{role} {path}"
-            other = seen.setdefault(Path(path).resolve(), named)
-            if other != named:
+            other_role, other = seen.setdefault(Path(path).resolve(), (role, named))
+            if other_role != role:
                 raise ContractError(f"{named} and {other} are the same file; "
                                     "give each its own path")
 
@@ -166,50 +167,15 @@ def _checked_keys(doc, types: dict, path, name: str) -> dict:
     if not isinstance(doc, dict):
         raise ContractError(f"{path}: {name} must be a JSON object")
     try:
-        check_fields(types, {k: doc[k] for k in types if k in doc}, name, complete=True)
+        check_fields(types, {k: doc[k] for k in types if k in doc}, name)
     except ConfigError as exc:
         raise ContractError(f"{path}: {exc}") from None
     return doc
 
 
-def _config_section(args, section: str, cls) -> dict:
-    """The ``section`` object of the --config file, its keys and values
-    checked against the fields of ``cls`` by ``check_fields``; empty without
-    --config or without the section."""
-    if not args.config:
-        return {}
-    doc = _read_json(args.config, ConfigError)
-    values = doc.get(section, {}) if isinstance(doc, dict) else None
-    if not isinstance(values, dict):
-        raise ConfigError(f"{args.config}: {section!r} must be a JSON object")
-    try:
-        check_fields(cls, values, section)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.config}: {exc}") from None
-    return values
-
-
-def _model_config_from_args(args, vocab_size: int) -> encoder.ModelConfig:
-    base = _config_section(args, "model", encoder.ModelConfig)
-    values = {
-        "max_len": args.max_len, "d_model": args.d_model, "n_heads": args.n_heads,
-        "n_layers": args.n_layers, "d_ff": args.d_ff, "dropout_rate": args.dropout,
-    }
-    merged = {**base, **{k: v for k, v in values.items() if v is not None}}
-    merged.setdefault("max_len", 128)
-    merged["vocab_size"] = vocab_size
-    merged["seed"] = args.seed
-    return encoder.ModelConfig(**merged)
-
-
-def _schedule_from_args(args) -> trainer.TrainSchedule:
-    base = _config_section(args, "schedule", trainer.TrainSchedule)
-    values = {
-        "batch_size": args.batch_size, "lr0": args.lr, "val_every": args.val_every,
-        "max_halvings": args.max_halvings, "epoch_cap": args.epoch_cap,
-    }
-    merged = {**base, **{k: v for k, v in values.items() if v is not None}}
-    return trainer.TrainSchedule(**merged)
+def _given(**flags) -> dict:
+    """The flags the command line set; the dataclass defaults fill the rest."""
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _cmd_train(args) -> int:
@@ -223,8 +189,13 @@ def _cmd_train(args) -> int:
     vocab = textprep.build_vocab(
         train_comments, max_size=args.vocab_size, min_freq=args.min_freq
     )
-    config = _model_config_from_args(args, len(vocab))
-    schedule = _schedule_from_args(args)
+    config = encoder.ModelConfig(
+        max_len=args.max_len, vocab_size=len(vocab), seed=args.seed,
+        **_given(d_model=args.d_model, n_heads=args.n_heads, n_layers=args.n_layers,
+                 d_ff=args.d_ff, dropout_rate=args.dropout))
+    schedule = trainer.TrainSchedule(**_given(
+        batch_size=args.batch_size, lr0=args.lr, val_every=args.val_every,
+        max_halvings=args.max_halvings, epoch_cap=args.epoch_cap))
     train_set, val_set = (
         trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
         for comments in (train_comments, val_comments)
@@ -259,16 +230,17 @@ def _cmd_train(args) -> int:
             fh.write(Path(source).read_bytes())
     manifest = {
         "manifest_version": MANIFEST_VERSION,
-        "config_digest": _sha256_json(run_config),
         "seed": args.seed,
         "mode": mode.value,
         "soc_weight": args.soc_weight,
         "dataset_id": args.dataset_id or Path(args.train).stem,
         # The train and val CSVs, and the source of each copy by its name.
         "inputs": {
-            key: {"path": str(path), "sha256": _sha256_file(path)}
-            for key, path in (("train", args.train), ("val", args.val), *copies.items())
+            **{key: {"path": str(path), "sha256": _sha256_file(path)}
+               for key, path in (("train", args.train), ("val", args.val))},
+            **{name: {"path": str(source)} for name, source in copies.items()},
         },
+        "files": {name: _sha256_file(outdir / name) for name in (*RUN_FILES, *copies)},
         "lexicon": lexicon_copy,
         "identity_terms": "identity_terms.txt" if args.identity_terms else "paper-25",
     }
@@ -283,8 +255,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_manifest(path) -> tuple[dict, Path]:
-    """The checked manifest at ``path`` and its run directory."""
+def _load_manifest(path) -> tuple[dict, Path, str]:
+    """The checked manifest at ``path``, its run directory and its sha256.
+    Each run file must hash to the sha256 the manifest's ``files`` records."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"manifest not found: {p}")
@@ -295,20 +268,22 @@ def _load_manifest(path) -> tuple[dict, Path]:
     if (manifest["lexicon"] not in ("lexicon.tsv", "lexicon.xml")
             or manifest["identity_terms"] not in ("identity_terms.txt", "paper-25")):
         raise ContractError(f"{p}: lexicon or identity_terms names no copy train writes")
-    return manifest, p.parent
+    names = sorted({*RUN_FILES, manifest["lexicon"], manifest["identity_terms"]} - {"paper-25"})
+    if sorted(manifest["files"]) != names:
+        raise ContractError(f"{p}: files must name exactly {', '.join(names)}")
+    for name in names:  # a missing file is an OSError naming it
+        if _sha256_file(p.parent / name) != manifest["files"][name]:
+            raise ContractError(f"{p.parent / name} is not the file train wrote: its sha256 "
+                                f"differs from {p}'s files[{name!r}]")
+    return manifest, p.parent, _sha256_file(p)
 
 
-def _checked_copy(manifest, run: Path, name: str) -> Path:
-    """The run's copy ``name``, if it hashes to the sha256 that the
-    manifest's ``inputs`` records for it; else a ContractError."""
-    entry = manifest["inputs"].get(name)
-    digest = entry.get("sha256") if isinstance(entry, dict) else None
-    if not isinstance(digest, str):
-        raise ContractError(f"manifest.inputs[{name!r}] records no sha256 for {run / name}")
-    if _sha256_file(run / name) != digest:
-        raise ContractError(f"{run / name} is not the copy train made: its sha256 differs "
-                            f"from manifest.inputs[{name!r}]")
-    return run / name
+def _run_files(path, manifest) -> list:
+    """The manifest at ``path`` and each file train wrote beside it, which no
+    report may replace, as ``_distinct_files`` pairs."""
+    run = Path(path).parent
+    return [("manifest", path),
+            *(("run file", run / name) for name in ("history.csv", *manifest["files"]))]
 
 
 def _rebuild_run(manifest, run: Path):
@@ -326,18 +301,11 @@ def _rebuild_run(manifest, run: Path):
         raise ContractError(f"{run / 'vocab.txt'} holds {len(vocab)} tokens, "
                             f"{config_path} says {config.vocab_size}")
     params = encoder.load_params(run / "checkpoint.bin", config)
-    subj_lex = subjectivity.load_lexicon(_checked_copy(manifest, run, manifest["lexicon"]))
+    subj_lex = subjectivity.load_lexicon(run / manifest["lexicon"])
     terms = manifest["identity_terms"]
-    id_lex = _identity_terms(None if terms == "paper-25" else _checked_copy(manifest, run, terms))
+    id_lex = _identity_terms(None if terms == "paper-25" else run / terms)
     mode = AugmentMode.parse(manifest["mode"])
     return config, vocab, params, subj_lex, id_lex, mode
-
-
-def _predictions_tag(manifest, checkpoint_sha256: str, test_sha256: str) -> str:
-    """First line of ``predictions.csv``: the checkpoint, test CSV and run
-    configuration the predictions were made from."""
-    return (f"# subsense predictions checkpoint={checkpoint_sha256} test={test_sha256} "
-            f"config={manifest['config_digest']}")
 
 
 def _write_predictions(path, tag, comments, preds, probs, features) -> None:
@@ -365,7 +333,7 @@ def _read_predictions(path, tag, comments):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n") != tag:
-                raise stale("predictions of another checkpoint, test CSV or config")
+                raise stale("predictions of another run or test CSV")
             rows = list(csv.reader(fh))
         if not rows or rows[0] != PREDICTION_COLUMNS or len(rows) - 1 != len(comments):
             raise stale("predictions do not cover the test CSV")
@@ -385,25 +353,25 @@ def _read_predictions(path, tag, comments):
 
 
 def _cmd_eval(args) -> int:
-    manifest, run = _load_manifest(args.manifest)
+    manifest, run, manifest_sha256 = _load_manifest(args.manifest)
     out = Path(args.output) if args.output else run / "eval.json"
-    _distinct_files({"predictions": out.parent / PREDICTIONS_FILE, "report": out})
+    _distinct_files([("predictions", out.parent / PREDICTIONS_FILE), ("report", out),
+                     *_run_files(args.manifest, manifest)])
     config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest, run)
     comments = _read_comments(args.test)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
     preds, probs = trainer.predict_batch(params, config, prepared.data)
     counts = audit.confusion(preds, [c.label for c in comments])
     test_sha256 = _sha256_file(args.test)
-    checkpoint_sha256 = _sha256_file(run / "checkpoint.bin")
     report = {
-        **{k: manifest[k] for k in ("config_digest", "mode", "seed", "soc_weight", "dataset_id")},
-        "checkpoint_sha256": checkpoint_sha256,
+        **{k: manifest[k] for k in ("mode", "seed", "soc_weight", "dataset_id")},
+        "manifest_sha256": manifest_sha256,
         "test": {"path": str(args.test), "sha256": test_sha256},
         "n": counts.total,
         "tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn,
         "f1": audit.f1(counts),
     }
-    tag = _predictions_tag(manifest, checkpoint_sha256, test_sha256)
+    tag = PREDICTIONS_TAG.format(manifest_sha256, test_sha256)
     _write_predictions(out.parent / PREDICTIONS_FILE, tag, comments, preds, probs,
                        prepared.features)
     _write_json(report, out)
@@ -413,13 +381,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    manifest, run = _load_manifest(args.manifest)
+    manifest, run, manifest_sha256 = _load_manifest(args.manifest)
     out = Path(args.output) if args.output else run / "audit.json"
     text_out = out.with_suffix(".txt")
-    _distinct_files({"predictions": out.parent / PREDICTIONS_FILE, "report": out,
-                     "text report": text_out, "--cells-csv": args.cells_csv})
+    _distinct_files([("predictions", out.parent / PREDICTIONS_FILE), ("report", out),
+                     ("text report", text_out), ("--cells-csv", args.cells_csv),
+                     ("run file", run / "eval.json"), *_run_files(args.manifest, manifest)])
     comments = _read_comments(args.test)
-    tag = _predictions_tag(manifest, _sha256_file(run / "checkpoint.bin"), _sha256_file(args.test))
+    tag = PREDICTIONS_TAG.format(manifest_sha256, _sha256_file(args.test))
     preds, features = _read_predictions(out.parent / PREDICTIONS_FILE, tag, comments)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     _write_json(report.to_json_dict(), out)
@@ -435,23 +404,23 @@ def _cmd_audit(args) -> int:
 
 def _cmd_compare(args) -> int:
     rows: dict[str, list[tuple[float, int, int]]] = {}
+    paths = [("--output", args.output)]
     for mpath in args.manifests:
-        manifest, run = _load_manifest(mpath)
+        manifest, run, manifest_sha256 = _load_manifest(mpath)
         eval_path = run / "eval.json"
+        paths += [("run file", eval_path), *_run_files(mpath, manifest)]
         if not eval_path.exists():
             raise ContractError(f"no eval report for {mpath}; run `subsense eval` first")
         report = _checked_keys(_read_json(eval_path, ContractError), EVAL_KEYS, eval_path,
                                "eval report")
-        if report["config_digest"] != manifest["config_digest"]:
-            raise ContractError(f"{eval_path} reports another run config than {mpath}; "
+        if report["manifest_sha256"] != manifest_sha256:
+            raise ContractError(f"{eval_path} reports another manifest than {mpath}; "
                                 "run `subsense eval` again")
-        if report["checkpoint_sha256"] != _sha256_file(run / "checkpoint.bin"):
-            raise ContractError(f"{eval_path} reports another checkpoint than "
-                                f"{run / 'checkpoint.bin'}; run `subsense eval` again")
         name = manifest["mode"]
         if manifest["soc_weight"]:
             name += f"+soc({manifest['soc_weight']})"
         rows.setdefault(name, []).append((report["f1"], report["fp"], report["fn"]))
+    _distinct_files(paths)
     named = [(name, audit.aggregate(runs)) for name, runs in sorted(rows.items())]
     print(audit.render_f1_table(named), audit.render_fp_fn_table(named), sep="\n\n")
     if args.output:
@@ -501,12 +470,11 @@ def build_parser() -> _Parser:
     p.add_argument("--soc-weight", type=float, default=0.0, dest="soc_weight")
     p.add_argument("--outdir", required=True)
     p.add_argument("--dataset-id", dest="dataset_id")
-    p.add_argument("--config", help="JSON file with model/schedule sections; flags override")
     p.add_argument("--lexicon")
     p.add_argument("--identity-terms", dest="identity_terms")
     p.add_argument("--vocab-size", type=int, default=8000, dest="vocab_size")
     p.add_argument("--min-freq", type=int, default=1, dest="min_freq")
-    p.add_argument("--max-len", type=int, dest="max_len")
+    p.add_argument("--max-len", type=int, default=128, dest="max_len")
     p.add_argument("--d-model", type=int, dest="d_model")
     p.add_argument("--n-heads", type=int, dest="n_heads")
     p.add_argument("--n-layers", type=int, dest="n_layers")

@@ -114,7 +114,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Inverse of ``to_dict``: every field must be present, and no other key."""
-        check_fields(cls, d, cls.__name__, complete=True)
+        check_fields(cls, d, cls.__name__)
         return cls(**d)
 
 

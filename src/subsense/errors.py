@@ -46,16 +46,16 @@ class UsageError(SubsenseError):
     """Bad command line arguments."""
 
 
-def check_fields(cls, values: dict, name: str, complete: bool = False) -> None:
-    """Raise ``ConfigError`` unless every key of ``values`` is a field of
-    ``cls`` (a dataclass, or a dict of names to types) holding a value of its
-    type: an int also fills a float field, a bool fills neither. With
-    ``complete`` every field must be present. Messages name a key as ``<name>.<key>``."""
+def check_fields(cls, values: dict, name: str) -> None:
+    """Raise ``ConfigError`` unless ``values`` holds exactly the fields of
+    ``cls`` (a dataclass, or a dict of names to types), each with a value of
+    its type: an int also fills a float field, a bool fills neither.
+    Messages name a key as ``<name>.<key>``."""
     types = cls if isinstance(cls, dict) else typing.get_type_hints(cls)
     unknown = sorted(set(values) - set(types))
     if unknown:
         raise ConfigError(f"unknown {name} keys {', '.join(unknown)}")
-    missing = [key for key in types if key not in values] if complete else []
+    missing = [key for key in types if key not in values]
     if missing:
         raise ConfigError(f"{name} lacks {', '.join(missing)}")
     for key, value in values.items():

@@ -1,12 +1,16 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsense import audit, cli, datasets, encoder, identity, subjectivity, textprep, trainer
 from subsense.augment import AugmentMode
@@ -48,6 +52,14 @@ def pipeline(tmp_path_factory):
 def copy_run(pipeline, dest):
     """A copy of the pipeline's run directory at ``dest``."""
     return Path(shutil.copytree(pipeline["run"], dest))
+
+
+def rehash(run, name):
+    """Record ``name``'s current sha256 in ``run``'s manifest, as if train had
+    written it, so that the reader past the digest check sees the file."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["files"][name] = sha(run / name)
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 class TestExitCodes:
@@ -152,11 +164,14 @@ class TestTrainArtifacts:
 
     def test_manifest_contents(self, pipeline):
         manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
+        assert manifest["manifest_version"] == 3
         assert manifest["mode"] == "ss"
         assert manifest["seed"] == 1
-        assert len(manifest["config_digest"]) == 64
         assert manifest["inputs"]["train"]["sha256"]
         assert manifest["dataset_id"] == "train"
+        run = pipeline["run"]
+        assert manifest["files"] == {name: sha(run / name) for name in (
+            "config.json", "vocab.txt", "checkpoint.bin", "lexicon.tsv")}
 
     def test_train_is_deterministic(self, pipeline, capsys):
         data = pipeline["data"]
@@ -172,9 +187,7 @@ class TestTrainArtifacts:
         capsys.readouterr()
         assert sha(runs[0] / "checkpoint.bin") == sha(runs[1] / "checkpoint.bin")
         assert sha(runs[0] / "history.csv") == sha(runs[1] / "history.csv")
-        m0 = json.loads((runs[0] / "manifest.json").read_text())
-        m1 = json.loads((runs[1] / "manifest.json").read_text())
-        assert m0["config_digest"] == m1["config_digest"]
+        assert sha(runs[0] / "manifest.json") == sha(runs[1] / "manifest.json")
 
     def test_eval_is_idempotent(self, pipeline, capsys):
         run, data = pipeline["run"], pipeline["data"]
@@ -252,9 +265,9 @@ class TestTrainArtifacts:
         assert "baseline" in capsys.readouterr().out
 
     def test_compare_refuses_the_eval_of_an_earlier_checkpoint(self, pipeline, tmp_path, capsys):
-        """A run retrained on other data with the same flags keeps its config
-        digest, so only the checkpoint digest tells its predecessor's
-        eval.json apart."""
+        """A run retrained on other data with the same flags writes the same
+        config.json, yet another manifest, so its predecessor's eval.json is
+        refused."""
         data, run = pipeline["data"], tmp_path / "rerun"
         flags = [*TRAIN_FLAGS[:-1], "30"]
         assert flags[-2] == "--vocab-size"
@@ -265,21 +278,22 @@ class TestTrainArtifacts:
                 "--mode", "ss", "--seed", "1", "--outdir", str(run),
                 "--lexicon", str(data / "lexicon.tsv"), *flags,
             ]) == 0
-            digests.append(json.loads((run / "manifest.json").read_text())["config_digest"])
+            digests.append(json.loads((run / "manifest.json").read_text())["files"])
             if train_csv == "train.csv":
                 assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
                                      "--test", str(data / "test.csv")]) == 0
                 assert cli.dispatch(["compare", str(run / "manifest.json")]) == 0
-        assert digests[0] == digests[1]
+        assert digests[0]["config.json"] == digests[1]["config.json"]
+        assert digests[0]["checkpoint.bin"] != digests[1]["checkpoint.bin"]
         capsys.readouterr()
         assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
         err = capsys.readouterr().err.strip()
-        assert str(run / "eval.json") in err and "checkpoint" in err and "\n" not in err
+        assert str(run / "eval.json") in err and "manifest" in err and "\n" not in err
         assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
                              "--test", str(data / "test.csv")]) == 0
         report = json.loads((run / "eval.json").read_text())
-        assert report["checkpoint_sha256"] == hashlib.sha256(
-            (run / "checkpoint.bin").read_bytes()).hexdigest()
+        assert report["manifest_sha256"] == sha(run / "manifest.json")
+        assert not {"config_digest", "checkpoint_sha256"} & set(report)
         assert cli.dispatch(["compare", str(run / "manifest.json")]) == 0
 
 
@@ -290,16 +304,6 @@ class TestBadInputExitsTwo:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
         return err
-
-    def train_with_config(self, pipeline, tmp_path, text):
-        config = tmp_path / "config.json"
-        config.write_text(text, encoding="utf-8")
-        data = pipeline["data"]
-        return cli.dispatch([
-            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
-            "--mode", "ss", "--seed", "1", "--outdir", str(tmp_path / "run"),
-            "--config", str(config), *TRAIN_FLAGS,
-        ])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag,name", [("--lr", "lr0"), ("--soc-weight", "soc_weight")])
@@ -312,45 +316,6 @@ class TestBadInputExitsTwo:
         ]) == 2
         assert name in self.one_line_error(capsys)
         assert not (tmp_path / "run").exists()
-
-    def test_config_not_json(self, pipeline, tmp_path, capsys):
-        assert self.train_with_config(pipeline, tmp_path, "{model: 1") == 2
-        assert "not valid JSON" in self.one_line_error(capsys)
-        assert not (tmp_path / "run").exists()
-
-    def test_config_unknown_model_key(self, pipeline, tmp_path, capsys):
-        text = json.dumps({"model": {"d_model": 16, "n_blocks": 3}})
-        assert self.train_with_config(pipeline, tmp_path, text) == 2
-        assert "n_blocks" in self.one_line_error(capsys)
-
-    def test_config_unknown_schedule_key(self, pipeline, tmp_path, capsys):
-        text = json.dumps({"schedule": {"warmup": 10}})
-        assert self.train_with_config(pipeline, tmp_path, text) == 2
-        assert "warmup" in self.one_line_error(capsys)
-
-    def test_config_section_not_object(self, pipeline, tmp_path, capsys):
-        assert self.train_with_config(pipeline, tmp_path, json.dumps({"model": [1]})) == 2
-        self.one_line_error(capsys)
-
-    @pytest.mark.parametrize("section,key,value", [
-        ("model", "d_model", "x"),
-        ("model", "n_layers", 1.5),
-        ("model", "dropout_rate", True),
-        ("model", "n_heads", None),
-        ("schedule", "lr0", "fast"),
-        ("schedule", "epoch_cap", [2]),
-    ])
-    def test_config_wrong_type(self, pipeline, tmp_path, capsys, section, key, value):
-        text = json.dumps({section: {key: value}})
-        assert self.train_with_config(pipeline, tmp_path, text) == 2
-        assert f"{section}.{key}" in self.one_line_error(capsys)
-        assert not (tmp_path / "run").exists()
-
-    def test_config_int_fills_float_field(self, pipeline, tmp_path):
-        text = json.dumps({"model": {"dropout_rate": 0}, "schedule": {"halving_factor": 0.5}})
-        assert self.train_with_config(pipeline, tmp_path, text) == 0
-        run_config = json.loads((tmp_path / "run" / "config.json").read_text())
-        assert run_config["model"]["dropout_rate"] == 0
 
     @pytest.mark.parametrize("model", [
         {"d_model": "x"}, {"n_layers": 1.0}, {"unknown": 1}, [1], None, "drop max_len",
@@ -365,6 +330,7 @@ class TestBadInputExitsTwo:
         else:
             run_config["model"] = model
         (run / "config.json").write_text(json.dumps(run_config), encoding="utf-8")
+        rehash(run, "config.json")
         code = cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
                              "--test", str(pipeline["data"] / "test.csv"),
                              "--output", str(tmp_path / "eval.json")])
@@ -372,7 +338,7 @@ class TestBadInputExitsTwo:
         assert "config.json" in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
 
-    @pytest.mark.parametrize("drop", ["lexicon", "mode", "config_digest"])
+    @pytest.mark.parametrize("drop", ["lexicon", "mode", "files"])
     def test_manifest_missing_key(self, pipeline, tmp_path, capsys, drop):
         manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
         del manifest[drop]
@@ -398,10 +364,27 @@ class TestBadInputExitsTwo:
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
         assert "unsupported manifest version" in self.one_line_error(capsys)
 
+    def test_version_2_manifest(self, pipeline, tmp_path, capsys):
+        """A version-2 manifest held a config digest and the copies' digests
+        under inputs, and no files."""
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["manifest_version"] = 2
+        manifest["config_digest"] = "0" * 64
+        manifest["inputs"]["lexicon.tsv"]["sha256"] = manifest["files"].pop("lexicon.tsv")
+        del manifest["files"]
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        for command in ("eval", "audit"):
+            assert cli.dispatch([command, "--manifest", str(run / "manifest.json"), "--test",
+                                 str(pipeline["data"] / "test.csv"), "--output",
+                                 str(tmp_path / "out" / f"{command}.json")]) == 2
+            assert "unsupported manifest version" in self.one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("mode", 3), ("seed", "1"), ("seed", 1.5), ("seed", True), ("soc_weight", "0.1"),
         ("soc_weight", None), ("lexicon", None), ("identity_terms", ["paper-25"]),
-        ("config_digest", 7), ("dataset_id", {}), ("inputs", ["lexicon.tsv"]), ("inputs", None),
+        ("files", None), ("dataset_id", {}), ("inputs", ["lexicon.tsv"]), ("inputs", None),
     ])
     def test_manifest_wrong_type(self, pipeline, tmp_path, capsys, key, value):
         run = copy_run(pipeline, tmp_path / "run")
@@ -426,18 +409,21 @@ class TestBadInputExitsTwo:
         assert key in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
 
-    @pytest.mark.parametrize("entry", [None, "0" * 64, {}, {"sha256": 7}, "drop"],
-                             ids=["null", "str", "no-sha256", "int-sha256", "missing"])
-    def test_manifest_inputs_entry_of_a_copy(self, pipeline, tmp_path, capsys, entry):
+    @pytest.mark.parametrize("entry", [None, "0" * 64, 7, "drop", "extra"],
+                             ids=["null", "other-sha256", "int", "missing", "extra-name"])
+    def test_manifest_files_entry(self, pipeline, tmp_path, capsys, entry):
         run = copy_run(pipeline, tmp_path / "run")
         manifest = json.loads((run / "manifest.json").read_text())
         if entry == "drop":
-            del manifest["inputs"]["lexicon.tsv"]
+            del manifest["files"]["lexicon.tsv"]
+        elif entry == "extra":
+            manifest["files"]["history.csv"] = sha(run / "history.csv")
         else:
-            manifest["inputs"]["lexicon.tsv"] = entry
+            manifest["files"]["lexicon.tsv"] = entry
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
-        assert "manifest.inputs['lexicon.tsv']" in self.one_line_error(capsys)
+        err = self.one_line_error(capsys)
+        assert str(run / "manifest.json") in err and "lexicon.tsv" in err
         assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize("copy", ["lexicon.tsv", "lexicon.xml"])
@@ -506,6 +492,8 @@ class TestBadInputExitsTwo:
         run = copy_run(pipeline, tmp_path / "run")
         bad = (run if name == "vocab.txt" else tmp_path) / name
         bad.write_bytes(b"good\t0.6\n\xff\n")
+        if name == "vocab.txt":
+            rehash(run, name)
         fill = {"bad": bad, "tmp": tmp_path, "manifest": run / "manifest.json",
                 "test": pipeline["data"] / "test.csv"}
         assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
@@ -551,6 +539,7 @@ class TestBadInputExitsTwo:
         run = copy_run(pipeline, tmp_path / "run")
         vocab = run / "vocab.txt"
         vocab.write_text(vocab.read_text(encoding="utf-8") + "extra\n", encoding="utf-8")
+        rehash(run, "vocab.txt")
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
         assert str(vocab) in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
@@ -565,6 +554,7 @@ class TestBadInputExitsTwo:
         run = copy_run(pipeline, tmp_path / "run")
         checkpoint = run / "checkpoint.bin"
         checkpoint.write_bytes(corrupt(checkpoint.read_bytes()))
+        rehash(run, "checkpoint.bin")
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
         err = self.one_line_error(capsys)
         assert str(checkpoint) in err and "Traceback" not in err
@@ -654,11 +644,8 @@ class TestPredictionsHandoff:
     def test_predictions_read_back_exactly(self, pipeline, old_path):
         run, data = pipeline["run"], pipeline["data"]
         lines = (run / "predictions.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == (
-            f"# subsense predictions checkpoint={sha(run / 'checkpoint.bin')} "
-            f"test={sha(data / 'test.csv')} "
-            f"config={json.loads((run / 'manifest.json').read_text())['config_digest']}"
-        )
+        assert lines[0] == (f"# subsense predictions manifest={sha(run / 'manifest.json')} "
+                            f"test={sha(data / 'test.csv')}")
         rows = list(csv.reader(lines[1:]))
         assert rows[0] == ["id", "pred", "p_toxic", "subjectivity", "terms"]
         assert len(rows) - 1 == len(old_path["comments"])
@@ -759,6 +746,8 @@ class TestPredictionsHandoff:
         self.refused(capsys, tmp_path / "predictions.csv")
 
     def test_checkpoint_replaced_after_eval(self, pipeline, other_run, tmp_path, capsys):
+        """audit never loads the checkpoint, yet refuses a replaced one
+        through the manifest's files."""
         run, test = copy_run(pipeline, tmp_path / "run"), pipeline["data"] / "test.csv"
         path = run / "manifest.json"
         assert _eval(path, test, tmp_path) == 0
@@ -766,7 +755,9 @@ class TestPredictionsHandoff:
         shutil.copyfile(other_run / "checkpoint.bin", run / "checkpoint.bin")
         capsys.readouterr()
         assert _audit(path, test, tmp_path) == 2
-        self.refused(capsys, tmp_path / "predictions.csv")
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert str(run / "checkpoint.bin") in err
 
     @pytest.mark.parametrize("tamper", [
         "swap ids", "drop a row", "extra row", "bad float", "bad label", "short row",
@@ -864,14 +855,15 @@ class TestRunDirectory:
         ]) == 0
         capsys.readouterr()
         manifest = json.loads((run / "manifest.json").read_text())
-        assert manifest["manifest_version"] == 2 and "artifacts" not in manifest
+        assert manifest["manifest_version"] == 3 and "artifacts" not in manifest
         assert (manifest["lexicon"], manifest["identity_terms"]) == (
             "lexicon.tsv", "identity_terms.txt")
         assert (run / "lexicon.tsv").read_bytes() == (data / "lexicon.tsv").read_bytes()
         assert (run / "identity_terms.txt").read_bytes() == terms.read_bytes()
-        assert manifest["inputs"]["lexicon.tsv"] == {
-            "path": str(data / "lexicon.tsv"), "sha256": sha(data / "lexicon.tsv")}
-        assert manifest["inputs"]["identity_terms.txt"]["sha256"] == sha(terms)
+        assert manifest["inputs"]["lexicon.tsv"] == {"path": str(data / "lexicon.tsv")}
+        assert manifest["inputs"]["identity_terms.txt"] == {"path": str(terms)}
+        assert manifest["files"]["lexicon.tsv"] == sha(data / "lexicon.tsv")
+        assert manifest["files"]["identity_terms.txt"] == sha(terms)
         # eval refuses a copy edited after train.
         with open(run / "identity_terms.txt", "a", encoding="utf-8") as fh:
             fh.write("jews\n")
@@ -902,6 +894,8 @@ class TestRunDirectory:
             tmp_path / "plain" / "predictions.csv").read_bytes()
 
     def test_relative_lexicon_after_chdir(self, pipeline, tmp_path, monkeypatch, capsys):
+        """A run trained from relative paths records other inputs, so its
+        manifest and tag differ; its predictions do not."""
         data, run = pipeline["data"], tmp_path / "run"
         monkeypatch.chdir(data)
         assert cli.dispatch([
@@ -912,5 +906,127 @@ class TestRunDirectory:
         assert cli.dispatch(["eval", "--manifest", "run/manifest.json",
                              "--test", str(data / "test.csv")]) == 0
         capsys.readouterr()
-        assert (run / "predictions.csv").read_bytes() == (
-            pipeline["run"] / "predictions.csv").read_bytes()
+        rows = [(path / "predictions.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+                for path in (run, pipeline["run"])]
+        assert rows[0] == rows[1]
+
+
+def _dispatch(*argv):
+    """The exit code and the stripped stderr of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.dispatch([str(arg) for arg in argv])
+    return code, err.getvalue().strip()
+
+
+def _one_line(err):
+    return err.startswith("error:") and "\n" not in err and "Traceback" not in err
+
+
+class TestRunFilesChecked:
+    """eval, audit and compare check every file of a run against the sha256
+    its manifest's ``files`` records, and no report replaces a run file."""
+
+    def refused_everywhere(self, run, test, out, named):
+        """audit, compare and eval of ``run`` each exit 2 with one line
+        naming ``named`` and write nothing."""
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        manifest = run / "manifest.json"
+        for argv in (["audit", "--manifest", manifest, "--test", test,
+                      "--cells-csv", out / "cells.csv"],
+                     ["compare", manifest, "--output", out / "compare.json"],
+                     ["eval", "--manifest", manifest, "--test", test,
+                      "--output", out / "eval.json"]):
+            code, err = _dispatch(*argv)
+            assert code == 2 and _one_line(err), (argv[0], err)
+            assert str(named) in err, (argv[0], err)
+        assert not out.exists()
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("name", ["vocab.txt", "config.json", "checkpoint.bin", "lexicon.tsv"],
+                             ids=["reversed-vocab", "n-heads-2-to-4", "replaced-checkpoint",
+                                  "edited-lexicon"])
+    def test_edited_run_file(self, pipeline, other_run, tmp_path, name):
+        """Each edit leaves a run the readers would accept: the vocab keeps
+        its size, the config its shapes, the checkpoint its config."""
+        run = copy_run(pipeline, tmp_path / "run")
+        path = run / name
+        if name == "vocab.txt":
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(reversed(lines)), encoding="utf-8")
+        elif name == "config.json":
+            run_config = json.loads(path.read_text(encoding="utf-8"))
+            assert run_config["model"]["n_heads"] == 2
+            run_config["model"]["n_heads"] = 4
+            path.write_text(json.dumps(run_config, sort_keys=True, indent=2) + "\n",
+                            encoding="utf-8")
+        elif name == "checkpoint.bin":
+            shutil.copyfile(other_run / name, path)
+        else:
+            path.write_text(re.sub(r"^([^#\t]+)\t[^\t]+", r"\1\t0.9",
+                                   path.read_text(encoding="utf-8"), flags=re.M),
+                            encoding="utf-8")
+        assert path.read_bytes() != (pipeline["run"] / name).read_bytes()
+        self.refused_everywhere(run, pipeline["data"] / "test.csv", tmp_path / "out", path)
+
+    @pytest.mark.parametrize("argv,target", [
+        (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
+          "--cells-csv", "{run}/eval.json"], "eval.json"),
+        (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
+          "--cells-csv", "{run}/checkpoint.bin"], "checkpoint.bin"),
+        (["eval", "--manifest", "{run}/manifest.json", "--test", "{test}",
+          "--output", "{run}/manifest.json"], "manifest.json"),
+        (["eval", "--manifest", "{run}/manifest.json", "--test", "{test}",
+          "--output", "{run}/vocab.txt"], "vocab.txt"),
+        (["compare", "{run}/manifest.json", "--output", "{run}/eval.json"], "eval.json"),
+    ], ids=["cells-csv-on-eval-json", "cells-csv-on-checkpoint", "eval-on-manifest",
+            "eval-on-vocab", "compare-on-eval-json"])
+    def test_report_on_a_run_file(self, pipeline, tmp_path, argv, target):
+        run = copy_run(pipeline, tmp_path / "run")
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        fill = {"run": run, "test": pipeline["data"] / "test.csv"}
+        code, err = _dispatch(*(arg.format(**fill) for arg in argv))
+        assert code == 2 and _one_line(err), err
+        assert str(run / target) in err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(["manifest.json", "config.json", "vocab.txt", "checkpoint.bin",
+                                 "lexicon.tsv"]),
+           how=st.sampled_from(["flip", "truncate", "delete"]),
+           at=st.integers(0, 2**31), xor=st.integers(1, 255))
+    def test_corrupted_run_directory(self, pipeline, name, how, at, xor):
+        """One byte flipped, the file cut short or deleted. A manifest
+        cannot vouch for itself: an edit that leaves it valid (whitespace,
+        dataset_id) is refused by audit and compare, which pin its sha256,
+        while eval reports the edited manifest's sha256."""
+        with tempfile.TemporaryDirectory() as tmp:
+            run = copy_run(pipeline, Path(tmp) / "run")
+            path, out, test = run / name, Path(tmp) / "out", pipeline["data"] / "test.csv"
+            blob = path.read_bytes()
+            if how == "flip":
+                i = at % len(blob)
+                path.write_bytes(blob[:i] + bytes([blob[i] ^ xor]) + blob[i + 1:])
+            elif how == "truncate":
+                path.write_bytes(blob[:at % len(blob)])
+            else:
+                path.unlink()
+            if name != "manifest.json" or how == "delete":
+                self.refused_everywhere(run, test, out, path)
+                return
+            before = {p.name: p.read_bytes() for p in run.iterdir()}
+            for argv in (["audit", "--manifest", path, "--test", test,
+                          "--cells-csv", out / "cells.csv"],
+                         ["compare", path, "--output", out / "compare.json"]):
+                code, err = _dispatch(*argv)
+                assert code == 2 and _one_line(err), (argv[0], err)
+            assert not out.exists()
+            assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+            code, err = _dispatch("eval", "--manifest", path, "--test", test,
+                                  "--output", out / "eval.json")
+            if code == 0:
+                report = json.loads((out / "eval.json").read_text(encoding="utf-8"))
+                assert report["manifest_sha256"] == sha(path)
+            else:
+                assert code == 2 and _one_line(err), err
+                assert not out.exists()
