@@ -2,8 +2,9 @@
 evaluation, auditing and run comparison.
 
 Exit codes: 0 success, 1 usage error, 2 data, contract or file error. Every train
-run writes a manifest holding the seed, mode, input digests and the sha256 of
-each run file that eval and audit read.
+run writes config.json, the only home of its settings (model, mode, SOC weight),
+and a manifest holding the dataset id, input digests and the sha256 of each run
+file that eval and audit read.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from .errors import (
 # lexicon copies) by a fixed name beside the manifest they are given. The
 # manifest's ``files`` holds the sha256 of each file they read from the run,
 # and every report names the sha256 of the manifest it was made from.
-MANIFEST_VERSION = 3
-RUN_FILES = ("config.json", "vocab.txt", "checkpoint.bin")  # and the lexicon copies
-# Types of the manifest keys that eval, audit and compare read, and of the
-# eval report keys that compare reads.
-RUN_KEYS = {"seed": int, "mode": str, "soc_weight": float, "dataset_id": str, "lexicon": str,
-            "identity_terms": str, "inputs": dict, "files": dict}
+# Each run setting has one home: config.json, which ``files`` hashes.
+MANIFEST_VERSION = 4
+RUN_FILES = ("config.json", "vocab.txt", "checkpoint.bin")
+LEXICON_COPIES = ("lexicon.tsv", "lexicon.xml")  # files names exactly one
+TERMS_COPY = "identity_terms.txt"  # in files when train read --identity-terms
+# Types of the manifest, config.json and eval report keys that the commands read.
+RUN_KEYS = {"dataset_id": str, "inputs": dict, "files": dict}
+CONFIG_KEYS = {"model": dict, "mode": str, "soc_weight": float}
 EVAL_KEYS = {"manifest_sha256": str, "f1": float, "fp": float, "fn": float}
 # eval writes its predictions beside its report and audit reads them from
 # beside its own, so an audit never runs the encoder again. The first line
@@ -216,23 +219,18 @@ def _cmd_train(args) -> int:
         "schedule": dataclasses.asdict(schedule),
         "mode": mode.value,
         "soc_weight": args.soc_weight,
-        "seed": args.seed,
         "min_freq": args.min_freq,
     }
     _write_json(run_config, outdir / "config.json")
     # eval reads these copies, never the files train read.
-    lexicon_copy = "lexicon.tsv" if subjectivity.is_tsv(subj_path) else "lexicon.xml"
-    copies = {lexicon_copy: subj_path}
+    copies = {LEXICON_COPIES[0 if subjectivity.is_tsv(subj_path) else 1]: subj_path}
     if args.identity_terms:
-        copies["identity_terms.txt"] = args.identity_terms
+        copies[TERMS_COPY] = args.identity_terms
     for name, source in copies.items():
         with replacing(outdir / name, "wb") as fh:
             fh.write(Path(source).read_bytes())
     manifest = {
         "manifest_version": MANIFEST_VERSION,
-        "seed": args.seed,
-        "mode": mode.value,
-        "soc_weight": args.soc_weight,
         "dataset_id": args.dataset_id or Path(args.train).stem,
         # The train and val CSVs, and the source of each copy by its name.
         "inputs": {
@@ -241,8 +239,6 @@ def _cmd_train(args) -> int:
             **{name: {"path": str(source)} for name, source in copies.items()},
         },
         "files": {name: _sha256_file(outdir / name) for name in (*RUN_FILES, *copies)},
-        "lexicon": lexicon_copy,
-        "identity_terms": "identity_terms.txt" if args.identity_terms else "paper-25",
     }
     _write_json(manifest, outdir / "manifest.json")
     best = history.best_val_f1()
@@ -257,21 +253,20 @@ def _cmd_train(args) -> int:
 
 def _load_manifest(path) -> tuple[dict, Path, str]:
     """The checked manifest at ``path``, its run directory and its sha256.
-    Each run file must hash to the sha256 the manifest's ``files`` records."""
+    ``files`` must name the run files, one lexicon copy and at most the
+    identity term copy, and each must hash to the sha256 it records."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"manifest not found: {p}")
     manifest = _read_json(p, ContractError)
     if not isinstance(manifest, dict) or manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ContractError(f"unsupported manifest version in {p}")
-    _checked_keys(manifest, RUN_KEYS, p, "manifest")
-    if (manifest["lexicon"] not in ("lexicon.tsv", "lexicon.xml")
-            or manifest["identity_terms"] not in ("identity_terms.txt", "paper-25")):
-        raise ContractError(f"{p}: lexicon or identity_terms names no copy train writes")
-    names = sorted({*RUN_FILES, manifest["lexicon"], manifest["identity_terms"]} - {"paper-25"})
-    if sorted(manifest["files"]) != names:
-        raise ContractError(f"{p}: files must name exactly {', '.join(names)}")
-    for name in names:  # a missing file is an OSError naming it
+    names = set(_checked_keys(manifest, RUN_KEYS, p, "manifest")["files"])
+    copies = names - {*RUN_FILES, TERMS_COPY}
+    if not (names >= set(RUN_FILES) and len(copies) == 1 and copies <= set(LEXICON_COPIES)):
+        raise ContractError(f"{p}: files must name {', '.join(RUN_FILES)}, one of "
+                            f"{' or '.join(LEXICON_COPIES)} and at most {TERMS_COPY}")
+    for name in sorted(names):  # a missing file is an OSError naming it
         if _sha256_file(p.parent / name) != manifest["files"][name]:
             raise ContractError(f"{p.parent / name} is not the file train wrote: its sha256 "
                                 f"differs from {p}'s files[{name!r}]")
@@ -286,25 +281,28 @@ def _run_files(path, manifest) -> list:
             *(("run file", run / name) for name in ("history.csv", *manifest["files"]))]
 
 
-def _rebuild_run(manifest, run: Path):
-    config_path = run / "config.json"
-    run_config = _read_json(config_path, ContractError)
-    model = run_config.get("model") if isinstance(run_config, dict) else None
-    if not isinstance(model, dict):
-        raise ContractError(f"{config_path}: 'model' must be a JSON object")
+def _run_config(run: Path) -> tuple[encoder.ModelConfig, AugmentMode, float]:
+    """The model config, augment mode and SOC weight of the run in ``run``,
+    read from its config.json, the one home of each."""
+    path = run / "config.json"
+    run_config = _checked_keys(_read_json(path, ContractError), CONFIG_KEYS, path, "config")
     try:
-        config = encoder.ModelConfig.from_dict(model)
-    except ConfigError as exc:
-        raise ContractError(f"{config_path}: {exc}") from None
+        return (encoder.ModelConfig.from_dict(run_config["model"]),
+                AugmentMode.parse(run_config["mode"]), run_config["soc_weight"])
+    except (ConfigError, ContractError) as exc:
+        raise ContractError(f"{path}: {exc}") from None
+
+
+def _rebuild_run(manifest, run: Path):
+    config, mode, _ = _run_config(run)
     vocab = textprep.Vocab.load(run / "vocab.txt")
     if len(vocab) != config.vocab_size:
         raise ContractError(f"{run / 'vocab.txt'} holds {len(vocab)} tokens, "
-                            f"{config_path} says {config.vocab_size}")
+                            f"{run / 'config.json'} says {config.vocab_size}")
     params = encoder.load_params(run / "checkpoint.bin", config)
-    subj_lex = subjectivity.load_lexicon(run / manifest["lexicon"])
-    terms = manifest["identity_terms"]
-    id_lex = _identity_terms(None if terms == "paper-25" else run / terms)
-    mode = AugmentMode.parse(manifest["mode"])
+    files = manifest["files"]
+    subj_lex = subjectivity.load_lexicon(run / next(n for n in LEXICON_COPIES if n in files))
+    id_lex = _identity_terms(run / TERMS_COPY if TERMS_COPY in files else None)
     return config, vocab, params, subj_lex, id_lex, mode
 
 
@@ -355,8 +353,8 @@ def _read_predictions(path, tag, comments):
 def _cmd_eval(args) -> int:
     manifest, run, manifest_sha256 = _load_manifest(args.manifest)
     out = Path(args.output) if args.output else run / "eval.json"
-    _distinct_files([("predictions", out.parent / PREDICTIONS_FILE), ("report", out),
-                     *_run_files(args.manifest, manifest)])
+    _distinct_files([("--test", args.test), ("predictions", out.parent / PREDICTIONS_FILE),
+                     ("report", out), *_run_files(args.manifest, manifest)])
     config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest, run)
     comments = _read_comments(args.test)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
@@ -364,7 +362,6 @@ def _cmd_eval(args) -> int:
     counts = audit.confusion(preds, [c.label for c in comments])
     test_sha256 = _sha256_file(args.test)
     report = {
-        **{k: manifest[k] for k in ("mode", "seed", "soc_weight", "dataset_id")},
         "manifest_sha256": manifest_sha256,
         "test": {"path": str(args.test), "sha256": test_sha256},
         "n": counts.total,
@@ -384,8 +381,8 @@ def _cmd_audit(args) -> int:
     manifest, run, manifest_sha256 = _load_manifest(args.manifest)
     out = Path(args.output) if args.output else run / "audit.json"
     text_out = out.with_suffix(".txt")
-    _distinct_files([("predictions", out.parent / PREDICTIONS_FILE), ("report", out),
-                     ("text report", text_out), ("--cells-csv", args.cells_csv),
+    _distinct_files([("--test", args.test), ("predictions", out.parent / PREDICTIONS_FILE),
+                     ("report", out), ("text report", text_out), ("--cells-csv", args.cells_csv),
                      ("run file", run / "eval.json"), *_run_files(args.manifest, manifest)])
     comments = _read_comments(args.test)
     tag = PREDICTIONS_TAG.format(manifest_sha256, _sha256_file(args.test))
@@ -407,6 +404,7 @@ def _cmd_compare(args) -> int:
     paths = [("--output", args.output)]
     for mpath in args.manifests:
         manifest, run, manifest_sha256 = _load_manifest(mpath)
+        _, mode, soc_weight = _run_config(run)
         eval_path = run / "eval.json"
         paths += [("run file", eval_path), *_run_files(mpath, manifest)]
         if not eval_path.exists():
@@ -416,9 +414,7 @@ def _cmd_compare(args) -> int:
         if report["manifest_sha256"] != manifest_sha256:
             raise ContractError(f"{eval_path} reports another manifest than {mpath}; "
                                 "run `subsense eval` again")
-        name = manifest["mode"]
-        if manifest["soc_weight"]:
-            name += f"+soc({manifest['soc_weight']})"
+        name = mode.value + (f"+soc({soc_weight})" if soc_weight else "")
         rows.setdefault(name, []).append((report["f1"], report["fp"], report["fn"]))
     _distinct_files(paths)
     named = [(name, audit.aggregate(runs)) for name, runs in sorted(rows.items())]

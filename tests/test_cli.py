@@ -163,15 +163,21 @@ class TestTrainArtifacts:
             assert (run / name).exists(), name
 
     def test_manifest_contents(self, pipeline):
-        manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
-        assert manifest["manifest_version"] == 3
-        assert manifest["mode"] == "ss"
-        assert manifest["seed"] == 1
+        """Each run setting is written once, in config.json: the manifest
+        holds only what no other file holds, and eval.json copies nothing."""
+        run = pipeline["run"]
+        manifest, run_config, report = (json.loads((run / name).read_text())
+                                        for name in ("manifest.json", "config.json", "eval.json"))
+        assert set(manifest) == {"manifest_version", "dataset_id", "inputs", "files"}
+        assert manifest["manifest_version"] == 4
         assert manifest["inputs"]["train"]["sha256"]
         assert manifest["dataset_id"] == "train"
-        run = pipeline["run"]
         assert manifest["files"] == {name: sha(run / name) for name in (
             "config.json", "vocab.txt", "checkpoint.bin", "lexicon.tsv")}
+        assert set(run_config) == {"model", "schedule", "mode", "soc_weight", "min_freq"}
+        assert (run_config["mode"], run_config["model"]["seed"]) == ("ss", 1)
+        assert run_config["soc_weight"] == 0.0
+        assert set(report) == {"manifest_sha256", "test", "n", "tp", "fp", "tn", "fn", "f1"}
 
     def test_train_is_deterministic(self, pipeline, capsys):
         data = pipeline["data"]
@@ -319,6 +325,7 @@ class TestBadInputExitsTwo:
 
     @pytest.mark.parametrize("model", [
         {"d_model": "x"}, {"n_layers": 1.0}, {"unknown": 1}, [1], None, "drop max_len",
+        {"seed": "1"}, {"seed": 1.5}, {"seed": True},
     ])
     def test_run_config_broken_model(self, pipeline, tmp_path, capsys, model):
         run = copy_run(pipeline, tmp_path / "run")
@@ -338,10 +345,49 @@ class TestBadInputExitsTwo:
         assert "config.json" in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
 
-    @pytest.mark.parametrize("drop", ["lexicon", "mode", "files"])
+    @pytest.mark.parametrize("key,value,named", [
+        ("mode", 3, "config.mode must be str"),
+        ("mode", "sss", "unknown augment mode 'sss'"),
+        ("mode", "drop", "config lacks mode"),
+        ("soc_weight", "0.1", "config.soc_weight must be float"),
+        ("soc_weight", None, "config.soc_weight must be float"),
+        ("soc_weight", "drop", "config lacks soc_weight"),
+    ], ids=["mode-3", "mode-sss", "mode-drop", "soc_weight-0.1", "soc_weight-None",
+            "soc_weight-drop"])
+    def test_run_config_setting(self, pipeline, tmp_path, key, value, named):
+        """config.json is the one home of mode and soc_weight. A value no
+        reader can use, re-hashed into files so that the digest check
+        passes, ends eval and compare with one line naming config.json and
+        the key; audit, whose predictions name the old manifest, exits 2."""
+        run = copy_run(pipeline, tmp_path / "run")
+        path, out = run / "config.json", tmp_path / "out"
+        run_config = json.loads(path.read_text(encoding="utf-8"))
+        if value == "drop":
+            del run_config[key]
+        else:
+            run_config[key] = value
+        path.write_text(json.dumps(run_config), encoding="utf-8")
+        rehash(run, "config.json")
+        manifest, test = run / "manifest.json", pipeline["data"] / "test.csv"
+        for argv in (["eval", "--manifest", manifest, "--test", test, "--output", out / "e.json"],
+                     ["compare", manifest, "--output", out / "compare.json"]):
+            code, err = _dispatch(*argv)
+            assert code == 2 and _one_line(err), (argv[0], err)
+            assert f"{path}: " in err and named in err, (argv[0], err)
+        code, err = _dispatch("audit", "--manifest", manifest, "--test", test,
+                              "--output", out / "audit.json")
+        assert code == 2 and _one_line(err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("drop", ["dataset_id", "inputs", "lexicon", "files"])
     def test_manifest_missing_key(self, pipeline, tmp_path, capsys, drop):
+        """A manifest lacking a key, or lacking the lexicon copy's entry in
+        files, which is where a version-4 manifest records the lexicon."""
         manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
-        del manifest[drop]
+        if drop == "lexicon":
+            del manifest["files"]["lexicon.tsv"]
+        else:
+            del manifest[drop]
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest), encoding="utf-8")
         code = cli.dispatch(["eval", "--manifest", str(path),
@@ -364,6 +410,24 @@ class TestBadInputExitsTwo:
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
         assert "unsupported manifest version" in self.one_line_error(capsys)
 
+    def test_version_3_manifest(self, pipeline, tmp_path, capsys):
+        """A version-3 manifest repeated config.json's seed, mode and
+        soc_weight and named its lexicon copies beside files."""
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest.update(manifest_version=3, seed=1, mode="ss", soc_weight=0.0,
+                        lexicon="lexicon.tsv", identity_terms="paper-25")
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        test = pipeline["data"] / "test.csv"
+        for argv in (["eval", "--manifest", run / "manifest.json", "--test", test,
+                      "--output", tmp_path / "out" / "eval.json"],
+                     ["audit", "--manifest", run / "manifest.json", "--test", test,
+                      "--output", tmp_path / "out" / "audit.json"],
+                     ["compare", run / "manifest.json"]):
+            assert cli.dispatch([str(arg) for arg in argv]) == 2
+            assert "unsupported manifest version" in self.one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_version_2_manifest(self, pipeline, tmp_path, capsys):
         """A version-2 manifest held a config digest and the copies' digests
         under inputs, and no files."""
@@ -382,10 +446,8 @@ class TestBadInputExitsTwo:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("mode", 3), ("seed", "1"), ("seed", 1.5), ("seed", True), ("soc_weight", "0.1"),
-        ("soc_weight", None), ("lexicon", None), ("identity_terms", ["paper-25"]),
         ("files", None), ("dataset_id", {}), ("inputs", ["lexicon.tsv"]), ("inputs", None),
-    ])
+    ], ids=["files-None", "dataset_id-value9", "inputs-value10", "inputs-None"])
     def test_manifest_wrong_type(self, pipeline, tmp_path, capsys, key, value):
         run = copy_run(pipeline, tmp_path / "run")
         manifest = json.loads((run / "manifest.json").read_text())
@@ -396,17 +458,28 @@ class TestBadInputExitsTwo:
         assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
         assert f"manifest.{key}" in self.one_line_error(capsys)
 
-    @pytest.mark.parametrize("key,value", [
-        ("lexicon", "../data/lexicon.tsv"), ("lexicon", "packaged"),
-        ("identity_terms", "terms.txt"),
-    ])
-    def test_manifest_names_no_copy(self, pipeline, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("names", [
+        ["../data/lexicon.tsv"], ["packaged"], ["lexicon.tsv", "terms.txt"],
+        ["lexicon.tsv", "lexicon.xml"],
+    ], ids=["lexicon-../data/lexicon.tsv", "lexicon-packaged", "identity_terms-terms.txt",
+            "lexicon-two-copies"])
+    def test_manifest_names_no_copy(self, pipeline, tmp_path, capsys, names):
+        """files names the lexicon copy under ``names``: none of the copies
+        train writes, a second copy, or a stray term file. Each named file
+        holds the lexicon's bytes and hashes as recorded, so only the names
+        are refused."""
         run = copy_run(pipeline, tmp_path / "run")
         manifest = json.loads((run / "manifest.json").read_text())
-        manifest[key] = value
+        lexicon = (run / "lexicon.tsv").read_bytes()
+        del manifest["files"]["lexicon.tsv"]
+        for name in names:
+            (run / name).parent.mkdir(parents=True, exist_ok=True)
+            (run / name).write_bytes(lexicon)
+            manifest["files"][name] = sha(run / name)
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
-        assert key in self.one_line_error(capsys)
+        err = self.one_line_error(capsys)
+        assert str(run / "manifest.json") in err and "one of lexicon.tsv or lexicon.xml" in err
         assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize("entry", [None, "0" * 64, 7, "drop", "extra"],
@@ -855,9 +928,7 @@ class TestRunDirectory:
         ]) == 0
         capsys.readouterr()
         manifest = json.loads((run / "manifest.json").read_text())
-        assert manifest["manifest_version"] == 3 and "artifacts" not in manifest
-        assert (manifest["lexicon"], manifest["identity_terms"]) == (
-            "lexicon.tsv", "identity_terms.txt")
+        assert manifest["manifest_version"] == 4 and "artifacts" not in manifest
         assert (run / "lexicon.tsv").read_bytes() == (data / "lexicon.tsv").read_bytes()
         assert (run / "identity_terms.txt").read_bytes() == terms.read_bytes()
         assert manifest["inputs"]["lexicon.tsv"] == {"path": str(data / "lexicon.tsv")}
@@ -873,7 +944,8 @@ class TestRunDirectory:
 
     def test_packaged_lexicon_is_copied(self, packaged_run):
         manifest = json.loads((packaged_run / "manifest.json").read_text())
-        assert (manifest["lexicon"], manifest["identity_terms"]) == ("lexicon.xml", "paper-25")
+        assert sorted(manifest["files"]) == [
+            "checkpoint.bin", "config.json", "lexicon.xml", "vocab.txt"]
         assert (packaged_run / "lexicon.xml").read_bytes() == (
             subjectivity.DEFAULT_LEXICON_XML.read_bytes())
         assert not (packaged_run / "identity_terms.txt").exists()
@@ -943,24 +1015,31 @@ class TestRunFilesChecked:
         assert not out.exists()
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
-    @pytest.mark.parametrize("name", ["vocab.txt", "config.json", "checkpoint.bin", "lexicon.tsv"],
-                             ids=["reversed-vocab", "n-heads-2-to-4", "replaced-checkpoint",
-                                  "edited-lexicon"])
-    def test_edited_run_file(self, pipeline, other_run, tmp_path, name):
+    @pytest.mark.parametrize("name,edit", [
+        ("vocab.txt", "reverse"), ("config.json", "n_heads"), ("config.json", "mode"),
+        ("checkpoint.bin", "replace"), ("lexicon.tsv", "values"),
+    ], ids=["reversed-vocab", "n-heads-2-to-4", "mode-ss-to-so", "replaced-checkpoint",
+            "edited-lexicon"])
+    def test_edited_run_file(self, pipeline, other_run, tmp_path, name, edit):
         """Each edit leaves a run the readers would accept: the vocab keeps
-        its size, the config its shapes, the checkpoint its config."""
+        its size, the config its shapes (or its model, with another augment
+        mode that would change the predictions), the checkpoint its config."""
         run = copy_run(pipeline, tmp_path / "run")
         path = run / name
-        if name == "vocab.txt":
+        if edit == "reverse":
             lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
             path.write_text("".join(reversed(lines)), encoding="utf-8")
-        elif name == "config.json":
+        elif edit == "mode":
+            text = path.read_text(encoding="utf-8")
+            assert '"mode": "ss"' in text
+            path.write_text(text.replace('"mode": "ss"', '"mode": "so"'), encoding="utf-8")
+        elif edit == "n_heads":
             run_config = json.loads(path.read_text(encoding="utf-8"))
             assert run_config["model"]["n_heads"] == 2
             run_config["model"]["n_heads"] = 4
             path.write_text(json.dumps(run_config, sort_keys=True, indent=2) + "\n",
                             encoding="utf-8")
-        elif name == "checkpoint.bin":
+        elif edit == "replace":
             shutil.copyfile(other_run / name, path)
         else:
             path.write_text(re.sub(r"^([^#\t]+)\t[^\t]+", r"\1\t0.9",
@@ -969,26 +1048,49 @@ class TestRunFilesChecked:
         assert path.read_bytes() != (pipeline["run"] / name).read_bytes()
         self.refused_everywhere(run, pipeline["data"] / "test.csv", tmp_path / "out", path)
 
+    def test_manifest_holds_no_setting(self, pipeline, tmp_path):
+        """A mode written into the manifest, where manifests before version 4
+        held it, changes nothing: eval makes the original's predictions."""
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        manifest["mode"] = "so"
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        code, err = _dispatch("eval", "--manifest", run / "manifest.json", "--test",
+                              pipeline["data"] / "test.csv", "--output", tmp_path / "eval.json")
+        assert (code, err) == (0, "")
+        rows = [(path / "predictions.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+                for path in (tmp_path, pipeline["run"])]
+        assert rows[0] == rows[1]
+
     @pytest.mark.parametrize("argv,target", [
         (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
-          "--cells-csv", "{run}/eval.json"], "eval.json"),
+          "--cells-csv", "{run}/eval.json"], "{run}/eval.json"),
         (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
-          "--cells-csv", "{run}/checkpoint.bin"], "checkpoint.bin"),
+          "--cells-csv", "{run}/checkpoint.bin"], "{run}/checkpoint.bin"),
         (["eval", "--manifest", "{run}/manifest.json", "--test", "{test}",
-          "--output", "{run}/manifest.json"], "manifest.json"),
+          "--output", "{run}/manifest.json"], "{run}/manifest.json"),
         (["eval", "--manifest", "{run}/manifest.json", "--test", "{test}",
-          "--output", "{run}/vocab.txt"], "vocab.txt"),
-        (["compare", "{run}/manifest.json", "--output", "{run}/eval.json"], "eval.json"),
+          "--output", "{run}/vocab.txt"], "{run}/vocab.txt"),
+        (["compare", "{run}/manifest.json", "--output", "{run}/eval.json"], "{run}/eval.json"),
+        (["eval", "--manifest", "{run}/manifest.json", "--test", "{test}",
+          "--output", "{test}"], "--test {test}"),
+        (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
+          "--output", "{test}"], "--test {test}"),
+        (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
+          "--cells-csv", "{test}"], "--test {test}"),
     ], ids=["cells-csv-on-eval-json", "cells-csv-on-checkpoint", "eval-on-manifest",
-            "eval-on-vocab", "compare-on-eval-json"])
+            "eval-on-vocab", "compare-on-eval-json", "eval-on-test-csv", "audit-on-test-csv",
+            "cells-csv-on-test-csv"])
     def test_report_on_a_run_file(self, pipeline, tmp_path, argv, target):
+        """No report replaces a file train wrote or the test CSV it reads."""
         run = copy_run(pipeline, tmp_path / "run")
-        before = {p.name: p.read_bytes() for p in run.iterdir()}
-        fill = {"run": run, "test": pipeline["data"] / "test.csv"}
+        test = Path(shutil.copyfile(pipeline["data"] / "test.csv", tmp_path / "test.csv"))
+        before = {p: p.read_bytes() for p in (test, *run.iterdir())}
+        fill = {"run": run, "test": test}
         code, err = _dispatch(*(arg.format(**fill) for arg in argv))
         assert code == 2 and _one_line(err), err
-        assert str(run / target) in err
-        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        assert target.format(**fill) in err
+        assert {p: p.read_bytes() for p in (test, *run.iterdir())} == before
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(["manifest.json", "config.json", "vocab.txt", "checkpoint.bin",
@@ -1030,3 +1132,37 @@ class TestRunFilesChecked:
             else:
                 assert code == 2 and _one_line(err), err
                 assert not out.exists()
+
+
+def _corrupted(blob: bytes, edits) -> bytes:
+    """``blob`` after each edit in turn: cut at a position, a NUL byte, bytes
+    that are not UTF-8 or a stray quote put in at one, or the header's
+    ``label`` renamed."""
+    for how, at in edits:
+        i = at % (len(blob) + 1)
+        if how == "truncate":
+            blob = blob[:i]
+        elif how == "no-label":
+            blob = blob.replace(b"label", b"lable", 1)
+        else:
+            blob = blob[:i] + {"nul": b"\0", "not-utf8": b"\xff\xfe", "quote": b'"'}[how] + blob[i:]
+    return blob
+
+
+@settings(max_examples=40, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["truncate", "nul", "not-utf8", "quote",
+                                                 "no-label"]),
+                                st.integers(0, 2**16)), min_size=1, max_size=3))
+def test_corrupted_test_csv(pipeline, edits):
+    """eval, then audit, of a corrupted test CSV: each exits 0 with nothing
+    on stderr or 2 with one line, and audit succeeds exactly when eval did."""
+    with tempfile.TemporaryDirectory() as tmp:
+        test = Path(tmp) / "test.csv"
+        test.write_bytes(_corrupted((pipeline["data"] / "test.csv").read_bytes(), edits))
+        codes = []
+        for command in ("eval", "audit"):
+            code, err = _dispatch(command, "--manifest", pipeline["run"] / "manifest.json",
+                                  "--test", test, "--output", Path(tmp) / f"{command}.json")
+            assert (code, err) == (0, "") or (code == 2 and _one_line(err)), (command, code, err)
+            codes.append(code)
+        assert codes[0] == codes[1]
