@@ -35,10 +35,13 @@ MANIFEST_VERSION = 4
 RUN_FILES = ("config.json", "vocab.txt", "checkpoint.bin")
 LEXICON_COPIES = ("lexicon.tsv", "lexicon.xml")  # files names exactly one
 TERMS_COPY = "identity_terms.txt"  # in files when train read --identity-terms
-# Types of the manifest, config.json and eval report keys that the commands read.
-RUN_KEYS = {"dataset_id": str, "inputs": dict, "files": dict}
-CONFIG_KEYS = {"model": dict, "mode": str, "soc_weight": float}
-EVAL_KEYS = {"manifest_sha256": str, "f1": float, "fp": float, "fn": float}
+# Every key of the manifest, config.json and eval report, with its type: the
+# keys train and eval write. A file holding another key is refused.
+RUN_KEYS = {"manifest_version": int, "dataset_id": str, "inputs": dict, "files": dict}
+CONFIG_KEYS = {"model": dict, "schedule": dict, "mode": str, "soc_weight": float,
+               "min_freq": int}
+EVAL_KEYS = {"manifest_sha256": str, "test": dict, "n": int, "tp": int, "fp": int, "tn": int,
+             "fn": int, "f1": float}
 # eval writes its predictions beside its report and audit reads them from
 # beside its own, so an audit never runs the encoder again. The first line
 # names the sha256 of the manifest and test CSV they were made from.
@@ -164,13 +167,13 @@ def _cmd_synth(args) -> int:
 
 
 def _checked_keys(doc, types: dict, path, name: str) -> dict:
-    """``doc``, parsed from ``path``, if it is an object holding every key of
-    ``types`` with a value of its type (``check_fields``); else a
-    ContractError naming ``path``."""
+    """``doc``, parsed from ``path``, if it is an object holding exactly the
+    keys of ``types``, each with a value of its type (``check_fields``); else
+    a ContractError naming ``path`` and the first key at fault."""
     if not isinstance(doc, dict):
         raise ContractError(f"{path}: {name} must be a JSON object")
     try:
-        check_fields(types, {k: doc[k] for k in types if k in doc}, name)
+        check_fields(types, doc, name)
     except ConfigError as exc:
         raise ContractError(f"{path}: {exc}") from None
     return doc

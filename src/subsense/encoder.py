@@ -12,9 +12,22 @@ Blocks are pre-norm; the classification head reads the CLS position after a
 final normalization. Dropout masks are stored in the forward cache so the
 backward pass replays them exactly. A norm caches its normalized input
 ``xhat`` and reciprocal RMS ``r``, not its input: the backward pass reads
-only those, as ``dx = r * (dxhat - xhat * (dxhat . xhat) / d)``. An
-inference pass keeps no caches, so each block's arrays are freed as the next
-one runs.
+only those, as ``dx = r * (dxhat - xhat * (dxhat . xhat) / d)``.
+
+An inference pass keeps no caches, and given a workspace it allocates no
+activation either: it writes each into a prefix view of a named flat buffer
+that the caller keeps across batches, and a buffer grows only when a batch
+needs more. A buffer is reused once what it held is dead: two buffers take
+the residual stream in turn, one holds ``norm1``'s output, the merged heads
+and ``norm2``'s output in turn, and GELU overwrites its input. Fresh arrays
+cost more than their arithmetic at long rows: the allocator maps each
+multi-megabyte temporary anew, or returns it to the operating system when
+the heap is trimmed, so every batch would fault its pages in again.
+Training writes fresh arrays, because its cache keeps them for the backward
+pass, where a reused buffer would be overwritten. Every in-place step
+computes the products and sums of the expression it replaces in the same
+order, at most with the two operands of one product or sum swapped, so a
+workspace changes no bit.
 
 Only CLS reaches the head, so the last block computes keys and values for
 every position but its queries, attention output, residual, second norm and
@@ -181,13 +194,17 @@ def init(config: ModelConfig) -> dict[str, np.ndarray]:
     return tensors
 
 
-def _rms_forward(x, gain, bias):
+def _rms_forward(x, gain, bias, out=None):
     """RMS norm over the last axis; the cache is ``(xhat, r)``, the normalized
-    input and the reciprocal RMS, which is all the backward pass reads."""
+    input and the reciprocal RMS, which is all the backward pass reads. With
+    ``out``, which may be ``x``, the output is written there over ``xhat``,
+    and the cache is None."""
     d = x.shape[-1]
     r = 1.0 / np.sqrt(np.einsum("...i,...i->...", x, x)[..., None] / d + _NORM_EPS)
-    xhat = x * r
-    return gain * xhat + bias, (xhat, r)
+    xhat = np.multiply(x, r, out=out)
+    y = np.multiply(xhat, gain, out=out)
+    y += bias
+    return y, (xhat, r) if out is None else None
 
 
 def _rms_backward(dy, gain, cache):
@@ -205,9 +222,22 @@ def _rms_backward(dy, gain, cache):
 
 # Powers are written as products: numpy computes ``u**3`` through ``pow``,
 # which is many times slower than ``u * u * u``.
-def _gelu(u):
-    t = np.tanh(_GELU_C * (u + _GELU_A * u * u * u))
-    return 0.5 * u * (1.0 + t)
+def _gelu(u, out, work):
+    """GELU of ``u`` written into ``out``, which may be ``u``; ``work``, of
+    ``u``'s shape, is overwritten. Each step is a product or sum of
+    ``0.5 * u * (1 + tanh(C * (u + A * u * u * u)))`` in the order that
+    expression evaluates, at most with its two operands swapped, so the
+    result is the same bits."""
+    t = np.multiply(u, _GELU_A, out=work)
+    t *= u
+    t *= u
+    t += u
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    np.multiply(u, 0.5, out=out)
+    out *= t
+    return out
 
 
 def _gelu_grad(u):
@@ -220,9 +250,13 @@ def _split_heads(x, n_heads):
     return x.reshape(b, length, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
+def _merge_heads(x, out=None):
+    """The heads of ``x`` side by side again, copied into ``out`` if given."""
     b, h, length, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
+    if out is None:
+        return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
+    out.reshape(b, length, h, dh)[...] = x.transpose(0, 2, 1, 3)
+    return out
 
 
 def _dropout_mask(rng, shape, rate):
@@ -296,19 +330,38 @@ def _query_rows(layer: int, config: ModelConfig):
     return slice(0, 1) if layer == config.n_layers - 1 else slice(None)
 
 
-def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=None):
+def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=None,
+            workspace: dict | None = None):
     """Run the classifier; returns (logits, cache), cache None in inference.
-    There is one row of logits per variant.
+    There is one row of logits per variant, in an array of its own.
 
     Dropout fires only when train_mode is set, the configured rate is
     positive and a generator is supplied; the occlusion regularizer relies
     on deterministic passes with ``dropout_rng=None``.
+
+    ``workspace``, inference only, is a dict the caller keeps across calls,
+    empty at first: the pass writes its activations into the flat buffers
+    it holds by name, growing a buffer only when a batch needs more.
     """
+    if train_mode and workspace is not None:
+        raise ContractError("a train_mode forward keeps its activations in its cache; "
+                            "it takes no workspace")
     ids, kmask, fill, src = batch.ids, batch.kmask, batch.fill, batch.src
     b, width = ids.shape
     lm, d = config.max_len, config.d_model
     dh = d // config.n_heads
     use_dropout = train_mode and config.dropout_rate > 0.0 and dropout_rng is not None
+
+    def buf(name, shape):
+        """An array of ``shape`` to write into: a view of the workspace's
+        buffer ``name``, or a fresh array when there is no workspace."""
+        if workspace is None:
+            return np.empty(shape)
+        size = math.prod(shape)
+        flat = workspace.get(name)
+        if flat is None or len(flat) < size:
+            flat = workspace[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
     def drop(x):
         """Apply a dropout mask of ``x``'s shape to ``x`` in place, or none
@@ -319,55 +372,72 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         x *= mask
         return mask
 
-    def norm(x, name):
-        """RMS norm ``name`` of ``x``; its cache is kept for training only."""
-        y, norm_cache = _rms_forward(x, params[f"{name}.gain"], params[f"{name}.bias"])
-        return y, norm_cache if train_mode else None
+    def norm(x, name, into):
+        """RMS norm ``name`` of ``x``: into buffer ``into`` outside training,
+        else into fresh arrays, whose cache is kept."""
+        out = None if train_mode else buf(into, x.shape)
+        return _rms_forward(x, params[f"{name}.gain"], params[f"{name}.bias"], out)
 
-    # ``h`` is rebound at every step below, so a norm's input does not stay
+    # The residual stream alternates between the buffers "h" (a block's
+    # input and output) and "mid" (after attention). "norm" holds norm1's
+    # output, then the merged heads, then norm2's: each is dead before the
+    # next is written. Training writes into fresh arrays, which its cache
+    # keeps, and rebinds ``h`` at every step, so a norm's input does not stay
     # alive beside the ``xhat`` its cache holds.
-    h = np.empty((b, width + 1, d))
-    h[:, :width] = params["tok_emb"][ids] + params["pos_emb"][None, :width]
+    h = buf("h", (b, width + 1, d))
+    np.add(params["tok_emb"][ids], params["pos_emb"][None, :width], out=h[:, :width])
     # Slot embedding: fill value on every dimension plus the slot position row.
     h[:, width] = fill[:, None] + params["pos_emb"][lm]
 
-    h, emb_cache = norm(h, "emb_norm")
+    h, emb_cache = norm(h, "emb_norm", "h")
     emb_drop = drop(h)
+
+    def project(x, p, proj):
+        """``x @ w + b`` of the attention projection ``proj`` of block ``p``
+        into buffer ``proj``, split into heads."""
+        y = np.matmul(x, params[f"{p}.attn.w{proj}"], out=buf(proj, x.shape))
+        y += params[f"{p}.attn.b{proj}"]
+        return _split_heads(y, config.n_heads)
 
     add_mask = np.where(kmask[:, None, None, :], 0.0, -np.inf)
     layer_caches = []
     for i in range(config.n_layers):
         p = f"layer{i}"
         rows = _query_rows(i, config)
-        a, ln1_cache = norm(h, f"{p}.norm1")
-        q = _split_heads(
-            a[:, rows] @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], config.n_heads
-        )
-        k = _split_heads(a @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"], config.n_heads)
-        v = _split_heads(a @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"], config.n_heads)
+        a, ln1_cache = norm(h, f"{p}.norm1", "norm")
+        q, k, v = project(a[:, rows], p, "q"), project(a, p, "k"), project(a, p, "v")
         res = h[:, rows]
         if i == 0 and src is not None:  # from here on, each variant runs apart
             q, k, v, res = q[src], k[src], v[src], res[src]
-        # Softmax in place: one (b, heads, rows, width + 1) buffer, not four.
-        scores = q @ k.transpose(0, 1, 3, 2)
+        nb, n_heads, n_rows, _ = q.shape
+        # Softmax in place: one (nb, heads, rows, width + 1) buffer, not four.
+        scores = np.matmul(q, k.transpose(0, 1, 3, 2),
+                           out=buf("scores", (nb, n_heads, n_rows, width + 1)))
         scores /= np.sqrt(dh)
         scores += add_mask
         scores -= scores.max(axis=-1, keepdims=True)
         probs = np.exp(scores, out=scores)
         probs /= probs.sum(axis=-1, keepdims=True)
-        ocat = _merge_heads(probs @ v)
-        attn = ocat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-        attn_drop = drop(attn)
-        h = res + attn
+        pv = np.matmul(probs, v, out=buf("pv", (nb, n_heads, n_rows, dh)))
+        ocat = _merge_heads(pv, buf("norm", (nb, n_rows, d)))
+        mid = np.matmul(ocat, params[f"{p}.attn.wo"], out=buf("mid", (nb, n_rows, d)))
+        mid += params[f"{p}.attn.bo"]
+        attn_drop = drop(mid)
+        mid += res
+        h = mid
 
-        f, ln2_cache = norm(h, f"{p}.norm2")
-        u = f @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]
-        g = _gelu(u)
-        z = g @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
+        f, ln2_cache = norm(h, f"{p}.norm2", "norm")
+        u = np.matmul(f, params[f"{p}.ff.w1"], out=buf("u", (nb, n_rows, config.d_ff)))
+        u += params[f"{p}.ff.b1"]
+        # Inference reads u no more, so GELU overwrites it.
+        g = _gelu(u, np.empty_like(u) if train_mode else u, buf("gelu", u.shape))
+        z = np.matmul(g, params[f"{p}.ff.w2"], out=buf("h", h.shape))
+        z += params[f"{p}.ff.b2"]
         ff_drop = drop(z)
-        h = h + z
+        z += h
+        h = z
 
-        if train_mode:  # inference frees each layer's arrays as the next one runs
+        if train_mode:
             layer_caches.append({
                 "ln1": ln1_cache, "a": a, "q": q, "k": k, "v": v, "probs": probs,
                 "ocat": ocat, "attn_drop": attn_drop, "ln2": ln2_cache, "f": f,
@@ -377,7 +447,7 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     h = h[:, 0]
     if not config.n_layers and src is not None:
         h = h[src]
-    cls, final_cache = norm(h, "final_norm")
+    cls, final_cache = norm(h, "final_norm", "norm")
     logits = cls @ params["head.w"] + params["head.b"]
 
     if not train_mode:

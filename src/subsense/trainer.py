@@ -272,14 +272,19 @@ def _decisions(logits):
 def predict_batch(params, config, data: Batch, batch_size: int = 64):
     """Labels and toxic probabilities of the rows of ``data``, in its order.
 
-    Rows run in stable order of their extent, so each batch holds rows of
-    similar length and trimming it to its longest row leaves little padding.
+    Rows are cut into batches in stable order of their extent, so each batch
+    holds rows of similar length and trimming it to its longest row leaves
+    little padding. The batches run widest first, through one workspace: the
+    first sizes every activation buffer, and the narrower ones after it
+    reuse them without allocating. Each batch holds the rows it would in
+    ascending order, so its logits are the same bits.
     """
     order = np.argsort(data.extent, kind="stable")
     logits = np.empty((len(data), config.n_classes))
-    for start in range(0, len(order), batch_size):
+    workspace: dict = {}
+    for start in reversed(range(0, len(order), batch_size)):
         rows = order[start : start + batch_size]
-        logits[rows] = forward(data.take(rows), params, config)[0]
+        logits[rows] = forward(data.take(rows), params, config, workspace=workspace)[0]
     return _decisions(logits)
 
 

@@ -2,6 +2,9 @@
 
 ``predict`` decides one example with ``decide``, the per-row decision
 ``trainer.predict_batch`` made before it decided whole batches at once.
+``predict_batch`` is ``trainer.predict_batch`` as it ran before its batches
+went widest first through one workspace: in ascending order, each through a
+``forward`` of fresh arrays.
 ``occlusion_penalty`` runs one forward per occluded identity token;
 ``trainer._soc_loss_and_grads`` is checked against it, bit for bit against
 ``soc_loss_and_grads_per_target``, its per-target loop over the same variant
@@ -207,6 +210,18 @@ def predict(params, config, example: AugmentedExample):
     """(label, toxic probability); ties resolve to non-toxic."""
     logits, _ = forward([example], params, config)
     return decide(logits[0])
+
+
+def predict_batch(params, config, data, batch_size: int = 64):
+    """Labels and toxic probabilities of the rows of ``data``, in its order:
+    the batches of its stable extent order run in ascending order, each
+    without a workspace."""
+    order = np.argsort(data.extent, kind="stable")
+    logits = np.empty((len(data), config.n_classes))
+    for start in range(0, len(order), batch_size):
+        rows = order[start : start + batch_size]
+        logits[rows] = _enc.forward(data.take(rows), params, config)[0]
+    return _tr._decisions(logits)
 
 
 def weighted_loss(logits, label, weights) -> float:

@@ -352,13 +352,15 @@ class TestBadInputExitsTwo:
         ("soc_weight", "0.1", "config.soc_weight must be float"),
         ("soc_weight", None, "config.soc_weight must be float"),
         ("soc_weight", "drop", "config lacks soc_weight"),
+        ("seed", 1, "unknown config keys seed"),
     ], ids=["mode-3", "mode-sss", "mode-drop", "soc_weight-0.1", "soc_weight-None",
-            "soc_weight-drop"])
+            "soc_weight-drop", "stray-seed"])
     def test_run_config_setting(self, pipeline, tmp_path, key, value, named):
         """config.json is the one home of mode and soc_weight. A value no
-        reader can use, re-hashed into files so that the digest check
-        passes, ends eval and compare with one line naming config.json and
-        the key; audit, whose predictions name the old manifest, exits 2."""
+        reader can use, or a key train does not write, re-hashed into files
+        so that the digest check passes, ends eval and compare with one line
+        naming config.json and the key; audit, whose predictions name the old
+        manifest, exits 2."""
         run = copy_run(pipeline, tmp_path / "run")
         path, out = run / "config.json", tmp_path / "out"
         run_config = json.loads(path.read_text(encoding="utf-8"))
@@ -1050,17 +1052,17 @@ class TestRunFilesChecked:
 
     def test_manifest_holds_no_setting(self, pipeline, tmp_path):
         """A mode written into the manifest, where manifests before version 4
-        held it, changes nothing: eval makes the original's predictions."""
+        held it, is a key no version-4 manifest holds: eval exits 2 with one
+        line naming the manifest and the key, and writes nothing."""
         run = copy_run(pipeline, tmp_path / "run")
         manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
         manifest["mode"] = "so"
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         code, err = _dispatch("eval", "--manifest", run / "manifest.json", "--test",
                               pipeline["data"] / "test.csv", "--output", tmp_path / "eval.json")
-        assert (code, err) == (0, "")
-        rows = [(path / "predictions.csv").read_text(encoding="utf-8").split("\n", 1)[1]
-                for path in (tmp_path, pipeline["run"])]
-        assert rows[0] == rows[1]
+        assert code == 2 and _one_line(err), err
+        assert f"{run / 'manifest.json'}: unknown manifest keys mode" in err
+        assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize("argv,target", [
         (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
