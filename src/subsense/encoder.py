@@ -29,6 +29,24 @@ computes the products and sums of the expression it replaces in the same
 order, at most with the two operands of one product or sum swapped, so a
 workspace changes no bit.
 
+Attention runs one block of whole batch rows at a time, all heads together,
+as many rows as fit ``_BLOCK_BYTES`` of scores and at least one, and GELU
+runs through a temporary of one block of rows too. So a pass holds one
+block of scores, not a batch's ``(rows, heads, width + 1, width + 1)``.
+This is exact: rows never meet inside attention, each head of each row is
+its own matrix product, and each softmax reduction runs along one row's
+keys, so a block gets the bits the whole batch would. Splitting one row's
+queries would not be exact, since a smaller product may round differently,
+and tiling the keys with an online softmax (FlashAttention) would reorder
+the sums; neither is done. Training caches each layer's queries, keys and
+values, not its probabilities: the backward pass recomputes each block's
+probabilities with the same operations, so they are the forward pass's
+bits, and forms that block's gradients from them. At max_len 16 a batch
+is one block. Each block's ``probs @ v`` goes straight into its rows of
+the merged-heads array, each head into its own columns, and the backward
+pass writes ``dq``, ``dk`` and ``dv`` the same way, so no copy merges the
+heads.
+
 Only CLS reaches the head, so the last block computes keys and values for
 every position but its queries, attention output, residual, second norm and
 feed-forward for the CLS row alone, and the final norm sees only CLS. This
@@ -83,6 +101,9 @@ CHECKPOINT_MAGIC = b"SSENCPT1"
 _NORM_EPS = 1e-9
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
+# Attention scores, and GELU's temporary, are computed in blocks of whole
+# batch rows that fit this many bytes.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -250,13 +271,25 @@ def _split_heads(x, n_heads):
     return x.reshape(b, length, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x, out=None):
-    """The heads of ``x`` side by side again, copied into ``out`` if given."""
-    b, h, length, dh = x.shape
-    if out is None:
-        return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
-    out.reshape(b, length, h, dh)[...] = x.transpose(0, 2, 1, 3)
-    return out
+def _row_blocks(n, row_size):
+    """Slices that cut ``n`` batch rows into blocks of whole rows, each of
+    ``row_size`` float64 entries, as many rows as fit ``_BLOCK_BYTES`` and at
+    least one; returns them with the rows of the largest block."""
+    step = max(1, min(n, _BLOCK_BYTES // (8 * row_size)))
+    return [slice(start, start + step) for start in range(0, n, step)], step
+
+
+def _attention_probs(q, k, add_mask, out):
+    """Each head's softmax over the keys ``k`` of the queries ``q``, the
+    scaled scores plus ``add_mask`` (0 or ``-inf`` per key), written in place
+    into the first ``len(q)`` rows of ``out``."""
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2), out=out[: len(q)])
+    scores /= np.sqrt(q.shape[-1])
+    scores += add_mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def _dropout_mask(rng, shape, rate):
@@ -349,7 +382,6 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     ids, kmask, fill, src = batch.ids, batch.kmask, batch.fill, batch.src
     b, width = ids.shape
     lm, d = config.max_len, config.d_model
-    dh = d // config.n_heads
     use_dropout = train_mode and config.dropout_rate > 0.0 and dropout_rng is not None
 
     def buf(name, shape):
@@ -410,16 +442,14 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         if i == 0 and src is not None:  # from here on, each variant runs apart
             q, k, v, res = q[src], k[src], v[src], res[src]
         nb, n_heads, n_rows, _ = q.shape
-        # Softmax in place: one (nb, heads, rows, width + 1) buffer, not four.
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2),
-                           out=buf("scores", (nb, n_heads, n_rows, width + 1)))
-        scores /= np.sqrt(dh)
-        scores += add_mask
-        scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores, out=scores)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        pv = np.matmul(probs, v, out=buf("pv", (nb, n_heads, n_rows, dh)))
-        ocat = _merge_heads(pv, buf("norm", (nb, n_rows, d)))
+        # Scores and softmax in place, one block of whole rows at a time.
+        blocks, step = _row_blocks(nb, n_heads * n_rows * (width + 1))
+        scores = buf("scores", (step, n_heads, n_rows, width + 1))
+        ocat = buf("norm", (nb, n_rows, d))
+        pv = _split_heads(ocat, n_heads)  # each head writes its columns of ocat
+        for r in blocks:
+            probs = _attention_probs(q[r], k[r], add_mask[r], scores)
+            np.matmul(probs, v[r], out=pv[r])
         mid = np.matmul(ocat, params[f"{p}.attn.wo"], out=buf("mid", (nb, n_rows, d)))
         mid += params[f"{p}.attn.bo"]
         attn_drop = drop(mid)
@@ -429,8 +459,14 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         f, ln2_cache = norm(h, f"{p}.norm2", "norm")
         u = np.matmul(f, params[f"{p}.ff.w1"], out=buf("u", (nb, n_rows, config.d_ff)))
         u += params[f"{p}.ff.b1"]
-        # Inference reads u no more, so GELU overwrites it.
-        g = _gelu(u, np.empty_like(u) if train_mode else u, buf("gelu", u.shape))
+        # Inference reads u no more, so GELU overwrites it. GELU acts on each
+        # entry alone, so its temporary need only hold one block of rows.
+        g = np.empty_like(u) if train_mode else u
+        blocks, step = _row_blocks(nb, n_rows * config.d_ff)
+        work = buf("gelu", (step, n_rows, config.d_ff))
+        for r in blocks:
+            x = u[r]
+            _gelu(x, g[r], work[: len(x)])
         z = np.matmul(g, params[f"{p}.ff.w2"], out=buf("h", h.shape))
         z += params[f"{p}.ff.b2"]
         ff_drop = drop(z)
@@ -439,9 +475,9 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
 
         if train_mode:
             layer_caches.append({
-                "ln1": ln1_cache, "a": a, "q": q, "k": k, "v": v, "probs": probs,
-                "ocat": ocat, "attn_drop": attn_drop, "ln2": ln2_cache, "f": f,
-                "u": u, "g": g, "ff_drop": ff_drop,
+                "ln1": ln1_cache, "a": a, "q": q, "k": k, "v": v, "ocat": ocat,
+                "attn_drop": attn_drop, "ln2": ln2_cache, "f": f, "u": u, "g": g,
+                "ff_drop": ff_drop,
             })
 
     h = h[:, 0]
@@ -453,9 +489,9 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     if not train_mode:
         return logits, None
     cache = {
-        "ids": ids, "kmask": kmask, "fill": fill, "src": src, "emb": emb_cache,
-        "emb_drop": emb_drop, "layers": layer_caches, "final": final_cache,
-        "cls": cls,
+        "ids": ids, "kmask": kmask, "add_mask": add_mask, "fill": fill, "src": src,
+        "emb": emb_cache, "emb_drop": emb_drop, "layers": layer_caches,
+        "final": final_cache, "cls": cls,
     }
     return logits, cache
 
@@ -475,6 +511,7 @@ def backward(cache, params, config, dlogits):
         raise ContractError(f"upstream gradient shape {dlogits.shape} mismatch")
     lm, d = config.max_len, config.d_model
     dh = d // config.n_heads
+    add_mask = cache["add_mask"]
     grads: dict[str, np.ndarray] = {}
 
     grads["head.w"] = cache["cls"].T @ dlogits
@@ -528,14 +565,26 @@ def backward(cache, params, config, dlogits):
         grads[f"{p}.attn.wo"] = dwo
         grads[f"{p}.attn.bo"] = dbo
         do = _split_heads(docat, config.n_heads)
-        probs, v, q, k = lc["probs"], lc["v"], lc["q"], lc["k"]
-        dprobs = do @ v.transpose(0, 1, 3, 2)
-        dv = probs.transpose(0, 1, 3, 2) @ do
-        # Softmax backward; masked columns carry probability 0 so their
-        # score gradient vanishes identically.
-        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-        dq = dscores @ k / np.sqrt(dh)
-        dk = dscores.transpose(0, 1, 3, 2) @ q / np.sqrt(dh)
+        q, k, v = lc["q"], lc["k"], lc["v"]
+        nb, n_heads, n_rows, _ = q.shape
+        dq, dk, dv = (np.empty((nb, x.shape[2], d)) for x in (q, k, v))
+        # Each head's gradient goes into its columns of dq, dk and dv.
+        dq_h, dk_h, dv_h = (_split_heads(x, n_heads) for x in (dq, dk, dv))
+        blocks, step = _row_blocks(nb, n_heads * n_rows * (width + 1))
+        scores, dprobs, work = (np.empty((step, n_heads, n_rows, width + 1)) for _ in range(3))
+        for r in blocks:
+            probs = _attention_probs(q[r], k[r], add_mask[r], scores)
+            m = len(probs)
+            dp = np.matmul(do[r], v[r].transpose(0, 1, 3, 2), out=dprobs[:m])
+            np.matmul(probs.transpose(0, 1, 3, 2), do[r], out=dv_h[r])
+            # Softmax backward, in place in dp; masked columns carry
+            # probability 0 so their score gradient vanishes identically.
+            dp -= np.multiply(dp, probs, out=work[:m]).sum(axis=-1, keepdims=True)
+            dscores = np.multiply(probs, dp, out=dp)
+            np.matmul(dscores, k[r], out=dq_h[r])
+            np.matmul(dscores.transpose(0, 1, 3, 2), q[r], out=dk_h[r])
+        dq /= np.sqrt(dh)
+        dk /= np.sqrt(dh)
         if i == 0 and src is not None:
             dq, dk, dv, dmid = to_rows(dq), to_rows(dk), to_rows(dv), to_rows(dmid)
 
@@ -543,8 +592,7 @@ def backward(cache, params, config, dlogits):
         da = np.zeros_like(a)
         for name, dten, in_rows in (("wq", dq, rows), ("wk", dk, slice(None)),
                                     ("wv", dv, slice(None))):
-            merged = _merge_heads(dten)
-            dw, db, dx = _linear_back(a[:, in_rows], params[f"{p}.attn.{name}"], merged)
+            dw, db, dx = _linear_back(a[:, in_rows], params[f"{p}.attn.{name}"], dten)
             grads[f"{p}.attn.{name}"] = dw
             grads[f"{p}.attn.b{name[1]}"] = db
             da[:, in_rows] += dx

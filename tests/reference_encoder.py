@@ -21,10 +21,15 @@ from subsense.encoder import (
     _GELU_A,
     _GELU_C,
     _NORM_EPS,
-    _merge_heads,
     _split_heads,
 )
 from subsense.errors import ContractError
+
+
+def _merge_heads(x):
+    """The heads of ``x`` side by side again."""
+    b, h, length, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
 
 
 def _assemble(batch, config):

@@ -164,18 +164,33 @@ class TestForward:
         ]
         assert logits[0] == pytest.approx(expected, abs=1e-12)
 
-    def test_attention_rows_normalise_over_unmasked_keys(self):
+    def test_attention_rows_normalise_over_unmasked_keys(self, monkeypatch):
+        """The attention probabilities of every layer, computed in the
+        forward pass and recomputed in the backward pass (one block each at
+        this size), sum to 1 over each query's keys and give a masked key
+        exactly 0; the recomputed ones are the forward's bits."""
+        seen = []
+        attention_probs = enc._attention_probs
+
+        def spy(q, k, add_mask, out):
+            probs = attention_probs(q, k, add_mask, out)
+            seen.append(probs.copy())
+            return probs
+
+        monkeypatch.setattr(enc, "_attention_probs", spy)
         config = tiny_config(n_layers=2)
         params = enc.init(config)
         rng = np.random.default_rng(3)
         batch = random_batch(rng, config, 6, slot_mask=1)
         batch.extend(random_batch(rng, config, 6, slot_mask=0))
-        _, cache = enc.forward(oracles.assemble(batch, config), params, config, train_mode=True)
-        kmask = cache["kmask"]
-        for layer in cache["layers"]:
-            probs = layer["probs"]
+        logits, cache = enc.forward(oracles.assemble(batch, config), params, config,
+                                    train_mode=True)
+        enc.backward(cache, params, config, rng.normal(size=logits.shape))
+        assert len(seen) == 2 * config.n_layers
+        masked_cols = cache["kmask"][:, None, None, :] == 0
+        for probs, recomputed in zip(seen[: config.n_layers], reversed(seen[config.n_layers:])):
+            assert recomputed.tobytes() == probs.tobytes()
             assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-9
-            masked_cols = kmask[:, None, None, :] == 0
             assert np.all(probs[np.broadcast_to(masked_cols, probs.shape)] == 0.0)
 
     def test_deterministic_logits(self):
