@@ -235,11 +235,13 @@ def _cmd_train(args) -> int:
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "dataset_id": args.dataset_id or Path(args.train).stem,
-        # The train and val CSVs, and the source of each copy by its name.
+        # The train and val CSVs, and the source of each copy by its name: the
+        # path given, or the packaged lexicon's file name, which no checkout moves.
         "inputs": {
             **{key: {"path": str(path), "sha256": _sha256_file(path)}
                for key, path in (("train", args.train), ("val", args.val))},
-            **{name: {"path": str(source)} for name, source in copies.items()},
+            **{name: {"packaged": source.name} if source == subjectivity.DEFAULT_LEXICON_XML
+               else {"path": str(source)} for name, source in copies.items()},
         },
         "files": {name: _sha256_file(outdir / name) for name in (*RUN_FILES, *copies)},
     }
@@ -331,23 +333,25 @@ def _read_predictions(path, tag, comments):
 
     if not path.exists():
         raise stale("no predictions")
+    preds, features = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n") != tag:
                 raise stale("predictions of another run or test CSV")
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != PREDICTION_COLUMNS or len(rows) - 1 != len(comments):
-            raise stale("predictions do not cover the test CSV")
-        preds, features = [], []
-        for comment, (cid, pred, p_toxic, subj, terms) in zip(comments, rows[1:]):
-            if cid != comment.id:
-                raise stale(f"id {cid!r} where the test CSV has {comment.id!r}")
-            subj = float(subj)
-            if not (0.0 <= float(p_toxic) <= 1.0 and 0.0 <= subj <= 1.0):  # NaN fails too
-                raise stale(f"malformed predictions (p_toxic or subjectivity of {cid!r} "
-                            "outside [0, 1])")
-            preds.append(datasets.Label.parse(pred))
-            features.append(audit.CommentFeatures(subj, tuple(terms.split())))
+            rows = csv.reader(fh)  # read in step with the comments, one row at a time
+            if next(rows, None) != PREDICTION_COLUMNS:
+                raise stale("predictions do not cover the test CSV")
+            for comment, (cid, pred, p_toxic, subj, terms) in zip(comments, rows):
+                if cid != comment.id:
+                    raise stale(f"id {cid!r} where the test CSV has {comment.id!r}")
+                subj = float(subj)
+                if not (0.0 <= float(p_toxic) <= 1.0 and 0.0 <= subj <= 1.0):  # NaN fails too
+                    raise stale(f"malformed predictions (p_toxic or subjectivity of {cid!r} "
+                                "outside [0, 1])")
+                preds.append(datasets.Label.parse(pred))
+                features.append(audit.CommentFeatures(subj, tuple(terms.split())))
+            if len(preds) != len(comments) or next(rows, None) is not None:
+                raise stale("predictions do not cover the test CSV")
     except (ValueError, csv.Error, SchemaError) as exc:
         raise stale(f"malformed predictions ({exc})") from None
     return preds, features
@@ -373,7 +377,7 @@ def _cmd_eval(args) -> int:
     }
     tag = PREDICTIONS_TAG.format(manifest_sha256, test_sha256)
     _write_predictions(out.parent / PREDICTIONS_FILE, tag, comments, preds, probs,
-                       prepared.features)
+                       zip(map(float, prepared.data.fill), prepared.terms))
     _write_json(report, out)
     print(f"f1 {report['f1']:.4f} (tp {counts.tp} fp {counts.fp} tn {counts.tn} fn {counts.fn})")
     print(f"report: {out}")

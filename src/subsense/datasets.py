@@ -61,7 +61,7 @@ class DatasetKind(Enum):
             raise SchemaError(f"unknown dataset kind {raw!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comment:
     id: str
     text: str

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,12 +140,6 @@ class PreparedSet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def features(self) -> list[audit.CommentFeatures]:
-        """What the audit reads of each comment."""
-        return [audit.CommentFeatures(fill, terms)
-                for fill, terms in zip(self.data.fill.tolist(), self.terms)]
-
 
 def identity_token_positions(tokens, terms, max_len: int) -> tuple[int, ...]:
     """Encoded positions (offset by the CLS slot) of the tokens that survived
@@ -168,14 +163,15 @@ def prepare_examples(
     mode: AugmentMode,
 ) -> PreparedSet:
     """Score, detect, encode and gate a list of comments: one feature pass
-    per comment, written straight into the set's columns, whose features the
-    audit reuses."""
-    flat_ids, extent, fill, gate, labels, terms, counts, positions = ([] for _ in range(8))
+    per comment, written straight into the set's columns, whose slot fills
+    and terms eval writes for the audit."""
+    flat_ids = array("i")  # every row's ids in order, 4 bytes each, read in place below
+    extent, fill, gate, labels, terms, counts, positions = ([] for _ in range(7))
     for c in comments:
         tokens = word_split(c.text)
         found = detect(c.text, id_lexicon).terms
         ids = encode(tokens, vocab, max_len)
-        flat_ids += ids
+        flat_ids.extend(ids)
         extent.append(len(ids))
         fill.append(score(c.text, subj_lexicon, tokens).value)
         gate.append(augment(bool(found), mode))
@@ -189,7 +185,7 @@ def prepare_examples(
     # Row i attends its first extent[i] positions, the ids flat_ids holds in order.
     real = np.arange(width) < extent[:, None]
     ids = np.zeros(real.shape, dtype=np.int32)
-    ids[real] = flat_ids
+    ids[real] = np.frombuffer(flat_ids, dtype=np.intc)
     kmask = np.empty((len(extent), width + 1), dtype=bool)
     kmask[:, :width] = real
     kmask[:, width] = gate

@@ -541,6 +541,14 @@ def prepare_examples(comments, vocab, subj_lexicon, id_lexicon, max_len, mode):
     return out
 
 
+def prepared_features(prepared):
+    """The audit features of each row of a ``PreparedSet``: its slot fill and
+    terms, as ``eval`` writes them to predictions.csv (the former
+    ``PreparedSet.features``)."""
+    return [_audit.CommentFeatures(fill, terms)
+            for fill, terms in zip(prepared.data.fill.tolist(), prepared.terms)]
+
+
 def features(comments, id_lexicon, subj_lexicon):
     """Each comment's audit features, scored and detected from its text."""
     return [

@@ -9,12 +9,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsense import audit, cli, datasets, encoder, identity, subjectivity, textprep, trainer
 from subsense.augment import AugmentMode
 
+import oracles
 from conftest import DATA_DIR
 
 
@@ -687,7 +688,7 @@ def old_path(pipeline):
     )
     params = encoder.load_params(run / "checkpoint.bin", config)
     preds, probs = trainer.predict_batch(params, config, prepared.data)
-    features = prepared.features
+    features = oracles.prepared_features(prepared)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     return {"comments": comments, "preds": preds, "probs": probs, "features": features,
             "report": report}
@@ -865,6 +866,29 @@ class TestPredictionsHandoff:
         assert _audit(manifest, test, tmp_path) == 2
         self.refused(capsys, path)
 
+    @settings(max_examples=30, deadline=None)
+    @given(how=st.sampled_from(["drop", "duplicate", "cut"]), at=st.integers(0, 2**16))
+    @example(how="cut", at=1)  # only the tag line
+    @example(how="cut", at=2)  # only the tag and the header
+    def test_streamed_predictions_refused(self, pipeline, how, at):
+        """predictions.csv with one line dropped or repeated, or cut after
+        any line: audit, which reads it in step with the test CSV, exits 2
+        with one line naming the file and ``subsense eval``, and writes no
+        report."""
+        manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
+        lines = (pipeline["run"] / "predictions.csv").read_bytes().splitlines(keepends=True)
+        i = at % len(lines)
+        lines = {"drop": lines[:i] + lines[i + 1:], "duplicate": lines[:i + 1] + lines[i:],
+                 "cut": lines[:i]}[how]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "predictions.csv"
+            path.write_bytes(b"".join(lines))
+            code, err = _dispatch("audit", "--manifest", manifest, "--test", test,
+                                  "--output", Path(tmp) / "audit.json")
+            assert code == 2 and _one_line(err), err
+            assert str(path) in err and "subsense eval" in err
+            assert not (Path(tmp) / "audit.json").exists()
+
     def test_reports_into_missing_directories(self, pipeline, tmp_path, capsys):
         manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
         reports = tmp_path / "new" / "reports"
@@ -951,6 +975,32 @@ class TestRunDirectory:
         assert (packaged_run / "lexicon.xml").read_bytes() == (
             subjectivity.DEFAULT_LEXICON_XML.read_bytes())
         assert not (packaged_run / "identity_terms.txt").exists()
+
+    def test_packaged_lexicon_recorded_by_name(self, pipeline, packaged_run, tmp_path,
+                                               monkeypatch, capsys):
+        """The packaged lexicon enters the manifest by its file name, not its
+        location: trained from an identical copy elsewhere (another checkout),
+        the run writes the same manifest.json, and eval the same eval.json."""
+        data = pipeline["data"]
+        moved = tmp_path / "elsewhere" / "en_subjectivity.xml"
+        moved.parent.mkdir()
+        moved.write_bytes(subjectivity.DEFAULT_LEXICON_XML.read_bytes())
+        monkeypatch.delenv("SUBSENSE_LEXICON", raising=False)
+        monkeypatch.setattr(subjectivity, "DEFAULT_LEXICON_XML", moved)
+        run = tmp_path / "run"
+        assert cli.dispatch([
+            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--mode", "ss", "--seed", "1", "--outdir", str(run), *TRAIN_FLAGS,
+        ]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["inputs"]["lexicon.xml"] == {"packaged": "en_subjectivity.xml"}
+        assert (run / "manifest.json").read_bytes() == (
+            packaged_run / "manifest.json").read_bytes()
+        for name, directory in (("a", run), ("b", packaged_run)):
+            assert _eval(directory / "manifest.json", data / "test.csv", tmp_path / name) == 0
+        capsys.readouterr()
+        for name in ("eval.json", "predictions.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_eval_ignores_subsense_lexicon(self, pipeline, packaged_run, tmp_path, monkeypatch,
                                            capsys):

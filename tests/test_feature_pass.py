@@ -189,7 +189,8 @@ def test_audit_report_matches_oracle(corpora, seed):
         prepared = tr.prepare_examples(comments, vocab, lexicon, TERMS, 16, AugmentMode.SS)
         preds = [rng.choice([ds.Label.TOXIC, ds.Label.NONTOXIC]) for _ in comments]
         golds = [c.label for c in comments]
-        report = audit.audit_report(comments, preds, golds, prepared.features)
+        report = audit.audit_report(comments, preds, golds,
+                                    oracles.prepared_features(prepared))
         expected = oracles.audit_report(comments, preds, golds, TERMS, lexicon)
         assert report.to_json_dict() == expected.to_json_dict()
         assert report.to_text() == expected.to_text()
@@ -234,5 +235,5 @@ def test_prepared_set_equals_per_row_pipeline(texts, vocab_size):
             offsets, positions = oracles.identity_csr(rows)
             assert same_array(got.offsets, offsets)
             assert same_array(got.positions, positions)
-            assert got.features == [ex.features for ex in rows]
+            assert oracles.prepared_features(got) == [ex.features for ex in rows]
             assert (got.mode, got.max_len, got.vocab_size) == (mode, max_len, len(vocab))
