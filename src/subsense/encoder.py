@@ -15,19 +15,27 @@ backward pass replays them exactly. A norm caches its normalized input
 only those, as ``dx = r * (dxhat - xhat * (dxhat . xhat) / d)``.
 
 An inference pass keeps no caches, and given a workspace it allocates no
-activation either: it writes each into a prefix view of a named flat buffer
-that the caller keeps across batches, and a buffer grows only when a batch
-needs more. A buffer is reused once what it held is dead: two buffers take
-the residual stream in turn, one holds ``norm1``'s output, the merged heads
-and ``norm2``'s output in turn, and GELU overwrites its input. Fresh arrays
-cost more than their arithmetic at long rows: the allocator maps each
-multi-megabyte temporary anew, or returns it to the operating system when
-the heap is trimmed, so every batch would fault its pages in again.
-Training writes fresh arrays, because its cache keeps them for the backward
-pass, where a reused buffer would be overwritten. Every in-place step
-computes the products and sums of the expression it replaces in the same
-order, at most with the two operands of one product or sum swapped, so a
-workspace changes no bit.
+activation either: it writes each into a view of a named flat buffer that
+the caller keeps across batches, and the buffers hold the pass's live set,
+no more. In slots of ``max(rows, variants) * (width + 1) * d_model``
+floats, ``h`` (one slot) holds the residual stream and ``norm`` (one slot)
+each norm's output and the merged heads. ``act`` holds Q, K and V in
+slots 0, 1 and 2; once attention is done, the attention output, the
+residual stream's next value, takes slot 0, and the feed-forward hidden
+slots 1 on, running past slot 2 when ``d_ff > 2 * d_model``. GELU
+overwrites the hidden, and its temporary reuses the scores block. At most
+``h``, norm1's output, Q, K and V are live at once, so five slots are the
+least that whole-batch products can run in. The token embedding is
+gathered into ``h`` in blocks of rows, so a warm pass makes no temporary
+of a slot's size; only layer 0's gather of the variants (below) copies.
+Fresh arrays cost more than their arithmetic at long rows: the allocator
+maps each multi-megabyte temporary anew, or returns it to the operating
+system when the heap is trimmed, so every batch would fault its pages in
+again. Training writes fresh arrays, because its cache keeps them for the
+backward pass, where a reused buffer would be overwritten. Every in-place
+step computes the products and sums of the expression it replaces in the
+same order, at most with the two operands of one product or sum swapped,
+so a workspace changes no bit.
 
 Attention runs one block of whole batch rows at a time, all heads together,
 as many rows as fit ``_BLOCK_BYTES`` of scores and at least one, and GELU
@@ -101,8 +109,8 @@ CHECKPOINT_MAGIC = b"SSENCPT1"
 _NORM_EPS = 1e-9
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
-# Attention scores, and GELU's temporary, are computed in blocks of whole
-# batch rows that fit this many bytes.
+# Attention scores and GELU's temporary are computed, and the token
+# embedding gathered, in blocks of whole batch rows that fit this many bytes.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -373,27 +381,43 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     on deterministic passes with ``dropout_rng=None``.
 
     ``workspace``, inference only, is a dict the caller keeps across calls,
-    empty at first: the pass writes its activations into the flat buffers
-    it holds by name, growing a buffer only when a batch needs more.
+    empty at first. The pass sizes the flat buffers it holds by name at its
+    start, so no view moves mid-pass, and writes its activations into them
+    by the slot plan of the module docstring: with ``slot = max(rows,
+    variants) * (width + 1) * d_model`` floats, ``h`` and ``norm`` take one
+    slot each, ``act`` ``1 + max(2, d_ff / d_model)`` and ``scores``
+    ``_BLOCK_BYTES``, or one row's scores or feed-forward hidden if more.
+    Nothing is written over an activation that is still to be read. A
+    buffer grows only when a call needs more, so calls in descending order
+    of ``rows * (width + 1)`` are all sized by the first, save the scores
+    block when a later batch is wider and one row's scores pass
+    ``_BLOCK_BYTES``.
     """
     if train_mode and workspace is not None:
         raise ContractError("a train_mode forward keeps its activations in its cache; "
                             "it takes no workspace")
     ids, kmask, fill, src = batch.ids, batch.kmask, batch.fill, batch.src
     b, width = ids.shape
-    lm, d = config.max_len, config.d_model
+    lm, d, d_ff = config.max_len, config.d_model, config.d_ff
     use_dropout = train_mode and config.dropout_rate > 0.0 and dropout_rng is not None
+    slot = max(b, len(kmask)) * (width + 1) * d
 
-    def buf(name, shape):
-        """An array of ``shape`` to write into: a view of the workspace's
-        buffer ``name``, or a fresh array when there is no workspace."""
+    def buf(name, shape, at=0):
+        """An array of ``shape`` to write into: the view from entry ``at`` of
+        the workspace's buffer ``name``, or a fresh array when there is no
+        workspace."""
         if workspace is None:
             return np.empty(shape)
         size = math.prod(shape)
         flat = workspace.get(name)
-        if flat is None or len(flat) < size:
-            flat = workspace[name] = np.empty(size)
-        return flat[:size].reshape(shape)
+        if flat is None or len(flat) < at + size:
+            flat = workspace[name] = np.empty(at + size)
+        return flat[at : at + size].reshape(shape)
+
+    if workspace is not None:  # sized up front: no buffer is replaced while viewed
+        for name, size in (("h", slot), ("norm", slot), ("scores", _BLOCK_BYTES // 8),
+                           ("act", slot + max(2 * slot, slot // d * d_ff))):
+            buf(name, (size,))
 
     def drop(x):
         """Apply a dropout mask of ``x``'s shape to ``x`` in place, or none
@@ -410,24 +434,24 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         out = None if train_mode else buf(into, x.shape)
         return _rms_forward(x, params[f"{name}.gain"], params[f"{name}.bias"], out)
 
-    # The residual stream alternates between the buffers "h" (a block's
-    # input and output) and "mid" (after attention). "norm" holds norm1's
-    # output, then the merged heads, then norm2's: each is dead before the
-    # next is written. Training writes into fresh arrays, which its cache
-    # keeps, and rebinds ``h`` at every step, so a norm's input does not stay
-    # alive beside the ``xhat`` its cache holds.
+    # Inference follows the slot plan of the module docstring. Training
+    # writes into fresh arrays, which its cache keeps, and rebinds ``h`` at
+    # every step, so a norm's input does not stay alive beside the ``xhat``
+    # its cache holds.
     h = buf("h", (b, width + 1, d))
-    np.add(params["tok_emb"][ids], params["pos_emb"][None, :width], out=h[:, :width])
+    # Gathered in blocks of rows, so no (rows, width, d) temporary is made.
+    for r in _row_blocks(b, width * d)[0]:
+        np.add(params["tok_emb"][ids[r]], params["pos_emb"][None, :width], out=h[r, :width])
     # Slot embedding: fill value on every dimension plus the slot position row.
     h[:, width] = fill[:, None] + params["pos_emb"][lm]
 
     h, emb_cache = norm(h, "emb_norm", "h")
     emb_drop = drop(h)
 
-    def project(x, p, proj):
+    def project(x, p, proj, n):
         """``x @ w + b`` of the attention projection ``proj`` of block ``p``
-        into buffer ``proj``, split into heads."""
-        y = np.matmul(x, params[f"{p}.attn.w{proj}"], out=buf(proj, x.shape))
+        into slot ``n`` of "act", split into heads."""
+        y = np.matmul(x, params[f"{p}.attn.w{proj}"], out=buf("act", x.shape, n * slot))
         y += params[f"{p}.attn.b{proj}"]
         return _split_heads(y, config.n_heads)
 
@@ -437,7 +461,7 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         p = f"layer{i}"
         rows = _query_rows(i, config)
         a, ln1_cache = norm(h, f"{p}.norm1", "norm")
-        q, k, v = project(a[:, rows], p, "q"), project(a, p, "k"), project(a, p, "v")
+        q, k, v = project(a[:, rows], p, "q", 0), project(a, p, "k", 1), project(a, p, "v", 2)
         res = h[:, rows]
         if i == 0 and src is not None:  # from here on, each variant runs apart
             q, k, v, res = q[src], k[src], v[src], res[src]
@@ -450,20 +474,21 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         for r in blocks:
             probs = _attention_probs(q[r], k[r], add_mask[r], scores)
             np.matmul(probs, v[r], out=pv[r])
-        mid = np.matmul(ocat, params[f"{p}.attn.wo"], out=buf("mid", (nb, n_rows, d)))
+        mid = np.matmul(ocat, params[f"{p}.attn.wo"], out=buf("act", (nb, n_rows, d)))
         mid += params[f"{p}.attn.bo"]
         attn_drop = drop(mid)
         mid += res
         h = mid
 
         f, ln2_cache = norm(h, f"{p}.norm2", "norm")
-        u = np.matmul(f, params[f"{p}.ff.w1"], out=buf("u", (nb, n_rows, config.d_ff)))
+        u = np.matmul(f, params[f"{p}.ff.w1"], out=buf("act", (nb, n_rows, d_ff), slot))
         u += params[f"{p}.ff.b1"]
         # Inference reads u no more, so GELU overwrites it. GELU acts on each
-        # entry alone, so its temporary need only hold one block of rows.
+        # entry alone, so its temporary need only hold one block of rows,
+        # which the scores block, dead by now, holds.
         g = np.empty_like(u) if train_mode else u
-        blocks, step = _row_blocks(nb, n_rows * config.d_ff)
-        work = buf("gelu", (step, n_rows, config.d_ff))
+        blocks, step = _row_blocks(nb, n_rows * d_ff)
+        work = buf("scores", (step, n_rows, d_ff))
         for r in blocks:
             x = u[r]
             _gelu(x, g[r], work[: len(x)])

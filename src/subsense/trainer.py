@@ -270,16 +270,19 @@ def predict_batch(params, config, data: Batch, batch_size: int = 64):
 
     Rows are cut into batches in stable order of their extent, so each batch
     holds rows of similar length and trimming it to its longest row leaves
-    little padding. The batches run widest first, through one workspace: the
-    first sizes every activation buffer, and the narrower ones after it
-    reuse them without allocating. Each batch holds the rows it would in
-    ascending order, so its logits are the same bits.
+    little padding. The batches run through one workspace in descending
+    order of ``rows * (width + 1)``, the slot every workspace buffer but
+    the scores block is sized by, so the first call sizes them and no later
+    call grows them. Each batch holds the rows it would in ascending order,
+    so its logits are the same bits.
     """
     order = np.argsort(data.extent, kind="stable")
+    batches = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
+    batches.sort(key=lambda rows: len(rows) * (max(1, int(data.extent[rows].max())) + 1),
+                 reverse=True)
     logits = np.empty((len(data), config.n_classes))
     workspace: dict = {}
-    for start in reversed(range(0, len(order), batch_size)):
-        rows = order[start : start + batch_size]
+    for rows in batches:
         logits[rows] = forward(data.take(rows), params, config, workspace=workspace)[0]
     return _decisions(logits)
 

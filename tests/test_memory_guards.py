@@ -1,8 +1,10 @@
-"""What eval and audit hold per comment.
+"""What eval and audit hold per comment, and what inference allocates.
 
 ``audit`` reads predictions.csv one row at a time, in step with the test
 CSV's comments, and keeps of each row only the prediction and the audit
 features; ``prepare_examples`` collects the token ids in an int32 buffer.
+An inference pass through a workspace it has sized writes every activation
+into it and gathers the token embedding in blocks of rows.
 The guards read ``tracemalloc``, never the process's RSS, so they are
 deterministic; each bound sits between what the list-holding versions of
 these readers took and what they take now.
@@ -12,7 +14,10 @@ import csv
 import random
 import tracemalloc
 
+import numpy as np
+
 from subsense import cli, identity, subjectivity, textprep, trainer
+from subsense import encoder as enc
 from subsense import datasets as ds
 from subsense.augment import AugmentMode
 
@@ -68,3 +73,21 @@ def test_prepare_examples_bytes_per_id_at_max_len_400():
     n_ids = int(prepared.data.extent.sum())
     assert n_ids > 150_000
     assert peak / n_ids < 17
+
+
+def test_warm_inference_pass_at_max_len_400():
+    """A second pass of 64 rows at max_len 400 (d_model 64, 2 layers)
+    through the workspace the first one sized peaks below a quarter of one
+    slot, ``rows * (width + 1) * d_model`` floats. Gathering the whole
+    token embedding at once took a full slot; a block of rows takes 0.08."""
+    config = enc.ModelConfig(max_len=400, vocab_size=500, d_model=64, n_heads=4, n_layers=2)
+    params = enc.init(config)
+    rng = np.random.default_rng(0)
+    batch = enc.Batch(rng.integers(4, 500, size=(64, 400), dtype=np.int32), rng.random(64),
+                      np.ones((64, 401), dtype=bool), np.full(64, 400, dtype=np.int32))
+    workspace = {}
+    want, _ = enc.forward(batch, params, config, workspace=workspace)
+    (logits, _), peak = traced_peak(lambda: enc.forward(batch, params, config,
+                                                        workspace=workspace))
+    assert logits.tobytes() == want.tobytes()
+    assert peak < 64 * 401 * 64 * 8 / 4
