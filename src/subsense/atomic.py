@@ -6,6 +6,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .errors import ResourceError
+
 
 @contextmanager
 def replacing(path, mode: str = "w", **open_kwargs):
@@ -13,6 +15,8 @@ def replacing(path, mode: str = "w", **open_kwargs):
     ``path`` with ``os.replace``: a reader sees the old file or the whole new
     one, never part of it. On an error the temporary file is removed and
     ``path`` is left as it was. A missing directory of ``path`` is created."""
+    if not Path(path).name:  # "", "." or "/" names no file
+        raise ResourceError(f"not a file path: {str(path)!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

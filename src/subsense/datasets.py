@@ -18,6 +18,7 @@ Canonical output schema: id,text,label with label in {toxic, nontoxic}.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -38,12 +39,13 @@ class Label(IntEnum):
 
     @classmethod
     def parse(cls, raw: str) -> "Label":
-        value = raw.strip().lower()
-        if value == "toxic":
-            return cls.TOXIC
-        if value == "nontoxic":
-            return cls.NONTOXIC
-        raise SchemaError(f"unknown canonical label {raw!r}")
+        label = _LABELS.get(raw.strip().lower())
+        if label is None:
+            raise SchemaError(f"unknown canonical label {raw!r}")
+        return label
+
+
+_LABELS = {str(label): label for label in Label}  # the canonical spellings
 
 
 class DatasetKind(Enum):
@@ -208,9 +210,19 @@ def read_canonical(path) -> list[Comment]:
         reader = csv.reader(fh)
         at = {name: i for i, name in enumerate(next(reader, []))}
         cols = [at.get(name, -1) for name in ("label", "text", "id")]  # -1: the header lacks it
+        li, ti, ii = cols
+        # A row longer than ``full`` holds all three columns (none does if the header lacks one).
+        full = max(cols) if min(cols) >= 0 else math.inf
+        comments = []
         try:
-            return [_canonical_comment(*[row[i] if -1 < i < len(row) else None for i in cols], n)
-                    for n, row in enumerate(filter(None, reader), start=1)]
+            for n, row in enumerate(filter(None, reader), start=1):
+                if len(row) > full and (label := _LABELS.get(row[li].strip().lower())) is not None:
+                    cid = row[ii].strip() or f"synthetic-{n:06d}"
+                    comments.append(Comment(cid, row[ti], label))
+                else:  # the rule below names the missing column or the bad label
+                    comments.append(_canonical_comment(
+                        *[row[i] if -1 < i < len(row) else None for i in cols], n))
+            return comments
         except SchemaError:
             for _ in reader:  # bad bytes later in the file are reported first
                 pass

@@ -136,6 +136,8 @@ class ModelConfig:
             raise ConfigError("model dimensions must be positive")
         if self.n_layers < 0:
             raise ConfigError("n_layers must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"

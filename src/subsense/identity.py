@@ -2,16 +2,20 @@
 
 Matching is case-insensitive and whole-word: a term counts only when both
 neighbouring characters are absent or non-alphanumeric, so "white" does not
-fire inside "whitewash".
+fire inside "whitewash". As no term starts or ends with anything but a letter
+or digit, every match lies inside one ``word_split`` token, and ``detect``
+reads the tokens: a token of letters and digits alone holds a term only by
+being one, and only a token with inner punctuation ("muslim's") is scanned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ContractError, EmptyDatasetError, read_text
+from .textprep import word_split
 
 # The stock 25-term list, verbatim including the "democat" spelling; a
 # curated variant adding "democrat" ships as data/identity_terms_curated.txt
@@ -33,6 +37,7 @@ class IdentityLexicon:
     is held by one of its ``word_split`` tokens."""
 
     terms: tuple[str, ...]
+    term_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -45,6 +50,7 @@ class IdentityLexicon:
             if t in seen:
                 raise ContractError(f"duplicate identity term: {t!r}")
             seen.add(t)
+        object.__setattr__(self, "term_set", frozenset(seen))
 
 
 @dataclass(frozen=True)
@@ -99,18 +105,29 @@ def holds_term(word: str, terms: tuple[str, ...]) -> bool:
     return not word.isalnum() and any(_first_whole_word(word, t) >= 0 for t in terms)
 
 
-def detect(text: str, lexicon: IdentityLexicon) -> IdentityMatch:
+def detect(text: str, lexicon: IdentityLexicon, tokens=None) -> IdentityMatch:
     """The lexicon terms that occur in ``text`` as whole words, in order of
-    first occurrence."""
-    lowered = text.lower()
-    found = []
-    for term in lexicon.terms:
-        if term in lowered:  # a quick scan rules most terms out
-            start = _first_whole_word(lowered, term)
-            if start >= 0:
-                found.append((start, start + len(term), term))
-    found.sort()
-    return IdentityMatch(tuple(term for _, _, term in found))
+    first occurrence.
+
+    A caller that has already split ``text`` passes ``word_split(text)`` as
+    ``tokens``. A match never crosses a token, so the terms are read off the
+    tokens in order: a token of letters and digits alone holds a term only by
+    being one (a set lookup), and a token with inner punctuation holds every
+    term it contains as a whole word, ordered by offset, shorter first.
+    """
+    if tokens is None:
+        tokens = word_split(text)
+    first = {}  # term -> (token index, start, end) of its first occurrence
+    for i, tok in enumerate(tokens):
+        if tok.isalnum():
+            if tok in lexicon.term_set and tok not in first:
+                first[tok] = (i, 0, len(tok))
+        elif len(tok) > 1:  # one character of punctuation holds no term
+            for term in lexicon.terms:
+                start = _first_whole_word(tok, term)
+                if start >= 0 and term not in first:
+                    first[term] = (i, start, start + len(term))
+    return IdentityMatch(tuple(sorted(first, key=first.get)))
 
 
 def coverage(comments, lexicon: IdentityLexicon) -> float:

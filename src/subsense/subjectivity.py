@@ -246,6 +246,8 @@ def score(text: str, lexicon: SubjectivityLexicon, tokens=None) -> SubjectivityS
     """
     if tokens is None:
         tokens = word_split(text)
+    if lexicon._starts.isdisjoint(tokens):  # no token starts a match
+        return SubjectivityScore(0.0, 0)
     values = [subj for _, _, subj in _hits([t for t in tokens if t[0].isalnum()], lexicon)]
     if not values:
         return SubjectivityScore(0.0, 0)

@@ -169,7 +169,7 @@ def prepare_examples(
     extent, fill, gate, labels, terms, counts, positions = ([] for _ in range(7))
     for c in comments:
         tokens = word_split(c.text)
-        found = detect(c.text, id_lexicon).terms
+        found = detect(c.text, id_lexicon, tokens).terms
         ids = encode(tokens, vocab, max_len)
         flat_ids.extend(ids)
         extent.append(len(ids))
@@ -182,13 +182,13 @@ def prepare_examples(
         counts.append(len(occluded))
     extent = np.array(extent, dtype=np.int32)
     width = int(extent.max(initial=1))
-    # Row i attends its first extent[i] positions, the ids flat_ids holds in order.
-    real = np.arange(width) < extent[:, None]
+    # Row i attends its first extent[i] positions, the ids flat_ids holds in
+    # order; the mask is written into kmask's token columns, not beside them.
+    kmask = np.empty((len(extent), width + 1), dtype=bool)
+    real = np.less(np.arange(width), extent[:, None], out=kmask[:, :width])
+    kmask[:, width] = gate
     ids = np.zeros(real.shape, dtype=np.int32)
     ids[real] = np.frombuffer(flat_ids, dtype=np.intc)
-    kmask = np.empty((len(extent), width + 1), dtype=bool)
-    kmask[:, :width] = real
-    kmask[:, width] = gate
     offsets = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=offsets[1:])
     return PreparedSet(

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import tempfile
@@ -1218,3 +1219,85 @@ def test_corrupted_test_csv(pipeline, edits):
             assert (code, err) == (0, "") or (code == 2 and _one_line(err)), (command, code, err)
             codes.append(code)
         assert codes[0] == codes[1]
+
+
+# A valid call of each command that writes, as (flag, value) pairs; the fuzz
+# below drops, repeats or replaces them. Training stays small whatever it
+# draws: the size and length flags are never dropped, and no drawn value
+# exceeds the ones given here. A NUL byte is not drawn: no command line can
+# hold one.
+FUZZ_CALLS = {
+    "synth": [("--n", "100"), ("--theta", "0.5"), ("--noise", "0.1"), ("--seed", "1"),
+              ("--outdir", "{out}")],
+    "split": [("--input", "{train}"), ("--outdir", "{out}"), ("--seed", "1")],
+    "convert": [("--kind", "synthetic"), ("--input", "{train}"), ("--output", "{out}/c.csv")],
+    "train": [("--train", "{train}"), ("--val", "{val}"), ("--mode", "ss"), ("--seed", "1"),
+              ("--outdir", "{out}"), ("--soc-weight", "0.1"), ("--lexicon", "{lexicon}"),
+              ("--epoch-cap", "1"), ("--max-len", "8"), ("--d-model", "4"), ("--n-heads", "2"),
+              ("--n-layers", "1"), ("--d-ff", "4"), ("--batch-size", "16"),
+              ("--vocab-size", "40"), ("--val-every", "2"), ("--dropout", "0.1"),
+              ("--lr", "0.01"), ("--min-freq", "1"), ("--max-halvings", "1")],
+}
+FUZZ_KEPT = {"--epoch-cap", "--max-len", "--d-model", "--n-layers", "--d-ff", "--batch-size"}
+FUZZ_VALUES = ("-1", "0", "1", "2", "0.5", "-0.0", "nan", "inf", "1e999", "x", "", "--",
+               "{train}", "{val}", "{out}", "{tmp}", "{tmp}/missing.csv", "ws", "wiki", "so",
+               "baseline", "{train}/x", ".")
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One of ``FUZZ_CALLS`` with up to three of its flags dropped, given
+    twice or given a drawn value, and maybe a stray argument at the end."""
+    command = draw(st.sampled_from(sorted(FUZZ_CALLS)))
+    pairs = list(FUZZ_CALLS[command])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(pairs) - 1))
+        flag, value = pairs[i]
+        edit = draw(st.sampled_from(["drop", "twice", "value", "value", "value"]))
+        if edit == "value":
+            pairs[i] = (flag, draw(st.sampled_from(FUZZ_VALUES)))
+        elif edit == "twice":
+            pairs.append((flag, value))
+        elif flag not in FUZZ_KEPT:
+            del pairs[i]
+    argv = [command, *(arg for pair in pairs for arg in pair)]
+    return argv + draw(st.sampled_from([[]] * 6 + [["--bogus"], ["extra"]]))
+
+
+def _fuzz_example(command, **values):
+    return [command, *(arg for flag, value in FUZZ_CALLS[command]
+                       for arg in (flag, values.get(flag.lstrip("-"), value)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=fuzz_argv(),
+       edits=st.lists(st.tuples(st.sampled_from(["train", "val"]),
+                                st.sampled_from(["truncate", "nul", "not-utf8", "quote",
+                                                 "no-label"]),
+                                st.integers(0, 2**16)), max_size=2))
+@example(argv=_fuzz_example("train", seed="-1"), edits=[])  # numpy refuses a negative seed
+@example(argv=_fuzz_example("convert", output=""), edits=[])  # a path with no file name
+@example(argv=_fuzz_example("train"), edits=[("val", "truncate", 30)])
+def test_writing_commands_on_any_argv_and_corrupted_csvs(pipeline, argv, edits):
+    """synth, split, convert and train on drawn argv and on train and val
+    CSVs corrupted as above: every call exits 0, 1 (a usage error) or 2 and
+    prints no traceback; a ``SystemExit`` from argparse counts by its code.
+    The calls run in a temporary directory, where a drawn relative path
+    lands."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        fill = {"tmp": tmp, "out": f"{tmp}/out", "lexicon": pipeline["data"] / "lexicon.tsv"}
+        for name in ("train", "val"):
+            fill[name] = Path(tmp) / f"{name}.csv"
+            blob = (pipeline["data"] / f"{name}.csv").read_bytes()
+            fill[name].write_bytes(_corrupted(blob, [e[1:] for e in edits if e[0] == name]))
+        err = io.StringIO()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.dispatch([arg.format(**fill) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, code, err.getvalue())

@@ -112,10 +112,13 @@ def test_assess_matches_oracle_on_token_streams(tokens):
     assert sj.score(text, STREAM_LEXICON) == oracles.score(text, STREAM_LEXICON)
 
 
-# A term with punctuation, and a term that is a prefix of another.
-DETECT_TERMS = idn.IdentityLexicon(("two-spirit", "jew", "jews", "women"))
+# Terms with punctuation and the terms nested in them, two of which start
+# where another does (so one token holds several terms at one offset), a
+# term that is a prefix of another, and a term ending in a final sigma.
+DETECT_TERMS = idn.IdentityLexicon(("two-spirit", "spirit-two", "two", "spirit", "jew", "jews",
+                                    "women", "\u03bf\u03b4\u03bf\u03c2"))
 DETECT_PIECES = ("two-spirit", "Two-Spirit", "two", "spirit", "jew", "Jews", "jewish", "women",
-                 "WOMEN-only", "'s", " ", ",", "-", "+", "x", "é", "\n")
+                 "WOMEN-only", "'s", " ", ",", "-", "+", "x", "é", "\n", "ΟΔΟΣ", "_", "'")
 
 
 @settings(max_examples=300)
@@ -123,10 +126,30 @@ DETECT_PIECES = ("two-spirit", "Two-Spirit", "two", "spirit", "jew", "Jews", "je
 @example("")
 @example("two-spirittwo-spirit jews,jew two-spirit-")
 @example("jewjews women's")
+@example("ΟΔΟΣ ΟΔΟΣ'Α ΟΔΟΣ-two")  # Σ lowers to a final ς only at the end of a word
+@example("İslam islam")
+@example("_muslim_ _jew_")
+@example("x_muslim x_two")
+@example("muslim's muslim")
+@example("spirit-two-spirit two-spirit-two, spirit two")
 def test_detect_matches_oracle_on_any_text(text):
     for lexicon in (TERMS, DETECT_TERMS):
-        got, want = idn.detect(text, lexicon), oracles.detect(text, lexicon)
-        assert (got.terms, got.present) == (want.terms, want.present)
+        want = oracles.detect(text, lexicon)
+        for got in (idn.detect(text, lexicon), idn.detect(text, lexicon, tp.word_split(text))):
+            assert (got.terms, got.present) == (want.terms, want.present)
+
+
+def test_score_of_a_punctuation_form_is_zero():
+    """``word_split`` emits punctuation one character at a time and the
+    scorer drops tokens that do not start with a letter or digit, so a form
+    of punctuation alone never matches. A text whose tokens start no form
+    returns before the scan; tokens given with "!!" itself run the scan,
+    which drops it. Both give 0.0."""
+    lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("!!", 0.9)])
+    zero = sj.SubjectivityScore(0.0, 0)
+    for text in ("wow !! great", "!!", "a!!"):
+        assert sj.score(text, lexicon) == oracles.score(text, lexicon) == zero
+    assert sj.score("!!", lexicon, ["!!"]) == zero
 
 
 def test_sense_means_are_the_per_call_means():
