@@ -106,8 +106,9 @@ def _cmd_score(args) -> int:
     else:
         texts = [line for line in read_text(args.file, "input file").splitlines() if line]
     for text in texts:
-        s = subjectivity.score(text, lexicon)
-        match = identity.detect(text, terms)
+        tokens = textprep.word_split(text)
+        s = subjectivity.score(text, lexicon, tokens)
+        match = identity.detect(text, terms, tokens)
         matched = " ".join(match.terms) if match.present else "-"
         print(f"subjectivity {s.value:.4f}")
         print(f"identity present={'true' if match.present else 'false'} matched: {matched}")

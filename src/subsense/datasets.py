@@ -18,8 +18,8 @@ Canonical output schema: id,text,label with label in {toxic, nontoxic}.
 from __future__ import annotations
 
 import csv
-import math
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -118,16 +118,34 @@ def _present(value, column: str, rownum: int) -> str:
     return value
 
 
-def _canonical_comment(label, text, cid, rownum: int) -> Comment:
-    """The canonical row rule: the label is checked first, then the text, and
-    an empty id becomes ``synthetic-NNNNNN``. None is a column the row lacks."""
+def _canonical_comments(rows, cols) -> list[Comment]:
+    """The canonical row rule over ``rows``, numbered from 1, whose label,
+    text and id sit at the positions ``cols``; a position past a row's end is
+    a column the row lacks. The label is checked first, then the text, and an
+    empty id becomes ``synthetic-NNNNNN``."""
+    li, ti, ii = cols
+    last = max(cols)
+    comments = []
+    for n, row in enumerate(rows, start=1):
+        if len(row) > last:
+            label, text, cid = row[li], row[ti], row[ii]
+        else:
+            label, text, cid = [row[i] if i < len(row) else None for i in cols]
+        value = None if label is None else _LABELS.get(label.strip().lower())
+        if value is None or text is None:
+            _refuse_row(label, text, n)
+        comments.append(Comment((cid or "").strip() or f"synthetic-{n:06d}", text, value))
+    return comments
+
+
+def _refuse_row(label, text, rownum: int):
+    """Raise the error of a row the canonical rule refuses."""
     raw = _present(label, "label", rownum)
     try:
-        label = Label.parse(raw)
+        Label.parse(raw)
     except SchemaError as exc:
         raise SchemaError(f"row {rownum}: {exc}") from None
-    text = _present(text, "text", rownum)
-    return Comment((cid or "").strip() or f"synthetic-{rownum:06d}", text, label)
+    _present(text, "text", rownum)
 
 
 def _mapped_label(row: dict, mapping: dict, rownum: int):
@@ -154,14 +172,14 @@ def convert(kind: DatasetKind, rows) -> ConversionResult:
     Rows are dicts (csv.DictReader shape). Row numbers in errors are
     1-based over the data rows.
     """
+    if kind is DatasetKind.SYNTHETIC:
+        rows = [list(map(row.get, ("label", "text", "id"))) for row in rows]
+        return ConversionResult(tuple(_canonical_comments(rows, (0, 1, 2))), len(rows), 0)
     comments: list[Comment] = []
     n_input = 0
     n_dropped = 0
     for idx, row in enumerate(rows, start=1):
         n_input += 1
-        if kind is DatasetKind.SYNTHETIC:
-            comments.append(_canonical_comment(*map(row.get, ("label", "text", "id")), idx))
-            continue
         if kind is DatasetKind.WS:
             label = _mapped_label(row, _WS_MAP, idx)
         elif kind is DatasetKind.TWITTER18K:
@@ -209,20 +227,10 @@ def read_canonical(path) -> list[Comment]:
     with _dataset_file(path) as fh:
         reader = csv.reader(fh)
         at = {name: i for i, name in enumerate(next(reader, []))}
-        cols = [at.get(name, -1) for name in ("label", "text", "id")]  # -1: the header lacks it
-        li, ti, ii = cols
-        # A row longer than ``full`` holds all three columns (none does if the header lacks one).
-        full = max(cols) if min(cols) >= 0 else math.inf
-        comments = []
+        # A column the header lacks lies past the end of every row.
+        cols = [at.get(name, sys.maxsize) for name in ("label", "text", "id")]
         try:
-            for n, row in enumerate(filter(None, reader), start=1):
-                if len(row) > full and (label := _LABELS.get(row[li].strip().lower())) is not None:
-                    cid = row[ii].strip() or f"synthetic-{n:06d}"
-                    comments.append(Comment(cid, row[ti], label))
-                else:  # the rule below names the missing column or the bad label
-                    comments.append(_canonical_comment(
-                        *[row[i] if -1 < i < len(row) else None for i in cols], n))
-            return comments
+            return _canonical_comments(filter(None, reader), cols)
         except SchemaError:
             for _ in reader:  # bad bytes later in the file are reported first
                 pass

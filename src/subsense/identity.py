@@ -95,14 +95,28 @@ def _first_whole_word(text_lower: str, term: str) -> int:
     return -1
 
 
-def holds_term(word: str, terms: tuple[str, ...]) -> bool:
-    """Whether a lowercase word, such as a ``word_split`` token, contains one
-    of ``terms`` as a whole word by ``detect``'s rule: "muslim's" and
-    "islam,jews" do, "muslimness" does not. A word of letters and digits
-    alone holds a term only by being one."""
-    if word in terms:
-        return True
-    return not word.isalnum() and any(_first_whole_word(word, t) >= 0 for t in terms)
+def _holdings(tokens, terms, term_set):
+    """(token index, start, term) for each of ``terms`` that a lowercase token
+    holds as a whole word, token by token; ``term_set`` holds the same terms.
+    A token of letters and digits alone holds a term only by being one (a set
+    lookup), and only a token with inner punctuation ("muslim's") is searched."""
+    for i, tok in enumerate(tokens):
+        if tok.isalnum():
+            if tok in term_set:
+                yield i, 0, tok
+        elif len(tok) > 1:  # one character of punctuation holds no term
+            for term in terms:
+                if term in tok:
+                    start = _first_whole_word(tok, term)
+                    if start >= 0:
+                        yield i, start, term
+
+
+def term_holders(tokens, terms: tuple[str, ...]) -> list[int]:
+    """Indices of the lowercase tokens, such as ``word_split``'s, that hold
+    one of ``terms`` as a whole word by ``detect``'s rule: "muslim's" and
+    "islam,jews" do, "muslimness" does not."""
+    return list(dict.fromkeys(i for i, _, _ in _holdings(tokens, terms, terms)))
 
 
 def detect(text: str, lexicon: IdentityLexicon, tokens=None) -> IdentityMatch:
@@ -112,22 +126,18 @@ def detect(text: str, lexicon: IdentityLexicon, tokens=None) -> IdentityMatch:
     A caller that has already split ``text`` passes ``word_split(text)`` as
     ``tokens``. A match never crosses a token, so the terms are read off the
     tokens in order: a token of letters and digits alone holds a term only by
-    being one (a set lookup), and a token with inner punctuation holds every
-    term it contains as a whole word, ordered by offset, shorter first.
+    being one, and a token with inner punctuation holds every term it
+    contains as a whole word, ordered by offset, shorter first.
     """
     if tokens is None:
         tokens = word_split(text)
     first = {}  # term -> (token index, start, end) of its first occurrence
-    for i, tok in enumerate(tokens):
-        if tok.isalnum():
-            if tok in lexicon.term_set and tok not in first:
-                first[tok] = (i, 0, len(tok))
-        elif len(tok) > 1:  # one character of punctuation holds no term
-            for term in lexicon.terms:
-                start = _first_whole_word(tok, term)
-                if start >= 0 and term not in first:
-                    first[term] = (i, start, start + len(term))
-    return IdentityMatch(tuple(sorted(first, key=first.get)))
+    for i, start, term in _holdings(tokens, lexicon.terms, lexicon.term_set):
+        if term not in first:
+            first[term] = (i, start, start + len(term))
+    # The lexicon's strings, not the tokens' copies, so a match keeps no token alive.
+    found = filter(first.__contains__, lexicon.terms) if first else ()
+    return IdentityMatch(tuple(sorted(found, key=first.get)))
 
 
 def coverage(comments, lexicon: IdentityLexicon) -> float:

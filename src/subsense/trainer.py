@@ -26,7 +26,7 @@ from .datasets import Label
 from .encoder import Batch, ModelConfig, backward, flat_params, forward, init
 from .errors import (ConfigError, ContractError, DegenerateLabelsError, EmptyDatasetError,
                      check_fields)
-from .identity import IdentityLexicon, detect, holds_term
+from .identity import IdentityLexicon, detect, term_holders
 from .subjectivity import SubjectivityLexicon, score
 from .textprep import Vocab, encode, word_split
 
@@ -143,15 +143,9 @@ class PreparedSet:
 
 def identity_token_positions(tokens, terms, max_len: int) -> tuple[int, ...]:
     """Encoded positions (offset by the CLS slot) of the tokens that survived
-    truncation and hold one of ``terms`` as a whole word (``holds_term``), so
-    the occlusion regularizer hides what opened the gate."""
-    positions = []
-    for i, tok in enumerate(tokens):
-        if i >= max_len - 2:
-            break
-        if holds_term(tok, terms):
-            positions.append(i + 1)
-    return tuple(positions)
+    truncation and hold one of ``terms`` as a whole word (``term_holders``),
+    so the occlusion regularizer hides what opened the gate."""
+    return tuple(i + 1 for i in term_holders(tokens[: max_len - 2], terms))
 
 
 def prepare_examples(

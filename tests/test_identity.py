@@ -96,6 +96,15 @@ class TestDetect:
     def test_punctuation_boundaries_count(self):
         assert idn.detect("(women)", idn.default_terms()).present
 
+    def test_terms_are_the_lexicons_strings(self):
+        # A match holds the lexicon's strings, so the feature pass's stored
+        # terms keep no comment's tokens alive.
+        lexicon = idn.load_terms(idn.CURATED_TERMS_FILE)
+        text = "Gay women and muslim's Jews"
+        match = idn.detect(text, lexicon, word_split(text))
+        assert match.terms == ("gay", "women", "muslim", "jews")
+        assert all(any(t is u for u in lexicon.terms) for t in match.terms)
+
     def test_match_invariant(self):
         # present is read off the terms, so the two cannot disagree.
         assert not idn.IdentityMatch(()).present
@@ -170,7 +179,7 @@ TEXTS = st.one_of(st.text(), st.lists(st.sampled_from(PIECES), max_size=12).map(
 def held_terms(text, lexicon):
     """The lexicon terms that some ``word_split`` token of ``text`` holds."""
     tokens = word_split(text)
-    return {t for t in lexicon.terms if any(idn.holds_term(tok, (t,)) for tok in tokens)}
+    return {t for t in lexicon.terms if idn.term_holders(tokens, (t,))}
 
 
 class TestOneIdentityNotion:
