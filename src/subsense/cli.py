@@ -293,8 +293,9 @@ def _run_config(run: Path) -> tuple[encoder.ModelConfig, AugmentMode, float]:
     path = run / "config.json"
     run_config = _checked_keys(_read_json(path, ContractError), CONFIG_KEYS, path, "config")
     try:
-        return (encoder.ModelConfig.from_dict(run_config["model"]),
-                AugmentMode.parse(run_config["mode"]), run_config["soc_weight"])
+        config = encoder.ModelConfig.from_dict(run_config["model"])
+        check_fields(trainer.TrainSchedule, run_config["schedule"], "TrainSchedule")
+        return config, AugmentMode.parse(run_config["mode"]), run_config["soc_weight"]
     except (ConfigError, ContractError) as exc:
         raise ContractError(f"{path}: {exc}") from None
 
@@ -445,7 +446,7 @@ def build_parser() -> _Parser:
     p.add_argument("--identity-terms", dest="identity_terms")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("convert", help="convert a raw corpus to canonical CSV")
+    p = sub.add_parser("convert", help="convert a raw corpus of one --kind to canonical CSV")
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in datasets.DatasetKind])
     p.add_argument("--input", required=True)
@@ -516,6 +517,8 @@ def build_parser() -> _Parser:
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
+        if any("\0" in arg for arg in argv):  # only a Python caller can pass one
+            raise ContractError("an argument holds a NUL byte")
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_help())

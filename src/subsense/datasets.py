@@ -9,10 +9,11 @@ Per-kind input schemas (UTF-8 CSV, documented rather than auto-detected):
                spam rows are dropped
 * wiki:        columns text,toxic,severe_toxic,obscene,threat,insult,identity_hate
                with the six label columns 0/1; any 1 makes the row toxic
-* synthetic:   the canonical schema below
 
 An optional id column is honoured everywhere; otherwise ids are generated.
-Canonical output schema: id,text,label with label in {toxic, nontoxic}.
+Canonical output schema: id,text,label with label in {toxic, nontoxic};
+``read_canonical`` reads it, and ``split``, ``train``, ``eval`` and ``audit``
+take it as input.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class DatasetKind(Enum):
     TWITTER18K = "twitter18k"
     TWITTER42K = "twitter42k"
     WIKI = "wiki"
-    SYNTHETIC = "synthetic"
 
     @classmethod
     def parse(cls, raw: str) -> "DatasetKind":
@@ -118,26 +118,6 @@ def _present(value, column: str, rownum: int) -> str:
     return value
 
 
-def _canonical_comments(rows, cols) -> list[Comment]:
-    """The canonical row rule over ``rows``, numbered from 1, whose label,
-    text and id sit at the positions ``cols``; a position past a row's end is
-    a column the row lacks. The label is checked first, then the text, and an
-    empty id becomes ``synthetic-NNNNNN``."""
-    li, ti, ii = cols
-    last = max(cols)
-    comments = []
-    for n, row in enumerate(rows, start=1):
-        if len(row) > last:
-            label, text, cid = row[li], row[ti], row[ii]
-        else:
-            label, text, cid = [row[i] if i < len(row) else None for i in cols]
-        value = None if label is None else _LABELS.get(label.strip().lower())
-        if value is None or text is None:
-            _refuse_row(label, text, n)
-        comments.append(Comment((cid or "").strip() or f"synthetic-{n:06d}", text, value))
-    return comments
-
-
 def _refuse_row(label, text, rownum: int):
     """Raise the error of a row the canonical rule refuses."""
     raw = _present(label, "label", rownum)
@@ -156,6 +136,10 @@ def _mapped_label(row: dict, mapping: dict, rownum: int):
     return mapping[key]
 
 
+_LABEL_MAPS = {DatasetKind.WS: _WS_MAP, DatasetKind.TWITTER18K: _T18K_MAP,
+               DatasetKind.TWITTER42K: _T42K_MAP}
+
+
 def _wiki_label(row: dict, rownum: int) -> Label:
     for col in WIKI_LABEL_COLUMNS:
         raw = _present(row.get(col), col, rownum).strip()
@@ -170,29 +154,20 @@ def convert(kind: DatasetKind, rows) -> ConversionResult:
     """Apply the per-kind binary label conversion.
 
     Rows are dicts (csv.DictReader shape). Row numbers in errors are
-    1-based over the data rows.
+    1-based over the data rows. A row whose label maps to None is dropped.
     """
-    if kind is DatasetKind.SYNTHETIC:
-        rows = [list(map(row.get, ("label", "text", "id"))) for row in rows]
-        return ConversionResult(tuple(_canonical_comments(rows, (0, 1, 2))), len(rows), 0)
     comments: list[Comment] = []
     n_input = 0
     n_dropped = 0
     for idx, row in enumerate(rows, start=1):
         n_input += 1
-        if kind is DatasetKind.WS:
-            label = _mapped_label(row, _WS_MAP, idx)
-        elif kind is DatasetKind.TWITTER18K:
-            label = _mapped_label(row, _T18K_MAP, idx)
-        elif kind is DatasetKind.TWITTER42K:
-            label = _mapped_label(row, _T42K_MAP, idx)
-            if label is None:
-                n_dropped += 1
-                continue
-        elif kind is DatasetKind.WIKI:
+        if kind is DatasetKind.WIKI:
             label = _wiki_label(row, idx)
-        else:  # pragma: no cover
-            raise SchemaError(f"unsupported kind {kind}")
+        else:
+            label = _mapped_label(row, _LABEL_MAPS[kind], idx)
+        if label is None:
+            n_dropped += 1
+            continue
         text = _present(row.get("text"), "text", idx)
         cid = (row.get("id") or "").strip() or f"{kind.value}-{idx:06d}"
         comments.append(Comment(cid, text, label))
@@ -222,15 +197,27 @@ def load_rows(path) -> list[dict]:
 
 def read_canonical(path) -> list[Comment]:
     """The comments of a canonical CSV (columns id, text, label), each built as
-    its row is read. Blank rows are skipped and not numbered, and a repeated
-    column name means its last column, as with ``csv.DictReader``."""
+    its row is read; a row's label is checked before its text, and an empty id
+    becomes ``synthetic-NNNNNN``. Blank rows are skipped and not numbered, and
+    a repeated column name means its last column, as with ``csv.DictReader``."""
     with _dataset_file(path) as fh:
         reader = csv.reader(fh)
         at = {name: i for i, name in enumerate(next(reader, []))}
         # A column the header lacks lies past the end of every row.
-        cols = [at.get(name, sys.maxsize) for name in ("label", "text", "id")]
+        cols = li, ti, ii = [at.get(name, sys.maxsize) for name in ("label", "text", "id")]
+        last = max(cols)
+        comments = []
         try:
-            return _canonical_comments(filter(None, reader), cols)
+            for n, row in enumerate(filter(None, reader), start=1):
+                if len(row) > last:
+                    label, text, cid = row[li], row[ti], row[ii]
+                else:
+                    label, text, cid = [row[i] if i < len(row) else None for i in cols]
+                value = None if label is None else _LABELS.get(label.strip().lower())
+                if value is None or text is None:
+                    _refuse_row(label, text, n)
+                comments.append(Comment((cid or "").strip() or f"synthetic-{n:06d}", text, value))
+            return comments
         except SchemaError:
             for _ in reader:  # bad bytes later in the file are reported first
                 pass

@@ -112,6 +112,8 @@ _GELU_A = 0.044715
 # Attention scores and GELU's temporary are computed, and the token
 # embedding gathered, in blocks of whole batch rows that fit this many bytes.
 _BLOCK_BYTES = 1 << 20
+# The classifier is binary: the head has one logit per Label.
+N_CLASSES = 2
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,6 @@ class ModelConfig:
     n_heads: int = 4
     n_layers: int = 2
     d_ff: int = 128
-    n_classes: int = 2
     dropout_rate: float = 0.1
     seed: int = 0
 
@@ -144,8 +145,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0,1)")
-        if self.n_classes != 2:
-            raise ConfigError("classifier is binary; n_classes is fixed at 2")
 
     @property
     def seq_len(self) -> int:
@@ -204,8 +203,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{p}.norm2.bias"] = (config.d_model,)
     shapes["final_norm.gain"] = (config.d_model,)
     shapes["final_norm.bias"] = (config.d_model,)
-    shapes["head.w"] = (config.d_model, config.n_classes)
-    shapes["head.b"] = (config.n_classes,)
+    shapes["head.w"] = (config.d_model, N_CLASSES)
+    shapes["head.b"] = (N_CLASSES,)
     return shapes
 
 
@@ -534,7 +533,7 @@ def backward(cache, params, config, dlogits):
     dlogits = np.asarray(dlogits, dtype=np.float64)
     b, width = cache["ids"].shape
     src = cache["src"]
-    if dlogits.shape != (len(cache["kmask"]), config.n_classes):
+    if dlogits.shape != (len(cache["kmask"]), N_CLASSES):
         raise ContractError(f"upstream gradient shape {dlogits.shape} mismatch")
     lm, d = config.max_len, config.d_model
     dh = d // config.n_heads

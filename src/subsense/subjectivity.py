@@ -11,17 +11,15 @@ scores exactly 0.0.
 
 from __future__ import annotations
 
-import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 from .atomic import replacing
 from .errors import ContractError, EmptyLexiconError, ResourceError, read_text
 from .textprep import word_split
 
-ENV_LEXICON = "SUBSENSE_LEXICON"
 DEFAULT_LEXICON_XML = Path(__file__).parent / "data" / "en_subjectivity.xml"
 
 
@@ -166,9 +164,9 @@ def is_tsv(path) -> bool:
     return str(path).endswith(".tsv")
 
 
-def lexicon_path(path=None) -> Path:
-    """``path`` if given, else the file SUBSENSE_LEXICON names, else the packaged lexicon."""
-    return Path(path or os.environ.get(ENV_LEXICON) or DEFAULT_LEXICON_XML)
+def lexicon_path(path) -> Path:
+    """``path`` if given, else the packaged lexicon."""
+    return Path(path or DEFAULT_LEXICON_XML)
 
 
 def write_lexicon_tsv(lexicon: SubjectivityLexicon, path) -> None:
@@ -181,14 +179,10 @@ def write_lexicon_tsv(lexicon: SubjectivityLexicon, path) -> None:
                 fh.write(f"{e.form}\t{e.subjectivity!r}\t0.0\t{e.intensity!r}\n")
 
 
-@lru_cache(maxsize=4)
-def _cached_lexicon(path: str) -> SubjectivityLexicon:
-    return load_lexicon(path)
-
-
+@cache
 def default_lexicon() -> SubjectivityLexicon:
-    """The lexicon ``lexicon_path()`` names, loaded once per path."""
-    return _cached_lexicon(str(lexicon_path()))
+    """The packaged lexicon, loaded once."""
+    return load_lexicon(DEFAULT_LEXICON_XML)
 
 
 def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):

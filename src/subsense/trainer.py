@@ -23,7 +23,7 @@ from . import audit
 from .atomic import replacing
 from .augment import AugmentMode, augment
 from .datasets import Label
-from .encoder import Batch, ModelConfig, backward, flat_params, forward, init
+from .encoder import N_CLASSES, Batch, ModelConfig, backward, flat_params, forward, init
 from .errors import (ConfigError, ContractError, DegenerateLabelsError, EmptyDatasetError,
                      check_fields)
 from .identity import IdentityLexicon, detect, term_holders
@@ -41,7 +41,6 @@ class TrainSchedule:
     lr0: float = 1e-3
     val_every: int = 200
     max_halvings: int = 5
-    halving_factor: float = 0.5
     epoch_cap: int = 50
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class TrainSchedule:
             raise ConfigError(f"lr0 must be positive and finite, not {self.lr0}")
         if self.max_halvings < 1:
             raise ConfigError("max_halvings must be at least 1")
-        if not 0.0 < self.halving_factor < 1.0:
-            raise ConfigError("halving_factor must be in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,6 @@ class HalvingController:
 
     lr: float
     max_halvings: int
-    factor: float = 0.5
     best_f1: float = -math.inf
     halvings: int = 0
 
@@ -208,7 +204,7 @@ class HalvingController:
             self.best_f1 = f1
             return "improved"
         if f1 < self.best_f1:
-            self.lr *= self.factor
+            self.lr *= 0.5
             self.halvings += 1
             return "halved"
         return "stalled"
@@ -274,7 +270,7 @@ def predict_batch(params, config, data: Batch, batch_size: int = 64):
     batches = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
     batches.sort(key=lambda rows: len(rows) * (max(1, int(data.extent[rows].max())) + 1),
                  reverse=True)
-    logits = np.empty((len(data), config.n_classes))
+    logits = np.empty((len(data), N_CLASSES))
     workspace: dict = {}
     for rows in batches:
         logits[rows] = forward(data.take(rows), params, config, workspace=workspace)[0]
@@ -396,7 +392,7 @@ def train(
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     work = np.empty_like(flat)
-    ctrl = HalvingController(schedule.lr0, schedule.max_halvings, schedule.halving_factor)
+    ctrl = HalvingController(schedule.lr0, schedule.max_halvings)
     history = TrainHistory()
     best_params: dict[str, np.ndarray] | None = None
     rng = np.random.default_rng(seed)

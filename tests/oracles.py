@@ -217,7 +217,7 @@ def predict_batch(params, config, data, batch_size: int = 64):
     the batches of its stable extent order run in ascending order, each
     without a workspace."""
     order = np.argsort(data.extent, kind="stable")
-    logits = np.empty((len(data), config.n_classes))
+    logits = np.empty((len(data), _enc.N_CLASSES))
     for start in range(0, len(order), batch_size):
         rows = order[start : start + batch_size]
         logits[rows] = _enc.forward(data.take(rows), params, config)[0]
@@ -331,7 +331,7 @@ def train_per_tensor(train_set, val_set, config, schedule, mode, soc_weight=0.0,
     occlusions = (train_set.offsets, train_set.positions)
     params = _enc.init(config)
     moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in params.items()}
-    ctrl = _tr.HalvingController(schedule.lr0, schedule.max_halvings, schedule.halving_factor)
+    ctrl = _tr.HalvingController(schedule.lr0, schedule.max_halvings)
     history = _tr.TrainHistory()
     best_params = None
     rng = np.random.default_rng(seed)

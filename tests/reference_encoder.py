@@ -18,6 +18,7 @@ the shape of the array it multiplies.
 import numpy as np
 
 from subsense.encoder import (
+    N_CLASSES,
     _GELU_A,
     _GELU_C,
     _NORM_EPS,
@@ -169,7 +170,7 @@ def backward(cache, params, config, dlogits):
         raise ContractError("backward needs the cache from a train_mode forward")
     dlogits = np.asarray(dlogits, dtype=np.float64)
     b = cache["batch_size"]
-    if dlogits.shape != (b, config.n_classes):
+    if dlogits.shape != (b, N_CLASSES):
         raise ContractError(f"upstream gradient shape {dlogits.shape} mismatch")
     lm, d = config.max_len, config.d_model
     dh = d // config.n_heads

@@ -77,6 +77,16 @@ class TestExitCodes:
         assert cli.dispatch(["convert", "--kind", "ws"]) == 1
         assert capsys.readouterr().err
 
+    def test_convert_reads_no_canonical_kind(self, tmp_path, capsys):
+        """split, train, eval and audit read a canonical CSV themselves, so
+        convert has no kind for one."""
+        out = tmp_path / "out.csv"
+        assert cli.dispatch(["convert", "--kind", "synthetic", "--input",
+                             str(DATA_DIR / "ws_10.csv"), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'synthetic'" in err and err.startswith("argument --kind")
+        assert "usage: subsense convert" in err and not out.exists()
+
     def test_data_error_is_two(self, tmp_path, capsys):
         code = cli.dispatch(["convert", "--kind", "ws",
                              "--input", str(tmp_path / "nope.csv"),
@@ -111,13 +121,33 @@ class TestScore:
         out = capsys.readouterr().out
         assert out.count("subjectivity") == 2
 
-    def test_env_var_overrides_lexicon(self, tmp_path, capsys, monkeypatch):
+    def test_environment_names_no_lexicon(self, pipeline, tmp_path, capsys, monkeypatch):
+        """--lexicon is the one way to name a lexicon: with SUBSENSE_LEXICON
+        naming another file, score prints and train records the packaged one."""
+        assert cli.dispatch(["score", "--text", "this is not good"]) == 0
+        packaged = capsys.readouterr().out
         custom = tmp_path / "mini.tsv"
-        custom.write_text("plain\t0.8\t0.0\t1.0\n")
+        custom.write_text("plain\t0.8\t0.0\t1.0\ngood\t0.1\n")
         monkeypatch.setenv("SUBSENSE_LEXICON", str(custom))
+        assert subjectivity.default_lexicon() is subjectivity.default_lexicon()
+        assert len(subjectivity.default_lexicon()) == len(
+            subjectivity.load_lexicon(subjectivity.DEFAULT_LEXICON_XML))
+        assert "plain" not in subjectivity.default_lexicon()
+        assert cli.dispatch(["score", "--text", "this is not good"]) == 0
+        assert capsys.readouterr().out == packaged
         assert cli.dispatch(["score", "--text", "a plain sentence"]) == 0
-        out = capsys.readouterr().out
-        assert "subjectivity 0.8000" in out
+        assert "subjectivity 0.0000" in capsys.readouterr().out
+        data, run = pipeline["data"], tmp_path / "run"
+        assert cli.dispatch([
+            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--mode", "ss", "--seed", "1", "--outdir", str(run), *TRAIN_FLAGS,
+        ]) == 0
+        capsys.readouterr()
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["inputs"]["lexicon.xml"] == {"packaged": "en_subjectivity.xml"}
+        assert not (run / "lexicon.tsv").exists()
+        assert (run / "lexicon.xml").read_bytes() == (
+            subjectivity.DEFAULT_LEXICON_XML.read_bytes())
 
     def test_byte_order_mark_is_not_part_of_the_first_entry(self, tmp_path, capsys):
         lexicon, terms = tmp_path / "mini.tsv", tmp_path / "terms.txt"
@@ -383,6 +413,29 @@ class TestBadInputExitsTwo:
         assert code == 2 and _one_line(err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stray,named", [
+        ({"model": {"n_classes": 2}}, "unknown ModelConfig keys n_classes"),
+        ({"schedule": {"halving_factor": 0.5}}, "unknown TrainSchedule keys halving_factor"),
+        ({"model": {"n_classes": 2}, "schedule": {"halving_factor": 0.5}},
+         "unknown ModelConfig keys n_classes"),
+    ], ids=["model.n_classes", "schedule.halving_factor", "both"])
+    def test_run_config_of_older_version(self, pipeline, tmp_path, stray, named):
+        """A config.json written while the model held n_classes and the
+        schedule halving_factor, both of which could hold one value only:
+        eval exits 2 with one line naming the file and the first stray key."""
+        run = copy_run(pipeline, tmp_path / "run")
+        path = run / "config.json"
+        run_config = json.loads(path.read_text(encoding="utf-8"))
+        for section, keys in stray.items():
+            run_config[section].update(keys)
+        path.write_text(json.dumps(run_config), encoding="utf-8")
+        rehash(run, "config.json")
+        code, err = _dispatch("eval", "--manifest", run / "manifest.json", "--test",
+                              pipeline["data"] / "test.csv", "--output", tmp_path / "e.json")
+        assert code == 2 and _one_line(err), err
+        assert err == f"error: {path}: {named}"
+        assert not (tmp_path / "e.json").exists()
+
     @pytest.mark.parametrize("drop", ["dataset_id", "inputs", "lexicon", "files"])
     def test_manifest_missing_key(self, pipeline, tmp_path, capsys, drop):
         """A manifest lacking a key, or lacking the lexicon copy's entry in
@@ -546,6 +599,13 @@ class TestBadInputExitsTwo:
         terms.write_text("women\nc++\n", encoding="utf-8")
         assert cli.dispatch(["score", "--text", "i love c++", "--identity-terms", str(terms)]) == 2
         assert "'c++'" in self.one_line_error(capsys)
+
+    def test_nul_byte_in_an_argument(self, capsys):
+        """No command line holds a NUL byte, but a Python caller of dispatch
+        can pass one."""
+        assert cli.dispatch(["convert", "--kind", "ws", "--input", str(DATA_DIR / "ws_10.csv"),
+                             "--output", "\0"]) == 2
+        assert self.one_line_error(capsys) == "error: an argument holds a NUL byte"
 
     def test_csv_field_past_the_size_limit(self, tmp_path, capsys):
         long = tmp_path / "long.csv"
@@ -907,12 +967,10 @@ def packaged_run(pipeline):
     """A run of the pipeline's data trained on the packaged lexicon."""
     data = pipeline["data"]
     run = pipeline["root"] / "run-packaged"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("SUBSENSE_LEXICON", raising=False)
-        assert cli.dispatch([
-            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
-            "--mode", "ss", "--seed", "1", "--outdir", str(run), *TRAIN_FLAGS,
-        ]) == 0
+    assert cli.dispatch([
+        "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+        "--mode", "ss", "--seed", "1", "--outdir", str(run), *TRAIN_FLAGS,
+    ]) == 0
     return run
 
 
@@ -943,15 +1001,14 @@ class TestRunDirectory:
         assert cli.dispatch(["compare", "../copy/manifest.json"]) == 0
         assert "ss" in capsys.readouterr().out
 
-    def test_train_copies_its_lexicons(self, pipeline, tmp_path, monkeypatch, capsys):
+    def test_train_copies_its_lexicons(self, pipeline, tmp_path, capsys):
         data, run = pipeline["data"], tmp_path / "run"
         terms = tmp_path / "terms.txt"
         terms.write_text("women\nmuslim\n", encoding="utf-8")
-        monkeypatch.setenv("SUBSENSE_LEXICON", str(data / "lexicon.tsv"))
         assert cli.dispatch([
             "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
             "--mode", "ss", "--seed", "1", "--outdir", str(run),
-            "--identity-terms", str(terms), *TRAIN_FLAGS,
+            "--lexicon", str(data / "lexicon.tsv"), "--identity-terms", str(terms), *TRAIN_FLAGS,
         ]) == 0
         capsys.readouterr()
         manifest = json.loads((run / "manifest.json").read_text())
@@ -986,7 +1043,6 @@ class TestRunDirectory:
         moved = tmp_path / "elsewhere" / "en_subjectivity.xml"
         moved.parent.mkdir()
         moved.write_bytes(subjectivity.DEFAULT_LEXICON_XML.read_bytes())
-        monkeypatch.delenv("SUBSENSE_LEXICON", raising=False)
         monkeypatch.setattr(subjectivity, "DEFAULT_LEXICON_XML", moved)
         run = tmp_path / "run"
         assert cli.dispatch([
@@ -1224,13 +1280,13 @@ def test_corrupted_test_csv(pipeline, edits):
 # A valid call of each command that writes, as (flag, value) pairs; the fuzz
 # below drops, repeats or replaces them. Training stays small whatever it
 # draws: the size and length flags are never dropped, and no drawn value
-# exceeds the ones given here. A NUL byte is not drawn: no command line can
-# hold one.
+# exceeds the ones given here. A NUL byte is drawn too: no command line can
+# hold one, but a Python caller of ``dispatch`` can pass one.
 FUZZ_CALLS = {
     "synth": [("--n", "100"), ("--theta", "0.5"), ("--noise", "0.1"), ("--seed", "1"),
               ("--outdir", "{out}")],
     "split": [("--input", "{train}"), ("--outdir", "{out}"), ("--seed", "1")],
-    "convert": [("--kind", "synthetic"), ("--input", "{train}"), ("--output", "{out}/c.csv")],
+    "convert": [("--kind", "ws"), ("--input", "{ws}"), ("--output", "{out}/c.csv")],
     "train": [("--train", "{train}"), ("--val", "{val}"), ("--mode", "ss"), ("--seed", "1"),
               ("--outdir", "{out}"), ("--soc-weight", "0.1"), ("--lexicon", "{lexicon}"),
               ("--epoch-cap", "1"), ("--max-len", "8"), ("--d-model", "4"), ("--n-heads", "2"),
@@ -1241,7 +1297,7 @@ FUZZ_CALLS = {
 FUZZ_KEPT = {"--epoch-cap", "--max-len", "--d-model", "--n-layers", "--d-ff", "--batch-size"}
 FUZZ_VALUES = ("-1", "0", "1", "2", "0.5", "-0.0", "nan", "inf", "1e999", "x", "", "--",
                "{train}", "{val}", "{out}", "{tmp}", "{tmp}/missing.csv", "ws", "wiki", "so",
-               "baseline", "{train}/x", ".")
+               "baseline", "{train}/x", ".", "\0")
 
 
 @st.composite
@@ -1271,25 +1327,28 @@ def _fuzz_example(command, **values):
 
 @settings(max_examples=60, deadline=None)
 @given(argv=fuzz_argv(),
-       edits=st.lists(st.tuples(st.sampled_from(["train", "val"]),
+       edits=st.lists(st.tuples(st.sampled_from(["train", "val", "ws"]),
                                 st.sampled_from(["truncate", "nul", "not-utf8", "quote",
                                                  "no-label"]),
                                 st.integers(0, 2**16)), max_size=2))
 @example(argv=_fuzz_example("train", seed="-1"), edits=[])  # numpy refuses a negative seed
 @example(argv=_fuzz_example("convert", output=""), edits=[])  # a path with no file name
+@example(argv=_fuzz_example("convert", output="\0"), edits=[])  # no path holds a NUL byte
 @example(argv=_fuzz_example("train"), edits=[("val", "truncate", 30)])
 def test_writing_commands_on_any_argv_and_corrupted_csvs(pipeline, argv, edits):
-    """synth, split, convert and train on drawn argv and on train and val
-    CSVs corrupted as above: every call exits 0, 1 (a usage error) or 2 and
-    prints no traceback; a ``SystemExit`` from argparse counts by its code.
-    The calls run in a temporary directory, where a drawn relative path
-    lands."""
+    """synth, split, convert and train on drawn argv and on the train and
+    val CSVs and convert's ws CSV, corrupted as above: every call exits 0, 1
+    (a usage error) or 2 and prints no traceback; a ``SystemExit`` from
+    argparse counts by its code. The calls run in a temporary directory,
+    where a drawn relative path lands."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         fill = {"tmp": tmp, "out": f"{tmp}/out", "lexicon": pipeline["data"] / "lexicon.tsv"}
-        for name in ("train", "val"):
+        sources = {"train": pipeline["data"] / "train.csv", "val": pipeline["data"] / "val.csv",
+                   "ws": DATA_DIR / "ws_10.csv"}
+        for name, source in sources.items():
             fill[name] = Path(tmp) / f"{name}.csv"
-            blob = (pipeline["data"] / f"{name}.csv").read_bytes()
+            blob = source.read_bytes()
             fill[name].write_bytes(_corrupted(blob, [e[1:] for e in edits if e[0] == name]))
         err = io.StringIO()
         os.chdir(tmp)

@@ -59,10 +59,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(d_model=65, n_heads=4)
 
-    def test_binary_head_fixed(self):
-        with pytest.raises(ConfigError):
-            tiny_config(n_classes=3)
-
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
             tiny_config(dropout_rate=1.0)

@@ -423,8 +423,7 @@ class TestTrain:
                      soc_weight=soc_weight)
 
     def test_schedule_types(self):
-        for field, value in (("lr0", True), ("batch_size", 8.0), ("epoch_cap", "2"),
-                             ("halving_factor", None)):
+        for field, value in (("lr0", True), ("batch_size", 8.0), ("epoch_cap", "2")):
             with pytest.raises(ConfigError, match=f"TrainSchedule.{field} must be"):
                 tr.TrainSchedule(**{field: value})
         assert tr.TrainSchedule(lr0=1).lr0 == 1
