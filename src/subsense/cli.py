@@ -21,7 +21,7 @@ from . import audit, datasets, encoder, identity, subjectivity, textprep, traine
 from .atomic import replacing
 from .augment import AugmentMode
 from .errors import (
-    ConfigError, ContractError, EmptyDatasetError, ResourceError, SchemaError, SubsenseError,
+    ConfigError, ContractError, ResourceError, SchemaError, SubsenseError,
     UsageError, check_fields, read_text,
 )
 
@@ -116,7 +116,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    kind = datasets.DatasetKind.parse(args.kind)
+    _distinct_files([("--input", args.input), ("--output", args.output)])
+    kind = datasets.DatasetKind(args.kind)
     result = datasets.convert(kind, datasets.load_rows(args.input))
     datasets.write_canonical(result.comments, args.output)
     print(
@@ -130,15 +131,17 @@ def _read_comments(path) -> list[datasets.Comment]:
     """The comments of a canonical CSV, which must hold at least one."""
     comments = datasets.read_canonical(path)
     if not comments:
-        raise EmptyDatasetError(f"no comments in {path}")
+        raise ContractError(f"no comments in {path}")
     return comments
 
 
 def _cmd_split(args) -> int:
+    outputs = [Path(args.outdir) / f"{name}.csv" for name in ("train", "val", "test")]
+    _distinct_files([("--input", args.input), *(("output", out) for out in outputs)])
     comments = datasets.read_canonical(args.input)
     train, val, test = datasets.split(comments, args.seed)
-    for name, part in (("train", train), ("val", val), ("test", test)):
-        datasets.write_canonical(part, Path(args.outdir) / f"{name}.csv")
+    for part, out in zip((train, val, test), outputs):
+        datasets.write_canonical(part, out)
     print(f"split {len(comments)} -> train {len(train)} / val {len(val)} / test {len(test)}")
     return 0
 
@@ -219,7 +222,7 @@ def _cmd_train(args) -> int:
     encoder.save_params(params, outdir / "checkpoint.bin")
     history.to_csv(outdir / "history.csv")
     run_config = {
-        "model": config.to_dict(),
+        "model": dataclasses.asdict(config),
         "schedule": dataclasses.asdict(schedule),
         "mode": mode.value,
         "soc_weight": args.soc_weight,
@@ -411,7 +414,11 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     rows: dict[str, list[tuple[float, int, int]]] = {}
     paths = [("--output", args.output)]
+    given: set[Path] = set()
     for mpath in args.manifests:
+        if Path(mpath).resolve() in given:  # one run given twice would count twice
+            raise ContractError(f"manifest {mpath} names a run already given; give each once")
+        given.add(Path(mpath).resolve())
         manifest, run, manifest_sha256 = _load_manifest(mpath)
         _, mode, soc_weight = _run_config(run)
         eval_path = run / "eval.json"

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import identity, subjectivity
 from .atomic import replacing
-from .errors import ContractError, ResourceError, SchemaError, StratificationError
+from .errors import ContractError, ResourceError, SchemaError
 
 
 class Label(IntEnum):
@@ -54,13 +54,6 @@ class DatasetKind(Enum):
     TWITTER18K = "twitter18k"
     TWITTER42K = "twitter42k"
     WIKI = "wiki"
-
-    @classmethod
-    def parse(cls, raw: str) -> "DatasetKind":
-        try:
-            return cls(raw.strip().lower())
-        except ValueError:
-            raise SchemaError(f"unknown dataset kind {raw!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,7 +253,7 @@ def split(comments, seed: int):
         by_label.setdefault(c.label, []).append(c)
     for label, members in by_label.items():
         if len(members) < 3:
-            raise StratificationError(
+            raise ContractError(
                 f"class {label} has only {len(members)} examples; need at least 3 to stratify"
             )
     n = len(comments)
@@ -319,9 +312,6 @@ class SynthCorpus:
     comments: tuple[Comment, ...]
     lexicon: subjectivity.SubjectivityLexicon
     planted: dict[str, PlantedRecord] = field(repr=False)
-    theta: float
-    noise: float
-    seed: int
 
 
 def synth_generate(n: int, theta: float, noise: float, seed: int) -> SynthCorpus:
@@ -364,4 +354,4 @@ def synth_generate(n: int, theta: float, noise: float, seed: int) -> SynthCorpus
         comments.append(Comment(cid, text, label))
         planted[cid] = PlantedRecord(s, has_identity, rule_label, label)
     lexicon = subjectivity.SubjectivityLexicon(entries)
-    return SynthCorpus(tuple(comments), lexicon, planted, theta, noise, seed)
+    return SynthCorpus(tuple(comments), lexicon, planted)

@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -151,12 +151,10 @@ class ModelConfig:
         """Positions seen by the encoder: max_len token slots plus the slot."""
         return self.max_len + 1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of ``to_dict``: every field must be present, and no other key."""
+        """Inverse of ``dataclasses.asdict``: every field must be present, and no
+        other key."""
         check_fields(cls, d, cls.__name__)
         return cls(**d)
 

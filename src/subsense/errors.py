@@ -14,24 +14,8 @@ class ResourceError(SubsenseError):
     """A required file or packaged resource is missing or unreadable."""
 
 
-class EmptyLexiconError(ResourceError):
-    """A lexicon file parsed to zero usable entries."""
-
-
-class EmptyDatasetError(SubsenseError):
-    """An operation that needs data received none."""
-
-
 class SchemaError(SubsenseError):
     """An input record does not match the documented schema."""
-
-
-class DegenerateLabelsError(SubsenseError):
-    """A labelled collection is single-class where both classes are required."""
-
-
-class StratificationError(SubsenseError):
-    """A class is too small to spread across train/val/test."""
 
 
 class ConfigError(SubsenseError):
@@ -39,7 +23,8 @@ class ConfigError(SubsenseError):
 
 
 class ContractError(SubsenseError):
-    """Caller broke an operation contract (shapes, alignment, missing cache)."""
+    """Caller broke an operation contract (shapes, alignment, missing cache,
+    empty or single-class data)."""
 
 
 class UsageError(SubsenseError):

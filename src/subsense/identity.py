@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ContractError, EmptyDatasetError, read_text
+from .errors import ContractError, read_text
 from .textprep import word_split
 
 # The stock 25-term list, verbatim including the "democat" spelling; a
@@ -144,6 +144,6 @@ def coverage(comments, lexicon: IdentityLexicon) -> float:
     """Fraction of comments containing at least one term, to 4 decimals."""
     comments = list(comments)
     if not comments:
-        raise EmptyDatasetError("coverage needs at least one comment")
+        raise ContractError("coverage needs at least one comment")
     hits = sum(1 for c in comments if detect(getattr(c, "text", c), lexicon).present)
     return float(round(Fraction(hits, len(comments)), 4))

@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 
 from .atomic import replacing
-from .errors import ContractError, EmptyLexiconError, ResourceError, read_text
+from .errors import ContractError, ResourceError, read_text
 from .textprep import word_split
 
 DEFAULT_LEXICON_XML = Path(__file__).parent / "data" / "en_subjectivity.xml"
@@ -46,7 +46,7 @@ class SubjectivityLexicon:
     Immutable after construction and safe to share across threads.
     """
 
-    def __init__(self, entries, *, skipped: int = 0):
+    def __init__(self, entries):
         table: dict[str, tuple[LexiconEntry, ...]] = {}
         for e in entries:
             table[e.form] = table.get(e.form, ()) + (e,)
@@ -59,7 +59,6 @@ class SubjectivityLexicon:
         # a token outside ``_starts`` matches nothing.
         self._heads = frozenset(f[:i] for f in table for i, ch in enumerate(f) if ch == " ")
         self._starts = self._heads.union(table)
-        self.skipped = skipped
         self.max_form_words = max((f.count(" ") + 1 for f in table), default=1)
 
     def __len__(self) -> int:
@@ -84,18 +83,13 @@ class SubjectivityLexicon:
 
 @dataclass(frozen=True)
 class SubjectivityScore:
-    """Comment-level score with the number of lexicon matches behind it."""
+    """Comment-level score in [0, 1]."""
 
     value: float
-    matched_count: int
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ContractError(f"score out of [0,1]: {self.value}")
-        if self.matched_count < 0:
-            raise ContractError("matched_count must be non-negative")
-        if self.matched_count == 0 and self.value != 0.0:
-            raise ContractError("zero matches must score 0.0")
 
 
 def _entry(attrs: dict) -> LexiconEntry | None:
@@ -112,23 +106,16 @@ def _entry(attrs: dict) -> LexiconEntry | None:
 
 def _load(path, records) -> SubjectivityLexicon:
     """The lexicon of the attribute dicts ``records(p)`` reads from the file
-    ``p`` at ``path``. Records that make no valid entry are skipped and
-    counted on the lexicon; a file with no usable record is an error, as
-    scoring against it would be degenerate."""
+    ``p`` at ``path``. Records that make no valid entry are skipped; a file
+    with no usable record is an error, as scoring against it would be
+    degenerate."""
     p = Path(path)
     if not p.exists():
         raise ResourceError(f"lexicon file not found: {p}")
-    entries: list[LexiconEntry] = []
-    skipped = 0
-    for attrs in records(p):
-        entry = _entry(attrs)
-        if entry is None:
-            skipped += 1
-        else:
-            entries.append(entry)
+    entries = [e for e in map(_entry, records(p)) if e is not None]
     if not entries:
-        raise EmptyLexiconError(f"lexicon file {p} contains no usable entries")
-    return SubjectivityLexicon(entries, skipped=skipped)
+        raise ResourceError(f"lexicon file {p} contains no usable entries")
+    return SubjectivityLexicon(entries)
 
 
 def _xml_records(p: Path):
@@ -241,9 +228,9 @@ def score(text: str, lexicon: SubjectivityLexicon, tokens=None) -> SubjectivityS
     if tokens is None:
         tokens = word_split(text)
     if lexicon._starts.isdisjoint(tokens):  # no token starts a match
-        return SubjectivityScore(0.0, 0)
+        return SubjectivityScore(0.0)
     values = [subj for _, _, subj in _hits([t for t in tokens if t[0].isalnum()], lexicon)]
     if not values:
-        return SubjectivityScore(0.0, 0)
+        return SubjectivityScore(0.0)
     value = sum(values) / len(values)
-    return SubjectivityScore(min(1.0, max(0.0, value)), len(values))
+    return SubjectivityScore(min(1.0, max(0.0, value)))

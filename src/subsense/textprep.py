@@ -12,7 +12,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .atomic import replacing
-from .errors import ContractError, EmptyDatasetError, read_text
+from .errors import ContractError, read_text
 
 PAD, UNK, CLS, SEP = 0, 1, 2, 3
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]")
@@ -100,7 +100,7 @@ def build_vocab(corpus, max_size: int = 8000, min_freq: int = 1) -> Vocab:
         n_items += 1
         counts.update(word_split(getattr(item, "text", item)))
     if n_items == 0:
-        raise EmptyDatasetError("cannot build a vocabulary from an empty corpus")
+        raise ContractError("cannot build a vocabulary from an empty corpus")
     eligible = [(tok, c) for tok, c in counts.items() if c >= min_freq]
     eligible.sort(key=lambda tc: (-tc[1], tc[0]))
     kept = [tok for tok, _ in eligible[: max_size - len(SPECIAL_TOKENS)]]

@@ -24,8 +24,7 @@ from .atomic import replacing
 from .augment import AugmentMode, augment
 from .datasets import Label
 from .encoder import N_CLASSES, Batch, ModelConfig, backward, flat_params, forward, init
-from .errors import (ConfigError, ContractError, DegenerateLabelsError, EmptyDatasetError,
-                     check_fields)
+from .errors import ConfigError, ContractError, check_fields
 from .identity import IdentityLexicon, detect, term_holders
 from .subjectivity import SubjectivityLexicon, score
 from .textprep import Vocab, encode, word_split
@@ -69,7 +68,7 @@ def class_weights(labels) -> ClassWeights:
     n_toxic = sum(1 for y in labels if y == Label.TOXIC)
     n_nontoxic = len(labels) - n_toxic
     if n_toxic == 0 or n_nontoxic == 0:
-        raise DegenerateLabelsError("training labels must include both classes")
+        raise ContractError("training labels must include both classes")
     n = len(labels)
     return ClassWeights(n / (2.0 * n_toxic), n / (2.0 * n_nontoxic))
 
@@ -116,7 +115,7 @@ class PreparedSet:
         """Every row's contract, checked once for the whole set."""
         data, n = self.data, len(self.labels)
         if not n:
-            raise EmptyDatasetError("an example set must be non-empty")
+            raise ContractError("an example set must be non-empty")
         width = data.ids.shape[1]
         if (data.ids.shape[0], len(data.fill), len(data.extent), len(self.terms),
                 len(self.offsets)) != (n, n, n, n, n + 1) or data.kmask.shape != (n, width + 1):

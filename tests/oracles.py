@@ -515,9 +515,9 @@ def score(text, lexicon) -> SubjectivityScore:
     tokens = [t for t in word_split(text) if any(ch.isalnum() for ch in t)]
     assessments = assess(tokens, lexicon)
     if not assessments:
-        return SubjectivityScore(0.0, 0)
+        return SubjectivityScore(0.0)
     value = sum(a.subjectivity for a in assessments) / len(assessments)
-    return SubjectivityScore(min(1.0, max(0.0, value)), len(assessments))
+    return SubjectivityScore(min(1.0, max(0.0, value)))
 
 
 def identity_token_positions(tokens, id_lexicon, max_len):

@@ -186,6 +186,27 @@ class TestConvertAndSplit:
         for name in ("train.csv", "val.csv", "test.csv"):
             assert (tmp_path / "splits" / name).exists()
 
+    def test_convert_onto_its_input(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        shutil.copy(DATA_DIR / "ws_10.csv", raw)
+        assert cli.dispatch(["convert", "--kind", "ws", "--input", str(raw),
+                             "--output", str(raw)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.count(str(raw)) == 2
+        assert raw.read_bytes() == (DATA_DIR / "ws_10.csv").read_bytes()
+
+    def test_split_onto_its_input(self, pipeline, tmp_path, capsys):
+        """A split of ``d/train.csv`` into ``d`` would replace its input with
+        the train part."""
+        train = tmp_path / "train.csv"
+        shutil.copy(pipeline["data"] / "corpus.csv", train)
+        assert cli.dispatch(["split", "--input", str(train), "--outdir", str(tmp_path),
+                             "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.count(str(train)) == 2
+        assert train.read_bytes() == (pipeline["data"] / "corpus.csv").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
+
 
 class TestTrainArtifacts:
     def test_artifacts_exist(self, pipeline):
@@ -250,8 +271,7 @@ class TestTrainArtifacts:
 
     def test_compare_renders_tables(self, pipeline, capsys):
         run = pipeline["run"]
-        code = cli.dispatch(["compare", str(run / "manifest.json"),
-                             str(run / "manifest.json")])
+        code = cli.dispatch(["compare", str(run / "manifest.json")])
         assert code == 0
         out = capsys.readouterr().out
         assert "Model" in out and "F1" in out and "std" in out
@@ -266,6 +286,18 @@ class TestTrainArtifacts:
         payload = json.loads(out.read_text())
         assert payload["ss"]["runs"] == 1
         assert sorted(p.name for p in out.parent.iterdir()) == ["compare.json"]
+
+    @pytest.mark.parametrize("again", ["{run}/manifest.json", "{run}/../{name}/manifest.json"],
+                             ids=["same-path", "path-through-the-parent"])
+    def test_compare_counts_each_run_once(self, pipeline, tmp_path, capsys, again):
+        run = pipeline["run"]
+        again = again.format(run=run, name=run.name)
+        out = tmp_path / "compare.json"
+        assert cli.dispatch(["compare", str(run / "manifest.json"), again,
+                             "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: manifest {again} names a run already "
+                                           "given; give each once\n")
+        assert not out.exists()
 
     def test_compare_requires_eval(self, pipeline, capsys):
         data = pipeline["data"]
@@ -714,6 +746,26 @@ class TestBadInputExitsTwo:
                              *(flag.format(tmp=tmp_path) for flag in flags)]) == 2
         assert self.one_line_error(capsys).count(str(tmp_path / clash)) == 2
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "--input", "{tmp}/tiny_class.csv", "--outdir", "{tmp}/out", "--seed", "1"],
+         "class nontoxic has only 2 examples; need at least 3 to stratify"),
+        (["train", "--train", "{tmp}/one_class.csv", "--val", "{val}", "--mode", "ss",
+          "--seed", "1", "--outdir", "{tmp}/out", *TRAIN_FLAGS],
+         "training labels must include both classes"),
+        (["score", "--text", "good", "--lexicon", "{tmp}/empty.xml"],
+         "lexicon file {tmp}/empty.xml contains no usable entries"),
+    ], ids=["split-of-a-two-comment-class", "train-on-one-class", "score-with-an-empty-lexicon"])
+    def test_empty_or_single_class_data(self, pipeline, tmp_path, capsys, argv, message):
+        comments = [datasets.Comment(f"c{i}", f"comment number {i}", datasets.Label(i < 10))
+                    for i in range(12)]
+        datasets.write_canonical(comments, tmp_path / "tiny_class.csv")
+        datasets.write_canonical(comments[:10], tmp_path / "one_class.csv")
+        (tmp_path / "empty.xml").write_text("<lexicon></lexicon>", encoding="utf-8")
+        fill = {"tmp": tmp_path, "val": pipeline["data"] / "val.csv"}
+        assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**fill)}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_write_error(self, pipeline, tmp_path, capsys):
         blocker = tmp_path / "blocker"

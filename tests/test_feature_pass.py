@@ -146,7 +146,7 @@ def test_score_of_a_punctuation_form_is_zero():
     returns before the scan; tokens given with "!!" itself run the scan,
     which drops it. Both give 0.0."""
     lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("!!", 0.9)])
-    zero = sj.SubjectivityScore(0.0, 0)
+    zero = sj.SubjectivityScore(0.0)
     for text in ("wow !! great", "!!", "a!!"):
         assert sj.score(text, lexicon) == oracles.score(text, lexicon) == zero
     assert sj.score("!!", lexicon, ["!!"]) == zero

@@ -8,7 +8,7 @@ from subsense import subjectivity as sj
 from subsense import trainer as tr
 from subsense.augment import AugmentMode
 from subsense.datasets import Comment, Label
-from subsense.errors import ContractError, EmptyDatasetError, ResourceError
+from subsense.errors import ContractError, ResourceError
 from subsense.textprep import build_vocab, word_split
 
 from score_vectors import PAIRED_COMMENTS
@@ -219,7 +219,7 @@ class TestCoverage:
         assert idn.coverage(comments, idn.default_terms()) == 0.3333
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ContractError, match="coverage needs at least one comment"):
             idn.coverage([], idn.default_terms())
 
     def test_empty_term_lexicon(self):

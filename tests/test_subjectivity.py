@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from subsense import subjectivity as sj
-from subsense.errors import ContractError, EmptyLexiconError, ResourceError
+from subsense.errors import ContractError, ResourceError
 from subsense.textprep import word_split
 
 from score_vectors import PAIRED_COMMENTS, SPOT_SCORES
@@ -36,12 +36,11 @@ class TestLoading:
         path.write_text(XML_OK)
         lex = sj.load_lexicon(path)
         assert len(lex) == 3
-        assert lex.skipped == 1
 
     def test_empty_file_is_degenerate(self, tmp_path):
         path = tmp_path / "lex.xml"
         path.write_text("<lexicon></lexicon>")
-        with pytest.raises(EmptyLexiconError):
+        with pytest.raises(ResourceError, match="contains no usable entries"):
             sj.load_lexicon(path)
 
     def test_missing_file(self, tmp_path):
@@ -69,7 +68,6 @@ class TestLoading:
         )
         lex = sj.load_lexicon(path)
         assert len(lex) == 2
-        assert lex.skipped == 1
         assert lex.mean_subjectivity("boring") == 1.0
 
     def test_tsv_round_trip(self, tmp_path):
@@ -86,7 +84,6 @@ class TestLoading:
         path = tmp_path / "lex.tsv"
         path.write_text("good\t0.6\tnot-a-number\t1.3\nbad\t0.65\t-4\n")
         lex = sj.load_lexicon(path)
-        assert lex.skipped == 0
         assert lex.senses("good") == (sj.LexiconEntry("good", 0.6, intensity=1.3),)
         assert lex.senses("bad") == (sj.LexiconEntry("bad", 0.65),)
 
@@ -97,7 +94,6 @@ class TestLoading:
             'intensity="1.3"/></lexicon>'
         )
         lex = sj.load_lexicon(path)
-        assert lex.skipped == 0
         assert lex.senses("good") == (sj.LexiconEntry("good", 0.6, intensity=1.3),)
 
     def test_load_lexicon_reads_tsv_by_suffix(self, tmp_path):
@@ -106,7 +102,6 @@ class TestLoading:
         path = tmp_path / "lex.tsv"
         path.write_text(text)
         lex = sj.load_lexicon(path)
-        assert lex.skipped == 1
         assert sorted(lex.forms) == ["good", "very"]
         assert lex.senses("good") == (sj.LexiconEntry("good", 0.6),)
         assert lex.senses("very") == (sj.LexiconEntry("very", 0.3, intensity=1.3),)
@@ -135,13 +130,18 @@ class TestEntryInvariants:
         with pytest.raises(ContractError):
             sj.LexiconEntry("Word", 0.5)
 
-    def test_score_zero_match_consistency(self):
-        with pytest.raises(ContractError):
-            sj.SubjectivityScore(0.5, 0)
+    def test_score_value_range(self):
+        with pytest.raises(ContractError, match="score out of"):
+            sj.SubjectivityScore(1.5)
 
 
 def hits(tokens, lexicon):
     return list(sj._hits(tokens, lexicon))
+
+
+def words(text):
+    """The tokens ``score`` matches: ``word_split`` without punctuation."""
+    return [t for t in word_split(text) if t[0].isalnum()]
 
 
 class TestAssess:
@@ -218,13 +218,14 @@ class TestWalkEdges:
 
 class TestScore:
     def test_paired_nontoxic_women_is_objective(self):
-        got = sj.score(PAIRED_COMMENTS["women"]["nontoxic"], sj.default_lexicon())
+        text = PAIRED_COMMENTS["women"]["nontoxic"]
+        got = sj.score(text, sj.default_lexicon())
         assert got.value == 0.0
-        assert got.matched_count == 0
+        assert hits(words(text), sj.default_lexicon()) == []
 
     def test_empty_text(self):
         got = sj.score("", sj.default_lexicon())
-        assert got.value == 0.0 and got.matched_count == 0
+        assert got.value == 0.0 and hits(words(""), sj.default_lexicon()) == []
 
     def test_paired_toxic_women_spot_value(self):
         got = sj.score(PAIRED_COMMENTS["women"]["toxic"], sj.default_lexicon())
@@ -285,7 +286,7 @@ class TestProperties:
         before = sj.score(" ".join(tokens), lex)
         after = sj.score(" ".join(tokens + [extra]), lex)
         target = lex.mean_subjectivity(extra)
-        if before.matched_count == 0:
+        if not hits(tokens, lex):
             assert after.value == pytest.approx(target)
         else:
             lo, hi = sorted((before.value, target))

@@ -12,7 +12,7 @@ from subsense import textprep as tp
 from subsense import trainer as tr
 from subsense.augment import AugmentMode
 from subsense.datasets import Comment, Label
-from subsense.errors import ContractError, EmptyDatasetError
+from subsense.errors import ContractError
 
 WORD = st.text(alphabet="abcdefg", min_size=1, max_size=5)
 
@@ -54,7 +54,7 @@ class TestBuildVocab:
         assert "x" in vocab.token_to_id and "y" not in vocab.token_to_id
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ContractError, match="cannot build a vocabulary from an empty corpus"):
             tp.build_vocab([], max_size=10)
 
     def test_accepts_comment_objects(self):
