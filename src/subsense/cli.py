@@ -414,12 +414,15 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     rows: dict[str, list[tuple[float, int, int]]] = {}
     paths = [("--output", args.output)]
-    given: set[Path] = set()
+    given: dict[str, str] = {}  # manifest sha256 to the path it was given by
     for mpath in args.manifests:
-        if Path(mpath).resolve() in given:  # one run given twice would count twice
-            raise ContractError(f"manifest {mpath} names a run already given; give each once")
-        given.add(Path(mpath).resolve())
         manifest, run, manifest_sha256 = _load_manifest(mpath)
+        # One run given twice, by one path or as a copy of its directory,
+        # would count twice in the mean and std.
+        if manifest_sha256 in given:
+            raise ContractError(f"manifest {mpath} is the run of {given[manifest_sha256]} "
+                                "(the same sha256); give each run once")
+        given[manifest_sha256] = mpath
         _, mode, soc_weight = _run_config(run)
         eval_path = run / "eval.json"
         paths += [("run file", eval_path), *_run_files(mpath, manifest)]

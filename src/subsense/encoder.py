@@ -14,6 +14,26 @@ backward pass replays them exactly. A norm caches its normalized input
 ``xhat`` and reciprocal RMS ``r``, not its input: the backward pass reads
 only those, as ``dx = r * (dxhat - xhat * (dxhat . xhat) / d)``.
 
+Only CLS reaches the head, so the last block computes its attention, its
+residual, its second norm and its feed-forward for the CLS row alone, and
+the final norm sees only CLS. With one query per head the last block needs
+no keys or values either; it reads its normed input ``a`` directly. With
+``q_h`` head h's query and ``W_k^h``, ``W_v^h`` its columns of the key and
+value projections, let ``u_h = W_k^h q_h / sqrt(d_h)``. The score of
+position j is ``a_j . u_h`` plus ``q_h . b_k^h / sqrt(d_h)``, a term the
+same for every key, which the softmax cancels, so it is left out (and
+``b_k`` of the last block gets a zero gradient). With ``p_h`` the softmax
+and ``g_h = sum_j p_hj a_j``, the head's output is ``g_h W_v^h + b_v^h``,
+since the probabilities sum to 1. So two products against ``a``, each
+``heads`` rows wide, replace the key and value projections of every
+position, and the backward pass mirrors them: ``dg``, ``dp = dg . a_j``,
+the softmax backward ``ds``, ``du = ds a``, and ``da = p dg + ds u`` in one
+product. All of this is exact, not an approximation: norms, projections,
+the feed-forward and the residual act on each position independently, and
+other positions reach CLS only through its attention. Results differ from a
+full-sequence pass only by rounding, of differently shaped and ordered
+products and of the left-out constant.
+
 An inference pass keeps no caches, and given a workspace it allocates no
 activation either: it writes each into a view of a named flat buffer that
 the caller keeps across batches, and the buffers hold the pass's live set,
@@ -22,47 +42,43 @@ floats, ``h`` (one slot) holds the residual stream and ``norm`` (one slot)
 each norm's output and the merged heads. ``act`` holds Q, K and V in
 slots 0, 1 and 2; once attention is done, the attention output, the
 residual stream's next value, takes slot 0, and the feed-forward hidden
-slots 1 on, running past slot 2 when ``d_ff > 2 * d_model``. GELU
-overwrites the hidden, and its temporary reuses the scores block. At most
-``h``, norm1's output, Q, K and V are live at once, so five slots are the
-least that whole-batch products can run in. The token embedding is
-gathered into ``h`` in blocks of rows, so a warm pass makes no temporary
-of a slot's size; only layer 0's gather of the variants (below) copies.
-Fresh arrays cost more than their arithmetic at long rows: the allocator
-maps each multi-megabyte temporary anew, or returns it to the operating
-system when the heap is trimmed, so every batch would fault its pages in
-again. Training writes fresh arrays, because its cache keeps them for the
-backward pass, where a reused buffer would be overwritten. Every in-place
-step computes the products and sums of the expression it replaces in the
-same order, at most with the two operands of one product or sum swapped,
-so a workspace changes no bit.
+slots 1 on, running past slot 2 when ``d_ff > 2 * d_model``. The last
+block's q, u and scores fill ``act`` from its start, then ``g`` is written
+over the spent q and u; ``act`` is sized to hold them when they pass three
+slots, which takes more heads than ``2 * width + 1``. GELU overwrites the
+hidden, and its temporary reuses the scores block. At most ``h``, norm1's
+output, Q, K and V are live at once, so five slots are the least that
+whole-batch products can run in. The token embedding is gathered into
+``h`` in blocks of rows, so a warm pass makes no temporary of a slot's
+size; only layer 0's gather of the variants (below) copies. Fresh arrays
+cost more than their arithmetic at long rows: the allocator maps each
+multi-megabyte temporary anew, or returns it to the operating system when
+the heap is trimmed, so every batch would fault its pages in again.
+Training writes fresh arrays, because its cache keeps them for the backward
+pass, where a reused buffer would be overwritten. Every in-place step
+computes the products and sums of the expression it replaces in the same
+order, at most with the two operands of one product or sum swapped, so a
+workspace changes no bit.
 
-Attention runs one block of whole batch rows at a time, all heads together,
-as many rows as fit ``_BLOCK_BYTES`` of scores and at least one, and GELU
-runs through a temporary of one block of rows too. So a pass holds one
-block of scores, not a batch's ``(rows, heads, width + 1, width + 1)``.
-This is exact: rows never meet inside attention, each head of each row is
-its own matrix product, and each softmax reduction runs along one row's
-keys, so a block gets the bits the whole batch would. Splitting one row's
-queries would not be exact, since a smaller product may round differently,
-and tiling the keys with an online softmax (FlashAttention) would reorder
-the sums; neither is done. Training caches each layer's queries, keys and
-values, not its probabilities: the backward pass recomputes each block's
-probabilities with the same operations, so they are the forward pass's
-bits, and forms that block's gradients from them. At max_len 16 a batch
-is one block. Each block's ``probs @ v`` goes straight into its rows of
-the merged-heads array, each head into its own columns, and the backward
-pass writes ``dq``, ``dk`` and ``dv`` the same way, so no copy merges the
-heads.
-
-Only CLS reaches the head, so the last block computes keys and values for
-every position but its queries, attention output, residual, second norm and
-feed-forward for the CLS row alone, and the final norm sees only CLS. This
-is exact, not an approximation: norms, projections, the feed-forward and the
-residual act on each position independently, and attention lets other
-positions reach CLS only through their keys and values, which are still
-computed for all of them. Results differ from a full-sequence pass only by
-the rounding of differently shaped matrix products.
+In every block but the last, attention runs one block of whole batch rows
+at a time, all heads together, as many rows as fit ``_BLOCK_BYTES`` of
+scores and at least one, and in every block GELU runs through a temporary
+of one block of rows. So a pass holds one block of scores, not a batch's ``(rows,
+heads, width + 1, width + 1)``. This is exact: rows never meet inside
+attention, each head of each row is its own matrix product, and each
+softmax reduction runs along one row's keys, so a block gets the bits the
+whole batch would. Splitting one row's queries would not be exact, since a
+smaller product may round differently, and tiling the keys with an online
+softmax (FlashAttention) would reorder the sums; neither is done. Training
+caches these blocks' queries, keys and values, not their probabilities:
+the backward pass recomputes each block's probabilities with the same
+operations, so they are the forward pass's bits, and forms that block's
+gradients from them. At max_len 16 a batch is one block. Each block's
+``probs @ v`` goes straight into its rows of the merged-heads array, each
+head into its own columns, and the backward pass writes ``dq``, ``dk`` and
+``dv`` the same way, so no copy merges the heads. The last block's scores,
+``(rows, heads, width + 1)``, are a fraction ``heads / d_model`` of a
+slot; it computes them whole, and training caches its probabilities.
 
 Each batch is also trimmed to the columns it uses: token positions up to the
 longest row's extent (one past its last attended position, ``[SEP]`` for an
@@ -81,11 +97,12 @@ The encoder reads a ``Batch`` of arrays that ``trainer.prepare_examples``
 builds once per example set and ``Batch.take`` slices. A batch may run
 several key-mask variants of one row, as the occlusion regularizer does:
 ``ids`` and ``fill`` hold one row per comment, ``kmask`` one key mask per
-variant and ``src`` the row of each variant. A key mask does not change the embedding, ``emb_norm``,
-layer 0's ``norm1`` or its Q, K and V, so these run once per row. Right
-after layer 0's Q, K and V, the queries, keys, values and the residual are
-gathered by ``src``, and all that follows runs per variant; with no layer,
-the gather comes before the final norm. The backward pass sums the
+variant and ``src`` the row of each variant. A key mask does not change the
+embedding, ``emb_norm``, layer 0's ``norm1`` or its Q, K and V (or, when
+layer 0 is the last block, its q, u and scores), so these run once per row.
+Right after them, Q, K and V (or the scores and ``a``) are gathered by
+``src`` with the residual, and all that follows runs per variant; with no
+layer, the gather comes before the final norm. The backward pass sums the
 variants' gradients back onto their rows at the same points, with the
 bincount that also sums the token-embedding gradient. A plain batch has
 ``src`` ``None``: nothing is gathered or summed, so it runs the same
@@ -274,8 +291,10 @@ def _gelu_grad(u):
 
 
 def _split_heads(x, n_heads):
-    b, length, d = x.shape
-    return x.reshape(b, length, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    """``x``, ``(..., length, d)``, as ``(..., n_heads, length, d // n_heads)``:
+    each head's columns, a view."""
+    *lead, length, d = x.shape
+    return x.reshape(*lead, length, n_heads, d // n_heads).swapaxes(-3, -2)
 
 
 def _row_blocks(n, row_size):
@@ -286,17 +305,23 @@ def _row_blocks(n, row_size):
     return [slice(start, start + step) for start in range(0, n, step)], step
 
 
-def _attention_probs(q, k, add_mask, out):
-    """Each head's softmax over the keys ``k`` of the queries ``q``, the
-    scaled scores plus ``add_mask`` (0 or ``-inf`` per key), written in place
-    into the first ``len(q)`` rows of ``out``."""
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2), out=out[: len(q)])
-    scores /= np.sqrt(q.shape[-1])
+def _softmax(scores, add_mask):
+    """Each query's softmax over its keys, in place in ``scores``, after adding
+    ``add_mask`` (0 or ``-inf`` per key); returns ``scores``."""
     scores += add_mask
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
+
+
+def _attention_probs(q, k, add_mask, out):
+    """Each head's softmax over the keys ``k`` of the queries ``q``, the
+    scaled scores plus ``add_mask``, written in place into the first
+    ``len(q)`` rows of ``out``."""
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2), out=out[: len(q)])
+    scores /= np.sqrt(q.shape[-1])
+    return _softmax(scores, add_mask)
 
 
 def _dropout_mask(rng, shape, rate):
@@ -364,12 +389,6 @@ def _scatter_rows(ids, rows, n):
     return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
-def _query_rows(layer: int, config: ModelConfig):
-    """Positions a block computes queries, residual and FF for: only CLS in
-    the last block, since nothing after it reads any other position."""
-    return slice(0, 1) if layer == config.n_layers - 1 else slice(None)
-
-
 def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=None,
             workspace: dict | None = None):
     """Run the classifier; returns (logits, cache), cache None in inference.
@@ -384,13 +403,14 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     start, so no view moves mid-pass, and writes its activations into them
     by the slot plan of the module docstring: with ``slot = max(rows,
     variants) * (width + 1) * d_model`` floats, ``h`` and ``norm`` take one
-    slot each, ``act`` ``1 + max(2, d_ff / d_model)`` and ``scores``
-    ``_BLOCK_BYTES``, or one row's scores or feed-forward hidden if more.
-    Nothing is written over an activation that is still to be read. A
-    buffer grows only when a call needs more, so calls in descending order
-    of ``rows * (width + 1)`` are all sized by the first, save the scores
-    block when a later batch is wider and one row's scores pass
-    ``_BLOCK_BYTES``.
+    slot each, ``act`` ``1 + max(2, d_ff / d_model)``, or the last block's
+    q, u and scores if more, and ``scores`` ``_BLOCK_BYTES``, or one row's
+    scores or feed-forward hidden if more. Nothing is written over an
+    activation that is still to be read. A buffer grows only when a call
+    needs more, so calls in descending order of ``rows * (width + 1)`` are
+    all sized by the first, save the scores block when a later batch is
+    wider and one row's scores pass ``_BLOCK_BYTES``, and ``act`` when the
+    last block's need passes three slots.
     """
     if train_mode and workspace is not None:
         raise ContractError("a train_mode forward keeps its activations in its cache; "
@@ -399,7 +419,11 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     b, width = ids.shape
     lm, d, d_ff = config.max_len, config.d_model, config.d_ff
     use_dropout = train_mode and config.dropout_rate > 0.0 and dropout_rng is not None
-    slot = max(b, len(kmask)) * (width + 1) * d
+    slot_rows = max(b, len(kmask))
+    slot = slot_rows * (width + 1) * d
+    # The last block's q, u and scores, which can pass three slots only when
+    # there are more heads than 2 * width + 1.
+    cls_size = slot_rows * (d + config.n_heads * (d + width + 1)) if config.n_layers else 0
 
     def buf(name, shape, at=0):
         """An array of ``shape`` to write into: the view from entry ``at`` of
@@ -415,7 +439,7 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
 
     if workspace is not None:  # sized up front: no buffer is replaced while viewed
         for name, size in (("h", slot), ("norm", slot), ("scores", _BLOCK_BYTES // 8),
-                           ("act", slot + max(2 * slot, slot // d * d_ff))):
+                           ("act", max(slot + max(2 * slot, slot // d * d_ff), cls_size))):
             buf(name, (size,))
 
     def drop(x):
@@ -454,16 +478,13 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         y += params[f"{p}.attn.b{proj}"]
         return _split_heads(y, config.n_heads)
 
-    add_mask = np.where(kmask[:, None, None, :], 0.0, -np.inf)
-    layer_caches = []
-    for i in range(config.n_layers):
-        p = f"layer{i}"
-        rows = _query_rows(i, config)
-        a, ln1_cache = norm(h, f"{p}.norm1", "norm")
-        q, k, v = project(a[:, rows], p, "q", 0), project(a, p, "k", 1), project(a, p, "v", 2)
-        res = h[:, rows]
-        if i == 0 and src is not None:  # from here on, each variant runs apart
-            q, k, v, res = q[src], k[src], v[src], res[src]
+    def self_attention(a, h, p, gather):
+        """Every position's attention in block ``p``: Q, K and V of ``a`` in
+        slots 0 to 2 of "act", the merged heads in "norm". Returns those, the
+        residual ``h`` and the cache entries, gathered by ``gather`` if given."""
+        q, k, v = project(a, p, "q", 0), project(a, p, "k", 1), project(a, p, "v", 2)
+        if gather is not None:
+            q, k, v, h = q[gather], k[gather], v[gather], h[gather]
         nb, n_heads, n_rows, _ = q.shape
         # Scores and softmax in place, one block of whole rows at a time.
         blocks, step = _row_blocks(nb, n_heads * n_rows * (width + 1))
@@ -473,6 +494,43 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         for r in blocks:
             probs = _attention_probs(q[r], k[r], add_mask[r], scores)
             np.matmul(probs, v[r], out=pv[r])
+        return ocat, h, {"q": q, "k": k, "v": v}
+
+    def cls_attention(a, h, p, gather):
+        """CLS's attention in block ``p``, read off ``a`` without keys or
+        values (module docstring): q, u and the scores from the start of
+        "act", then g over the dead q and u, the merged heads in "norm".
+        Returns those, CLS's residual and the cache entries; the scores and
+        what follows are gathered by ``gather`` if given."""
+        n, n_heads = len(a), config.n_heads
+        wk, wv = (_split_heads(params[f"{p}.attn.{w}"], n_heads) for w in ("wk", "wv"))
+        q = np.matmul(a[:, 0], params[f"{p}.attn.wq"], out=buf("act", (n, d)))
+        q += params[f"{p}.attn.bq"]
+        u = buf("act", (n, n_heads, d), n * d)
+        np.matmul(_split_heads(q, n_heads), wk.transpose(0, 2, 1), out=u.transpose(1, 0, 2))
+        u /= np.sqrt(d // n_heads)
+        probs = np.matmul(u, a.transpose(0, 2, 1),
+                          out=buf("act", (n, n_heads, width + 1), n * d + u.size))
+        res = h[:, :1]
+        if gather is not None:
+            probs, a, res = probs[gather], a[gather], res[gather]
+        _softmax(probs[:, :, None], add_mask)
+        nb = len(probs)
+        g = np.matmul(probs, a, out=buf("act", (nb, n_heads, d)))
+        ocat = buf("norm", (nb, 1, d))
+        np.matmul(g.transpose(1, 0, 2), wv, out=_split_heads(ocat.reshape(nb, d), n_heads))
+        ocat += params[f"{p}.attn.bv"]
+        return ocat, res, {"q": q, "kq": u, "probs": probs, "pooled": g, "a_src": a}
+
+    add_mask = np.where(kmask[:, None, None, :], 0.0, -np.inf)
+    layer_caches = []
+    for i in range(config.n_layers):
+        p = f"layer{i}"
+        a, ln1_cache = norm(h, f"{p}.norm1", "norm")
+        # From layer 0's attention on, each variant runs apart.
+        attention = cls_attention if i == config.n_layers - 1 else self_attention
+        ocat, res, attn_cache = attention(a, h, p, src if i == 0 else None)
+        nb, n_rows, _ = ocat.shape
         mid = np.matmul(ocat, params[f"{p}.attn.wo"], out=buf("act", (nb, n_rows, d)))
         mid += params[f"{p}.attn.bo"]
         attn_drop = drop(mid)
@@ -499,7 +557,7 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
 
         if train_mode:
             layer_caches.append({
-                "ln1": ln1_cache, "a": a, "q": q, "k": k, "v": v, "ocat": ocat,
+                "ln1": ln1_cache, "a": a, **attn_cache, "ocat": ocat,
                 "attn_drop": attn_drop, "ln2": ln2_cache, "f": f, "u": u, "g": g,
                 "ff_drop": ff_drop,
             })
@@ -566,10 +624,91 @@ def backward(cache, params, config, dlogits):
         dcur = np.zeros((b, width + 1, d))
         dcur[:, 0] = dcls_in
 
+    def self_attention_back(lc, p, docat, gather):
+        """Gradients of block ``p``'s Q, K and V projections from the merged
+        heads' gradient ``docat``; returns the gradient of their input ``a``.
+        Each block's probabilities are recomputed from the cached queries and
+        keys, with the forward pass's operations."""
+        do = _split_heads(docat, config.n_heads)
+        q, k, v = lc["q"], lc["k"], lc["v"]
+        nb, n_heads, n_rows, _ = q.shape
+        dq, dk, dv = (np.empty((nb, n_rows, d)) for _ in range(3))
+        # Each head's gradient goes into its columns of dq, dk and dv.
+        dq_h, dk_h, dv_h = (_split_heads(x, n_heads) for x in (dq, dk, dv))
+        blocks, step = _row_blocks(nb, n_heads * n_rows * (width + 1))
+        scores, dprobs, work = (np.empty((step, n_heads, n_rows, width + 1)) for _ in range(3))
+        for r in blocks:
+            probs = _attention_probs(q[r], k[r], add_mask[r], scores)
+            m = len(probs)
+            dp = np.matmul(do[r], v[r].transpose(0, 1, 3, 2), out=dprobs[:m])
+            np.matmul(probs.transpose(0, 1, 3, 2), do[r], out=dv_h[r])
+            # Softmax backward, in place in dp; masked columns carry
+            # probability 0 so their score gradient vanishes identically.
+            dp -= np.multiply(dp, probs, out=work[:m]).sum(axis=-1, keepdims=True)
+            dscores = np.multiply(probs, dp, out=dp)
+            np.matmul(dscores, k[r], out=dq_h[r])
+            np.matmul(dscores.transpose(0, 1, 3, 2), q[r], out=dk_h[r])
+        dq /= np.sqrt(dh)
+        dk /= np.sqrt(dh)
+        if gather is not None:
+            dq, dk, dv = to_rows(dq), to_rows(dk), to_rows(dv)
+        a = lc["a"]
+        da = np.zeros_like(a)
+        for name, dten in (("wq", dq), ("wk", dk), ("wv", dv)):
+            dw, db, dx = _linear_back(a, params[f"{p}.attn.{name}"], dten)
+            grads[f"{p}.attn.{name}"] = dw
+            grads[f"{p}.attn.b{name[1]}"] = db
+            da += dx
+        return da
+
+    def cls_attention_back(lc, p, docat, gather):
+        """Gradients of CLS's attention in block ``p`` (module docstring) from
+        its merged heads' gradient ``docat``; returns the gradient of ``a``.
+        The scores are ``a_j . u``, so the softmax backward gives ``du`` and,
+        with the pooling's share, ``da`` in one product."""
+        n_heads = config.n_heads
+        q, u, probs, g, a_src = lc["q"], lc["kq"], lc["probs"], lc["pooled"], lc["a_src"]
+        nb = len(probs)
+        do = _split_heads(docat.reshape(nb, d), n_heads)
+        wk, wv = (_split_heads(params[f"{p}.attn.{w}"], n_heads) for w in ("wk", "wv"))
+        dwv = np.empty((d, d))
+        np.matmul(g.transpose(1, 2, 0), do, out=_split_heads(dwv, n_heads))
+        grads[f"{p}.attn.wv"] = dwv
+        grads[f"{p}.attn.bv"] = docat.reshape(nb, d).sum(axis=0)
+        # [probs, dscores] and [dg, u] side by side over the heads, so that
+        # one product gives da = probs^T dg + dscores^T u.
+        pd = np.empty((nb, 2 * n_heads, width + 1))
+        gu = np.empty((nb, 2 * n_heads, d))
+        dg = gu[:, :n_heads]
+        np.matmul(do, wv.transpose(0, 2, 1), out=dg.transpose(1, 0, 2))
+        gu[:, n_heads:] = u if gather is None else u[gather]
+        dp = np.matmul(dg, a_src.transpose(0, 2, 1))
+        dp -= (dp * probs).sum(axis=-1, keepdims=True)
+        dscores = np.multiply(probs, dp, out=pd[:, n_heads:])
+        pd[:, :n_heads] = probs
+        da = np.matmul(pd.transpose(0, 2, 1), gu)
+        if gather is not None:
+            da, dscores = to_rows(da), to_rows(dscores)
+        du = np.matmul(dscores, lc["a"])
+        du /= np.sqrt(dh)
+        du_h = du.transpose(1, 0, 2)
+        dwk, dq = np.empty((d, d)), np.empty((len(du), d))
+        np.matmul(du_h.transpose(0, 2, 1), _split_heads(q, n_heads),
+                  out=_split_heads(dwk, n_heads))
+        np.matmul(du_h, wk, out=_split_heads(dq, n_heads))
+        grads[f"{p}.attn.wk"] = dwk
+        # A shift of every key's score alike changes no probability.
+        grads[f"{p}.attn.bk"] = np.zeros(d)
+        dwq, dbq, dx = _linear_back(lc["a"][:, 0], params[f"{p}.attn.wq"], dq)
+        grads[f"{p}.attn.wq"] = dwq
+        grads[f"{p}.attn.bq"] = dbq
+        da[:, 0] += dx
+        return da
+
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}"
         lc = cache["layers"][i]
-        rows = _query_rows(i, config)
+        gather = src if i == 0 else None
 
         dz = dcur if lc["ff_drop"] is None else dcur * lc["ff_drop"]
         dw2, db2, dg = _linear_back(lc["g"], params[f"{p}.ff.w2"], dz)
@@ -588,42 +727,14 @@ def backward(cache, params, config, dlogits):
         dwo, dbo, docat = _linear_back(lc["ocat"], params[f"{p}.attn.wo"], dattn)
         grads[f"{p}.attn.wo"] = dwo
         grads[f"{p}.attn.bo"] = dbo
-        do = _split_heads(docat, config.n_heads)
-        q, k, v = lc["q"], lc["k"], lc["v"]
-        nb, n_heads, n_rows, _ = q.shape
-        dq, dk, dv = (np.empty((nb, x.shape[2], d)) for x in (q, k, v))
-        # Each head's gradient goes into its columns of dq, dk and dv.
-        dq_h, dk_h, dv_h = (_split_heads(x, n_heads) for x in (dq, dk, dv))
-        blocks, step = _row_blocks(nb, n_heads * n_rows * (width + 1))
-        scores, dprobs, work = (np.empty((step, n_heads, n_rows, width + 1)) for _ in range(3))
-        for r in blocks:
-            probs = _attention_probs(q[r], k[r], add_mask[r], scores)
-            m = len(probs)
-            dp = np.matmul(do[r], v[r].transpose(0, 1, 3, 2), out=dprobs[:m])
-            np.matmul(probs.transpose(0, 1, 3, 2), do[r], out=dv_h[r])
-            # Softmax backward, in place in dp; masked columns carry
-            # probability 0 so their score gradient vanishes identically.
-            dp -= np.multiply(dp, probs, out=work[:m]).sum(axis=-1, keepdims=True)
-            dscores = np.multiply(probs, dp, out=dp)
-            np.matmul(dscores, k[r], out=dq_h[r])
-            np.matmul(dscores.transpose(0, 1, 3, 2), q[r], out=dk_h[r])
-        dq /= np.sqrt(dh)
-        dk /= np.sqrt(dh)
-        if i == 0 and src is not None:
-            dq, dk, dv, dmid = to_rows(dq), to_rows(dk), to_rows(dv), to_rows(dmid)
-
-        a = lc["a"]
-        da = np.zeros_like(a)
-        for name, dten, in_rows in (("wq", dq, rows), ("wk", dk, slice(None)),
-                                    ("wv", dv, slice(None))):
-            dw, db, dx = _linear_back(a[:, in_rows], params[f"{p}.attn.{name}"], dten)
-            grads[f"{p}.attn.{name}"] = dw
-            grads[f"{p}.attn.b{name[1]}"] = db
-            da[:, in_rows] += dx
+        attention_back = cls_attention_back if i == config.n_layers - 1 else self_attention_back
+        da = attention_back(lc, p, docat, gather)
+        if gather is not None:
+            dmid = to_rows(dmid)
         dcur, dgain1, dbias1 = _rms_backward(da, params[f"{p}.norm1.gain"], lc["ln1"])
         grads[f"{p}.norm1.gain"] = dgain1
         grads[f"{p}.norm1.bias"] = dbias1
-        dcur[:, rows] += dmid
+        dcur[:, : dmid.shape[1]] += dmid
 
     if cache["emb_drop"] is not None:
         dcur *= cache["emb_drop"]

@@ -287,16 +287,20 @@ class TestTrainArtifacts:
         assert payload["ss"]["runs"] == 1
         assert sorted(p.name for p in out.parent.iterdir()) == ["compare.json"]
 
-    @pytest.mark.parametrize("again", ["{run}/manifest.json", "{run}/../{name}/manifest.json"],
-                             ids=["same-path", "path-through-the-parent"])
+    @pytest.mark.parametrize("again", ["{run}/manifest.json", "{run}/../{name}/manifest.json",
+                                       "{copy}/manifest.json"],
+                             ids=["same-path", "path-through-the-parent", "copied-directory"])
     def test_compare_counts_each_run_once(self, pipeline, tmp_path, capsys, again):
+        """A run given twice, by its path or as a copy of its directory (the
+        same manifest bytes), exits 2 with one line naming both paths."""
         run = pipeline["run"]
-        again = again.format(run=run, name=run.name)
+        first = str(run / "manifest.json")
+        copy = copy_run(pipeline, tmp_path / "copy")
+        again = again.format(run=run, name=run.name, copy=copy)
         out = tmp_path / "compare.json"
-        assert cli.dispatch(["compare", str(run / "manifest.json"), again,
-                             "--output", str(out)]) == 2
-        assert capsys.readouterr().err == (f"error: manifest {again} names a run already "
-                                           "given; give each once\n")
+        assert cli.dispatch(["compare", first, again, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: manifest {again} is the run of {first} "
+                                           "(the same sha256); give each run once\n")
         assert not out.exists()
 
     def test_compare_requires_eval(self, pipeline, capsys):

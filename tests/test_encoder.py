@@ -161,33 +161,40 @@ class TestForward:
         assert logits[0] == pytest.approx(expected, abs=1e-12)
 
     def test_attention_rows_normalise_over_unmasked_keys(self, monkeypatch):
-        """The attention probabilities of every layer, computed in the
-        forward pass and recomputed in the backward pass (one block each at
-        this size), sum to 1 over each query's keys and give a masked key
-        exactly 0; the recomputed ones are the forward's bits."""
+        """At 1 to 3 layers, the attention probabilities of every layer,
+        computed in the forward pass, sum to 1 over each query's keys and give
+        a masked key exactly 0. The backward pass recomputes those of every
+        layer but the last (one block each at this size), which caches CLS's,
+        and the recomputed ones are the forward's bits."""
         seen = []
-        attention_probs = enc._attention_probs
+        softmax = enc._softmax
 
-        def spy(q, k, add_mask, out):
-            probs = attention_probs(q, k, add_mask, out)
+        def spy(scores, add_mask):
+            probs = softmax(scores, add_mask)
             seen.append(probs.copy())
             return probs
 
-        monkeypatch.setattr(enc, "_attention_probs", spy)
-        config = tiny_config(n_layers=2)
-        params = enc.init(config)
+        monkeypatch.setattr(enc, "_softmax", spy)
         rng = np.random.default_rng(3)
-        batch = random_batch(rng, config, 6, slot_mask=1)
-        batch.extend(random_batch(rng, config, 6, slot_mask=0))
-        logits, cache = enc.forward(oracles.assemble(batch, config), params, config,
-                                    train_mode=True)
-        enc.backward(cache, params, config, rng.normal(size=logits.shape))
-        assert len(seen) == 2 * config.n_layers
-        masked_cols = cache["kmask"][:, None, None, :] == 0
-        for probs, recomputed in zip(seen[: config.n_layers], reversed(seen[config.n_layers:])):
-            assert recomputed.tobytes() == probs.tobytes()
-            assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-9
-            assert np.all(probs[np.broadcast_to(masked_cols, probs.shape)] == 0.0)
+        for n_layers in (1, 2, 3):
+            seen.clear()
+            config = tiny_config(n_layers=n_layers)
+            params = enc.init(config)
+            batch = random_batch(rng, config, 6, slot_mask=1)
+            batch.extend(random_batch(rng, config, 6, slot_mask=0))
+            logits, cache = enc.forward(oracles.assemble(batch, config), params, config,
+                                        train_mode=True)
+            enc.backward(cache, params, config, rng.normal(size=logits.shape))
+            assert len(seen) == 2 * n_layers - 1
+            forward, recomputed = seen[:n_layers], seen[n_layers:]
+            columns = cache["kmask"].shape[1]
+            assert [probs.shape[2] for probs in forward] == [columns] * (n_layers - 1) + [1]
+            for probs, again in zip(forward, reversed(recomputed)):
+                assert again.tobytes() == probs.tobytes()
+            masked_cols = cache["kmask"][:, None, None, :] == 0
+            for probs in forward:
+                assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-9
+                assert np.all(probs[np.broadcast_to(masked_cols, probs.shape)] == 0.0)
 
     def test_deterministic_logits(self):
         config = tiny_config(n_layers=2)

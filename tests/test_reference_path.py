@@ -13,6 +13,8 @@ CLS-only path differs there; the short batches are trimmed.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsense import augment as ag
 from subsense import encoder as enc
@@ -80,12 +82,12 @@ def max_abs_diff(a, b):
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
-def build(n_layers, max_len, make_batch):
+def build(n_layers, max_len, make_batch, n_heads=2, seed=None):
     config = enc.ModelConfig(
-        max_len=max_len, vocab_size=len(VOCAB), d_model=8, n_heads=2,
+        max_len=max_len, vocab_size=len(VOCAB), d_model=8, n_heads=n_heads,
         n_layers=n_layers, d_ff=16, dropout_rate=0.1, seed=7,
     )
-    rng = np.random.default_rng(100 * n_layers + max_len)
+    rng = np.random.default_rng(100 * n_layers + max_len if seed is None else seed)
     return config, perturbed_params(config, rng), make_batch(config, rng)
 
 
@@ -180,3 +182,57 @@ class TestTrimmedMatchesReference:
 
     def test_train_logits_and_gradients(self, n_layers, max_len, make_batch):
         check_train_logits_and_gradients(*build(n_layers, max_len, make_batch))
+
+
+def check_variant_logits_and_gradients(config, params, batch, rng):
+    """``batch`` as key-mask variants (``src``), the way the occlusion pass
+    runs it: each row once as it is, then once with one real token masked
+    off where it has one. The pass runs without dropout, as that one does.
+    Logits and every gradient match the reference run over each variant as
+    a full example, and the slot-fill gradient summed onto each row."""
+    rows = oracles.assemble(batch, config)
+    src, positions = [], []
+    for row, ex in enumerate(batch):
+        src.append(row)
+        real = np.flatnonzero(ex.base.mask[1 : ex.base.extent - 1]) + 1  # not CLS or [SEP]
+        if len(real):
+            src.append(row)
+            positions.append(int(rng.choice(real)))
+    src = np.array(src)
+    repeats = np.flatnonzero(np.diff(src, prepend=-1) == 0)
+    kmask = rows.kmask[src]
+    kmask[repeats, positions] = False
+    variants = [batch[row] for row in src]
+    for at, position in zip(repeats, positions):
+        variants[at] = oracles._occlude(variants[at], position)
+    logits, cache = enc.forward(enc.Batch(rows.ids, rows.fill, kmask, rows.extent, src),
+                                params, config, train_mode=True)
+    expected, ref_cache = ref.forward(variants, params, config, train_mode=True)
+    assert max_abs_diff(logits, expected) <= TOL
+
+    upstream = rng.normal(size=logits.shape)
+    grads, slot_grad = enc.backward(cache, params, config, upstream)
+    ref_grads, ref_slot_grad = ref.backward(ref_cache, params, config, upstream)
+    assert set(grads) == set(params)
+    for name in tuple(params):
+        assert max_abs_diff(grads[name], ref_grads[name]) <= TOL, name
+    assert max_abs_diff(slot_grad, np.bincount(src, weights=ref_slot_grad)) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_heads=st.sampled_from([1, 2, 4]), n_layers=st.integers(1, 3),
+       max_len=st.sampled_from([6, 24]),
+       kind=st.sampled_from(["plain", "occluded", "variants"]), seed=st.integers(0, 2**16))
+def test_matches_reference_at_every_head_count(n_heads, n_layers, max_len, kind, seed):
+    """At 1, 2 and 4 heads, which the last block slices ``W_k`` and ``W_v``
+    into, logits, every gradient and the slot-fill gradient match the
+    reference to 1e-12: a length sweep, occluded rows, and occluded rows run
+    as key-mask variants of their row, which a 1-layer model gathers inside
+    its last block."""
+    make_batch = occluded_batch if kind == "occluded" else length_sweep_batch
+    config, params, batch = build(n_layers, max_len, make_batch, n_heads, seed)
+    if kind == "variants":
+        check_variant_logits_and_gradients(config, params, batch, np.random.default_rng(seed))
+        return
+    check_inference_logits(config, params, batch)
+    check_train_logits_and_gradients(config, params, batch)
