@@ -92,6 +92,27 @@ def _distinct_files(paths) -> None:
                                     "give each its own path")
 
 
+def _check_outputs(files=(), outdir=None) -> None:
+    """Refuse, before a command reads or computes anything, an output it
+    could not write: a file (``files``, pairs of flag or role and path; None
+    when absent) that is an existing directory, an ``--outdir`` that exists
+    as something other than a directory, or either below a path that exists
+    and is not a directory."""
+    outputs = [(role, Path(path)) for role, path in files if path is not None]
+    for role, path in outputs:
+        if path.is_dir():
+            raise ContractError(f"{role} {path} is a directory; give a file path")
+    if outdir is not None:
+        outdir = Path(outdir)
+        if outdir.exists() and not outdir.is_dir():
+            raise ContractError(f"--outdir {outdir} exists and is not a directory")
+        outputs.append(("--outdir", outdir))
+    for role, path in outputs:
+        above = next(parent for parent in path.parents if parent.exists())
+        if not above.is_dir():
+            raise ContractError(f"{role} {path} lies below {above}, which is not a directory")
+
+
 def _identity_terms(path):
     return identity.load_terms(path) if path else identity.default_terms()
 
@@ -116,6 +137,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    _check_outputs([("--output", args.output)])
     _distinct_files([("--input", args.input), ("--output", args.output)])
     kind = datasets.DatasetKind(args.kind)
     result = datasets.convert(kind, datasets.load_rows(args.input))
@@ -137,6 +159,7 @@ def _read_comments(path) -> list[datasets.Comment]:
 
 def _cmd_split(args) -> int:
     outputs = [Path(args.outdir) / f"{name}.csv" for name in ("train", "val", "test")]
+    _check_outputs([("output", out) for out in outputs], args.outdir)
     _distinct_files([("--input", args.input), *(("output", out) for out in outputs)])
     comments = datasets.read_canonical(args.input)
     train, val, test = datasets.split(comments, args.seed)
@@ -147,6 +170,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_outputs(outdir=args.outdir)
     corpus = datasets.synth_generate(args.n, args.theta, args.noise, args.seed)
     outdir = Path(args.outdir)
     datasets.write_canonical(corpus.comments, outdir / "corpus.csv")
@@ -189,6 +213,7 @@ def _given(**flags) -> dict:
 
 
 def _cmd_train(args) -> int:
+    _check_outputs(outdir=args.outdir)
     mode = AugmentMode.parse(args.mode)
     train_comments = _read_comments(args.train)
     val_comments = _read_comments(args.val)
@@ -363,9 +388,11 @@ def _read_predictions(path, tag, comments):
 
 
 def _cmd_eval(args) -> int:
+    out = Path(args.output or Path(args.manifest).parent / "eval.json")
+    predictions = out.parent / PREDICTIONS_FILE
+    _check_outputs([("--output", out), ("predictions", predictions)])
     manifest, run, manifest_sha256 = _load_manifest(args.manifest)
-    out = Path(args.output) if args.output else run / "eval.json"
-    _distinct_files([("--test", args.test), ("predictions", out.parent / PREDICTIONS_FILE),
+    _distinct_files([("--test", args.test), ("predictions", predictions),
                      ("report", out), *_run_files(args.manifest, manifest)])
     config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest, run)
     comments = _read_comments(args.test)
@@ -381,7 +408,7 @@ def _cmd_eval(args) -> int:
         "f1": audit.f1(counts),
     }
     tag = PREDICTIONS_TAG.format(manifest_sha256, test_sha256)
-    _write_predictions(out.parent / PREDICTIONS_FILE, tag, comments, preds, probs,
+    _write_predictions(predictions, tag, comments, preds, probs,
                        zip(map(float, prepared.data.fill), prepared.terms))
     _write_json(report, out)
     print(f"f1 {report['f1']:.4f} (tp {counts.tp} fp {counts.fp} tn {counts.tn} fn {counts.fn})")
@@ -390,9 +417,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    manifest, run, manifest_sha256 = _load_manifest(args.manifest)
-    out = Path(args.output) if args.output else run / "audit.json"
+    out = Path(args.output or Path(args.manifest).parent / "audit.json")
     text_out = out.with_suffix(".txt")
+    _check_outputs([("--output", out), ("text report", text_out),
+                    ("--cells-csv", args.cells_csv)])
+    manifest, run, manifest_sha256 = _load_manifest(args.manifest)
     _distinct_files([("--test", args.test), ("predictions", out.parent / PREDICTIONS_FILE),
                      ("report", out), ("text report", text_out), ("--cells-csv", args.cells_csv),
                      ("run file", run / "eval.json"), *_run_files(args.manifest, manifest)])
@@ -412,6 +441,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_outputs([("--output", args.output)])
     rows: dict[str, list[tuple[float, int, int]]] = {}
     paths = [("--output", args.output)]
     given: dict[str, str] = {}  # manifest sha256 to the path it was given by

@@ -12,7 +12,11 @@ Blocks are pre-norm; the classification head reads the CLS position after a
 final normalization. Dropout masks are stored in the forward cache so the
 backward pass replays them exactly. A norm caches its normalized input
 ``xhat`` and reciprocal RMS ``r``, not its input: the backward pass reads
-only those, as ``dx = r * (dxhat - xhat * (dxhat . xhat) / d)``.
+only those, as ``dx = r * (dxhat - xhat * (dxhat . xhat) / d)``, built in
+place in that order. A block's GELU caches its tanh, not its output: the
+backward pass rebuilds the output with the forward pass's operations, so
+the same bits, and reads the derivative off the tanh, so no tanh runs
+twice.
 
 Only CLS reaches the head, so the last block computes its attention, its
 residual, its second norm and its feed-forward for the CLS row alone, and
@@ -97,16 +101,18 @@ The encoder reads a ``Batch`` of arrays that ``trainer.prepare_examples``
 builds once per example set and ``Batch.take`` slices. A batch may run
 several key-mask variants of one row, as the occlusion regularizer does:
 ``ids`` and ``fill`` hold one row per comment, ``kmask`` one key mask per
-variant and ``src`` the row of each variant. A key mask does not change the
+variant and ``src`` the row of each variant, in ascending order, so each
+row's variants follow one another. A key mask does not change the
 embedding, ``emb_norm``, layer 0's ``norm1`` or its Q, K and V (or, when
 layer 0 is the last block, its q, u and scores), so these run once per row.
 Right after them, Q, K and V (or the scores and ``a``) are gathered by
 ``src`` with the residual, and all that follows runs per variant; with no
 layer, the gather comes before the final norm. The backward pass sums the
-variants' gradients back onto their rows at the same points, with the
-bincount that also sums the token-embedding gradient. A plain batch has
-``src`` ``None``: nothing is gathered or summed, so it runs the same
-operations it always did.
+variants' gradients back onto their rows at the same points: each row's
+variants in their order, starting from 0.0, which gives the bits of a
+bincount over them, zero signs included. A plain batch has ``src``
+``None``: nothing is gathered or summed, so it runs the same operations it
+always did.
 """
 
 from __future__ import annotations
@@ -253,41 +259,67 @@ def _rms_forward(x, gain, bias, out=None):
 
 
 def _rms_backward(dy, gain, cache):
-    # With xhat = x * r: dx = r * dxhat - r**3 / d * x * (dxhat . x)
-    #                       = r * (dxhat - xhat * (dxhat . xhat) / d).
+    """Gradients of the input, gain and bias from the output's ``dy``. With
+    xhat = x * r: dx = r * dxhat - r**3 / d * x * (dxhat . x)
+                     = r * (dxhat - xhat * (dxhat . xhat) / d),
+    built in place in that order. ``dgain`` and ``dbias`` are one ``einsum``
+    each over the rows, ``dgain`` without a ``dy * xhat`` array."""
     xhat, r = cache
     d = xhat.shape[-1]
-    dgain = (dy * xhat).reshape(-1, d).sum(axis=0)
-    dbias = dy.reshape(-1, d).sum(axis=0)
+    rows_dy = dy.reshape(-1, d)
+    dgain = np.einsum("ni,ni->i", rows_dy, xhat.reshape(-1, d))
+    dbias = np.einsum("ni->i", rows_dy)
     dxhat = dy * gain
     inner = np.einsum("...i,...i->...", dxhat, xhat)[..., None]
-    dx = r * (dxhat - xhat * inner / d)
+    dx = np.multiply(xhat, inner)
+    dx /= d
+    np.subtract(dxhat, dx, out=dx)
+    dx *= r
     return dx, dgain, dbias
 
 
 # Powers are written as products: numpy computes ``u**3`` through ``pow``,
 # which is many times slower than ``u * u * u``.
-def _gelu(u, out, work):
-    """GELU of ``u`` written into ``out``, which may be ``u``; ``work``, of
-    ``u``'s shape, is overwritten. Each step is a product or sum of
+def _gelu(u, out, tanh, work):
+    """GELU of ``u`` written into ``out``, which may be ``u``; the tanh is
+    written into ``tanh`` and ``tanh + 1`` into ``work``, which may be
+    ``tanh``, each of ``u``'s shape. Each step is a product or sum of
     ``0.5 * u * (1 + tanh(C * (u + A * u * u * u)))`` in the order that
     expression evaluates, at most with its two operands swapped, so the
     result is the same bits."""
-    t = np.multiply(u, _GELU_A, out=work)
+    t = np.multiply(u, _GELU_A, out=tanh)
     t *= u
     t *= u
     t += u
     t *= _GELU_C
     np.tanh(t, out=t)
-    t += 1.0
+    t1 = np.add(t, 1.0, out=work)
     np.multiply(u, 0.5, out=out)
-    out *= t
+    out *= t1
     return out
 
 
-def _gelu_grad(u):
-    t = np.tanh(_GELU_C * (u + _GELU_A * u * u * u))
-    return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u * u)
+def _gelu_back(u, tanh):
+    """GELU's output and derivative at ``u``, from the ``tanh`` its forward
+    pass wrote. The output repeats ``_gelu``'s operations, and the derivative
+    ``0.5 * (1 + t) + 0.5 * u * (1 - t * t) * C * (1 + 3 * A * u * u)`` is
+    built in place in the order that expression evaluates, sharing
+    ``0.5 * u`` and ``1 + t``: both are the bits computing them afresh
+    gives."""
+    half_u = np.multiply(u, 0.5)
+    t1 = np.add(tanh, 1.0)
+    g = np.multiply(half_u, t1)
+    grad = np.multiply(tanh, tanh)
+    np.subtract(1.0, grad, out=grad)
+    grad *= half_u
+    grad *= _GELU_C
+    poly = np.multiply(u, 3.0 * _GELU_A, out=half_u)
+    poly *= u
+    poly += 1.0
+    grad *= poly
+    t1 *= 0.5
+    grad += t1
+    return g, grad
 
 
 def _split_heads(x, n_heads):
@@ -326,9 +358,14 @@ def _attention_probs(q, k, add_mask, out):
 
 def _dropout_mask(rng, shape, rate):
     """Inverted dropout mask of ``shape``: ``1 / (1 - rate)`` where a uniform
-    draw falls below ``1 - rate``, else 0."""
+    draw falls below ``1 - rate``, else 0. Built in the array of draws: each
+    entry, 1.0 or 0.0, times the rounded ``1 / (1 - rate)`` is that entry
+    divided by ``1 - rate``, in the same bits."""
     keep = 1.0 - rate
-    return (rng.random(shape) < keep) / keep
+    mask = rng.random(shape)
+    np.less(mask, keep, out=mask)
+    mask *= 1.0 / keep
+    return mask
 
 
 class TokenKeys(NamedTuple):
@@ -348,8 +385,9 @@ class Batch:
     """Encoder input as arrays. ``ids`` (int32) and ``fill`` hold one row per
     comment and ``extent`` each row's extent; the token columns stop at the
     longest one. ``kmask`` (bool) holds one key mask per variant, its last
-    column the slot, and ``src`` the row of each variant; ``None`` means one
-    variant per row, in row order."""
+    column the slot, and ``src`` the row of each variant, in ascending order
+    with every row present; ``None`` means one variant per row, in row
+    order."""
 
     ids: np.ndarray
     fill: np.ndarray
@@ -387,6 +425,37 @@ def _scatter_rows(ids, rows, n):
     d = rows.shape[-1]
     bins = (ids[..., None].astype(np.intp) * d + np.arange(d)).ravel()
     return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+
+def _variant_sums(src, n):
+    """A function that sums the rows of an array, one per variant, onto the
+    variants' ``n`` rows, which ``src`` names. Each row's variants must
+    follow one another, rows in ascending order, as ``Batch`` holds them, so
+    the sum runs over the variants in order, from 0.0, and gives the bits of
+    the bincount that ``_scatter_rows`` runs, zero signs included."""
+    first = np.empty(len(src), dtype=bool)  # where each row's variants start
+    first[:1] = True
+    np.not_equal(src[1:], src[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if len(starts) != n or (src[starts] != np.arange(n)).any():
+        raise ContractError("a batch's src must list each of its rows, in ascending order, "
+                            "with the variants of a row together")
+    counts = np.bincount(src, minlength=n)
+    # The k-th variant of every row that has more than k, for k = 1, 2, ...;
+    # all the rows as a slice, which adds in place without a gather.
+    later = []
+    for k in range(1, counts.max()):
+        rows = np.flatnonzero(counts > k)
+        later.append((rows if len(rows) < n else slice(None), starts[rows] + k))
+
+    def to_rows(x):
+        out = x[starts]
+        out += 0.0  # bincount's first step, 0.0 + x: a -0.0 becomes 0.0
+        for rows, variants in later:
+            out[rows] += x[variants]
+        return out
+
+    return to_rows
 
 
 def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=None,
@@ -542,14 +611,18 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         u += params[f"{p}.ff.b1"]
         # Inference reads u no more, so GELU overwrites it. GELU acts on each
         # entry alone, so its temporary need only hold one block of rows,
-        # which the scores block, dead by now, holds.
+        # which the scores block, dead by now, holds; inference writes the
+        # tanh there too. Training keeps the tanh, for the backward pass.
         g = np.empty_like(u) if train_mode else u
+        tanh = np.empty_like(u) if train_mode else None
         blocks, step = _row_blocks(nb, n_rows * d_ff)
         work = buf("scores", (step, n_rows, d_ff))
         for r in blocks:
             x = u[r]
-            _gelu(x, g[r], work[: len(x)])
+            w = work[: len(x)]
+            _gelu(x, g[r], w if tanh is None else tanh[r], w)
         z = np.matmul(g, params[f"{p}.ff.w2"], out=buf("h", h.shape))
+        del g  # the backward pass rebuilds it from the tanh; training frees it here
         z += params[f"{p}.ff.b2"]
         ff_drop = drop(z)
         z += h
@@ -558,7 +631,7 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         if train_mode:
             layer_caches.append({
                 "ln1": ln1_cache, "a": a, **attn_cache, "ocat": ocat,
-                "attn_drop": attn_drop, "ln2": ln2_cache, "f": f, "u": u, "g": g,
+                "attn_drop": attn_drop, "ln2": ln2_cache, "f": f, "u": u, "tanh": tanh,
                 "ff_drop": ff_drop,
             })
 
@@ -604,9 +677,7 @@ def backward(cache, params, config, dlogits):
     grads["final_norm.gain"] = dgain
     grads["final_norm.bias"] = dbias
 
-    def to_rows(x):
-        """Each variant's gradient summed onto its row."""
-        return _scatter_rows(src, x.reshape(len(src), -1), b).reshape((b,) + x.shape[1:])
+    to_rows = None if src is None else _variant_sums(src, b)
 
     def _linear_back(x, w, dy):
         din = x.shape[-1]
@@ -705,24 +776,32 @@ def backward(cache, params, config, dlogits):
         da[:, 0] += dx
         return da
 
-    for i in reversed(range(config.n_layers)):
-        p = f"layer{i}"
-        lc = cache["layers"][i]
-        gather = src if i == 0 else None
-
+    def ff_back(lc, p, dcur):
+        """Gradients of block ``p``'s feed-forward and second norm from the
+        block output's gradient ``dcur``; returns the gradient of the
+        residual stream before them. GELU's output and derivative are
+        rebuilt from the cached tanh, and every temporary here, the
+        feed-forward hidden's size, is freed on return."""
         dz = dcur if lc["ff_drop"] is None else dcur * lc["ff_drop"]
-        dw2, db2, dg = _linear_back(lc["g"], params[f"{p}.ff.w2"], dz)
+        g, du = _gelu_back(lc["u"], lc["tanh"])
+        dw2, db2, dg = _linear_back(g, params[f"{p}.ff.w2"], dz)
         grads[f"{p}.ff.w2"] = dw2
         grads[f"{p}.ff.b2"] = db2
-        du = dg * _gelu_grad(lc["u"])
+        du *= dg
         dw1, db1, df = _linear_back(lc["f"], params[f"{p}.ff.w1"], du)
         grads[f"{p}.ff.w1"] = dw1
         grads[f"{p}.ff.b1"] = db1
         dmid_ln, dgain2, dbias2 = _rms_backward(df, params[f"{p}.norm2.gain"], lc["ln2"])
         grads[f"{p}.norm2.gain"] = dgain2
         grads[f"{p}.norm2.bias"] = dbias2
-        dmid = dcur + dmid_ln
+        return dcur + dmid_ln
 
+    for i in reversed(range(config.n_layers)):
+        p = f"layer{i}"
+        lc = cache["layers"][i]
+        gather = src if i == 0 else None
+
+        dmid = ff_back(lc, p, dcur)
         dattn = dmid if lc["attn_drop"] is None else dmid * lc["attn_drop"]
         dwo, dbo, docat = _linear_back(lc["ocat"], params[f"{p}.attn.wo"], dattn)
         grads[f"{p}.attn.wo"] = dwo

@@ -22,6 +22,11 @@ types they returned. ``read_canonical`` is the canonical CSV reader as it was
 before it streamed its rows: a list of ``csv.DictReader`` dicts, then the
 per-row rule of ``convert``, with the row number on a bad label and one
 line for a row ``csv`` cannot read.
+``rms_backward``, ``gelu_grad``, ``dropout_mask`` and ``variant_sums`` are
+the training step's helpers as they were before the backward pass read
+GELU's tanh from the forward cache: the RMS-norm backward through whole-array
+temporaries, the derivative that recomputed the tanh, the mask built from a
+boolean array and the variant sums as one bincount.
 """
 
 import csv
@@ -627,3 +632,40 @@ def read_canonical(path) -> list[Comment]:
         cid = (row.get("id") or "").strip() or f"synthetic-{idx:06d}"
         comments.append(Comment(cid, text, label))
     return comments
+
+
+# ---------------------------------------------------------------------------
+# The training step's helpers before the backward pass read GELU's tanh from
+# the forward cache, built its arrays in place and summed variants in order.
+
+
+def rms_backward(dy, gain, cache):
+    xhat, r = cache
+    d = xhat.shape[-1]
+    dgain = (dy * xhat).reshape(-1, d).sum(axis=0)
+    dbias = dy.reshape(-1, d).sum(axis=0)
+    dxhat = dy * gain
+    inner = np.einsum("...i,...i->...", dxhat, xhat)[..., None]
+    dx = r * (dxhat - xhat * inner / d)
+    return dx, dgain, dbias
+
+
+def gelu_grad(u):
+    c, a = _enc._GELU_C, _enc._GELU_A
+    t = np.tanh(c * (u + a * u * u * u))
+    return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * c * (1.0 + 3.0 * a * u * u)
+
+
+def dropout_mask(rng, shape, rate):
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep) / keep
+
+
+def variant_sums(src, x, n):
+    """Each variant's row of ``x`` summed onto row ``src`` of ``n`` rows, by
+    one bincount over flat (row, column) bins."""
+    flat = x.reshape(len(src), -1)
+    width = flat.shape[1]
+    bins = (src[:, None].astype(np.intp) * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, weights=flat.ravel(), minlength=n * width)
+    return sums.reshape((n,) + x.shape[1:])

@@ -778,6 +778,80 @@ class TestBadInputExitsTwo:
                              "--outdir", str(blocker), "--seed", "1"]) == 2
         self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--manifest", "{manifest}", "--test", "{test}", "--output", "{taken}"],
+         "--output"),
+        (["audit", "--manifest", "{manifest}", "--test", "{test}",
+          "--output", "{out}/audit.json", "--cells-csv", "{taken}"], "--cells-csv"),
+        (["compare", "{manifest}", "--output", "{taken}"], "--output"),
+        (["convert", "--kind", "ws", "--input", "{raw}", "--output", "{taken}"], "--output"),
+    ], ids=["eval-output", "audit-cells-csv", "compare-output", "convert-output"])
+    def test_file_output_that_is_a_directory(self, pipeline, tmp_path, capsys, argv, flag):
+        """Refused before any work: eval wrote its predictions beside such an
+        --output, and audit both reports, before failing on it."""
+        out = tmp_path / "out"
+        fill = {"manifest": pipeline["run"] / "manifest.json",
+                "test": pipeline["data"] / "test.csv", "raw": DATA_DIR / "ws_10.csv",
+                "out": out, "taken": out / "taken"}
+        assert _eval(fill["manifest"], fill["test"], out) == 0  # audit reads its predictions
+        (out / "taken").mkdir()
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+        capsys.readouterr()
+        assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
+        assert self.one_line_error(capsys) == (
+            f"error: {flag} {out / 'taken'} is a directory; give a file path")
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train", "{data}/train.csv", "--val", "{data}/val.csv", "--mode", "ss",
+         "--seed", "1", "--outdir", "{taken}", *TRAIN_FLAGS],
+        ["split", "--input", "{data}/corpus.csv", "--outdir", "{taken}", "--seed", "1"],
+        ["synth", "--n", "40", "--seed", "1", "--outdir", "{taken}"],
+    ], ids=["train", "split", "synth"])
+    def test_outdir_that_is_a_file(self, pipeline, tmp_path, capsys, monkeypatch, argv):
+        """Refused before any work: train trained the whole model, then
+        failed to make the directory."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command read or computed before checking its outdir")
+
+        for module, name in ((trainer, "train"), (datasets, "split"),
+                             (datasets, "synth_generate")):
+            monkeypatch.setattr(module, name, no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        fill = {"data": pipeline["data"], "taken": taken}
+        assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
+        assert self.one_line_error(capsys) == (
+            f"error: --outdir {taken} exists and is not a directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("argv, flag, below", [
+        (["eval", "--manifest", "{manifest}", "--test", "{test}", "--output", "{out}"],
+         "--output", "eval.json"),
+        (["train", "--train", "{data}/train.csv", "--val", "{data}/val.csv", "--mode", "ss",
+          "--seed", "1", "--outdir", "{out}", *TRAIN_FLAGS], "--outdir", "run"),
+    ], ids=["eval-output", "train-outdir"])
+    def test_output_below_a_file(self, pipeline, tmp_path, capsys, monkeypatch, argv, flag,
+                                 below):
+        """Refused before any work: eval ran the model and train trained it,
+        then failed to make the directory."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command computed before checking its output")
+
+        monkeypatch.setattr(trainer, "train", no_work)
+        monkeypatch.setattr(trainer, "predict_batch", no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        out = taken / "sub" / below
+        fill = {"manifest": pipeline["run"] / "manifest.json",
+                "test": pipeline["data"] / "test.csv", "data": pipeline["data"], "out": out}
+        assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
+        assert self.one_line_error(capsys) == (
+            f"error: {flag} {out} lies below {taken}, which is not a directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
 
 def _audit(manifest, test, report_dir, *extra):
     return cli.dispatch(["audit", "--manifest", str(manifest), "--test", str(test),

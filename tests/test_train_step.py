@@ -9,11 +9,16 @@ through different reductions and must match the frozen copies in
 rows, so their gradients are summed onto those rows in another order than
 the combined pass, which ran every occluded copy as a row of its own,
 summed them: the penalty must equal that pass bit for bit and every
-gradient must match it to 1e-12.
+gradient must match it to 1e-12. The step's helpers, the RMS norm's and
+GELU's backward, the dropout mask and the variant sums, must match their
+copies from before they were built in place (``oracles``), as
+``TestStepHelpersMatchFrozenCopies`` states per helper.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsense import augment as ag
 from subsense import encoder as enc
@@ -123,6 +128,106 @@ def test_rms_norm_matches_frozen_copy(shape):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def helper_arrays(shape, n_arrays, seed, zero_rows):
+    """``n_arrays`` float arrays of ``shape`` whose rows (along the first
+    axis) have magnitudes from 0.01 to 10; the rows in ``zero_rows`` hold
+    only zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_arrays):
+        scale = rng.uniform(0.01, 10.0, size=shape[:1] + (1,) * (len(shape) - 1))
+        x = rng.normal(size=shape) * scale
+        rows = [r for r in zero_rows if r < shape[0]]
+        x[rows] = np.where(rng.random(x[rows].shape) < 0.5, -0.0, 0.0)
+        out.append(x)
+    return out
+
+
+# A helper's input: (rows, width, d_model) and one of its three layouts, a
+# full-width block (rows, width + 1, d), CLS alone (rows, 1, d) or the final
+# norm's (rows, d); d a power of two or odd.
+HELPER_SHAPES = st.builds(
+    lambda rows, width, d, kind: {"full": (rows, width + 1, d), "cls": (rows, 1, d),
+                                  "flat": (rows, d)}[kind],
+    st.integers(1, 6), st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 8, 16, 17, 32]),
+    st.sampled_from(["full", "cls", "flat"]))
+
+
+class TestStepHelpersMatchFrozenCopies:
+    """The training step's helpers against their copies in ``oracles`` from
+    before the backward pass read GELU's tanh from the forward cache.
+
+    Where the arithmetic is unchanged, the property requires the same bits:
+    the RMS norm's input gradient (the same operations, built in place),
+    GELU's output and derivative (the forward pass's operations on its tanh,
+    and the derivative's own in its order), the dropout mask (1.0 or 0.0
+    times the rounded reciprocal of the keep rate is the quotient) and the
+    generator state it leaves, and the variant sums (in variant order from
+    0.0, as bincount adds). The RMS norm's gain and bias gradients go
+    through ``einsum``, which adds the rows in order as the row sums did
+    when ``d_model`` is above 1, but in another order at 1, and may fuse
+    each multiply-add where numpy's build does, so they must agree within
+    1e-12."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=HELPER_SHAPES, seed=st.integers(0, 2**32 - 1),
+           zero_rows=st.sets(st.integers(0, 5), max_size=3))
+    def test_rms_backward(self, shape, seed, zero_rows):
+        x, dy = helper_arrays(shape, 2, seed, zero_rows)
+        rng = np.random.default_rng(seed)
+        gain, bias = rng.normal(1.0, 0.3, size=shape[-1]), rng.normal(0.0, 0.3, size=shape[-1])
+        _, cache = enc._rms_forward(x, gain, bias)
+        dx, dgain, dbias = enc._rms_backward(dy, gain, cache)
+        want_dx, want_dgain, want_dbias = oracles.rms_backward(dy, gain, cache)
+        assert same_bits(dx, want_dx)
+        for got, want in ((dgain, want_dgain), (dbias, want_dbias)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=HELPER_SHAPES, seed=st.integers(0, 2**32 - 1),
+           zero_rows=st.sets(st.integers(0, 5), max_size=3))
+    def test_gelu_back(self, shape, seed, zero_rows):
+        (u,) = helper_arrays(shape, 1, seed, zero_rows)
+        out, tanh, work = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+        enc._gelu(u, out, tanh, work)
+        g, grad = enc._gelu_back(u, tanh)
+        assert same_bits(g, out)
+        assert same_bits(grad, oracles.gelu_grad(u))
+        # Inference writes the tanh into its work block: the same output.
+        inference = u.copy()
+        enc._gelu(inference, inference, work, work)
+        assert same_bits(inference, out)
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=HELPER_SHAPES, seed=st.integers(0, 2**32 - 1),
+           rate=st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    def test_dropout_mask(self, shape, seed, rate):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert same_bits(enc._dropout_mask(rng, shape, rate),
+                         oracles.dropout_mask(want_rng, shape, rate))
+        assert same_bits(rng.random(4), want_rng.random(4))
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=HELPER_SHAPES, seed=st.integers(0, 2**32 - 1),
+           counts=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+           zero_rows=st.sets(st.integers(0, 5), max_size=3))
+    def test_variant_sums(self, shape, seed, counts, zero_rows):
+        """1 to 8 variants per row; the variants of the rows in
+        ``zero_rows`` hold only zeros of either sign."""
+        src = np.repeat(np.arange(len(counts)), counts)
+        (x,) = helper_arrays((len(src),) + shape[1:], 1, seed, [])
+        x[np.isin(src, list(zero_rows))] *= 0.0
+        got = enc._variant_sums(src, len(counts))(x)
+        assert same_bits(got, oracles.variant_sums(src, x, len(counts)))
+
+    @pytest.mark.parametrize("src, n", [([0, 2, 1], 3), ([0, 0, 2], 3), ([1, 1, 0, 0], 2),
+                                        ([0, 1, 0], 2), ([0, 1], 3)])
+    def test_variant_sums_refuse_rows_out_of_order(self, src, n):
+        with pytest.raises(enc.ContractError, match="in ascending order"):
+            enc._variant_sums(np.array(src), n)
 
 
 def perturbed_params(config, seed=1):
