@@ -108,8 +108,9 @@ def _check_outputs(files=(), outdir=None) -> None:
             raise ContractError(f"--outdir {outdir} exists and is not a directory")
         outputs.append(("--outdir", outdir))
     for role, path in outputs:
-        above = next(parent for parent in path.parents if parent.exists())
-        if not above.is_dir():
+        # "." and "/" have no parents, and both exist as directories
+        above = next((parent for parent in path.parents if parent.exists()), None)
+        if above is not None and not above.is_dir():
             raise ContractError(f"{role} {path} lies below {above}, which is not a directory")
 
 

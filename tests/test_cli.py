@@ -1110,6 +1110,25 @@ class TestRunDirectory:
 
     REPORTS = ("eval.json", "predictions.csv", "audit.json", "audit.txt")
 
+    @pytest.mark.parametrize("argv, written", [
+        (["synth", "--n", "120", "--seed", "1", "--outdir", "."], "corpus.csv"),
+        (["split", "--input", "{data}/corpus.csv", "--outdir", ".", "--seed", "1"], "test.csv"),
+        (["train", "--train", "{data}/train.csv", "--val", "{data}/val.csv", "--mode", "ss",
+          "--seed", "1", "--outdir", ".", "--lexicon", "{data}/lexicon.tsv", *TRAIN_FLAGS],
+         "manifest.json"),
+    ], ids=["synth", "split", "train"])
+    def test_outdir_is_the_working_directory(self, pipeline, tmp_path, monkeypatch, capsys,
+                                             argv, written):
+        """"." has no parent path to check, and is a directory."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.dispatch([arg.format(data=pipeline["data"]) for arg in argv]) == 0
+        capsys.readouterr()
+        assert (tmp_path / written).is_file()
+
+    def test_outdir_is_the_root(self):
+        """"/" has no parent path either; the check passes it to the writes."""
+        assert cli._check_outputs(outdir="/") is None
+
     def test_copied_run_from_another_directory(self, pipeline, tmp_path, monkeypatch, capsys):
         run, test = pipeline["run"], str(pipeline["data"] / "test.csv")
         for command in ("eval", "audit"):
