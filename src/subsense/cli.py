@@ -121,8 +121,6 @@ def _identity_terms(path):
 def _cmd_score(args) -> int:
     lexicon = subjectivity.load_lexicon(subjectivity.lexicon_path(args.lexicon))
     terms = _identity_terms(args.identity_terms)
-    if args.text is None and args.file is None:
-        raise UsageError("score needs --text or --file")
     if args.text is not None:
         texts = [args.text]
     else:
@@ -446,6 +444,7 @@ def _cmd_compare(args) -> int:
     rows: dict[str, list[tuple[float, int, int]]] = {}
     paths = [("--output", args.output)]
     given: dict[str, str] = {}  # manifest sha256 to the path it was given by
+    tested = None  # the first run's test CSV sha256 and eval.json
     for mpath in args.manifests:
         manifest, run, manifest_sha256 = _load_manifest(mpath)
         # One run given twice, by one path or as a copy of its directory,
@@ -464,6 +463,14 @@ def _cmd_compare(args) -> int:
         if report["manifest_sha256"] != manifest_sha256:
             raise ContractError(f"{eval_path} reports another manifest than {mpath}; "
                                 "run `subsense eval` again")
+        test_sha256 = report["test"].get("sha256")
+        if not isinstance(test_sha256, str):
+            raise ContractError(f"{eval_path}: eval report names no test sha256")
+        # F1 on two test sets would be averaged as if measured on one.
+        tested = tested or (test_sha256, eval_path)
+        if test_sha256 != tested[0]:
+            raise ContractError(f"{tested[1]} and {eval_path} name different test CSVs; "
+                                "evaluate every run on one")
         name = mode.value + (f"+soc({soc_weight})" if soc_weight else "")
         rows.setdefault(name, []).append((report["f1"], report["fp"], report["fn"]))
     _distinct_files(paths)
@@ -481,8 +488,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("score", help="subjectivity + identity report for text")
-    p.add_argument("--text")
-    p.add_argument("--file")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--text")
+    given.add_argument("--file")
     p.add_argument("--lexicon")
     p.add_argument("--identity-terms", dest="identity_terms")
     p.set_defaults(func=_cmd_score)

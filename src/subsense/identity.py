@@ -56,9 +56,11 @@ class IdentityLexicon:
 @dataclass(frozen=True)
 class IdentityMatch:
     """The lexicon terms a text holds, each once, in order of first
-    whole-word occurrence."""
+    whole-word occurrence, and the indices of the ``word_split`` tokens that
+    hold them, ascending and each once."""
 
     terms: tuple[str, ...]
+    holders: tuple[int, ...]
 
     @property
     def present(self) -> bool:
@@ -95,49 +97,47 @@ def _first_whole_word(text_lower: str, term: str) -> int:
     return -1
 
 
-def _holdings(tokens, terms, term_set):
-    """(token index, start, term) for each of ``terms`` that a lowercase token
-    holds as a whole word, token by token; ``term_set`` holds the same terms.
-    A token of letters and digits alone holds a term only by being one (a set
-    lookup), and only a token with inner punctuation ("muslim's") is searched."""
+def _holdings(tokens, lexicon: IdentityLexicon):
+    """(token index, start, term) for each lexicon term that a lowercase token
+    holds as a whole word, token by token. A token of letters and digits
+    alone holds a term only by being one (a set lookup), and only a token
+    with inner punctuation ("muslim's") is searched."""
     for i, tok in enumerate(tokens):
         if tok.isalnum():
-            if tok in term_set:
+            if tok in lexicon.term_set:
                 yield i, 0, tok
         elif len(tok) > 1:  # one character of punctuation holds no term
-            for term in terms:
+            for term in lexicon.terms:
                 if term in tok:
                     start = _first_whole_word(tok, term)
                     if start >= 0:
                         yield i, start, term
 
 
-def term_holders(tokens, terms: tuple[str, ...]) -> list[int]:
-    """Indices of the lowercase tokens, such as ``word_split``'s, that hold
-    one of ``terms`` as a whole word by ``detect``'s rule: "muslim's" and
-    "islam,jews" do, "muslimness" does not."""
-    return list(dict.fromkeys(i for i, _, _ in _holdings(tokens, terms, terms)))
-
-
 def detect(text: str, lexicon: IdentityLexicon, tokens=None) -> IdentityMatch:
     """The lexicon terms that occur in ``text`` as whole words, in order of
-    first occurrence.
+    first occurrence, and the tokens that hold them.
 
     A caller that has already split ``text`` passes ``word_split(text)`` as
     ``tokens``. A match never crosses a token, so the terms are read off the
     tokens in order: a token of letters and digits alone holds a term only by
     being one, and a token with inner punctuation holds every term it
-    contains as a whole word, ordered by offset, shorter first.
+    contains as a whole word, ordered by offset, shorter first. ``holders``
+    are the indices into ``word_split(text)`` of every token that holds a
+    term, "muslim's" and "islam,jews" among them, but not "muslimness".
     """
     if tokens is None:
         tokens = word_split(text)
     first = {}  # term -> (token index, start, end) of its first occurrence
-    for i, start, term in _holdings(tokens, lexicon.terms, lexicon.term_set):
+    holders = []
+    for i, start, term in _holdings(tokens, lexicon):
         if term not in first:
             first[term] = (i, start, start + len(term))
+        if not holders or holders[-1] != i:
+            holders.append(i)
     # The lexicon's strings, not the tokens' copies, so a match keeps no token alive.
     found = filter(first.__contains__, lexicon.terms) if first else ()
-    return IdentityMatch(tuple(sorted(found, key=first.get)))
+    return IdentityMatch(tuple(sorted(found, key=first.get)), tuple(holders))
 
 
 def coverage(comments, lexicon: IdentityLexicon) -> float:

@@ -25,7 +25,7 @@ from .augment import AugmentMode, augment
 from .datasets import Label
 from .encoder import N_CLASSES, Batch, ModelConfig, backward, flat_params, forward, init
 from .errors import ConfigError, ContractError, check_fields
-from .identity import IdentityLexicon, detect, term_holders
+from .identity import IdentityLexicon, detect
 from .subjectivity import SubjectivityLexicon, score
 from .textprep import Vocab, encode, word_split
 
@@ -96,10 +96,12 @@ class PreparedSet:
     longest extent, the slot fill (the subjectivity score verbatim in every
     mode), the key masks with the slot gate last, and the extents. ``labels``
     holds the labels as ints and ``terms`` the identity terms detected in each
-    comment, which the audit reads. ``offsets`` and ``positions`` are the
-    encoded positions of the tokens holding those terms in CSR form: row
-    ``i``'s are ``positions[offsets[i]:offsets[i + 1]]``. ``max_len`` and
-    ``vocab_size`` are what the ids were encoded for.
+    comment, which the audit reads. ``offsets`` and ``positions`` are read
+    off the same ``detect`` call: the encoded positions (index + 1, past CLS)
+    of its ``holders`` that survive truncation, which the occlusion
+    regularizer hides, in CSR form: row ``i``'s are
+    ``positions[offsets[i]:offsets[i + 1]]``. ``max_len`` and ``vocab_size``
+    are what the ids were encoded for.
     """
 
     data: Batch
@@ -137,13 +139,6 @@ class PreparedSet:
         return len(self.labels)
 
 
-def identity_token_positions(tokens, terms, max_len: int) -> tuple[int, ...]:
-    """Encoded positions (offset by the CLS slot) of the tokens that survived
-    truncation and hold one of ``terms`` as a whole word (``term_holders``),
-    so the occlusion regularizer hides what opened the gate."""
-    return tuple(i + 1 for i in term_holders(tokens[: max_len - 2], terms))
-
-
 def prepare_examples(
     comments,
     vocab: Vocab,
@@ -159,15 +154,16 @@ def prepare_examples(
     extent, fill, gate, labels, terms, counts, positions = ([] for _ in range(7))
     for c in comments:
         tokens = word_split(c.text)
-        found = detect(c.text, id_lexicon, tokens).terms
+        match = detect(c.text, id_lexicon, tokens)
         ids = encode(tokens, vocab, max_len)
         flat_ids.extend(ids)
         extent.append(len(ids))
         fill.append(score(c.text, subj_lexicon, tokens).value)
-        gate.append(augment(bool(found), mode))
+        gate.append(augment(match.present, mode))
         labels.append(c.label)
-        terms.append(found)
-        occluded = identity_token_positions(tokens, found, max_len) if found else ()
+        terms.append(match.terms)
+        # The encoded positions (past CLS) of the holders that survive truncation.
+        occluded = [i + 1 for i in match.holders if i < max_len - 2]
         positions += occluded
         counts.append(len(occluded))
     extent = np.array(extent, dtype=np.int32)

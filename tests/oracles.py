@@ -15,7 +15,9 @@ single update over the flat parameter vector must equal bit for bit.
 ``weighted_loss`` is the per-example loss the batched loss is checked
 against. The next part is the per-row pipeline from before
 ``trainer.prepare_examples`` wrote a columnar ``PreparedSet``; tests that
-build batches from single examples go through it. The last part holds
+build batches from single examples go through it; its occlusion positions
+come from frozen ``term_holders`` and ``identity_token_positions``, the
+second scan of each identity comment's tokens. The last part holds
 frozen copies of identity detection, the feature pass and the audit from
 before the audit reused the trainer's per-comment features, with the result
 types they returned. ``read_canonical`` is the canonical CSV reader as it was
@@ -51,7 +53,10 @@ from subsense.textprep import CLS, PAD, SEP, UNK, word_split as _word_split
 # The per-row pipeline: one frozen, self-checking example per comment,
 # copied into an ``encoder.Batch`` by ``assemble`` and into CSR identity
 # positions by ``identity_csr``. ``prepare_examples`` must equal it bit for
-# bit; ``rows`` reads a ``PreparedSet`` back as its examples.
+# bit; ``rows`` reads a ``PreparedSet`` back as its examples. Its occlusion
+# positions come from ``identity_token_positions`` and ``term_holders``, the
+# second scan of each identity comment's tokens that ran after ``detect``
+# before ``detect`` returned the tokens that hold its terms.
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,52 @@ def prepare_rows(comments, vocab, subj_lexicon, id_lexicon, max_len, mode):
         terms = _detect(c.text, id_lexicon).terms
         s = _score(c.text, subj_lexicon, tokens)
         aug = augment(encode(tokens, vocab, max_len), s, bool(terms), mode)
-        positions = _tr.identity_token_positions(tokens, terms, max_len) if terms else ()
+        positions = identity_token_positions(tokens, terms, max_len) if terms else ()
         out.append(PreparedExample(aug, c.label, positions, terms))
     return out
+
+
+def _first_whole_word(text_lower: str, term: str) -> int:
+    """Start of the first whole-word occurrence of ``term`` in ``text_lower``, or -1."""
+    i = text_lower.find(term)
+    while i >= 0:
+        j = i + len(term)
+        if ((i == 0 or not text_lower[i - 1].isalnum())
+                and (j == len(text_lower) or not text_lower[j].isalnum())):
+            return i
+        i = text_lower.find(term, i + 1)
+    return -1
+
+
+def _holdings(tokens, terms, term_set):
+    """(token index, start, term) for each of ``terms`` that a lowercase token
+    holds as a whole word, token by token; ``term_set`` holds the same terms.
+    A token of letters and digits alone holds a term only by being one (a set
+    lookup), and only a token with inner punctuation ("muslim's") is searched."""
+    for i, tok in enumerate(tokens):
+        if tok.isalnum():
+            if tok in term_set:
+                yield i, 0, tok
+        elif len(tok) > 1:  # one character of punctuation holds no term
+            for term in terms:
+                if term in tok:
+                    start = _first_whole_word(tok, term)
+                    if start >= 0:
+                        yield i, start, term
+
+
+def term_holders(tokens, terms: tuple[str, ...]) -> list[int]:
+    """Indices of the lowercase tokens, such as ``word_split``'s, that hold
+    one of ``terms`` as a whole word by ``detect``'s rule: "muslim's" and
+    "islam,jews" do, "muslimness" does not."""
+    return list(dict.fromkeys(i for i, _, _ in _holdings(tokens, terms, terms)))
+
+
+def identity_token_positions(tokens, terms, max_len: int) -> tuple[int, ...]:
+    """Encoded positions (offset by the CLS slot) of the tokens that survived
+    truncation and hold one of ``terms`` as a whole word (``term_holders``),
+    so the occlusion regularizer hides what opened the gate."""
+    return tuple(i + 1 for i in term_holders(tokens[: max_len - 2], terms))
 
 
 def assemble(examples, config) -> _enc.Batch:
@@ -525,7 +573,7 @@ def score(text, lexicon) -> SubjectivityScore:
     return SubjectivityScore(min(1.0, max(0.0, value)))
 
 
-def identity_token_positions(tokens, id_lexicon, max_len):
+def exact_token_positions(tokens, id_lexicon, max_len):
     positions = []
     for i, tok in enumerate(tokens):
         if i >= max_len - 2:
@@ -542,7 +590,7 @@ def prepare_examples(comments, vocab, subj_lexicon, id_lexicon, max_len, mode):
         tokens = word_split(c.text)
         s = score(c.text, subj_lexicon)
         aug = augment(encode(tokens, vocab, max_len), s, detect(c.text, id_lexicon).present, mode)
-        out.append((aug, identity_token_positions(tokens, id_lexicon, max_len)))
+        out.append((aug, exact_token_positions(tokens, id_lexicon, max_len)))
     return out
 
 

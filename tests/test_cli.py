@@ -98,6 +98,16 @@ class TestExitCodes:
         assert cli.dispatch(["score"]) == 1
         capsys.readouterr()
 
+    def test_score_of_text_and_file_is_usage_error(self, tmp_path, capsys):
+        """--file is not dropped in favour of --text: both are refused with usage."""
+        src = tmp_path / "lines.txt"
+        src.write_text("the women spoke\n")
+        assert cli.dispatch(["score", "--text", "x", "--file", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+        assert "usage: subsense score" in captured.err
+
 
 class TestScore:
     def test_paired_comment_report(self, capsys):
@@ -369,6 +379,29 @@ class TestTrainArtifacts:
         assert report["manifest_sha256"] == sha(run / "manifest.json")
         assert not {"config_digest", "checkpoint_sha256"} & set(report)
         assert cli.dispatch(["compare", str(run / "manifest.json")]) == 0
+
+
+    def test_compare_refuses_runs_on_different_test_csvs(self, pipeline, other_run, tmp_path,
+                                                          capsys):
+        """Runs evaluated on different test CSVs exit 2 with one line naming
+        both eval.json paths and write no --output; a copy of the test CSV
+        at another path holds the same rows and is accepted."""
+        data, run = pipeline["data"], pipeline["run"]
+        other = Path(shutil.copytree(other_run, tmp_path / "other"))
+        manifests = [str(run / "manifest.json"), str(other / "manifest.json")]
+        out = tmp_path / "compare.json"
+        assert cli.dispatch(["eval", "--manifest", manifests[1],
+                             "--test", str(data / "val.csv")]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(["compare", *manifests, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {run / 'eval.json'} and "
+                                           f"{other / 'eval.json'} name different test "
+                                           "CSVs; evaluate every run on one\n")
+        assert not out.exists()
+        test_copy = Path(shutil.copy(data / "test.csv", tmp_path / "test-copy.csv"))
+        assert cli.dispatch(["eval", "--manifest", manifests[1], "--test", str(test_copy)]) == 0
+        assert cli.dispatch(["compare", *manifests, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["ss"]["runs"] == 2
 
 
 class TestBadInputExitsTwo:

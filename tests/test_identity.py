@@ -11,6 +11,7 @@ from subsense.datasets import Comment, Label
 from subsense.errors import ContractError, ResourceError
 from subsense.textprep import build_vocab, word_split
 
+import oracles
 from score_vectors import PAIRED_COMMENTS
 
 EXPECTED_TERMS = (
@@ -107,9 +108,16 @@ class TestDetect:
 
     def test_match_invariant(self):
         # present is read off the terms, so the two cannot disagree.
-        assert not idn.IdentityMatch(()).present
-        assert idn.IdentityMatch(("gay",)).present
-        assert idn.detect("gay", idn.default_terms()) == idn.IdentityMatch(("gay",))
+        assert not idn.IdentityMatch((), ()).present
+        assert idn.IdentityMatch(("gay",), (0,)).present
+        assert idn.detect("gay", idn.default_terms()) == idn.IdentityMatch(("gay",), (0,))
+
+    def test_holders_are_the_tokens_holding_a_term(self):
+        text = "The muslim's view: (((jews))) and muslimness, islam,jews and jews again"
+        match = idn.detect(text, idn.default_terms())
+        tokens = word_split(text)
+        assert [tokens[i] for i in match.holders] == ["muslim's", "jews", "islam,jews", "jews"]
+        assert match.terms == ("muslim", "jews", "islam")
 
 
 def brute_force_present(text, terms):
@@ -179,7 +187,7 @@ TEXTS = st.one_of(st.text(), st.lists(st.sampled_from(PIECES), max_size=12).map(
 def held_terms(text, lexicon):
     """The lexicon terms that some ``word_split`` token of ``text`` holds."""
     tokens = word_split(text)
-    return {t for t in lexicon.terms if idn.term_holders(tokens, (t,))}
+    return {t for t in lexicon.terms if oracles.term_holders(tokens, (t,))}
 
 
 class TestOneIdentityNotion:
@@ -207,6 +215,31 @@ class TestOneIdentityNotion:
             for text, gate, n in zip(texts, prepared.data.kmask[:, -1], hidden):
                 if gate and len(word_split(text)) <= max_len - 2:
                     assert n >= 1, text
+
+
+class TestOneScan:
+    """``detect``'s ``holders`` are the tokens the occlusion regularizer hid
+    when it scanned the tokens a second time (``oracles.term_holders``), and
+    ``prepare_examples`` reads its occlusion positions off them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(TEXTS, min_size=1, max_size=6), st.sampled_from([3, 5, 16]))
+    @example(["muslim's view", "(((jews))) islam,jews", "a b c d e f women"], 5)
+    @example(["two-spirit's (((jews))) o'neil-ish", "İwomen ǅjew x-two-spirit-x"], 3)
+    def test_holders_and_positions_equal_the_second_scan(self, texts, max_len):
+        comments = [Comment(f"c{i}", text, Label.TOXIC) for i, text in enumerate(texts)]
+        vocab = build_vocab(texts)
+        for lexicon in LEXICONS:
+            for text in texts:
+                assert idn.detect(text, lexicon).holders == \
+                    tuple(oracles.term_holders(word_split(text), lexicon.terms))
+            prepared = tr.prepare_examples(comments, vocab, sj.default_lexicon(), lexicon,
+                                           max_len, AugmentMode.SS)
+            rows = oracles.prepare_rows(comments, vocab, sj.default_lexicon(), lexicon,
+                                        max_len, AugmentMode.SS)
+            offsets, positions = oracles.identity_csr(rows)
+            for got, want in ((prepared.offsets, offsets), (prepared.positions, positions)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestCoverage:

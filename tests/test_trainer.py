@@ -445,9 +445,16 @@ class TestIdentityPositions:
     def test_offsets_and_truncation(self):
         terms = idn.default_terms().terms
         tokens = ["the", "muslim", "women", "spoke"]
-        assert tr.identity_token_positions(tokens, terms, 10) == (2, 3)
+        assert oracles.identity_token_positions(tokens, terms, 10) == (2, 3)
         # max_len 4 keeps only the first 2 tokens: "women" is truncated away.
-        assert tr.identity_token_positions(tokens, terms, 4) == (2,)
+        assert oracles.identity_token_positions(tokens, terms, 4) == (2,)
+        vocab = tp.Vocab.from_tokens(tokens)
+        lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("awful", 0.9)])
+        for max_len, positions in ((10, [2, 3]), (4, [2])):
+            prepared = tr.prepare_examples([Comment("c", " ".join(tokens), Label.TOXIC)], vocab,
+                                           lexicon, idn.default_terms(), max_len,
+                                           ag.AugmentMode.SS)
+            assert prepared.positions.tolist() == positions
 
     @pytest.mark.parametrize("text, marked", [
         ("the muslim's view", ("muslim's",)),
@@ -460,10 +467,11 @@ class TestIdentityPositions:
     def test_tokens_holding_a_term_are_marked(self, text, marked):
         terms = idn.default_terms()
         tokens = tp.word_split(text)
-        found = idn.detect(text, terms).terms
-        for lexicon in (terms.terms, found):
-            positions = tr.identity_token_positions(tokens, lexicon, 16)
+        match = idn.detect(text, terms)
+        for lexicon in (terms.terms, match.terms):
+            positions = oracles.identity_token_positions(tokens, lexicon, 16)
             assert tuple(tokens[p - 1] for p in positions) == marked
+        assert tuple(tokens[i] for i in match.holders) == marked
 
     @settings(max_examples=300)
     @given(st.one_of(
