@@ -121,10 +121,8 @@ def _identity_terms(path):
 def _cmd_score(args) -> int:
     lexicon = subjectivity.load_lexicon(subjectivity.lexicon_path(args.lexicon))
     terms = _identity_terms(args.identity_terms)
-    if args.text is not None:
-        texts = [args.text]
-    else:
-        texts = [line for line in read_text(args.file, "input file").splitlines() if line]
+    texts = ([args.text] if args.file is None
+             else [line for line in read_text(args.file, "input file").splitlines() if line])
     for text in texts:
         tokens = textprep.word_split(text)
         s = subjectivity.score(text, lexicon, tokens)
@@ -463,12 +461,11 @@ def _cmd_compare(args) -> int:
         if report["manifest_sha256"] != manifest_sha256:
             raise ContractError(f"{eval_path} reports another manifest than {mpath}; "
                                 "run `subsense eval` again")
-        test_sha256 = report["test"].get("sha256")
-        if not isinstance(test_sha256, str):
-            raise ContractError(f"{eval_path}: eval report names no test sha256")
+        test = _checked_keys(report["test"], {"path": str, "sha256": str}, eval_path,
+                             "eval report test")
         # F1 on two test sets would be averaged as if measured on one.
-        tested = tested or (test_sha256, eval_path)
-        if test_sha256 != tested[0]:
+        tested = tested or (test["sha256"], eval_path)
+        if test["sha256"] != tested[0]:
             raise ContractError(f"{tested[1]} and {eval_path} name different test CSVs; "
                                 "evaluate every run on one")
         name = mode.value + (f"+soc({soc_weight})" if soc_weight else "")

@@ -123,8 +123,7 @@ def detect(text: str, lexicon: IdentityLexicon, tokens=None) -> IdentityMatch:
     tokens in order: a token of letters and digits alone holds a term only by
     being one, and a token with inner punctuation holds every term it
     contains as a whole word, ordered by offset, shorter first. ``holders``
-    are the indices into ``word_split(text)`` of every token that holds a
-    term, "muslim's" and "islam,jews" among them, but not "muslimness".
+    index every token holding a term: "muslim's", not "muslimness".
     """
     if tokens is None:
         tokens = word_split(text)

@@ -96,12 +96,10 @@ class PreparedSet:
     longest extent, the slot fill (the subjectivity score verbatim in every
     mode), the key masks with the slot gate last, and the extents. ``labels``
     holds the labels as ints and ``terms`` the identity terms detected in each
-    comment, which the audit reads. ``offsets`` and ``positions`` are read
-    off the same ``detect`` call: the encoded positions (index + 1, past CLS)
-    of its ``holders`` that survive truncation, which the occlusion
-    regularizer hides, in CSR form: row ``i``'s are
-    ``positions[offsets[i]:offsets[i + 1]]``. ``max_len`` and ``vocab_size``
-    are what the ids were encoded for.
+    comment, which the audit reads. ``offsets`` and ``positions`` (CSR: row
+    ``i``'s are ``positions[offsets[i]:offsets[i + 1]]``) are the encoded
+    positions of that ``detect`` call's ``holders`` that survive truncation.
+    ``max_len`` and ``vocab_size`` are what the ids were encoded for.
     """
 
     data: Batch
@@ -162,7 +160,6 @@ def prepare_examples(
         gate.append(augment(match.present, mode))
         labels.append(c.label)
         terms.append(match.terms)
-        # The encoded positions (past CLS) of the holders that survive truncation.
         occluded = [i + 1 for i in match.holders if i < max_len - 2]
         positions += occluded
         counts.append(len(occluded))

@@ -653,6 +653,14 @@ class TestBadInputExitsTwo:
         assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
         assert str(run / "eval.json") in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("test", [{}, {"path": "t.csv"}, {"path": "t.csv", "sha256": 1}])
+    def test_compare_eval_report_without_test_digest(self, pipeline, tmp_path, capsys, test):
+        run = copy_run(pipeline, tmp_path / "run")
+        report = json.loads((run / "eval.json").read_text())
+        (run / "eval.json").write_text(json.dumps({**report, "test": test}), encoding="utf-8")
+        assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
+        assert str(run / "eval.json") in self.one_line_error(capsys)
+
     def test_manifest_not_json(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_text("not json", encoding="utf-8")
