@@ -17,7 +17,8 @@ against. The next part is the per-row pipeline from before
 ``trainer.prepare_examples`` wrote a columnar ``PreparedSet``; tests that
 build batches from single examples go through it; its occlusion positions
 come from frozen ``term_holders`` and ``identity_token_positions``, the
-second scan of each identity comment's tokens. The last part holds
+second scan of each identity comment's tokens from before ``detect``
+returned the tokens that hold its terms. The last part holds
 frozen copies of identity detection, the feature pass and the audit from
 before the audit reused the trainer's per-comment features, with the result
 types they returned. ``read_canonical`` is the canonical CSV reader as it was
@@ -53,10 +54,7 @@ from subsense.textprep import CLS, PAD, SEP, UNK, word_split as _word_split
 # The per-row pipeline: one frozen, self-checking example per comment,
 # copied into an ``encoder.Batch`` by ``assemble`` and into CSR identity
 # positions by ``identity_csr``. ``prepare_examples`` must equal it bit for
-# bit; ``rows`` reads a ``PreparedSet`` back as its examples. Its occlusion
-# positions come from ``identity_token_positions`` and ``term_holders``, the
-# second scan of each identity comment's tokens that ran after ``detect``
-# before ``detect`` returned the tokens that hold its terms.
+# bit; ``rows`` reads a ``PreparedSet`` back as its examples.
 
 
 @dataclass(frozen=True)

@@ -380,7 +380,6 @@ class TestTrainArtifacts:
         assert not {"config_digest", "checkpoint_sha256"} & set(report)
         assert cli.dispatch(["compare", str(run / "manifest.json")]) == 0
 
-
     def test_compare_refuses_runs_on_different_test_csvs(self, pipeline, other_run, tmp_path,
                                                           capsys):
         """Runs evaluated on different test CSVs exit 2 with one line naming
