@@ -6,7 +6,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ResourceError
+from .errors import ContractError
 
 
 @contextmanager
@@ -16,7 +16,7 @@ def replacing(path, mode: str = "w", **open_kwargs):
     one, never part of it. On an error the temporary file is removed and
     ``path`` is left as it was. A missing directory of ``path`` is created."""
     if not Path(path).name:  # "", "." or "/" names no file
-        raise ResourceError(f"not a file path: {str(path)!r}")
+        raise ContractError(f"not a file path: {str(path)!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

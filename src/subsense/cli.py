@@ -20,10 +20,7 @@ from pathlib import Path
 from . import audit, datasets, encoder, identity, subjectivity, textprep, trainer
 from .atomic import replacing
 from .augment import AugmentMode
-from .errors import (
-    ConfigError, ContractError, ResourceError, SchemaError, SubsenseError,
-    UsageError, check_fields, read_text,
-)
+from .errors import ContractError, SubsenseError, UsageError, check_fields, read_text
 
 # A run directory is its own unit: eval, audit and compare find each of its
 # files (checkpoint.bin, config.json, vocab.txt, eval.json, audit.json and the
@@ -63,12 +60,12 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _read_json(path, error):
-    """Parse a JSON file; malformed content raises ``error``."""
+def _read_json(path):
+    """Parse a JSON file; malformed content raises ``ContractError``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error(f"{path} is not valid JSON: {exc}") from None
+        raise ContractError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _write_json(obj, path) -> None:
@@ -79,26 +76,15 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _distinct_files(paths) -> None:
-    """Refuse two of the files a command writes or reads (``paths``, pairs of
-    role and path; None when absent) that resolve to one file in two roles."""
-    seen: dict[Path, tuple[str, str]] = {}
-    for role, path in paths:
-        if path is not None:
-            named = f"{role} {path}"
-            other_role, other = seen.setdefault(Path(path).resolve(), (role, named))
-            if other_role != role:
-                raise ContractError(f"{named} and {other} are the same file; "
-                                    "give each its own path")
-
-
-def _check_outputs(files=(), outdir=None) -> None:
-    """Refuse, before a command reads or computes anything, an output it
-    could not write: a file (``files``, pairs of flag or role and path; None
-    when absent) that is an existing directory, an ``--outdir`` that exists
-    as something other than a directory, or either below a path that exists
-    and is not a directory."""
-    outputs = [(role, Path(path)) for role, path in files if path is not None]
+def _check_paths(writes, reads=(), outdir=None) -> None:
+    """Refuse, before a command computes or writes anything, a file it could
+    not write or must not replace. ``writes`` and ``reads`` are pairs of flag
+    or role and path (None when absent): every file the command writes, and
+    the files it reads or must leave as they are. Refused are a write that is
+    an existing directory, an ``--outdir`` that exists as something other
+    than a directory, either below a path that exists and is not a directory,
+    and two paths that resolve to one file in two roles."""
+    outputs = [(role, Path(path)) for role, path in writes if path is not None]
     for role, path in outputs:
         if path.is_dir():
             raise ContractError(f"{role} {path} is a directory; give a file path")
@@ -106,12 +92,20 @@ def _check_outputs(files=(), outdir=None) -> None:
         outdir = Path(outdir)
         if outdir.exists() and not outdir.is_dir():
             raise ContractError(f"--outdir {outdir} exists and is not a directory")
-        outputs.append(("--outdir", outdir))
+        outputs.insert(0, ("--outdir", outdir))
     for role, path in outputs:
         # "." and "/" have no parents, and both exist as directories
         above = next((parent for parent in path.parents if parent.exists()), None)
         if above is not None and not above.is_dir():
             raise ContractError(f"{role} {path} lies below {above}, which is not a directory")
+    seen: dict[Path, tuple[str, str]] = {}
+    for role, path in (*reads, *writes):
+        if path is not None:
+            named = f"{role} {path}"
+            other_role, other = seen.setdefault(Path(path).resolve(), (role, named))
+            if other_role != role:
+                raise ContractError(f"{named} and {other} are the same file; "
+                                    "give each its own path")
 
 
 def _identity_terms(path):
@@ -134,8 +128,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    _check_outputs([("--output", args.output)])
-    _distinct_files([("--input", args.input), ("--output", args.output)])
+    _check_paths([("--output", args.output)], [("--input", args.input)])
     kind = datasets.DatasetKind(args.kind)
     result = datasets.convert(kind, datasets.load_rows(args.input))
     datasets.write_canonical(result.comments, args.output)
@@ -156,8 +149,7 @@ def _read_comments(path) -> list[datasets.Comment]:
 
 def _cmd_split(args) -> int:
     outputs = [Path(args.outdir) / f"{name}.csv" for name in ("train", "val", "test")]
-    _check_outputs([("output", out) for out in outputs], args.outdir)
-    _distinct_files([("--input", args.input), *(("output", out) for out in outputs)])
+    _check_paths([("output", out) for out in outputs], [("--input", args.input)], args.outdir)
     comments = datasets.read_canonical(args.input)
     train, val, test = datasets.split(comments, args.seed)
     for part, out in zip((train, val, test), outputs):
@@ -167,11 +159,12 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _check_outputs(outdir=args.outdir)
-    corpus = datasets.synth_generate(args.n, args.theta, args.noise, args.seed)
     outdir = Path(args.outdir)
-    datasets.write_canonical(corpus.comments, outdir / "corpus.csv")
-    subjectivity.write_lexicon_tsv(corpus.lexicon, outdir / "lexicon.tsv")
+    outputs = [outdir / name for name in ("corpus.csv", "lexicon.tsv", "planted.json")]
+    _check_paths([("output", out) for out in outputs], outdir=outdir)
+    corpus = datasets.synth_generate(args.n, args.theta, args.noise, args.seed)
+    datasets.write_canonical(corpus.comments, outputs[0])
+    subjectivity.write_lexicon_tsv(corpus.lexicon, outputs[1])
     planted = {
         cid: {
             "score": rec.score,
@@ -184,7 +177,7 @@ def _cmd_synth(args) -> int:
     _write_json(
         {"n": args.n, "theta": args.theta, "noise": args.noise, "seed": args.seed,
          "records": planted},
-        outdir / "planted.json",
+        outputs[2],
     )
     n_toxic = sum(1 for c in corpus.comments if c.label is datasets.Label.TOXIC)
     print(f"generated {len(corpus.comments)} comments ({n_toxic} toxic) in {outdir}")
@@ -199,7 +192,7 @@ def _checked_keys(doc, types: dict, path, name: str) -> dict:
         raise ContractError(f"{path}: {name} must be a JSON object")
     try:
         check_fields(types, doc, name)
-    except ConfigError as exc:
+    except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from None
     return doc
 
@@ -210,11 +203,18 @@ def _given(**flags) -> dict:
 
 
 def _cmd_train(args) -> int:
-    _check_outputs(outdir=args.outdir)
+    outdir = Path(args.outdir)
+    subj_path = subjectivity.lexicon_path(args.lexicon)
+    # eval reads these copies, never the files train read.
+    copies = {LEXICON_COPIES[0 if subjectivity.is_tsv(subj_path) else 1]: subj_path}
+    if args.identity_terms:
+        copies[TERMS_COPY] = args.identity_terms
+    _check_paths([("run file", outdir / name)
+                  for name in (*RUN_FILES, "history.csv", *copies, "manifest.json")],
+                 outdir=outdir)
     mode = AugmentMode.parse(args.mode)
     train_comments = _read_comments(args.train)
     val_comments = _read_comments(args.val)
-    subj_path = subjectivity.lexicon_path(args.lexicon)
     subj_lex = subjectivity.load_lexicon(subj_path)
     id_lex = _identity_terms(args.identity_terms)
 
@@ -239,7 +239,6 @@ def _cmd_train(args) -> int:
         soc_weight=args.soc_weight, seed=args.seed, progress=progress,
     )
 
-    outdir = Path(args.outdir)
     vocab.save(outdir / "vocab.txt")
     encoder.save_params(params, outdir / "checkpoint.bin")
     history.to_csv(outdir / "history.csv")
@@ -251,10 +250,6 @@ def _cmd_train(args) -> int:
         "min_freq": args.min_freq,
     }
     _write_json(run_config, outdir / "config.json")
-    # eval reads these copies, never the files train read.
-    copies = {LEXICON_COPIES[0 if subjectivity.is_tsv(subj_path) else 1]: subj_path}
-    if args.identity_terms:
-        copies[TERMS_COPY] = args.identity_terms
     for name, source in copies.items():
         with replacing(outdir / name, "wb") as fh:
             fh.write(Path(source).read_bytes())
@@ -288,8 +283,8 @@ def _load_manifest(path) -> tuple[dict, Path, str]:
     identity term copy, and each must hash to the sha256 it records."""
     p = Path(path)
     if not p.exists():
-        raise ResourceError(f"manifest not found: {p}")
-    manifest = _read_json(p, ContractError)
+        raise ContractError(f"manifest not found: {p}")
+    manifest = _read_json(p)
     if not isinstance(manifest, dict) or manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ContractError(f"unsupported manifest version in {p}")
     names = set(_checked_keys(manifest, RUN_KEYS, p, "manifest")["files"])
@@ -306,7 +301,7 @@ def _load_manifest(path) -> tuple[dict, Path, str]:
 
 def _run_files(path, manifest) -> list:
     """The manifest at ``path`` and each file train wrote beside it, which no
-    report may replace, as ``_distinct_files`` pairs."""
+    report may replace, as ``_check_paths`` pairs."""
     run = Path(path).parent
     return [("manifest", path),
             *(("run file", run / name) for name in ("history.csv", *manifest["files"]))]
@@ -316,12 +311,12 @@ def _run_config(run: Path) -> tuple[encoder.ModelConfig, AugmentMode, float]:
     """The model config, augment mode and SOC weight of the run in ``run``,
     read from its config.json, the one home of each."""
     path = run / "config.json"
-    run_config = _checked_keys(_read_json(path, ContractError), CONFIG_KEYS, path, "config")
+    run_config = _checked_keys(_read_json(path), CONFIG_KEYS, path, "config")
     try:
         config = encoder.ModelConfig.from_dict(run_config["model"])
         check_fields(trainer.TrainSchedule, run_config["schedule"], "TrainSchedule")
         return config, AugmentMode.parse(run_config["mode"]), run_config["soc_weight"]
-    except (ConfigError, ContractError) as exc:
+    except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from None
 
 
@@ -375,11 +370,14 @@ def _read_predictions(path, tag, comments):
                 if not (0.0 <= float(p_toxic) <= 1.0 and 0.0 <= subj <= 1.0):  # NaN fails too
                     raise stale(f"malformed predictions (p_toxic or subjectivity of {cid!r} "
                                 "outside [0, 1])")
-                preds.append(datasets.Label.parse(pred))
+                try:
+                    preds.append(datasets.Label.parse(pred))
+                except ContractError as exc:  # malformed, as a float() ValueError is
+                    raise ValueError(exc) from None
                 features.append(audit.CommentFeatures(subj, tuple(terms.split())))
             if len(preds) != len(comments) or next(rows, None) is not None:
                 raise stale("predictions do not cover the test CSV")
-    except (ValueError, csv.Error, SchemaError) as exc:
+    except (ValueError, csv.Error) as exc:
         raise stale(f"malformed predictions ({exc})") from None
     return preds, features
 
@@ -387,10 +385,9 @@ def _read_predictions(path, tag, comments):
 def _cmd_eval(args) -> int:
     out = Path(args.output or Path(args.manifest).parent / "eval.json")
     predictions = out.parent / PREDICTIONS_FILE
-    _check_outputs([("--output", out), ("predictions", predictions)])
     manifest, run, manifest_sha256 = _load_manifest(args.manifest)
-    _distinct_files([("--test", args.test), ("predictions", predictions),
-                     ("report", out), *_run_files(args.manifest, manifest)])
+    _check_paths([("--output", out), ("predictions", predictions)],
+                 [("--test", args.test), *_run_files(args.manifest, manifest)])
     config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest, run)
     comments = _read_comments(args.test)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
@@ -416,15 +413,14 @@ def _cmd_eval(args) -> int:
 def _cmd_audit(args) -> int:
     out = Path(args.output or Path(args.manifest).parent / "audit.json")
     text_out = out.with_suffix(".txt")
-    _check_outputs([("--output", out), ("text report", text_out),
-                    ("--cells-csv", args.cells_csv)])
+    predictions = out.parent / PREDICTIONS_FILE
     manifest, run, manifest_sha256 = _load_manifest(args.manifest)
-    _distinct_files([("--test", args.test), ("predictions", out.parent / PREDICTIONS_FILE),
-                     ("report", out), ("text report", text_out), ("--cells-csv", args.cells_csv),
-                     ("run file", run / "eval.json"), *_run_files(args.manifest, manifest)])
+    _check_paths([("--output", out), ("text report", text_out), ("--cells-csv", args.cells_csv)],
+                 [("--test", args.test), ("predictions", predictions),
+                  ("run file", run / "eval.json"), *_run_files(args.manifest, manifest)])
     comments = _read_comments(args.test)
     tag = PREDICTIONS_TAG.format(manifest_sha256, _sha256_file(args.test))
-    preds, features = _read_predictions(out.parent / PREDICTIONS_FILE, tag, comments)
+    preds, features = _read_predictions(predictions, tag, comments)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
     _write_json(report.to_json_dict(), out)
     with replacing(text_out, "w", encoding="utf-8") as fh:
@@ -438,9 +434,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_outputs([("--output", args.output)])
     rows: dict[str, list[tuple[float, int, int]]] = {}
-    paths = [("--output", args.output)]
+    reads = []
     given: dict[str, str] = {}  # manifest sha256 to the path it was given by
     tested = None  # the first run's test CSV sha256 and eval.json
     for mpath in args.manifests:
@@ -453,11 +448,10 @@ def _cmd_compare(args) -> int:
         given[manifest_sha256] = mpath
         _, mode, soc_weight = _run_config(run)
         eval_path = run / "eval.json"
-        paths += [("run file", eval_path), *_run_files(mpath, manifest)]
+        reads += [("run file", eval_path), *_run_files(mpath, manifest)]
         if not eval_path.exists():
             raise ContractError(f"no eval report for {mpath}; run `subsense eval` first")
-        report = _checked_keys(_read_json(eval_path, ContractError), EVAL_KEYS, eval_path,
-                               "eval report")
+        report = _checked_keys(_read_json(eval_path), EVAL_KEYS, eval_path, "eval report")
         if report["manifest_sha256"] != manifest_sha256:
             raise ContractError(f"{eval_path} reports another manifest than {mpath}; "
                                 "run `subsense eval` again")
@@ -470,7 +464,7 @@ def _cmd_compare(args) -> int:
                                 "evaluate every run on one")
         name = mode.value + (f"+soc({soc_weight})" if soc_weight else "")
         rows.setdefault(name, []).append((report["f1"], report["fp"], report["fn"]))
-    _distinct_files(paths)
+    _check_paths([("--output", args.output)], reads)
     named = [(name, audit.aggregate(runs)) for name, runs in sorted(rows.items())]
     print(audit.render_f1_table(named), audit.render_fp_fn_table(named), sep="\n\n")
     if args.output:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import identity, subjectivity
 from .atomic import replacing
-from .errors import ContractError, ResourceError, SchemaError
+from .errors import ContractError
 
 
 class Label(IntEnum):
@@ -42,7 +42,7 @@ class Label(IntEnum):
     def parse(cls, raw: str) -> "Label":
         label = _LABELS.get(raw.strip().lower())
         if label is None:
-            raise SchemaError(f"unknown canonical label {raw!r}")
+            raise ContractError(f"unknown canonical label {raw!r}")
         return label
 
 
@@ -107,7 +107,7 @@ _T42K_MAP = {
 
 def _present(value, column: str, rownum: int) -> str:
     if value is None:
-        raise SchemaError(f"row {rownum}: missing column {column!r}")
+        raise ContractError(f"row {rownum}: missing column {column!r}")
     return value
 
 
@@ -116,8 +116,8 @@ def _refuse_row(label, text, rownum: int):
     raw = _present(label, "label", rownum)
     try:
         Label.parse(raw)
-    except SchemaError as exc:
-        raise SchemaError(f"row {rownum}: {exc}") from None
+    except ContractError as exc:
+        raise ContractError(f"row {rownum}: {exc}") from None
     _present(text, "text", rownum)
 
 
@@ -125,7 +125,7 @@ def _mapped_label(row: dict, mapping: dict, rownum: int):
     raw = _present(row.get("label"), "label", rownum)
     key = raw.strip().lower()
     if key not in mapping:
-        raise SchemaError(f"row {rownum}: unknown label {raw!r}")
+        raise ContractError(f"row {rownum}: unknown label {raw!r}")
     return mapping[key]
 
 
@@ -137,7 +137,7 @@ def _wiki_label(row: dict, rownum: int) -> Label:
     for col in WIKI_LABEL_COLUMNS:
         raw = _present(row.get(col), col, rownum).strip()
         if raw not in ("0", "1"):
-            raise SchemaError(f"row {rownum}: column {col!r} must be 0 or 1, got {raw!r}")
+            raise ContractError(f"row {rownum}: column {col!r} must be 0 or 1, got {raw!r}")
         if raw == "1":
             return Label.TOXIC
     return Label.NONTOXIC
@@ -173,14 +173,14 @@ def _dataset_file(path):
     or a row ``csv`` cannot read (such as a field past its size limit) raises."""
     p = Path(path)
     if not p.exists():
-        raise ResourceError(f"dataset file not found: {p}")
+        raise ContractError(f"dataset file not found: {p}")
     with open(p, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise ResourceError(f"dataset file {p} is not UTF-8 text: {exc}") from None
+            raise ContractError(f"dataset file {p} is not UTF-8 text: {exc}") from None
         except csv.Error as exc:
-            raise ResourceError(f"dataset file {p} is not a readable CSV: {exc}") from None
+            raise ContractError(f"dataset file {p} is not a readable CSV: {exc}") from None
 
 
 def load_rows(path) -> list[dict]:
@@ -211,7 +211,7 @@ def read_canonical(path) -> list[Comment]:
                     _refuse_row(label, text, n)
                 comments.append(Comment((cid or "").strip() or f"synthetic-{n:06d}", text, value))
             return comments
-        except SchemaError:
+        except ContractError:
             for _ in reader:  # bad bytes later in the file are reported first
                 pass
             raise

@@ -126,7 +126,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import replacing
-from .errors import ConfigError, ContractError, ResourceError, check_fields
+from .errors import ContractError, check_fields
 
 CHECKPOINT_MAGIC = b"SSENCPT1"
 _NORM_EPS = 1e-9
@@ -153,21 +153,21 @@ class ModelConfig:
     def __post_init__(self):
         check_fields(ModelConfig, vars(self), "ModelConfig")
         if self.max_len < 3:
-            raise ConfigError("max_len must be at least 3")
+            raise ContractError("max_len must be at least 3")
         if self.vocab_size < 4:
-            raise ConfigError("vocab_size must cover the specials")
+            raise ContractError("vocab_size must cover the specials")
         if self.d_model <= 0 or self.d_ff <= 0 or self.n_heads <= 0:
-            raise ConfigError("model dimensions must be positive")
+            raise ContractError("model dimensions must be positive")
         if self.n_layers < 0:
-            raise ConfigError("n_layers must be non-negative")
+            raise ContractError("n_layers must be non-negative")
         if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+            raise ContractError("seed must be non-negative")
         if self.d_model % self.n_heads != 0:
-            raise ConfigError(
+            raise ContractError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0,1)")
+            raise ContractError("dropout_rate must be in [0,1)")
 
     @property
     def seq_len(self) -> int:
@@ -856,7 +856,7 @@ def load_params(path, config: ModelConfig) -> dict[str, np.ndarray]:
     finite; anything else is a one-line ``ContractError`` naming it."""
     p = Path(path)
     if not p.exists():
-        raise ResourceError(f"checkpoint not found: {p}")
+        raise ContractError(f"checkpoint not found: {p}")
     shapes = param_shapes(config)
     header = _header(shapes)
     blob = p.read_bytes()

@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 
 from .atomic import replacing
-from .errors import ContractError, ResourceError, read_text
+from .errors import ContractError, read_text
 from .textprep import word_split
 
 DEFAULT_LEXICON_XML = Path(__file__).parent / "data" / "en_subjectivity.xml"
@@ -111,10 +111,10 @@ def _load(path, records) -> SubjectivityLexicon:
     degenerate."""
     p = Path(path)
     if not p.exists():
-        raise ResourceError(f"lexicon file not found: {p}")
+        raise ContractError(f"lexicon file not found: {p}")
     entries = [e for e in map(_entry, records(p)) if e is not None]
     if not entries:
-        raise ResourceError(f"lexicon file {p} contains no usable entries")
+        raise ContractError(f"lexicon file {p} contains no usable entries")
     return SubjectivityLexicon(entries)
 
 
@@ -122,7 +122,7 @@ def _xml_records(p: Path):
     try:
         root = ET.parse(p).getroot()
     except ET.ParseError as exc:
-        raise ResourceError(f"lexicon file {p} is not well-formed XML: {exc}") from exc
+        raise ContractError(f"lexicon file {p} is not well-formed XML: {exc}") from exc
     return (el.attrib for el in root.iter("word"))
 
 

@@ -77,8 +77,9 @@ class Vocab:
     @classmethod
     def load(cls, path) -> "Vocab":
         p = Path(path)
+        lines = read_text(p, "vocab file").splitlines()  # its refusals name the file
         try:
-            return cls(tuple(read_text(p, "vocab file").splitlines()))
+            return cls(tuple(lines))
         except ContractError as exc:
             raise ContractError(f"vocab file {p}: {exc}") from None
 

@@ -24,7 +24,7 @@ from .atomic import replacing
 from .augment import AugmentMode, augment
 from .datasets import Label
 from .encoder import N_CLASSES, Batch, ModelConfig, backward, flat_params, forward, init
-from .errors import ConfigError, ContractError, check_fields
+from .errors import ContractError, check_fields
 from .identity import IdentityLexicon, detect
 from .subjectivity import SubjectivityLexicon, score
 from .textprep import Vocab, encode, word_split
@@ -45,11 +45,11 @@ class TrainSchedule:
     def __post_init__(self):
         check_fields(TrainSchedule, vars(self), "TrainSchedule")
         if min(self.batch_size, self.val_every, self.epoch_cap) <= 0:
-            raise ConfigError("schedule values must be positive")
+            raise ContractError("schedule values must be positive")
         if not 0.0 < self.lr0 < math.inf:
-            raise ConfigError(f"lr0 must be positive and finite, not {self.lr0}")
+            raise ContractError(f"lr0 must be positive and finite, not {self.lr0}")
         if self.max_halvings < 1:
-            raise ConfigError("max_halvings must be at least 1")
+            raise ContractError("max_halvings must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ClassWeights:
 
     def __post_init__(self):
         if self.w_toxic <= 0 or self.w_nontoxic <= 0:
-            raise ConfigError("class weights must be positive")
+            raise ContractError("class weights must be positive")
 
 
 def class_weights(labels) -> ClassWeights:

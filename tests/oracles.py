@@ -45,7 +45,7 @@ from subsense import encoder as _enc
 from subsense import trainer as _tr
 from subsense.augment import AugmentMode
 from subsense.datasets import Comment, Label
-from subsense.errors import ContractError, ResourceError, SchemaError
+from subsense.errors import ContractError
 from subsense.identity import detect as _detect
 from subsense.subjectivity import SubjectivityScore, score as _score
 from subsense.textprep import CLS, PAD, SEP, UNK, word_split as _word_split
@@ -653,18 +653,18 @@ def audit_report(comments, preds, golds, id_lexicon, subj_lexicon):
 def read_canonical(path) -> list[Comment]:
     p = Path(path)
     if not p.exists():
-        raise ResourceError(f"dataset file not found: {p}")
+        raise ContractError(f"dataset file not found: {p}")
     with open(p, newline="", encoding="utf-8-sig") as fh:
         try:
             rows = list(csv.DictReader(fh))
         except UnicodeDecodeError as exc:
-            raise ResourceError(f"dataset file {p} is not UTF-8 text: {exc}") from None
+            raise ContractError(f"dataset file {p} is not UTF-8 text: {exc}") from None
         except csv.Error as exc:
-            raise ResourceError(f"dataset file {p} is not a readable CSV: {exc}") from None
+            raise ContractError(f"dataset file {p} is not a readable CSV: {exc}") from None
 
     def field_of(row, column, rownum):
         if column not in row or row[column] is None:
-            raise SchemaError(f"row {rownum}: missing column {column!r}")
+            raise ContractError(f"row {rownum}: missing column {column!r}")
         return row[column]
 
     comments = []
@@ -672,8 +672,8 @@ def read_canonical(path) -> list[Comment]:
         raw = field_of(row, "label", idx)
         try:
             label = Label.parse(raw)
-        except SchemaError as exc:
-            raise SchemaError(f"row {idx}: {exc}") from None
+        except ContractError as exc:
+            raise ContractError(f"row {idx}: {exc}") from None
         text = field_of(row, "text", idx)
         cid = (row.get("id") or "").strip() or f"synthetic-{idx:06d}"
         comments.append(Comment(cid, text, label))

@@ -818,28 +818,41 @@ class TestBadInputExitsTwo:
                              "--outdir", str(blocker), "--seed", "1"]) == 2
         self.one_line_error(capsys)
 
-    @pytest.mark.parametrize("argv, flag", [
+    @pytest.mark.parametrize("argv, flag, taken", [
         (["eval", "--manifest", "{manifest}", "--test", "{test}", "--output", "{taken}"],
-         "--output"),
+         "--output", "taken"),
         (["audit", "--manifest", "{manifest}", "--test", "{test}",
-          "--output", "{out}/audit.json", "--cells-csv", "{taken}"], "--cells-csv"),
-        (["compare", "{manifest}", "--output", "{taken}"], "--output"),
-        (["convert", "--kind", "ws", "--input", "{raw}", "--output", "{taken}"], "--output"),
-    ], ids=["eval-output", "audit-cells-csv", "compare-output", "convert-output"])
-    def test_file_output_that_is_a_directory(self, pipeline, tmp_path, capsys, argv, flag):
+          "--output", "{out}/audit.json", "--cells-csv", "{taken}"], "--cells-csv", "taken"),
+        (["compare", "{manifest}", "--output", "{taken}"], "--output", "taken"),
+        (["convert", "--kind", "ws", "--input", "{raw}", "--output", "{taken}"], "--output",
+         "taken"),
+        (["train", "--train", "{data}/train.csv", "--val", "{data}/val.csv", "--mode", "ss",
+          "--seed", "1", "--outdir", "{out}", *TRAIN_FLAGS], "run file", "checkpoint.bin"),
+        (["synth", "--n", "40", "--seed", "1", "--outdir", "{out}"], "output", "corpus.csv"),
+    ], ids=["eval-output", "audit-cells-csv", "compare-output", "convert-output",
+            "train-checkpoint", "synth-corpus"])
+    def test_file_output_that_is_a_directory(self, pipeline, tmp_path, capsys, monkeypatch,
+                                             argv, flag, taken):
         """Refused before any work: eval wrote its predictions beside such an
-        --output, and audit both reports, before failing on it."""
+        --output, and audit both reports, before failing on it; train trained
+        the whole model and synth made its corpus, then failed to write into
+        the directory, naming their temporary file."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command computed before checking its outputs")
+
+        monkeypatch.setattr(trainer, "train", no_work)
+        monkeypatch.setattr(datasets, "synth_generate", no_work)
         out = tmp_path / "out"
         fill = {"manifest": pipeline["run"] / "manifest.json",
                 "test": pipeline["data"] / "test.csv", "raw": DATA_DIR / "ws_10.csv",
-                "out": out, "taken": out / "taken"}
+                "data": pipeline["data"], "out": out, "taken": out / taken}
         assert _eval(fill["manifest"], fill["test"], out) == 0  # audit reads its predictions
-        (out / "taken").mkdir()
+        (out / taken).mkdir()
         before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
         capsys.readouterr()
         assert cli.dispatch([arg.format(**fill) for arg in argv]) == 2
         assert self.one_line_error(capsys) == (
-            f"error: {flag} {out / 'taken'} is a directory; give a file path")
+            f"error: {flag} {out / taken} is a directory; give a file path")
         assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
 
     @pytest.mark.parametrize("argv", [
@@ -1066,6 +1079,55 @@ class TestPredictionsHandoff:
         assert err.startswith("error:") and "\n" not in err
         assert str(run / "checkpoint.bin") in err
 
+    @pytest.mark.parametrize("tamper, reason", [
+        ("no file", "no predictions"),
+        ("another tag", "predictions of another run or test CSV"),
+        ("wrong header", "predictions do not cover the test CSV"),
+        ("wrong id", "id 'x' where the test CSV has {cid!r}"),
+        ("short file", "predictions do not cover the test CSV"),
+        ("pred not a label", "malformed predictions (unknown canonical label 'maybe')"),
+        ("short row", "malformed predictions (not enough values to unpack (expected 5, got 3))"),
+        ("p_toxic not a number",
+         "malformed predictions (could not convert string to float: 'x')"),
+        ("p_toxic out of range",
+         "malformed predictions (p_toxic or subjectivity of {cid!r} outside [0, 1])"),
+    ], ids=["no-file", "another-tag", "wrong-header", "wrong-id", "short-file",
+            "pred-not-a-label", "short-row", "p_toxic-not-a-number", "p_toxic-out-of-range"])
+    def test_stale_predictions_message(self, pipeline, tmp_path, capsys, tamper, reason):
+        """Each refusal of predictions.csv is wrapped once: the reason, then
+        the advice to run eval."""
+        manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
+        assert _eval(manifest, test, tmp_path) == 0
+        path = tmp_path / "predictions.csv"
+        tag, *lines = path.read_text(encoding="utf-8").splitlines()
+        header, *rows = csv.reader(lines)
+        cid = rows[0][0]
+        if tamper == "another tag":
+            tag = "# subsense predictions manifest=0 test=0"
+        elif tamper == "wrong header":
+            header.reverse()
+        elif tamper == "wrong id":
+            rows[0][0] = "x"
+        elif tamper == "short file":
+            rows.pop()
+        elif tamper == "pred not a label":
+            rows[0][1] = "maybe"
+        elif tamper == "short row":
+            rows[0] = rows[0][:3]
+        elif tamper != "no file":
+            rows[0][2] = "x" if tamper == "p_toxic not a number" else "7.5"
+        body = io.StringIO(newline="")
+        csv.writer(body, lineterminator="\n").writerows([header, *rows])
+        path.write_text(f"{tag}\n{body.getvalue()}", encoding="utf-8")
+        if tamper == "no file":
+            path.unlink()
+        capsys.readouterr()
+        assert _audit(manifest, test, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {reason.format(cid=cid)}; run `subsense eval` with the same "
+            "report directory first\n")
+        assert not (tmp_path / "audit.json").exists()
+
     @pytest.mark.parametrize("tamper", [
         "swap ids", "drop a row", "extra row", "bad float", "bad label", "short row",
         "columns swapped",
@@ -1167,7 +1229,7 @@ class TestRunDirectory:
 
     def test_outdir_is_the_root(self):
         """"/" has no parent path either; the check passes it to the writes."""
-        assert cli._check_outputs(outdir="/") is None
+        assert cli._check_paths((), outdir="/") is None
 
     def test_copied_run_from_another_directory(self, pipeline, tmp_path, monkeypatch, capsys):
         run, test = pipeline["run"], str(pipeline["data"] / "test.csv")

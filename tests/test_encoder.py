@@ -15,7 +15,7 @@ from subsense import subjectivity as sj
 from subsense import textprep as tp
 from subsense import trainer as tr
 from subsense.datasets import Comment, Label
-from subsense.errors import ConfigError, ContractError, ResourceError
+from subsense.errors import ContractError
 
 import oracles
 
@@ -56,11 +56,11 @@ def random_batch(rng, config, size, slot_mask=0):
 
 class TestConfig:
     def test_head_divisibility(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match="^d_model 65 not divisible by n_heads 4$"):
             tiny_config(d_model=65, n_heads=4)
 
     def test_dropout_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match=r"^dropout_rate must be in \[0,1\)$"):
             tiny_config(dropout_rate=1.0)
 
     def test_round_trip(self):
@@ -72,20 +72,20 @@ class TestConfig:
         ("dropout_rate", "0.1"), ("dropout_rate", False),
     ])
     def test_wrong_type_is_config_error(self, field, value):
-        with pytest.raises(ConfigError, match=f"ModelConfig.{field} must be"):
+        with pytest.raises(ContractError, match=f"ModelConfig.{field} must be"):
             tiny_config(**{field: value})
 
     def test_int_fills_float_field(self):
         assert tiny_config(dropout_rate=0).dropout_rate == 0
 
     def test_from_dict_names_missing_and_unknown_keys(self):
-        with pytest.raises(ConfigError, match="lacks max_len, vocab_size"):
+        with pytest.raises(ContractError, match="lacks max_len, vocab_size"):
             enc.ModelConfig.from_dict({})
         partial = dataclasses.asdict(tiny_config())
         del partial["seed"]
-        with pytest.raises(ConfigError, match="lacks seed"):
+        with pytest.raises(ContractError, match="lacks seed"):
             enc.ModelConfig.from_dict(partial)
-        with pytest.raises(ConfigError, match="unknown ModelConfig keys n_blocks"):
+        with pytest.raises(ContractError, match="unknown ModelConfig keys n_blocks"):
             enc.ModelConfig.from_dict({**dataclasses.asdict(tiny_config()), "n_blocks": 2})
 
 
@@ -379,7 +379,7 @@ class TestCheckpoint:
             enc.load_params(path, tiny_config())
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ResourceError):
+        with pytest.raises(ContractError, match="^checkpoint not found: "):
             enc.load_params(tmp_path / "nope.bin", tiny_config())
 
     @pytest.mark.parametrize("saved,expected", [

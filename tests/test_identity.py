@@ -8,7 +8,7 @@ from subsense import subjectivity as sj
 from subsense import trainer as tr
 from subsense.augment import AugmentMode
 from subsense.datasets import Comment, Label
-from subsense.errors import ContractError, ResourceError
+from subsense.errors import ContractError
 from subsense.textprep import build_vocab, word_split
 
 import oracles
@@ -268,7 +268,7 @@ class TestLoadTerms:
         assert lex.terms == ("alpha", "beta")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ResourceError):
+        with pytest.raises(ContractError, match="^identity term file not found: "):
             idn.load_terms(tmp_path / "nope.txt")
 
     def test_refused_term_names_the_file(self, tmp_path):

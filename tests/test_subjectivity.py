@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from subsense import subjectivity as sj
-from subsense.errors import ContractError, ResourceError
+from subsense.errors import ContractError
 from subsense.textprep import word_split
 
 from score_vectors import PAIRED_COMMENTS, SPOT_SCORES
@@ -40,17 +40,17 @@ class TestLoading:
     def test_empty_file_is_degenerate(self, tmp_path):
         path = tmp_path / "lex.xml"
         path.write_text("<lexicon></lexicon>")
-        with pytest.raises(ResourceError, match="contains no usable entries"):
+        with pytest.raises(ContractError, match="contains no usable entries"):
             sj.load_lexicon(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ResourceError):
+        with pytest.raises(ContractError, match="^lexicon file not found: "):
             sj.load_lexicon(tmp_path / "nope.xml")
 
     def test_garbled_xml(self, tmp_path):
         path = tmp_path / "lex.xml"
         path.write_text("<lexicon><word form=")
-        with pytest.raises(ResourceError):
+        with pytest.raises(ContractError, match=" is not well-formed XML: "):
             sj.load_lexicon(path)
 
     def test_reference_lexicon_count_matches_file_scan(self):
@@ -107,7 +107,7 @@ class TestLoading:
         assert lex.senses("very") == (sj.LexiconEntry("very", 0.3, intensity=1.3),)
         xml_path = tmp_path / "lex.xml"
         xml_path.write_text(text)
-        with pytest.raises(ResourceError):
+        with pytest.raises(ContractError, match=" is not well-formed XML: "):
             sj.load_lexicon(xml_path)
 
 

@@ -12,7 +12,7 @@ from subsense import textprep as tp
 from subsense import trainer as tr
 from subsense.augment import AugmentMode
 from subsense.datasets import Comment, Label
-from subsense.errors import ContractError
+from subsense.errors import ContractError, SubsenseError
 
 WORD = st.text(alphabet="abcdefg", min_size=1, max_size=5)
 
@@ -95,6 +95,11 @@ class TestVocab:
         path = tmp_path / "vocab.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ContractError, match=f"^vocab file {re.escape(str(path))}: "):
+            tp.Vocab.load(path)
+
+    def test_missing_vocab_file_is_named_once(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        with pytest.raises(SubsenseError, match=f"^vocab file not found: {re.escape(str(path))}$"):
             tp.Vocab.load(path)
 
     def test_duplicate_token_rejected(self):

@@ -13,7 +13,7 @@ from subsense import subjectivity as sj
 from subsense import textprep as tp
 from subsense import trainer as tr
 from subsense.datasets import Comment, Label
-from subsense.errors import ConfigError, ContractError
+from subsense.errors import ContractError
 
 import oracles
 
@@ -406,12 +406,12 @@ class TestTrain:
             tr.train(prepared, prepared, config, schedule, ag.AugmentMode.BASELINE)
 
     def test_schedule_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match="^schedule values must be positive$"):
             tr.TrainSchedule(batch_size=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match="^max_halvings must be at least 1$"):
             tr.TrainSchedule(max_halvings=0)
         for lr0 in (0.0, -1e-3, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ConfigError, match="lr0 must be positive and finite"):
+            with pytest.raises(ContractError, match="lr0 must be positive and finite"):
                 tr.TrainSchedule(lr0=lr0)
 
     @pytest.mark.parametrize("soc_weight", [-0.1, float("nan"), float("inf")])
@@ -424,7 +424,7 @@ class TestTrain:
 
     def test_schedule_types(self):
         for field, value in (("lr0", True), ("batch_size", 8.0), ("epoch_cap", "2")):
-            with pytest.raises(ConfigError, match=f"TrainSchedule.{field} must be"):
+            with pytest.raises(ContractError, match=f"TrainSchedule.{field} must be"):
                 tr.TrainSchedule(**{field: value})
         assert tr.TrainSchedule(lr0=1).lr0 == 1
 
