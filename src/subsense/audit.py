@@ -58,10 +58,13 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
+# The outcome of a (prediction, gold) pair at index 2 * pred + gold, with
+# NONTOXIC 0 and TOXIC 1.
+_OUTCOME_AT = ("TN", "FN", "FP", "TP")
+
+
 def _outcome(pred: Label, gold: Label) -> str:
-    if pred == Label.TOXIC:
-        return "TP" if gold == Label.TOXIC else "FP"
-    return "FN" if gold == Label.TOXIC else "TN"
+    return _OUTCOME_AT[2 * pred + gold]
 
 
 def confusion(preds, golds) -> ConfusionCounts:

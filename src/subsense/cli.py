@@ -45,6 +45,7 @@ EVAL_KEYS = {"manifest_sha256": str, "test": dict, "n": int, "tp": int, "fp": in
 PREDICTIONS_FILE = "predictions.csv"
 PREDICTIONS_TAG = "# subsense predictions manifest={} test={}"
 PREDICTION_COLUMNS = ["id", "pred", "p_toxic", "subjectivity", "terms"]
+LABEL_NAMES = {label: str(label) for label in datasets.Label}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,9 +210,11 @@ def _cmd_train(args) -> int:
     copies = {LEXICON_COPIES[0 if subjectivity.is_tsv(subj_path) else 1]: subj_path}
     if args.identity_terms:
         copies[TERMS_COPY] = args.identity_terms
+    # train may copy its lexicon or term file onto itself, so only the CSVs
+    # are reads that no run file may be.
     _check_paths([("run file", outdir / name)
                   for name in (*RUN_FILES, "history.csv", *copies, "manifest.json")],
-                 outdir=outdir)
+                 [("--train", args.train), ("--val", args.val)], outdir)
     mode = AugmentMode.parse(args.mode)
     train_comments = _read_comments(args.train)
     val_comments = _read_comments(args.val)
@@ -342,7 +345,8 @@ def _write_predictions(path, tag, comments, preds, probs, features) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PREDICTION_COLUMNS)
         for comment, pred, prob, (subj, terms) in zip(comments, preds, probs, features):
-            writer.writerow([comment.id, str(pred), repr(prob), repr(subj), " ".join(terms)])
+            writer.writerow([comment.id, LABEL_NAMES[pred], repr(prob), repr(subj),
+                             " ".join(terms)])
 
 
 def _read_predictions(path, tag, comments):
@@ -370,10 +374,13 @@ def _read_predictions(path, tag, comments):
                 if not (0.0 <= float(p_toxic) <= 1.0 and 0.0 <= subj <= 1.0):  # NaN fails too
                     raise stale(f"malformed predictions (p_toxic or subjectivity of {cid!r} "
                                 "outside [0, 1])")
-                try:
-                    preds.append(datasets.Label.parse(pred))
-                except ContractError as exc:  # malformed, as a float() ValueError is
-                    raise ValueError(exc) from None
+                label = datasets.LABELS.get(pred)  # as eval writes it, else parsed
+                if label is None:
+                    try:
+                        label = datasets.Label.parse(pred)
+                    except ContractError as exc:  # malformed, as a float() ValueError is
+                        raise ValueError(exc) from None
+                preds.append(label)
                 features.append(audit.CommentFeatures(subj, tuple(terms.split())))
             if len(preds) != len(comments) or next(rows, None) is not None:
                 raise stale("predictions do not cover the test CSV")
@@ -422,13 +429,14 @@ def _cmd_audit(args) -> int:
     tag = PREDICTIONS_TAG.format(manifest_sha256, _sha256_file(args.test))
     preds, features = _read_predictions(predictions, tag, comments)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
+    text = report.to_text()
     _write_json(report.to_json_dict(), out)
     with replacing(text_out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
+        fh.write(text)
     if args.cells_csv:
         with replacing(args.cells_csv, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(report.cells_csv_rows())
-    print(report.to_text())
+    print(text)
     print(f"report: {out}")
     return 0
 

@@ -40,13 +40,13 @@ class Label(IntEnum):
 
     @classmethod
     def parse(cls, raw: str) -> "Label":
-        label = _LABELS.get(raw.strip().lower())
+        label = LABELS.get(raw.strip().lower())
         if label is None:
             raise ContractError(f"unknown canonical label {raw!r}")
         return label
 
 
-_LABELS = {str(label): label for label in Label}  # the canonical spellings
+LABELS = {str(label): label for label in Label}  # the canonical spellings
 
 
 class DatasetKind(Enum):
@@ -206,7 +206,7 @@ def read_canonical(path) -> list[Comment]:
                     label, text, cid = row[li], row[ti], row[ii]
                 else:
                     label, text, cid = [row[i] if i < len(row) else None for i in cols]
-                value = None if label is None else _LABELS.get(label.strip().lower())
+                value = None if label is None else LABELS.get(label.strip().lower())
                 if value is None or text is None:
                     _refuse_row(label, text, n)
                 comments.append(Comment((cid or "").strip() or f"synthetic-{n:06d}", text, value))

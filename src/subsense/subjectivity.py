@@ -56,9 +56,10 @@ class SubjectivityLexicon:
         self._intensity = {f: sum(e.intensity for e in s) / len(s) for f, s in table.items()}
         # Every text a multi-word form continues past a space ("fed" of "fed
         # up"); a token outside this set can only match a one-word form, and
-        # a token outside ``_starts`` matches nothing.
+        # a token outside ``_starts`` matches nothing. Only texts that start
+        # with a letter or digit, as word tokens do, are starts.
         self._heads = frozenset(f[:i] for f in table for i, ch in enumerate(f) if ch == " ")
-        self._starts = self._heads.union(table)
+        self._starts = frozenset(s for s in self._heads.union(table) if s[:1].isalnum())
         self.max_form_words = max((f.count(" ") + 1 for f in table), default=1)
 
     def __len__(self) -> int:
@@ -173,22 +174,35 @@ def default_lexicon() -> SubjectivityLexicon:
 
 
 def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):
-    """Longest lexicon form starting at token i, or None (also past the end)."""
-    if i >= len(tokens):
+    """Longest lexicon form whose words are the first word tokens at or after
+    token i, as (form, width in words, index one past its last word), or None
+    (also past the end). Pure-punctuation tokens before and between the words
+    are stepped over where they stand."""
+    n = len(tokens)
+    while i < n and not tokens[i][0].isalnum():
+        i += 1
+    if i >= n:
         return None
     if tokens[i] not in lexicon._heads:
-        return (tokens[i], 1) if tokens[i] in lexicon._table else None
-    limit = min(lexicon.max_form_words, len(tokens) - i)
-    for width in range(limit, 0, -1):
-        form = " ".join(tokens[i : i + width])
-        if form in lexicon:
-            return form, width
+        return (tokens[i], 1, i + 1) if tokens[i] in lexicon._table else None
+    at = [i]  # the indices of the words a form may span
+    for j in range(i + 1, n):
+        if len(at) == lexicon.max_form_words:
+            break
+        if tokens[j][0].isalnum():
+            at.append(j)
+    for width in range(len(at), 0, -1):
+        form = " ".join([tokens[k] for k in at[:width]])
+        if form in lexicon._table:
+            return form, width, at[width - 1] + 1
     return None
 
 
 def _hits(tokens, lexicon: SubjectivityLexicon):
     """(start, width, contribution) of each lexicon hit in ``tokens``, in order,
-    by a longest-match scan. A one-token form with mean intensity != 1 that
+    by a longest-match scan of the word tokens that steps over
+    pure-punctuation tokens where they stand: ``start`` indexes ``tokens``,
+    ``width`` counts words. A one-word form with mean intensity != 1 that
     directly precedes another hit is that hit's modifier, not a hit of its
     own; only one modifier ever applies to a match. The scan steps only over
     forms and heads of forms, as no other token starts a match."""
@@ -201,7 +215,7 @@ def _hits(tokens, lexicon: SubjectivityLexicon):
         m = _match_at(tokens, i, lexicon)
         if m is None:
             continue
-        form, width = m
+        form, width, stop = m
         if (
             width == 1
             and lexicon.mean_intensity(form) != 1.0
@@ -214,7 +228,7 @@ def _hits(tokens, lexicon: SubjectivityLexicon):
             subj = min(1.0, max(0.0, subj * pending))
             pending = None
         yield i, width, subj
-        end = i + width
+        end = stop
 
 
 def score(text: str, lexicon: SubjectivityLexicon, tokens=None) -> SubjectivityScore:
@@ -222,14 +236,14 @@ def score(text: str, lexicon: SubjectivityLexicon, tokens=None) -> SubjectivityS
 
     A caller that has already split ``text`` passes ``word_split(text)`` as
     ``tokens`` to skip the second split. Pure-punctuation tokens, which
-    ``word_split`` emits one character each, are dropped before matching.
-    No matches at all gives exactly 0.0.
+    ``word_split`` emits one character each, are stepped over where they
+    stand, as if absent. No matches at all gives exactly 0.0.
     """
     if tokens is None:
         tokens = word_split(text)
     if lexicon._starts.isdisjoint(tokens):  # no token starts a match
         return SubjectivityScore(0.0)
-    values = [subj for _, _, subj in _hits([t for t in tokens if t[0].isalnum()], lexicon)]
+    values = [subj for _, _, subj in _hits(tokens, lexicon)]
     if not values:
         return SubjectivityScore(0.0)
     value = sum(values) / len(values)

@@ -27,7 +27,7 @@ def word_split(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
-        if chunk[0].isalnum() and chunk[-1].isalnum():  # most words: nothing to peel
+        if chunk.isalnum():  # most words: nothing to peel, one test
             tokens.append(chunk)
             continue
         lead: list[str] = []

@@ -24,7 +24,8 @@ before the audit reused the trainer's per-comment features, with the result
 types they returned. ``read_canonical`` is the canonical CSV reader as it was
 before it streamed its rows: a list of ``csv.DictReader`` dicts, then the
 per-row rule of ``convert``, with the row number on a bad label and one
-line for a row ``csv`` cannot read.
+line for a row ``csv`` cannot read. ``feature_audit_report`` is the audit of
+given features as it was before each outcome became a table lookup.
 ``rms_backward``, ``gelu_grad``, ``dropout_mask`` and ``variant_sums`` are
 the training step's helpers as they were before the backward pass read
 GELU's tanh from the forward cache: the RMS-norm backward through whole-array
@@ -35,6 +36,7 @@ boolean array and the variant sums as one bincount.
 import csv
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -562,6 +564,16 @@ def hits(tokens, lexicon) -> list[tuple[int, int, float]]:
     return [(a.start, a.end - a.start, a.subjectivity) for a in assess(tokens, lexicon)]
 
 
+def word_hits(tokens, lexicon) -> list[tuple[int, int, float]]:
+    """``hits`` of the word tokens of ``tokens`` (the ones ``score`` once kept
+    before matching: those whose first character is a letter or digit), each
+    start mapped back to its index in ``tokens``: what ``subjectivity._hits``
+    yields on a stream that holds punctuation tokens."""
+    at = [k for k, tok in enumerate(tokens) if tok[0].isalnum()]
+    return [(at[start], width, subj)
+            for start, width, subj in hits([tokens[k] for k in at], lexicon)]
+
+
 def score(text, lexicon) -> SubjectivityScore:
     tokens = [t for t in word_split(text) if any(ch.isalnum() for ch in t)]
     assessments = assess(tokens, lexicon)
@@ -613,7 +625,7 @@ def bias_groups(comments, preds, golds, id_lexicon, subj_lexicon):
     comments, preds, golds = list(comments), list(preds), list(golds)
     buckets = {(o, w): [] for o in _audit.OUTCOMES for w in (True, False)}
     for comment, pred, gold in zip(comments, preds, golds):
-        key = (_audit._outcome(pred, gold), detect(comment.text, id_lexicon).present)
+        key = (outcome(pred, gold), detect(comment.text, id_lexicon).present)
         buckets[key].append(score(comment.text, subj_lexicon).value)
     return {
         key: _audit.BiasCell(tuple(vals), _audit.quartiles(vals) if vals else None)
@@ -624,11 +636,11 @@ def bias_groups(comments, preds, golds, id_lexicon, subj_lexicon):
 def error_listing(comments, preds, golds, id_lexicon, subj_lexicon):
     rows = []
     for comment, pred, gold in zip(comments, preds, golds):
-        outcome = _audit._outcome(pred, gold)
-        if outcome not in ("FP", "FN"):
+        error = outcome(pred, gold)
+        if error not in ("FP", "FN"):
             continue
         rows.append(_audit.ErrorRow(
-            comment.id, outcome, detect(comment.text, id_lexicon).terms,
+            comment.id, error, detect(comment.text, id_lexicon).terms,
             score(comment.text, subj_lexicon).value,
         ))
     rows.sort(key=lambda r: (r.error, -r.subjectivity, r.comment_id))
@@ -643,6 +655,36 @@ def audit_report(comments, preds, golds, id_lexicon, subj_lexicon):
         bias_groups(comments, preds, golds, id_lexicon, subj_lexicon),
         tuple(error_listing(comments, preds, golds, id_lexicon, subj_lexicon)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The audit of given features before each outcome was a table lookup: the
+# outcome branches on the labels, and the confusion counts, the bias cells
+# and the error listing each derive it in a pass of their own.
+
+
+def outcome(pred, gold) -> str:
+    if pred == Label.TOXIC:
+        return "TP" if gold == Label.TOXIC else "FP"
+    return "FN" if gold == Label.TOXIC else "TN"
+
+
+def feature_audit_report(comments, preds, golds, features):
+    preds, golds, features = list(preds), list(golds), list(features)
+    n = Counter(map(outcome, preds, golds))
+    counts = _audit.ConfusionCounts(n["TP"], n["FP"], n["TN"], n["FN"])
+    buckets = {(o, w): [] for o in _audit.OUTCOMES for w in (True, False)}
+    for pred, gold, (subjectivity, terms) in zip(preds, golds, features):
+        buckets[(outcome(pred, gold), bool(terms))].append(subjectivity)
+    cells = {key: _audit.BiasCell(tuple(vals), _audit.quartiles(vals) if vals else None)
+             for key, vals in buckets.items()}
+    rows = []
+    for comment, pred, gold, (subjectivity, terms) in zip(comments, preds, golds, features):
+        error = outcome(pred, gold)
+        if error in ("FP", "FN"):
+            rows.append(_audit.ErrorRow(comment.id, error, terms, subjectivity))
+    rows.sort(key=lambda r: (r.error, -r.subjectivity, r.comment_id))
+    return _audit.AuditReport(counts, _audit.f1(counts), cells, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,31 @@ class TestReport:
         rows = report.cells_csv_rows()
         assert rows[0] == ["cell", "with_identity", "subjectivity"]
         assert len(rows) == 13
+
+
+class TestOneDerivationPerComment:
+    """The outcome is a table lookup, and the report equals the frozen
+    three-pass audit in ``oracles`` exactly."""
+
+    def test_outcome_of_each_pair(self):
+        for pred, gold, want in ((T, T, "TP"), (T, N, "FP"), (N, N, "TN"), (N, T, "FN")):
+            assert audit._outcome(pred, gold) == want == oracles.outcome(pred, gold)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c,d"]), st.sampled_from([T, N]),
+                              st.sampled_from([T, N]),
+                              st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                              st.sampled_from([(), ("women",), ("gay", "muslim")])),
+                    min_size=1, max_size=25))
+    def test_report_matches_three_pass_oracle(self, rows):
+        # Few ids, labels and scores, so that cells stay empty and ids and
+        # subjectivities tie in the error order.
+        comments = [ds.Comment(cid, "text", gold) for cid, _, gold, _, _ in rows]
+        preds = [pred for _, pred, _, _, _ in rows]
+        golds = [gold for _, _, gold, _, _ in rows]
+        features = [audit.CommentFeatures(s, terms) for _, _, _, s, terms in rows]
+        got = audit.audit_report(comments, preds, golds, features)
+        want = oracles.feature_audit_report(comments, preds, golds, features)
+        assert (got.counts, got.f1) == (want.counts, want.f1)
+        assert list(got.cells.items()) == list(want.cells.items())
+        assert got.errors == want.errors

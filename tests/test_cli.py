@@ -276,7 +276,8 @@ class TestTrainArtifacts:
         assert "f1" in out
         payload = json.loads((run / "audit.json").read_text())
         assert "cells" in payload and "named_groups" in payload
-        assert (run / "audit.txt").exists()
+        # The text report is rendered once, for the file and for stdout.
+        assert out.encode("utf-8").startswith((run / "audit.txt").read_bytes())
         assert cells.exists()
 
     def test_compare_renders_tables(self, pipeline, capsys):
@@ -904,6 +905,30 @@ class TestBadInputExitsTwo:
             f"error: {flag} {out} lies below {taken}, which is not a directory")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert taken.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("flag, name", [("--train", "history.csv"), ("--val", "manifest.json")],
+                             ids=["train-csv-as-history", "val-csv-as-manifest"])
+    def test_train_input_that_is_a_run_file(self, pipeline, tmp_path, capsys, monkeypatch,
+                                            flag, name):
+        """Refused before any work: train read the CSV, trained, then wrote
+        its run file over it and recorded that file's sha256 as the input's."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("train trained before checking its inputs")
+
+        monkeypatch.setattr(trainer, "train", no_work)
+        run = tmp_path / "run"
+        run.mkdir()
+        inputs = {"--train": pipeline["data"] / "train.csv", "--val": pipeline["data"] / "val.csv"}
+        inputs[flag] = Path(shutil.copyfile(inputs[flag], run / name))
+        before = inputs[flag].read_bytes()
+        assert cli.dispatch(["train", "--train", str(inputs["--train"]), "--val",
+                             str(inputs["--val"]), "--mode", "ss", "--seed", "1",
+                             "--outdir", str(run), *TRAIN_FLAGS]) == 2
+        assert self.one_line_error(capsys) == (
+            f"error: run file {run / name} and {flag} {run / name} are the same file; "
+            "give each its own path")
+        assert [p.name for p in run.iterdir()] == [name]
+        assert inputs[flag].read_bytes() == before
 
 
 def _audit(manifest, test, report_dir, *extra):

@@ -86,6 +86,28 @@ def test_score_matches_oracle_on_any_text(text):
         assert sj.score(text, lexicon, tp.word_split(text)) == expected
 
 
+# Lexicon words with punctuation-only chunks between and around them, so
+# that forms, heads and modifiers meet punctuation tokens in the text.
+PUNCTUATION_CHUNKS = (",", "...", "!!", "(", ")", "!", "?")
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(st.sampled_from(STREAM_WORDS + PUNCTUATION_CHUNKS),
+                          st.sampled_from((" ", ""))), max_size=14)
+       .map(lambda pieces: "".join(piece + gap for piece, gap in pieces)))
+@example("fed , up")
+@example("over , the ! top")
+@example("very , , good")
+@example("good very ,")
+@example("!!! very")
+@example("very (good)")
+def test_score_matches_oracle_on_punctuated_lexicon_text(text):
+    for lexicon in (PACKAGED, STREAM_LEXICON):
+        expected = oracles.score(text, lexicon)
+        assert sj.score(text, lexicon) == expected
+        assert sj.score(text, lexicon, tp.word_split(text)) == expected
+
+
 @pytest.mark.parametrize("text", TRICKY_TEXTS)
 def test_score_of_presplit_tokens_is_score(text):
     for lexicon in (PACKAGED, STREAM_LEXICON):
@@ -105,9 +127,10 @@ def test_score_of_presplit_tokens_is_score(text):
 @example(["very", "well", "very"])
 @example(["very", ",", "good"])
 def test_assess_matches_oracle_on_token_streams(tokens):
-    # A modifier as the last token makes the lookahead read one past the end.
-    assert list(sj._hits(tokens, STREAM_LEXICON)) == oracles.hits(tokens, STREAM_LEXICON)
-    assert list(sj._hits(tokens, PACKAGED)) == oracles.hits(tokens, PACKAGED)
+    # A modifier as the last token makes the lookahead read one past the end;
+    # punctuation tokens ("," "!!" "(good)") are stepped over where they stand.
+    assert list(sj._hits(tokens, STREAM_LEXICON)) == oracles.word_hits(tokens, STREAM_LEXICON)
+    assert list(sj._hits(tokens, PACKAGED)) == oracles.word_hits(tokens, PACKAGED)
     text = " ".join(tokens)
     assert sj.score(text, STREAM_LEXICON) == oracles.score(text, STREAM_LEXICON)
 

@@ -187,8 +187,9 @@ WALK_LEXICON = make_lexicon([
 
 
 class TestWalkEdges:
-    """The walk steps only over forms and form heads; each case is checked
-    against the frozen every-word scan."""
+    """The walk steps only over forms and form heads, and over punctuation
+    tokens where they stand; each case is checked against the frozen
+    every-word scan of the word tokens, starts mapped back."""
 
     @pytest.mark.parametrize("text", [
         "very ordinary gripping",  # a modifier, then a non-form word, then a form
@@ -211,9 +212,16 @@ class TestWalkEdges:
         tokens = word_split(text)
         words = [t for t in tokens if t[0].isalnum()]
         for toks in (tokens, words):
-            assert hits(toks, WALK_LEXICON) == oracles.hits(toks, WALK_LEXICON)
+            assert hits(toks, WALK_LEXICON) == oracles.word_hits(toks, WALK_LEXICON)
         assert sj.score(text, WALK_LEXICON) == oracles.score(text, WALK_LEXICON)
         assert sj.score(text, WALK_LEXICON, tokens) == oracles.score(text, WALK_LEXICON)
+
+    def test_form_of_punctuation_starts_nothing(self):
+        # No word token is "!", so the walk never starts at the "!" token.
+        lex = make_lexicon([("!", 0.9), ("good", 0.5)])
+        tokens = word_split("! good!")
+        assert hits(tokens, lex) == oracles.word_hits(tokens, lex) == [(1, 1, 0.5)]
+        assert sj.score("! good!", lex) == oracles.score("! good!", lex)
 
 
 class TestScore:
