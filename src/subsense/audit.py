@@ -236,7 +236,8 @@ def error_listing(comments, preds, golds, features) -> list[ErrorRow]:
 @dataclass(frozen=True)
 class AuditReport:
     """Every view keeps the cell order of ``bias_groups``. The JSON view holds
-    no comment text and no score list (see ``cells_csv_rows``)."""
+    no per-comment record: ``predictions.csv`` and the test CSV hold each
+    comment's facts, and only the text view lists the errors."""
 
     counts: ConfusionCounts
     f1: float
@@ -257,11 +258,6 @@ class AuditReport:
             "named_groups": {
                 name: {"size": self.cells[key].size} for name, key in NAMED_GROUPS.items()
             },
-            "errors": [
-                {"id": r.comment_id, "error": r.error, "terms": list(r.terms),
-                 "subjectivity": r.subjectivity}
-                for r in self.errors
-            ],
         }
 
     def to_text(self) -> str:
@@ -283,12 +279,6 @@ class AuditReport:
             lines.extend(f"  {r.error} s={r.subjectivity:.4f} terms={','.join(r.terms) or '-'} "
                          f"id={r.comment_id}" for r in self.errors)
         return "\n".join(lines) + "\n"
-
-    def cells_csv_rows(self) -> list[list[str]]:
-        rows = [["cell", "with_identity", "subjectivity"]]
-        for (o, w), cell in self.cells.items():
-            rows.extend([o, str(w).lower(), repr(v)] for v in cell.scores)
-        return rows
 
 
 def audit_report(comments, preds, golds, features) -> AuditReport:

@@ -3,7 +3,7 @@ evaluation, auditing and run comparison.
 
 Exit codes: 0 success, 1 usage error, 2 data, contract or file error. Every train
 run writes config.json, the only home of its settings (model, mode, SOC weight),
-and a manifest holding the dataset id, input digests and the sha256 of each run
+and a manifest holding the input paths and digests and the sha256 of each run
 file that eval and audit read.
 """
 
@@ -28,13 +28,13 @@ from .errors import ContractError, SubsenseError, UsageError, check_fields, read
 # manifest's ``files`` holds the sha256 of each file they read from the run,
 # and every report names the sha256 of the manifest it was made from.
 # Each run setting has one home: config.json, which ``files`` hashes.
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 RUN_FILES = ("config.json", "vocab.txt", "checkpoint.bin")
 LEXICON_COPIES = ("lexicon.tsv", "lexicon.xml")  # files names exactly one
 TERMS_COPY = "identity_terms.txt"  # in files when train read --identity-terms
 # Every key of the manifest, config.json and eval report, with its type: the
 # keys train and eval write. A file holding another key is refused.
-RUN_KEYS = {"manifest_version": int, "dataset_id": str, "inputs": dict, "files": dict}
+RUN_KEYS = {"manifest_version": int, "inputs": dict, "files": dict}
 CONFIG_KEYS = {"model": dict, "schedule": dict, "mode": str, "soc_weight": float,
                "min_freq": int}
 EVAL_KEYS = {"manifest_sha256": str, "test": dict, "n": int, "tp": int, "fp": int, "tn": int,
@@ -70,8 +70,8 @@ def _read_json(path):
 
 
 def _write_json(obj, path) -> None:
-    """Stream ``obj`` to ``path`` as indented JSON: a large audit report is
-    never held as one string, and a failed write leaves no partial file."""
+    """Stream ``obj`` to ``path`` as indented JSON, never held as one string;
+    a failed write leaves no partial file."""
     with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -258,7 +258,6 @@ def _cmd_train(args) -> int:
             fh.write(Path(source).read_bytes())
     manifest = {
         "manifest_version": MANIFEST_VERSION,
-        "dataset_id": args.dataset_id or Path(args.train).stem,
         # The train and val CSVs, and the source of each copy by its name: the
         # path given, or the packaged lexicon's file name, which no checkout moves.
         "inputs": {
@@ -419,24 +418,17 @@ def _cmd_eval(args) -> int:
 
 def _cmd_audit(args) -> int:
     out = Path(args.output or Path(args.manifest).parent / "audit.json")
-    text_out = out.with_suffix(".txt")
     predictions = out.parent / PREDICTIONS_FILE
     manifest, run, manifest_sha256 = _load_manifest(args.manifest)
-    _check_paths([("--output", out), ("text report", text_out), ("--cells-csv", args.cells_csv)],
+    _check_paths([("--output", out)],
                  [("--test", args.test), ("predictions", predictions),
                   ("run file", run / "eval.json"), *_run_files(args.manifest, manifest)])
     comments = _read_comments(args.test)
     tag = PREDICTIONS_TAG.format(manifest_sha256, _sha256_file(args.test))
     preds, features = _read_predictions(predictions, tag, comments)
     report = audit.audit_report(comments, preds, [c.label for c in comments], features)
-    text = report.to_text()
     _write_json(report.to_json_dict(), out)
-    with replacing(text_out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    if args.cells_csv:
-        with replacing(args.cells_csv, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(report.cells_csv_rows())
-    print(text)
+    print(report.to_text())
     print(f"report: {out}")
     return 0
 
@@ -522,7 +514,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--soc-weight", type=float, default=0.0, dest="soc_weight")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--dataset-id", dest="dataset_id")
     p.add_argument("--lexicon")
     p.add_argument("--identity-terms", dest="identity_terms")
     p.add_argument("--vocab-size", type=int, default=8000, dest="vocab_size")
@@ -551,7 +542,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--output")
-    p.add_argument("--cells-csv", dest="cells_csv")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("compare", help="aggregate eval reports from N manifests")

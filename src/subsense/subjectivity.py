@@ -208,21 +208,22 @@ def _hits(tokens, lexicon: SubjectivityLexicon):
     forms and heads of forms, as no other token starts a match."""
     starts = lexicon._starts
     pending: float | None = None
+    # A modifier's lookahead match, which is the next start's: only
+    # punctuation, never a start, lies between the two.
+    ahead = None
     end = 0  # first token not inside an earlier match
     for i in [i for i, tok in enumerate(tokens) if tok in starts]:
         if i < end:
             continue
-        m = _match_at(tokens, i, lexicon)
+        m, ahead = ahead or _match_at(tokens, i, lexicon), None
         if m is None:
             continue
         form, width, stop = m
-        if (
-            width == 1
-            and lexicon.mean_intensity(form) != 1.0
-            and _match_at(tokens, i + 1, lexicon) is not None
-        ):
-            pending = lexicon.mean_intensity(form)
-            continue
+        if width == 1 and lexicon.mean_intensity(form) != 1.0:
+            ahead = _match_at(tokens, i + 1, lexicon)
+            if ahead is not None:
+                pending = lexicon.mean_intensity(form)
+                continue
         subj = lexicon.mean_subjectivity(form)
         if pending is not None:
             subj = min(1.0, max(0.0, subj * pending))

@@ -249,14 +249,6 @@ class TestReport:
         sizes = [cell["size"] for cell in payload["cells"].values()]
         assert sum(sizes) == 30
 
-    def test_cells_csv_rows(self):
-        comments, preds, golds = sample_comments(10, n=12)
-        report = audit.audit_report(comments, preds, golds,
-                                    oracles.features(comments, TERMS, SCORING))
-        rows = report.cells_csv_rows()
-        assert rows[0] == ["cell", "with_identity", "subjectivity"]
-        assert len(rows) == 13
-
 
 class TestOneDerivationPerComment:
     """The outcome is a table lookup, and the report equals the frozen

@@ -87,6 +87,18 @@ class TestExitCodes:
         assert "invalid choice: 'synthetic'" in err and err.startswith("argument --kind")
         assert "usage: subsense convert" in err and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train", "t.csv", "--val", "v.csv", "--mode", "ss", "--seed", "1",
+         "--outdir", "{tmp}/run", "--dataset-id", "x"],
+        ["audit", "--manifest", "m.json", "--test", "t.csv", "--cells-csv", "{tmp}/cells.csv"],
+    ], ids=["train-dataset-id", "audit-cells-csv"])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv):
+        """The manifest keeps no dataset label and audit writes no score
+        dump, so neither flag exists."""
+        assert cli.dispatch([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_data_error_is_two(self, tmp_path, capsys):
         code = cli.dispatch(["convert", "--kind", "ws",
                              "--input", str(tmp_path / "nope.csv"),
@@ -231,10 +243,9 @@ class TestTrainArtifacts:
         run = pipeline["run"]
         manifest, run_config, report = (json.loads((run / name).read_text())
                                         for name in ("manifest.json", "config.json", "eval.json"))
-        assert set(manifest) == {"manifest_version", "dataset_id", "inputs", "files"}
-        assert manifest["manifest_version"] == 4
+        assert set(manifest) == {"manifest_version", "inputs", "files"}
+        assert manifest["manifest_version"] == 5
         assert manifest["inputs"]["train"]["sha256"]
-        assert manifest["dataset_id"] == "train"
         assert manifest["files"] == {name: sha(run / name) for name in (
             "config.json", "vocab.txt", "checkpoint.bin", "lexicon.tsv")}
         assert set(run_config) == {"model", "schedule", "mode", "soc_weight", "min_freq"}
@@ -266,19 +277,16 @@ class TestTrainArtifacts:
         capsys.readouterr()
         assert [(run / name).read_bytes() for name in ("eval.json", "predictions.csv")] == first
 
-    def test_audit_reports(self, pipeline, capsys):
+    def test_audit_reports(self, pipeline, old_path, capsys):
         run, data = pipeline["run"], pipeline["data"]
-        cells = run / "cells.csv"
         assert cli.dispatch(["audit", "--manifest", str(run / "manifest.json"),
-                             "--test", str(data / "test.csv"),
-                             "--cells-csv", str(cells)]) == 0
+                             "--test", str(data / "test.csv")]) == 0
         out = capsys.readouterr().out
-        assert "f1" in out
         payload = json.loads((run / "audit.json").read_text())
         assert "cells" in payload and "named_groups" in payload
-        # The text report is rendered once, for the file and for stdout.
-        assert out.encode("utf-8").startswith((run / "audit.txt").read_bytes())
-        assert cells.exists()
+        # The text report lives on stdout only.
+        assert out.startswith(old_path["report"].to_text())
+        assert not (run / "audit.txt").exists()
 
     def test_compare_renders_tables(self, pipeline, capsys):
         run = pipeline["run"]
@@ -505,10 +513,10 @@ class TestBadInputExitsTwo:
         assert err == f"error: {path}: {named}"
         assert not (tmp_path / "e.json").exists()
 
-    @pytest.mark.parametrize("drop", ["dataset_id", "inputs", "lexicon", "files"])
+    @pytest.mark.parametrize("drop", ["inputs", "lexicon", "files"])
     def test_manifest_missing_key(self, pipeline, tmp_path, capsys, drop):
         """A manifest lacking a key, or lacking the lexicon copy's entry in
-        files, which is where a version-4 manifest records the lexicon."""
+        files, which is where a version-5 manifest records the lexicon."""
         manifest = json.loads((pipeline["run"] / "manifest.json").read_text())
         if drop == "lexicon":
             del manifest["files"]["lexicon.tsv"]
@@ -554,6 +562,22 @@ class TestBadInputExitsTwo:
             assert "unsupported manifest version" in self.one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_version_4_manifest(self, pipeline, tmp_path, capsys):
+        """A version-4 manifest also held a dataset label, dataset_id."""
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest.update(manifest_version=4, dataset_id="train")
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        test = pipeline["data"] / "test.csv"
+        for argv in (["eval", "--manifest", run / "manifest.json", "--test", test,
+                      "--output", tmp_path / "out" / "eval.json"],
+                     ["audit", "--manifest", run / "manifest.json", "--test", test,
+                      "--output", tmp_path / "out" / "audit.json"],
+                     ["compare", run / "manifest.json"]):
+            assert cli.dispatch([str(arg) for arg in argv]) == 2
+            assert "unsupported manifest version" in self.one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_version_2_manifest(self, pipeline, tmp_path, capsys):
         """A version-2 manifest held a config digest and the copies' digests
         under inputs, and no files."""
@@ -572,8 +596,8 @@ class TestBadInputExitsTwo:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("files", None), ("dataset_id", {}), ("inputs", ["lexicon.tsv"]), ("inputs", None),
-    ], ids=["files-None", "dataset_id-value9", "inputs-value10", "inputs-None"])
+        ("files", None), ("inputs", ["lexicon.tsv"]), ("inputs", None),
+    ], ids=["files-None", "inputs-value10", "inputs-None"])
     def test_manifest_wrong_type(self, pipeline, tmp_path, capsys, key, value):
         run = copy_run(pipeline, tmp_path / "run")
         manifest = json.loads((run / "manifest.json").read_text())
@@ -775,12 +799,9 @@ class TestBadInputExitsTwo:
         assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize("argv, clash", [
-        (["audit", "--output", "{tmp}/report.txt"], "report.txt"),
-        (["audit", "--output", "{tmp}/audit.json", "--cells-csv", "{tmp}/predictions.csv"],
-         "predictions.csv"),
+        (["audit", "--output", "{tmp}/predictions.csv"], "predictions.csv"),
         (["eval", "--output", "{tmp}/predictions.csv"], "predictions.csv"),
-    ], ids=["audit-json-on-its-text-report", "cells-csv-on-predictions",
-            "eval-json-on-predictions"])
+    ], ids=["audit-json-on-predictions", "eval-json-on-predictions"])
     def test_outputs_that_are_one_file(self, pipeline, tmp_path, capsys, argv, clash):
         manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
         assert _eval(manifest, test, tmp_path) == 0
@@ -822,20 +843,20 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("argv, flag, taken", [
         (["eval", "--manifest", "{manifest}", "--test", "{test}", "--output", "{taken}"],
          "--output", "taken"),
-        (["audit", "--manifest", "{manifest}", "--test", "{test}",
-          "--output", "{out}/audit.json", "--cells-csv", "{taken}"], "--cells-csv", "taken"),
+        (["audit", "--manifest", "{manifest}", "--test", "{test}", "--output", "{taken}"],
+         "--output", "taken"),
         (["compare", "{manifest}", "--output", "{taken}"], "--output", "taken"),
         (["convert", "--kind", "ws", "--input", "{raw}", "--output", "{taken}"], "--output",
          "taken"),
         (["train", "--train", "{data}/train.csv", "--val", "{data}/val.csv", "--mode", "ss",
           "--seed", "1", "--outdir", "{out}", *TRAIN_FLAGS], "run file", "checkpoint.bin"),
         (["synth", "--n", "40", "--seed", "1", "--outdir", "{out}"], "output", "corpus.csv"),
-    ], ids=["eval-output", "audit-cells-csv", "compare-output", "convert-output",
+    ], ids=["eval-output", "audit-output", "compare-output", "convert-output",
             "train-checkpoint", "synth-corpus"])
     def test_file_output_that_is_a_directory(self, pipeline, tmp_path, capsys, monkeypatch,
                                              argv, flag, taken):
         """Refused before any work: eval wrote its predictions beside such an
-        --output, and audit both reports, before failing on it; train trained
+        --output before failing on it; train trained
         the whole model and synth made its corpus, then failed to write into
         the directory, naming their temporary file."""
         def no_work(*args, **kwargs):
@@ -1017,54 +1038,33 @@ class TestPredictionsHandoff:
                                features)
         assert cli._read_predictions(path, "# tag", comments) == (preds, features)
 
-    def test_reports_equal_the_old_path(self, pipeline, old_path, tmp_path, capsys):
+    def test_reports_equal_the_old_path(self, pipeline, old_path, capsys):
         run, data = pipeline["run"], pipeline["data"]
-        cells = tmp_path / "cells.csv"
         assert cli.dispatch(["audit", "--manifest", str(run / "manifest.json"),
-                             "--test", str(data / "test.csv"),
-                             "--cells-csv", str(cells)]) == 0
+                             "--test", str(data / "test.csv")]) == 0
         capsys.readouterr()
         report = old_path["report"]
         assert (run / "audit.json").read_text(encoding="utf-8") == (
             json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
         )
-        assert (run / "audit.txt").read_text(encoding="utf-8") == report.to_text()
-        expected_cells = io.StringIO(newline="")
-        csv.writer(expected_cells).writerows(report.cells_csv_rows())
-        assert cells.read_bytes() == expected_cells.getvalue().encode("utf-8")
 
     def test_audit_json_copies_no_per_comment_record(self, pipeline, capsys):
         run, data = pipeline["run"], pipeline["data"]
         assert cli.dispatch(["audit", "--manifest", str(run / "manifest.json"),
                              "--test", str(data / "test.csv")]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
         payload = json.loads((run / "audit.json").read_text(encoding="utf-8"))
-
-        def keys(node):
-            if isinstance(node, dict):
-                for key, value in node.items():
-                    yield key
-                    yield from keys(value)
-            elif isinstance(node, list):
-                for value in node:
-                    yield from keys(value)
-
-        assert not {"text", "scores"} & set(keys(payload))
+        assert set(payload) == {"counts", "f1", "cells", "named_groups"}
         lines = (run / "predictions.csv").read_text(encoding="utf-8").splitlines()
         rows = {row["id"]: row for row in csv.DictReader(lines[1:])}
         golds = {c.id: c.label for c in datasets.read_canonical(data / "test.csv")}
         wrong = [cid for cid, row in rows.items()
                  if datasets.Label.parse(row["pred"]) != golds[cid]]
         assert wrong
-        assert sorted(e["id"] for e in payload["errors"]) == sorted(wrong)
-        for entry in payload["errors"]:
-            row = rows[entry["id"]]
-            assert entry == {
-                "id": row["id"],
-                "error": "FP" if row["pred"] == "toxic" else "FN",
-                "terms": row["terms"].split(),
-                "subjectivity": float(row["subjectivity"]),
-            }
+        # Each error line of stdout names one wrong row of predictions.csv.
+        listed = [line.rpartition(" id=")[2] for line in out.splitlines()
+                  if line.startswith(("  FP ", "  FN "))]
+        assert sorted(listed) == sorted(wrong)
 
     def test_audit_without_eval(self, other_run, capsys):
         assert cli.dispatch(["audit", "--manifest", str(other_run / "manifest.json"),
@@ -1210,13 +1210,21 @@ class TestPredictionsHandoff:
     def test_reports_into_missing_directories(self, pipeline, tmp_path, capsys):
         manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
         reports = tmp_path / "new" / "reports"
-        cells = tmp_path / "other" / "cells.csv"
         assert _eval(manifest, test, reports) == 0
-        assert _audit(manifest, test, reports, "--cells-csv", str(cells)) == 0
+        assert _audit(manifest, test, reports) == 0
         capsys.readouterr()
-        for path in (reports / "eval.json", reports / "predictions.csv",
-                     reports / "audit.json", reports / "audit.txt", cells):
+        for path in (reports / "eval.json", reports / "predictions.csv", reports / "audit.json"):
             assert path.exists(), path
+
+    def test_report_directory_holds_three_files(self, pipeline, tmp_path, capsys):
+        """eval and audit write one file each per fact: the text report goes
+        to stdout only."""
+        manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
+        assert _eval(manifest, test, tmp_path) == 0
+        assert _audit(manifest, test, tmp_path) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "audit.json", "eval.json", "predictions.csv"]
 
 
 @pytest.fixture(scope="module")
@@ -1235,7 +1243,7 @@ class TestRunDirectory:
     """eval, audit and compare read a run's files from the directory of the
     manifest they are given, whatever the working directory."""
 
-    REPORTS = ("eval.json", "predictions.csv", "audit.json", "audit.txt")
+    REPORTS = ("eval.json", "predictions.csv", "audit.json")
 
     @pytest.mark.parametrize("argv, written", [
         (["synth", "--n", "120", "--seed", "1", "--outdir", "."], "corpus.csv"),
@@ -1288,7 +1296,7 @@ class TestRunDirectory:
         ]) == 0
         capsys.readouterr()
         manifest = json.loads((run / "manifest.json").read_text())
-        assert manifest["manifest_version"] == 4 and "artifacts" not in manifest
+        assert manifest["manifest_version"] == 5 and "artifacts" not in manifest
         assert (run / "lexicon.tsv").read_bytes() == (data / "lexicon.tsv").read_bytes()
         assert (run / "identity_terms.txt").read_bytes() == terms.read_bytes()
         assert manifest["inputs"]["lexicon.tsv"] == {"path": str(data / "lexicon.tsv")}
@@ -1390,7 +1398,7 @@ class TestRunFilesChecked:
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         manifest = run / "manifest.json"
         for argv in (["audit", "--manifest", manifest, "--test", test,
-                      "--cells-csv", out / "cells.csv"],
+                      "--output", out / "audit.json"],
                      ["compare", manifest, "--output", out / "compare.json"],
                      ["eval", "--manifest", manifest, "--test", test,
                       "--output", out / "eval.json"]):
@@ -1435,7 +1443,7 @@ class TestRunFilesChecked:
 
     def test_manifest_holds_no_setting(self, pipeline, tmp_path):
         """A mode written into the manifest, where manifests before version 4
-        held it, is a key no version-4 manifest holds: eval exits 2 with one
+        held it, is a key no version-5 manifest holds: eval exits 2 with one
         line naming the manifest and the key, and writes nothing."""
         run = copy_run(pipeline, tmp_path / "run")
         manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
@@ -1449,9 +1457,9 @@ class TestRunFilesChecked:
 
     @pytest.mark.parametrize("argv,target", [
         (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
-          "--cells-csv", "{run}/eval.json"], "{run}/eval.json"),
+          "--output", "{run}/eval.json"], "{run}/eval.json"),
         (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
-          "--cells-csv", "{run}/checkpoint.bin"], "{run}/checkpoint.bin"),
+          "--output", "{run}/checkpoint.bin"], "{run}/checkpoint.bin"),
         (["eval", "--manifest", "{run}/manifest.json", "--test", "{test}",
           "--output", "{run}/manifest.json"], "{run}/manifest.json"),
         (["eval", "--manifest", "{run}/manifest.json", "--test", "{test}",
@@ -1461,11 +1469,8 @@ class TestRunFilesChecked:
           "--output", "{test}"], "--test {test}"),
         (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
           "--output", "{test}"], "--test {test}"),
-        (["audit", "--manifest", "{run}/manifest.json", "--test", "{test}",
-          "--cells-csv", "{test}"], "--test {test}"),
-    ], ids=["cells-csv-on-eval-json", "cells-csv-on-checkpoint", "eval-on-manifest",
-            "eval-on-vocab", "compare-on-eval-json", "eval-on-test-csv", "audit-on-test-csv",
-            "cells-csv-on-test-csv"])
+    ], ids=["audit-on-eval-json", "audit-on-checkpoint", "eval-on-manifest",
+            "eval-on-vocab", "compare-on-eval-json", "eval-on-test-csv", "audit-on-test-csv"])
     def test_report_on_a_run_file(self, pipeline, tmp_path, argv, target):
         """No report replaces a file train wrote or the test CSV it reads."""
         run = copy_run(pipeline, tmp_path / "run")
@@ -1485,8 +1490,8 @@ class TestRunFilesChecked:
     def test_corrupted_run_directory(self, pipeline, name, how, at, xor):
         """One byte flipped, the file cut short or deleted. A manifest
         cannot vouch for itself: an edit that leaves it valid (whitespace,
-        dataset_id) is refused by audit and compare, which pin its sha256,
-        while eval reports the edited manifest's sha256."""
+        another inputs.train.path) is refused by audit and compare, which pin
+        its sha256, while eval reports the edited manifest's sha256."""
         with tempfile.TemporaryDirectory() as tmp:
             run = copy_run(pipeline, Path(tmp) / "run")
             path, out, test = run / name, Path(tmp) / "out", pipeline["data"] / "test.csv"
@@ -1502,8 +1507,7 @@ class TestRunFilesChecked:
                 self.refused_everywhere(run, test, out, path)
                 return
             before = {p.name: p.read_bytes() for p in run.iterdir()}
-            for argv in (["audit", "--manifest", path, "--test", test,
-                          "--cells-csv", out / "cells.csv"],
+            for argv in (["audit", "--manifest", path, "--test", test],
                          ["compare", path, "--output", out / "compare.json"]):
                 code, err = _dispatch(*argv)
                 assert code == 2 and _one_line(err), (argv[0], err)

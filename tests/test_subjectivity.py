@@ -216,6 +216,19 @@ class TestWalkEdges:
         assert sj.score(text, WALK_LEXICON) == oracles.score(text, WALK_LEXICON)
         assert sj.score(text, WALK_LEXICON, tokens) == oracles.score(text, WALK_LEXICON)
 
+    def test_word_after_a_modifier_is_matched_once(self, monkeypatch):
+        # The modifier's lookahead at "good" is the match the walk uses there.
+        lex = make_lexicon([("very", 0.3, 1.3), ("good", 0.6)])
+        calls, match_at = [], sj._match_at
+
+        def counted(tokens, i, lexicon):
+            calls.append(i)
+            return match_at(tokens, i, lexicon)
+
+        monkeypatch.setattr(sj, "_match_at", counted)
+        assert hits(["very", "good"], lex) == [(1, 1, 0.6 * 1.3)]
+        assert calls == [0, 1]
+
     def test_form_of_punctuation_starts_nothing(self):
         # No word token is "!", so the walk never starts at the "!" token.
         lex = make_lexicon([("!", 0.9), ("good", 0.5)])
