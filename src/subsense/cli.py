@@ -23,15 +23,14 @@ from .augment import AugmentMode
 from .errors import ContractError, SubsenseError, UsageError, check_fields, read_text
 
 # A run directory is its own unit: eval, audit and compare find each of its
-# files (checkpoint.bin, config.json, vocab.txt, eval.json, audit.json and the
-# lexicon copies) by a fixed name beside the manifest they are given. The
-# manifest's ``files`` holds the sha256 of each file they read from the run,
-# and every report names the sha256 of the manifest it was made from.
+# files (the RUN_FILES, history.csv, eval.json and audit.json) by a fixed name
+# beside the manifest they are given. The manifest's ``files`` holds the
+# sha256 of each file they read from the run, which are the RUN_FILES: the
+# model and both lexicons the gate reads, so no run depends on code that
+# may change. Every report names the sha256 of the manifest it was made from.
 # Each run setting has one home: config.json, which ``files`` hashes.
-MANIFEST_VERSION = 5
-RUN_FILES = ("config.json", "vocab.txt", "checkpoint.bin")
-LEXICON_COPIES = ("lexicon.tsv", "lexicon.xml")  # files names exactly one
-TERMS_COPY = "identity_terms.txt"  # in files when train read --identity-terms
+MANIFEST_VERSION = 6
+RUN_FILES = ("config.json", "vocab.txt", "checkpoint.bin", "lexicon.tsv", "identity_terms.txt")
 # Every key of the manifest, config.json and eval report, with its type: the
 # keys train and eval write. A file holding another key is refused.
 RUN_KEYS = {"manifest_version": int, "inputs": dict, "files": dict}
@@ -205,19 +204,14 @@ def _given(**flags) -> dict:
 
 def _cmd_train(args) -> int:
     outdir = Path(args.outdir)
-    subj_path = subjectivity.lexicon_path(args.lexicon)
-    # eval reads these copies, never the files train read.
-    copies = {LEXICON_COPIES[0 if subjectivity.is_tsv(subj_path) else 1]: subj_path}
-    if args.identity_terms:
-        copies[TERMS_COPY] = args.identity_terms
-    # train may copy its lexicon or term file onto itself, so only the CSVs
-    # are reads that no run file may be.
     _check_paths([("run file", outdir / name)
-                  for name in (*RUN_FILES, "history.csv", *copies, "manifest.json")],
-                 [("--train", args.train), ("--val", args.val)], outdir)
+                  for name in (*RUN_FILES, "history.csv", "manifest.json")],
+                 [("--train", args.train), ("--val", args.val), ("--lexicon", args.lexicon),
+                  ("--identity-terms", args.identity_terms)], outdir)
     mode = AugmentMode.parse(args.mode)
     train_comments = _read_comments(args.train)
     val_comments = _read_comments(args.val)
+    subj_path = subjectivity.lexicon_path(args.lexicon)
     subj_lex = subjectivity.load_lexicon(subj_path)
     id_lex = _identity_terms(args.identity_terms)
 
@@ -253,20 +247,24 @@ def _cmd_train(args) -> int:
         "min_freq": args.min_freq,
     }
     _write_json(run_config, outdir / "config.json")
-    for name, source in copies.items():
-        with replacing(outdir / name, "wb") as fh:
-            fh.write(Path(source).read_bytes())
+    # eval reads the lexicons as loaded here, never the files train read.
+    subjectivity.write_lexicon_tsv(subj_lex, outdir / "lexicon.tsv")
+    with replacing(outdir / "identity_terms.txt", "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{term}\n" for term in id_lex.terms))
     manifest = {
         "manifest_version": MANIFEST_VERSION,
-        # The train and val CSVs, and the source of each copy by its name: the
-        # path given, or the packaged lexicon's file name, which no checkout moves.
+        # The train and val CSVs, and the source of each lexicon by the run
+        # file it became: the path given, or the packaged lexicon's file name
+        # and the stock list, which no checkout moves.
         "inputs": {
             **{key: {"path": str(path), "sha256": _sha256_file(path)}
                for key, path in (("train", args.train), ("val", args.val))},
-            **{name: {"packaged": source.name} if source == subjectivity.DEFAULT_LEXICON_XML
-               else {"path": str(source)} for name, source in copies.items()},
+            "lexicon.tsv": ({"path": str(subj_path)} if args.lexicon
+                            else {"packaged": subj_path.name}),
+            "identity_terms.txt": ({"path": str(args.identity_terms)} if args.identity_terms
+                                   else {"packaged": "identity.STOCK_TERMS"}),
         },
-        "files": {name: _sha256_file(outdir / name) for name in (*RUN_FILES, *copies)},
+        "files": {name: _sha256_file(outdir / name) for name in RUN_FILES},
     }
     _write_json(manifest, outdir / "manifest.json")
     best = history.best_val_f1()
@@ -279,10 +277,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_manifest(path) -> tuple[dict, Path, str]:
-    """The checked manifest at ``path``, its run directory and its sha256.
-    ``files`` must name the run files, one lexicon copy and at most the
-    identity term copy, and each must hash to the sha256 it records."""
+def _load_manifest(path) -> tuple[Path, str]:
+    """The run directory and the sha256 of the checked manifest at ``path``.
+    ``files`` must name exactly the run files, and each must hash to the
+    sha256 it records."""
     p = Path(path)
     if not p.exists():
         raise ContractError(f"manifest not found: {p}")
@@ -290,23 +288,21 @@ def _load_manifest(path) -> tuple[dict, Path, str]:
     if not isinstance(manifest, dict) or manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ContractError(f"unsupported manifest version in {p}")
     names = set(_checked_keys(manifest, RUN_KEYS, p, "manifest")["files"])
-    copies = names - {*RUN_FILES, TERMS_COPY}
-    if not (names >= set(RUN_FILES) and len(copies) == 1 and copies <= set(LEXICON_COPIES)):
-        raise ContractError(f"{p}: files must name {', '.join(RUN_FILES)}, one of "
-                            f"{' or '.join(LEXICON_COPIES)} and at most {TERMS_COPY}")
+    if names != set(RUN_FILES):
+        raise ContractError(f"{p}: files must name exactly {', '.join(RUN_FILES)}")
     for name in sorted(names):  # a missing file is an OSError naming it
         if _sha256_file(p.parent / name) != manifest["files"][name]:
             raise ContractError(f"{p.parent / name} is not the file train wrote: its sha256 "
                                 f"differs from {p}'s files[{name!r}]")
-    return manifest, p.parent, _sha256_file(p)
+    return p.parent, _sha256_file(p)
 
 
-def _run_files(path, manifest) -> list:
+def _run_files(path) -> list:
     """The manifest at ``path`` and each file train wrote beside it, which no
     report may replace, as ``_check_paths`` pairs."""
     run = Path(path).parent
     return [("manifest", path),
-            *(("run file", run / name) for name in ("history.csv", *manifest["files"]))]
+            *(("run file", run / name) for name in ("history.csv", *RUN_FILES))]
 
 
 def _run_config(run: Path) -> tuple[encoder.ModelConfig, AugmentMode, float]:
@@ -322,16 +318,15 @@ def _run_config(run: Path) -> tuple[encoder.ModelConfig, AugmentMode, float]:
         raise ContractError(f"{path}: {exc}") from None
 
 
-def _rebuild_run(manifest, run: Path):
+def _rebuild_run(run: Path):
     config, mode, _ = _run_config(run)
     vocab = textprep.Vocab.load(run / "vocab.txt")
     if len(vocab) != config.vocab_size:
         raise ContractError(f"{run / 'vocab.txt'} holds {len(vocab)} tokens, "
                             f"{run / 'config.json'} says {config.vocab_size}")
     params = encoder.load_params(run / "checkpoint.bin", config)
-    files = manifest["files"]
-    subj_lex = subjectivity.load_lexicon(run / next(n for n in LEXICON_COPIES if n in files))
-    id_lex = _identity_terms(run / TERMS_COPY if TERMS_COPY in files else None)
+    subj_lex = subjectivity.load_lexicon(run / "lexicon.tsv")
+    id_lex = identity.load_terms(run / "identity_terms.txt")
     return config, vocab, params, subj_lex, id_lex, mode
 
 
@@ -373,12 +368,9 @@ def _read_predictions(path, tag, comments):
                 if not (0.0 <= float(p_toxic) <= 1.0 and 0.0 <= subj <= 1.0):  # NaN fails too
                     raise stale(f"malformed predictions (p_toxic or subjectivity of {cid!r} "
                                 "outside [0, 1])")
-                label = datasets.LABELS.get(pred)  # as eval writes it, else parsed
-                if label is None:
-                    try:
-                        label = datasets.Label.parse(pred)
-                    except ContractError as exc:  # malformed, as a float() ValueError is
-                        raise ValueError(exc) from None
+                label = datasets.LABELS.get(pred)  # only as eval writes it
+                if label is None:  # malformed, as a float() ValueError is
+                    raise ValueError(f"unknown canonical label {pred!r}")
                 preds.append(label)
                 features.append(audit.CommentFeatures(subj, tuple(terms.split())))
             if len(preds) != len(comments) or next(rows, None) is not None:
@@ -391,10 +383,10 @@ def _read_predictions(path, tag, comments):
 def _cmd_eval(args) -> int:
     out = Path(args.output or Path(args.manifest).parent / "eval.json")
     predictions = out.parent / PREDICTIONS_FILE
-    manifest, run, manifest_sha256 = _load_manifest(args.manifest)
+    run, manifest_sha256 = _load_manifest(args.manifest)
     _check_paths([("--output", out), ("predictions", predictions)],
-                 [("--test", args.test), *_run_files(args.manifest, manifest)])
-    config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(manifest, run)
+                 [("--test", args.test), *_run_files(args.manifest)])
+    config, vocab, params, subj_lex, id_lex, mode = _rebuild_run(run)
     comments = _read_comments(args.test)
     prepared = trainer.prepare_examples(comments, vocab, subj_lex, id_lex, config.max_len, mode)
     preds, probs = trainer.predict_batch(params, config, prepared.data)
@@ -419,10 +411,10 @@ def _cmd_eval(args) -> int:
 def _cmd_audit(args) -> int:
     out = Path(args.output or Path(args.manifest).parent / "audit.json")
     predictions = out.parent / PREDICTIONS_FILE
-    manifest, run, manifest_sha256 = _load_manifest(args.manifest)
+    run, manifest_sha256 = _load_manifest(args.manifest)
     _check_paths([("--output", out)],
                  [("--test", args.test), ("predictions", predictions),
-                  ("run file", run / "eval.json"), *_run_files(args.manifest, manifest)])
+                  ("run file", run / "eval.json"), *_run_files(args.manifest)])
     comments = _read_comments(args.test)
     tag = PREDICTIONS_TAG.format(manifest_sha256, _sha256_file(args.test))
     preds, features = _read_predictions(predictions, tag, comments)
@@ -439,7 +431,7 @@ def _cmd_compare(args) -> int:
     given: dict[str, str] = {}  # manifest sha256 to the path it was given by
     tested = None  # the first run's test CSV sha256 and eval.json
     for mpath in args.manifests:
-        manifest, run, manifest_sha256 = _load_manifest(mpath)
+        run, manifest_sha256 = _load_manifest(mpath)
         # One run given twice, by one path or as a copy of its directory,
         # would count twice in the mean and std.
         if manifest_sha256 in given:
@@ -448,7 +440,7 @@ def _cmd_compare(args) -> int:
         given[manifest_sha256] = mpath
         _, mode, soc_weight = _run_config(run)
         eval_path = run / "eval.json"
-        reads += [("run file", eval_path), *_run_files(mpath, manifest)]
+        reads += [("run file", eval_path), *_run_files(mpath)]
         if not eval_path.exists():
             raise ContractError(f"no eval report for {mpath}; run `subsense eval` first")
         report = _checked_keys(_read_json(eval_path), EVAL_KEYS, eval_path, "eval report")

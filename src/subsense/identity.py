@@ -73,12 +73,15 @@ def default_terms() -> IdentityLexicon:
 
 
 def load_terms(path) -> IdentityLexicon:
-    """Load a term list: one term per line, '#' lines ignored, lowercased."""
+    """Load a term list: one term per line, '#' lines ignored, lowercased.
+    A file with no term is an error, as its gate would never open."""
     terms: list[str] = []
     for line in read_text(path, "identity term file").splitlines():
         word = line.strip().lower()
         if word and not word.startswith("#") and word not in terms:
             terms.append(word)
+    if not terms:
+        raise ContractError(f"identity term file {path} contains no terms")
     try:
         return IdentityLexicon(tuple(terms))
     except ContractError as exc:

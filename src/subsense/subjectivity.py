@@ -25,15 +25,21 @@ DEFAULT_LEXICON_XML = Path(__file__).parent / "data" / "en_subjectivity.xml"
 
 @dataclass(frozen=True)
 class LexiconEntry:
-    """One word sense: subjectivity in [0,1], intensity > 0."""
+    """One word sense: subjectivity in [0,1], intensity > 0. The form is
+    lowercase words joined by single spaces, each starting and ending with a
+    letter or digit, as word tokens do: no text could match another form,
+    and its TSV line might not read back."""
 
     form: str
     subjectivity: float
     intensity: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
-        if not self.form or self.form != self.form.lower():
-            raise ContractError(f"lexicon form must be non-empty lowercase: {self.form!r}")
+        words = self.form.split()
+        if (self.form != self.form.lower() or self.form.split(" ") != words
+                or not all(w[0].isalnum() and w[-1].isalnum() for w in words)):
+            raise ContractError(f"lexicon form must be lowercase words, each starting and ending "
+                                f"with a letter or digit, joined by single spaces: {self.form!r}")
         if not 0.0 <= self.subjectivity <= 1.0:
             raise ContractError(f"subjectivity out of [0,1]: {self.subjectivity}")
         if not self.intensity > 0.0:
@@ -56,10 +62,9 @@ class SubjectivityLexicon:
         self._intensity = {f: sum(e.intensity for e in s) / len(s) for f, s in table.items()}
         # Every text a multi-word form continues past a space ("fed" of "fed
         # up"); a token outside this set can only match a one-word form, and
-        # a token outside ``_starts`` matches nothing. Only texts that start
-        # with a letter or digit, as word tokens do, are starts.
+        # a token outside ``_starts`` matches nothing.
         self._heads = frozenset(f[:i] for f in table for i, ch in enumerate(f) if ch == " ")
-        self._starts = frozenset(s for s in self._heads.union(table) if s[:1].isalnum())
+        self._starts = self._heads.union(table)
         self.max_form_words = max((f.count(" ") + 1 for f in table), default=1)
 
     def __len__(self) -> int:
@@ -144,12 +149,7 @@ def load_lexicon(path) -> SubjectivityLexicon:
     polarity (ignored) and intensity, the last two optional; '#' lines are
     comments.
     """
-    return _load(path, _tsv_records if is_tsv(path) else _xml_records)
-
-
-def is_tsv(path) -> bool:
-    """Whether ``load_lexicon`` reads the file at ``path`` as TSV, not XML."""
-    return str(path).endswith(".tsv")
+    return _load(path, _tsv_records if str(path).endswith(".tsv") else _xml_records)
 
 
 def lexicon_path(path) -> Path:

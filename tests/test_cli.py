@@ -56,6 +56,11 @@ def copy_run(pipeline, dest):
     return Path(shutil.copytree(pipeline["run"], dest))
 
 
+def senses(lexicon):
+    """Every form of ``lexicon`` with its senses, in their order."""
+    return {form: lexicon.senses(form) for form in lexicon.forms}
+
+
 def rehash(run, name):
     """Record ``name``'s current sha256 in ``run``'s manifest, as if train had
     written it, so that the reader past the digest check sees the file."""
@@ -166,10 +171,9 @@ class TestScore:
         ]) == 0
         capsys.readouterr()
         manifest = json.loads((run / "manifest.json").read_text())
-        assert manifest["inputs"]["lexicon.xml"] == {"packaged": "en_subjectivity.xml"}
-        assert not (run / "lexicon.tsv").exists()
-        assert (run / "lexicon.xml").read_bytes() == (
-            subjectivity.DEFAULT_LEXICON_XML.read_bytes())
+        assert manifest["inputs"]["lexicon.tsv"] == {"packaged": "en_subjectivity.xml"}
+        assert senses(subjectivity.load_lexicon(run / "lexicon.tsv")) == senses(
+            subjectivity.load_lexicon(subjectivity.DEFAULT_LEXICON_XML))
 
     def test_byte_order_mark_is_not_part_of_the_first_entry(self, tmp_path, capsys):
         lexicon, terms = tmp_path / "mini.tsv", tmp_path / "terms.txt"
@@ -244,10 +248,10 @@ class TestTrainArtifacts:
         manifest, run_config, report = (json.loads((run / name).read_text())
                                         for name in ("manifest.json", "config.json", "eval.json"))
         assert set(manifest) == {"manifest_version", "inputs", "files"}
-        assert manifest["manifest_version"] == 5
+        assert manifest["manifest_version"] == 6
         assert manifest["inputs"]["train"]["sha256"]
         assert manifest["files"] == {name: sha(run / name) for name in (
-            "config.json", "vocab.txt", "checkpoint.bin", "lexicon.tsv")}
+            "config.json", "vocab.txt", "checkpoint.bin", "lexicon.tsv", "identity_terms.txt")}
         assert set(run_config) == {"model", "schedule", "mode", "soc_weight", "min_freq"}
         assert (run_config["mode"], run_config["model"]["seed"]) == ("ss", 1)
         assert run_config["soc_weight"] == 0.0
@@ -268,6 +272,27 @@ class TestTrainArtifacts:
         assert sha(runs[0] / "checkpoint.bin") == sha(runs[1] / "checkpoint.bin")
         assert sha(runs[0] / "history.csv") == sha(runs[1] / "history.csv")
         assert sha(runs[0] / "manifest.json") == sha(runs[1] / "manifest.json")
+
+    def test_verbose_prints_each_validation(self, pipeline, tmp_path, capsys):
+        """--verbose prints one line per validation, before the summary, and
+        changes no byte that train writes."""
+        data, out = pipeline["data"], {}
+        for name, extra in (("quiet", []), ("verbose", ["--verbose"])):
+            assert cli.dispatch([
+                "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+                "--mode", "ss", "--seed", "1", "--outdir", str(tmp_path / name),
+                "--lexicon", str(data / "lexicon.tsv"), *TRAIN_FLAGS, *extra,
+            ]) == 0
+            out[name] = capsys.readouterr().out.splitlines()
+        with open(tmp_path / "quiet" / "history.csv", newline="", encoding="utf-8") as fh:
+            validated = [row["step"] for row in csv.DictReader(fh) if row["val_f1"]]
+        progress = out["verbose"][:-2]
+        assert validated and [line.split()[:2] for line in progress] == [
+            ["step", step] for step in validated]
+        assert out["verbose"][-2] == out["quiet"][0] and len(out["quiet"]) == 2
+        for name in ("checkpoint.bin", "history.csv", "config.json", "manifest.json"):
+            assert (tmp_path / "verbose" / name).read_bytes() == (
+                tmp_path / "quiet" / name).read_bytes(), name
 
     def test_eval_is_idempotent(self, pipeline, capsys):
         run, data = pipeline["run"], pipeline["data"]
@@ -578,6 +603,20 @@ class TestBadInputExitsTwo:
             assert "unsupported manifest version" in self.one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_version_5_manifest(self, pipeline, tmp_path, capsys):
+        """A version-5 manifest named a byte copy of the lexicon, as
+        lexicon.tsv or lexicon.xml, and identity_terms.txt only for a run
+        trained with --identity-terms."""
+        run = copy_run(pipeline, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["manifest_version"] = 5
+        del manifest["files"]["identity_terms.txt"]
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
+        assert self.one_line_error(capsys) == (
+            f"error: unsupported manifest version in {run / 'manifest.json'}")
+        assert not (tmp_path / "eval.json").exists()
+
     def test_version_2_manifest(self, pipeline, tmp_path, capsys):
         """A version-2 manifest held a config digest and the copies' digests
         under inputs, and no files."""
@@ -608,28 +647,29 @@ class TestBadInputExitsTwo:
         assert cli.dispatch(["compare", str(run / "manifest.json")]) == 2
         assert f"manifest.{key}" in self.one_line_error(capsys)
 
-    @pytest.mark.parametrize("names", [
-        ["../data/lexicon.tsv"], ["packaged"], ["lexicon.tsv", "terms.txt"],
-        ["lexicon.tsv", "lexicon.xml"],
+    @pytest.mark.parametrize("name,names", [
+        ("lexicon.tsv", ["../data/lexicon.tsv"]), ("lexicon.tsv", ["packaged"]),
+        ("identity_terms.txt", ["terms.txt"]), ("lexicon.tsv", ["lexicon.tsv", "lexicon.xml"]),
     ], ids=["lexicon-../data/lexicon.tsv", "lexicon-packaged", "identity_terms-terms.txt",
             "lexicon-two-copies"])
-    def test_manifest_names_no_copy(self, pipeline, tmp_path, capsys, names):
-        """files names the lexicon copy under ``names``: none of the copies
-        train writes, a second copy, or a stray term file. Each named file
-        holds the lexicon's bytes and hashes as recorded, so only the names
-        are refused."""
+    def test_manifest_names_no_copy(self, pipeline, tmp_path, capsys, name, names):
+        """files names the run file ``name`` under ``names``: another name, a
+        path outside the run, or a second copy beside it. Each named file
+        holds that run file's bytes and hashes as recorded, so only the names
+        are refused: files names exactly the fixed run files."""
         run = copy_run(pipeline, tmp_path / "run")
         manifest = json.loads((run / "manifest.json").read_text())
-        lexicon = (run / "lexicon.tsv").read_bytes()
-        del manifest["files"]["lexicon.tsv"]
-        for name in names:
-            (run / name).parent.mkdir(parents=True, exist_ok=True)
-            (run / name).write_bytes(lexicon)
-            manifest["files"][name] = sha(run / name)
+        content = (run / name).read_bytes()
+        del manifest["files"][name]
+        for other in names:
+            (run / other).parent.mkdir(parents=True, exist_ok=True)
+            (run / other).write_bytes(content)
+            manifest["files"][other] = sha(run / other)
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
-        err = self.one_line_error(capsys)
-        assert str(run / "manifest.json") in err and "one of lexicon.tsv or lexicon.xml" in err
+        assert self.one_line_error(capsys) == (
+            f"error: {run / 'manifest.json'}: files must name exactly config.json, vocab.txt, "
+            "checkpoint.bin, lexicon.tsv, identity_terms.txt")
         assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize("entry", [None, "0" * 64, 7, "drop", "extra"],
@@ -649,20 +689,17 @@ class TestBadInputExitsTwo:
         assert str(run / "manifest.json") in err and "lexicon.tsv" in err
         assert not (tmp_path / "eval.json").exists()
 
-    @pytest.mark.parametrize("copy", ["lexicon.tsv", "lexicon.xml"])
-    def test_edited_lexicon_copy(self, pipeline, packaged_run, tmp_path, capsys, copy):
-        """A lexicon copy whose subjectivity values were edited after train."""
-        source = pipeline["run"] if copy == "lexicon.tsv" else packaged_run
-        run = Path(shutil.copytree(source, tmp_path / "run"))
-        lexicon = run / copy
-        text = lexicon.read_text(encoding="utf-8")
-        if copy == "lexicon.tsv":
-            rows = [line.split("\t") for line in text.splitlines()]
-            text = "".join("\t".join(row if row[0].startswith("#") else [row[0], "0.9", *row[2:]])
-                           + "\n" for row in rows)
-        else:
-            text = re.sub(r'subjectivity="[^"]*"', 'subjectivity="0.9"', text)
-        lexicon.write_text(text, encoding="utf-8")
+    @pytest.mark.parametrize("source", ["lexicon.tsv", "lexicon.xml"])
+    def test_edited_lexicon_copy(self, pipeline, packaged_run, tmp_path, capsys, source):
+        """The lexicon.tsv of a run trained from a TSV lexicon or from the
+        packaged XML, with its subjectivity values edited after train."""
+        trained = pipeline["run"] if source == "lexicon.tsv" else packaged_run
+        run = Path(shutil.copytree(trained, tmp_path / "run"))
+        lexicon = run / "lexicon.tsv"
+        rows = [line.split("\t") for line in lexicon.read_text(encoding="utf-8").splitlines()]
+        lexicon.write_text("".join(
+            "\t".join(row if row[0].startswith("#") else [row[0], "0.9", *row[2:]]) + "\n"
+            for row in rows), encoding="utf-8")
         assert _eval(run / "manifest.json", pipeline["data"] / "test.csv", tmp_path) == 2
         assert str(lexicon) in self.one_line_error(capsys)
         assert not (tmp_path / "eval.json").exists()
@@ -700,6 +737,14 @@ class TestBadInputExitsTwo:
         terms.write_text("women\nc++\n", encoding="utf-8")
         assert cli.dispatch(["score", "--text", "i love c++", "--identity-terms", str(terms)]) == 2
         assert "'c++'" in self.one_line_error(capsys)
+
+    def test_identity_term_file_without_terms(self, tmp_path, capsys):
+        """A gate built from no term never opens."""
+        terms = tmp_path / "terms.txt"
+        terms.write_text("# no terms yet\n\n#women\n", encoding="utf-8")
+        assert cli.dispatch(["score", "--text", "women", "--identity-terms", str(terms)]) == 2
+        assert self.one_line_error(capsys) == (
+            f"error: identity term file {terms} contains no terms")
 
     def test_nul_byte_in_an_argument(self, capsys):
         """No command line holds a NUL byte, but a Python caller of dispatch
@@ -927,24 +972,32 @@ class TestBadInputExitsTwo:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert taken.read_text(encoding="utf-8") == "kept\n"
 
-    @pytest.mark.parametrize("flag, name", [("--train", "history.csv"), ("--val", "manifest.json")],
-                             ids=["train-csv-as-history", "val-csv-as-manifest"])
+    @pytest.mark.parametrize("flag, name", [
+        ("--train", "history.csv"), ("--val", "manifest.json"), ("--lexicon", "lexicon.tsv"),
+        ("--identity-terms", "identity_terms.txt"),
+    ], ids=["train-csv-as-history", "val-csv-as-manifest", "lexicon-as-its-rewrite",
+            "terms-as-their-rewrite"])
     def test_train_input_that_is_a_run_file(self, pipeline, tmp_path, capsys, monkeypatch,
                                             flag, name):
-        """Refused before any work: train read the CSV, trained, then wrote
-        its run file over it and recorded that file's sha256 as the input's."""
+        """Refused before any work: train read the input, trained, then wrote
+        its run file over it (and for a CSV recorded that file's sha256 as
+        the input's)."""
         def no_work(*args, **kwargs):
             raise AssertionError("train trained before checking its inputs")
 
         monkeypatch.setattr(trainer, "train", no_work)
         run = tmp_path / "run"
         run.mkdir()
-        inputs = {"--train": pipeline["data"] / "train.csv", "--val": pipeline["data"] / "val.csv"}
+        terms = tmp_path / "terms.txt"
+        terms.write_text("Women\n", encoding="utf-8")
+        data = pipeline["data"]
+        inputs = {"--train": data / "train.csv", "--val": data / "val.csv",
+                  "--lexicon": data / "lexicon.tsv", "--identity-terms": terms}
         inputs[flag] = Path(shutil.copyfile(inputs[flag], run / name))
         before = inputs[flag].read_bytes()
-        assert cli.dispatch(["train", "--train", str(inputs["--train"]), "--val",
-                             str(inputs["--val"]), "--mode", "ss", "--seed", "1",
-                             "--outdir", str(run), *TRAIN_FLAGS]) == 2
+        assert cli.dispatch(["train", *(str(arg) for pair in inputs.items() for arg in pair),
+                             "--mode", "ss", "--seed", "1", "--outdir", str(run),
+                             *TRAIN_FLAGS]) == 2
         assert self.one_line_error(capsys) == (
             f"error: run file {run / name} and {flag} {run / name} are the same file; "
             "give each its own path")
@@ -1111,13 +1164,15 @@ class TestPredictionsHandoff:
         ("wrong id", "id 'x' where the test CSV has {cid!r}"),
         ("short file", "predictions do not cover the test CSV"),
         ("pred not a label", "malformed predictions (unknown canonical label 'maybe')"),
+        ("pred not as eval writes it", "malformed predictions (unknown canonical label 'Toxic')"),
         ("short row", "malformed predictions (not enough values to unpack (expected 5, got 3))"),
         ("p_toxic not a number",
          "malformed predictions (could not convert string to float: 'x')"),
         ("p_toxic out of range",
          "malformed predictions (p_toxic or subjectivity of {cid!r} outside [0, 1])"),
     ], ids=["no-file", "another-tag", "wrong-header", "wrong-id", "short-file",
-            "pred-not-a-label", "short-row", "p_toxic-not-a-number", "p_toxic-out-of-range"])
+            "pred-not-a-label", "pred-not-canonical", "short-row", "p_toxic-not-a-number",
+            "p_toxic-out-of-range"])
     def test_stale_predictions_message(self, pipeline, tmp_path, capsys, tamper, reason):
         """Each refusal of predictions.csv is wrapped once: the reason, then
         the advice to run eval."""
@@ -1137,6 +1192,8 @@ class TestPredictionsHandoff:
             rows.pop()
         elif tamper == "pred not a label":
             rows[0][1] = "maybe"
+        elif tamper == "pred not as eval writes it":
+            rows[0][1] = "Toxic"
         elif tamper == "short row":
             rows[0] = rows[0][:3]
         elif tamper != "no file":
@@ -1286,9 +1343,12 @@ class TestRunDirectory:
         assert "ss" in capsys.readouterr().out
 
     def test_train_copies_its_lexicons(self, pipeline, tmp_path, capsys):
+        """train writes the lexicon and the terms it loaded, not the bytes it
+        read: the TSV rewrite holds the same senses, and the term file one
+        term per line, without comments, case or repeats."""
         data, run = pipeline["data"], tmp_path / "run"
         terms = tmp_path / "terms.txt"
-        terms.write_text("women\nmuslim\n", encoding="utf-8")
+        terms.write_text("# my terms\nWomen\nmuslim\nwomen\n", encoding="utf-8")
         assert cli.dispatch([
             "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
             "--mode", "ss", "--seed", "1", "--outdir", str(run),
@@ -1296,14 +1356,14 @@ class TestRunDirectory:
         ]) == 0
         capsys.readouterr()
         manifest = json.loads((run / "manifest.json").read_text())
-        assert manifest["manifest_version"] == 5 and "artifacts" not in manifest
-        assert (run / "lexicon.tsv").read_bytes() == (data / "lexicon.tsv").read_bytes()
-        assert (run / "identity_terms.txt").read_bytes() == terms.read_bytes()
+        assert manifest["manifest_version"] == 6 and "artifacts" not in manifest
+        assert senses(subjectivity.load_lexicon(run / "lexicon.tsv")) == senses(
+            subjectivity.load_lexicon(data / "lexicon.tsv"))
+        assert (run / "identity_terms.txt").read_text(encoding="utf-8") == "women\nmuslim\n"
         assert manifest["inputs"]["lexicon.tsv"] == {"path": str(data / "lexicon.tsv")}
         assert manifest["inputs"]["identity_terms.txt"] == {"path": str(terms)}
-        assert manifest["files"]["lexicon.tsv"] == sha(data / "lexicon.tsv")
-        assert manifest["files"]["identity_terms.txt"] == sha(terms)
-        # eval refuses a copy edited after train.
+        assert manifest["files"] == {name: sha(run / name) for name in cli.RUN_FILES}
+        # eval refuses a term file edited after train.
         with open(run / "identity_terms.txt", "a", encoding="utf-8") as fh:
             fh.write("jews\n")
         assert cli.dispatch(["eval", "--manifest", str(run / "manifest.json"),
@@ -1311,12 +1371,32 @@ class TestRunDirectory:
         assert str(run / "identity_terms.txt") in capsys.readouterr().err
 
     def test_packaged_lexicon_is_copied(self, packaged_run):
+        """A run trained with neither --lexicon nor --identity-terms keeps
+        the same fixed files: the packaged lexicon rewritten as lexicon.tsv
+        and the stock terms as identity_terms.txt."""
         manifest = json.loads((packaged_run / "manifest.json").read_text())
         assert sorted(manifest["files"]) == [
-            "checkpoint.bin", "config.json", "lexicon.xml", "vocab.txt"]
-        assert (packaged_run / "lexicon.xml").read_bytes() == (
-            subjectivity.DEFAULT_LEXICON_XML.read_bytes())
-        assert not (packaged_run / "identity_terms.txt").exists()
+            "checkpoint.bin", "config.json", "identity_terms.txt", "lexicon.tsv", "vocab.txt"]
+        assert senses(subjectivity.load_lexicon(packaged_run / "lexicon.tsv")) == senses(
+            subjectivity.default_lexicon())
+        assert (packaged_run / "identity_terms.txt").read_text(encoding="utf-8").splitlines() == (
+            list(identity.STOCK_TERMS))
+        assert manifest["inputs"]["identity_terms.txt"] == {"packaged": "identity.STOCK_TERMS"}
+        assert not (packaged_run / "lexicon.xml").exists()
+
+    def test_eval_reads_the_runs_stock_terms(self, pipeline, packaged_run, tmp_path,
+                                             monkeypatch, capsys):
+        """A stock-terms run keeps the list it was trained with: a later
+        change to the stock list in code changes no eval of it."""
+        manifest, test = packaged_run / "manifest.json", pipeline["data"] / "test.csv"
+        assert _eval(manifest, test, tmp_path / "before") == 0
+        other = identity.IdentityLexicon(("people", "you"))
+        monkeypatch.setattr(identity, "STOCK_TERMS", other.terms)
+        monkeypatch.setattr(identity, "default_terms", lambda: other)
+        assert _eval(manifest, test, tmp_path / "after") == 0
+        capsys.readouterr()
+        assert (tmp_path / "after" / "predictions.csv").read_bytes() == (
+            tmp_path / "before" / "predictions.csv").read_bytes()
 
     def test_packaged_lexicon_recorded_by_name(self, pipeline, packaged_run, tmp_path,
                                                monkeypatch, capsys):
@@ -1334,7 +1414,7 @@ class TestRunDirectory:
             "--mode", "ss", "--seed", "1", "--outdir", str(run), *TRAIN_FLAGS,
         ]) == 0
         manifest = json.loads((run / "manifest.json").read_text())
-        assert manifest["inputs"]["lexicon.xml"] == {"packaged": "en_subjectivity.xml"}
+        assert manifest["inputs"]["lexicon.tsv"] == {"packaged": "en_subjectivity.xml"}
         assert (run / "manifest.json").read_bytes() == (
             packaged_run / "manifest.json").read_bytes()
         for name, directory in (("a", run), ("b", packaged_run)):

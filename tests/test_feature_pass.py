@@ -162,13 +162,16 @@ def test_detect_matches_oracle_on_any_text(text):
             assert (got.terms, got.present) == (want.terms, want.present)
 
 
-def test_score_of_a_punctuation_form_is_zero():
-    """``word_split`` emits punctuation one character at a time and the
-    scorer drops tokens that do not start with a letter or digit, so a form
-    of punctuation alone never matches. A text whose tokens start no form
-    returns before the scan; tokens given with "!!" itself run the scan,
-    which drops it. Both give 0.0."""
-    lexicon = sj.SubjectivityLexicon([sj.LexiconEntry("!!", 0.9)])
+def test_score_of_a_punctuation_form_is_zero(tmp_path):
+    """``word_split`` emits punctuation one character at a time, so a form of
+    punctuation alone could never match: ``LexiconEntry`` refuses it and the
+    loader skips its record. A text whose tokens start no form returns
+    before the scan; tokens given with "!!" itself find no form there. Both
+    give 0.0."""
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("!!\t0.9\nmeh\t0.7\n", encoding="utf-8")
+    lexicon = sj.load_lexicon(path)
+    assert list(lexicon.forms) == ["meh"]
     zero = sj.SubjectivityScore(0.0)
     for text in ("wow !! great", "!!", "a!!"):
         assert sj.score(text, lexicon) == oracles.score(text, lexicon) == zero

@@ -267,6 +267,15 @@ class TestLoadTerms:
         lex = idn.load_terms(path)
         assert lex.terms == ("alpha", "beta")
 
+    def test_file_without_terms(self, tmp_path):
+        # A list built in code may be empty (test_empty_term_lexicon); a
+        # file of comments and blank lines is a mistake.
+        path = tmp_path / "terms.txt"
+        path.write_text("# my terms\n\n#women\n")
+        with pytest.raises(ContractError) as caught:
+            idn.load_terms(path)
+        assert str(caught.value) == f"identity term file {path} contains no terms"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ContractError, match="^identity term file not found: "):
             idn.load_terms(tmp_path / "nope.txt")

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,14 @@ XML_OK = """<?xml version="1.0"?>
 
 
 class TestLoading:
+    def test_unmatchable_forms_are_skipped(self, tmp_path):
+        path = tmp_path / "lex.xml"
+        path.write_text('<lexicon><word form="good!" subjectivity="0.6"/>'
+                        '<word form="fed  up" subjectivity="0.9"/>'
+                        '<word form="#tag" subjectivity="0.3"/>'
+                        '<word form=" Good " subjectivity="0.5"/></lexicon>')
+        assert list(sj.load_lexicon(path).forms) == ["good"]
+
     def test_counts_entries_and_skips(self, tmp_path):
         path = tmp_path / "lex.xml"
         path.write_text(XML_OK)
@@ -129,6 +139,18 @@ class TestEntryInvariants:
     def test_form_lowercase(self):
         with pytest.raises(ContractError):
             sj.LexiconEntry("Word", 0.5)
+
+    @pytest.mark.parametrize("form", ["!", "#tag", "good!", "(good)", "c++", "fed  up", " good",
+                                      "good ", "fed\tup", "fed up!", "fed\u00a0up", "a\nb"])
+    def test_form_no_token_walk_can_match(self, form):
+        # A word token starts and ends with a letter or digit and holds no
+        # whitespace, and a form's words are matched joined by one space.
+        with pytest.raises(ContractError, match="joined by single spaces"):
+            sj.LexiconEntry(form, 0.5)
+
+    @pytest.mark.parametrize("form", ["fed up", "o'neil", "two-spirit", "x2", "é", "over the top"])
+    def test_form_of_word_tokens(self, form):
+        assert sj.LexiconEntry(form, 0.5).form == form
 
     def test_score_value_range(self):
         with pytest.raises(ContractError, match="score out of"):
@@ -229,9 +251,13 @@ class TestWalkEdges:
         assert hits(["very", "good"], lex) == [(1, 1, 0.6 * 1.3)]
         assert calls == [0, 1]
 
-    def test_form_of_punctuation_starts_nothing(self):
-        # No word token is "!", so the walk never starts at the "!" token.
-        lex = make_lexicon([("!", 0.9), ("good", 0.5)])
+    def test_form_of_punctuation_starts_nothing(self, tmp_path):
+        # No word token is "!", so "!" is no form: the loader skips its
+        # record, and the walk never starts at the "!" token.
+        path = tmp_path / "lex.tsv"
+        path.write_text("!\t0.9\ngood\t0.5\n")
+        lex = sj.load_lexicon(path)
+        assert list(lex.forms) == ["good"]
         tokens = word_split("! good!")
         assert hits(tokens, lex) == oracles.word_hits(tokens, lex) == [(1, 1, 0.5)]
         assert sj.score("! good!", lex) == oracles.score("! good!", lex)
@@ -282,7 +308,30 @@ PROPERTY_LEXICON = make_lexicon(
 )
 
 
+FORM_WORDS = st.text(alphabet="abé2'-", min_size=1, max_size=4).filter(
+    lambda w: w[0].isalnum() and w[-1].isalnum())
+ENTRIES = st.lists(st.builds(
+    sj.LexiconEntry, st.lists(FORM_WORDS, min_size=1, max_size=3).map(" ".join),
+    st.floats(0.0, 1.0),
+    intensity=st.one_of(st.just(1.0), st.floats(0.0, 1e6, exclude_min=True))), min_size=1)
+TEXTS = st.lists(st.one_of(FORM_WORDS, st.sampled_from(["!", "...", "A", "B2", "(a", "b,"])),
+                 max_size=16).map(" ".join)
+
+
 class TestProperties:
+    @settings(deadline=None)
+    @given(ENTRIES, st.lists(TEXTS, max_size=8))
+    def test_tsv_rewrite_scores_as_the_lexicon(self, entries, texts):
+        # A run keeps its lexicon as this rewrite, so eval must score with
+        # it exactly as train scored with the lexicon it loaded.
+        lex = sj.SubjectivityLexicon(entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            sj.write_lexicon_tsv(lex, Path(tmp) / "lexicon.tsv")
+            back = sj.load_lexicon(Path(tmp) / "lexicon.tsv")
+        assert {f: back.senses(f) for f in back.forms} == {f: lex.senses(f) for f in lex.forms}
+        for text in texts:
+            assert repr(sj.score(text, back).value) == repr(sj.score(text, lex).value)
+
     @given(st.lists(WORDS, max_size=12))
     def test_score_range(self, tokens):
         value = sj.score(" ".join(tokens), PROPERTY_LEXICON).value
