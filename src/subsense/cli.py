@@ -83,7 +83,8 @@ def _check_paths(writes, reads=(), outdir=None) -> None:
     the files it reads or must leave as they are. Refused are a write that is
     an existing directory, an ``--outdir`` that exists as something other
     than a directory, either below a path that exists and is not a directory,
-    and two paths that resolve to one file in two roles."""
+    and a write that resolves to the file of another role; two reads of one
+    file are no clash."""
     outputs = [(role, Path(path)) for role, path in writes if path is not None]
     for role, path in outputs:
         if path.is_dir():
@@ -98,12 +99,15 @@ def _check_paths(writes, reads=(), outdir=None) -> None:
         above = next((parent for parent in path.parents if parent.exists()), None)
         if above is not None and not above.is_dir():
             raise ContractError(f"{role} {path} lies below {above}, which is not a directory")
-    seen: dict[Path, tuple[str, str]] = {}
-    for role, path in (*reads, *writes):
+    seen: dict[Path, str] = {}
+    for role, path in reads:
+        if path is not None:
+            seen.setdefault(Path(path).resolve(), f"{role} {path}")
+    for role, path in writes:
         if path is not None:
             named = f"{role} {path}"
-            other_role, other = seen.setdefault(Path(path).resolve(), (role, named))
-            if other_role != role:
+            other = seen.setdefault(Path(path).resolve(), named)
+            if other != named:
                 raise ContractError(f"{named} and {other} are the same file; "
                                     "give each its own path")
 
@@ -160,25 +164,11 @@ def _cmd_split(args) -> int:
 
 def _cmd_synth(args) -> int:
     outdir = Path(args.outdir)
-    outputs = [outdir / name for name in ("corpus.csv", "lexicon.tsv", "planted.json")]
+    outputs = [outdir / name for name in ("corpus.csv", "lexicon.tsv")]
     _check_paths([("output", out) for out in outputs], outdir=outdir)
     corpus = datasets.synth_generate(args.n, args.theta, args.noise, args.seed)
     datasets.write_canonical(corpus.comments, outputs[0])
     subjectivity.write_lexicon_tsv(corpus.lexicon, outputs[1])
-    planted = {
-        cid: {
-            "score": rec.score,
-            "has_identity": rec.has_identity,
-            "rule_label": str(rec.rule_label),
-            "label": str(rec.label),
-        }
-        for cid, rec in corpus.planted.items()
-    }
-    _write_json(
-        {"n": args.n, "theta": args.theta, "noise": args.noise, "seed": args.seed,
-         "records": planted},
-        outputs[2],
-    )
     n_toxic = sum(1 for c in corpus.comments if c.label is datasets.Label.TOXIC)
     print(f"generated {len(corpus.comments)} comments ({n_toxic} toxic) in {outdir}")
     return 0
@@ -203,6 +193,10 @@ def _given(**flags) -> dict:
 
 
 def _cmd_train(args) -> int:
+    # ModelConfig takes 0 layers, but with no block CLS attends to nothing,
+    # so every comment gets one logit row and a run learns only the prior.
+    if args.n_layers == 0:
+        raise ContractError("--n-layers 0 leaves CLS nothing to attend to; give 1 or more")
     outdir = Path(args.outdir)
     _check_paths([("run file", outdir / name)
                   for name in (*RUN_FILES, "history.csv", "manifest.json")],

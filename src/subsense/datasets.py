@@ -301,8 +301,6 @@ _NEUTRAL_NOUNS = (
 class PlantedRecord:
     score: float
     has_identity: bool
-    rule_label: Label
-    label: Label
 
 
 @dataclass(frozen=True)
@@ -352,6 +350,6 @@ def synth_generate(n: int, theta: float, noise: float, seed: int) -> SynthCorpus
         cid = f"synth-{i:05d}"
         entries.append(subjectivity.LexiconEntry(carrier, s))
         comments.append(Comment(cid, text, label))
-        planted[cid] = PlantedRecord(s, has_identity, rule_label, label)
+        planted[cid] = PlantedRecord(s, has_identity)
     lexicon = subjectivity.SubjectivityLexicon(entries)
     return SynthCorpus(tuple(comments), lexicon, planted)

@@ -644,7 +644,7 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     if not train_mode:
         return logits, None
     cache = {
-        "ids": ids, "kmask": kmask, "add_mask": add_mask, "fill": fill, "src": src,
+        "ids": ids, "kmask": kmask, "add_mask": add_mask, "src": src,
         "emb": emb_cache, "emb_drop": emb_drop, "layers": layer_caches,
         "final": final_cache, "cls": cls,
     }

@@ -233,6 +233,11 @@ class TestConvertAndSplit:
         assert train.read_bytes() == (pipeline["data"] / "corpus.csv").read_bytes()
         assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
 
+    def test_synth_writes_only_corpus_and_lexicon(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert cli.dispatch(["synth", "--n", "100", "--seed", "1", "--outdir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["corpus.csv", "lexicon.tsv"]
+
 
 class TestTrainArtifacts:
     def test_artifacts_exist(self, pipeline):
@@ -1003,6 +1008,31 @@ class TestBadInputExitsTwo:
             "give each its own path")
         assert [p.name for p in run.iterdir()] == [name]
         assert inputs[flag].read_bytes() == before
+
+    def test_train_with_no_layers(self, pipeline, tmp_path, capsys, monkeypatch):
+        """Refused before any CSV is read: with no block CLS attends to
+        nothing, so every comment gets one logit row."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("train read its data before checking --n-layers")
+
+        monkeypatch.setattr(datasets, "read_canonical", no_work)
+        data, run = pipeline["data"], tmp_path / "run"
+        assert cli.dispatch(["train", "--train", str(data / "train.csv"),
+                             "--val", str(data / "val.csv"), "--mode", "ss", "--seed", "1",
+                             "--outdir", str(run), *TRAIN_FLAGS, "--n-layers", "0"]) == 2
+        assert "--n-layers 0" in self.one_line_error(capsys)
+        assert not run.exists()
+
+    def test_train_and_val_that_are_one_file(self, pipeline, tmp_path, capsys):
+        """Two reads of one file are no clash; only a write may not share one."""
+        train = pipeline["data"] / "train.csv"
+        assert cli.dispatch(["train", "--train", str(train), "--val", str(train),
+                             "--mode", "ss", "--seed", "1", "--outdir", str(tmp_path / "run"),
+                             "--lexicon", str(pipeline["data"] / "lexicon.tsv"),
+                             *TRAIN_FLAGS]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["inputs"]["train"] == manifest["inputs"]["val"]
 
 
 def _audit(manifest, test, report_dir, *extra):

@@ -287,7 +287,6 @@ class TestSynth:
                 else ds.Label.NONTOXIC
             )
             assert comment.label is expected
-            assert rec.label is expected
 
     def test_no_identity_is_nontoxic(self):
         corpus = ds.synth_generate(200, theta=0.5, noise=0.0, seed=6)
@@ -323,9 +322,8 @@ class TestSynth:
 
     def test_noise_flips_some_labels(self):
         corpus = ds.synth_generate(400, theta=0.5, noise=0.2, seed=10)
-        flipped = sum(
-            1 for c in corpus.comments if corpus.planted[c.id].rule_label is not c.label
-        )
+        rule = {cid: rec.has_identity and rec.score > 0.5 for cid, rec in corpus.planted.items()}
+        flipped = sum(1 for c in corpus.comments if rule[c.id] != (c.label is ds.Label.TOXIC))
         assert 0 < flipped < 400
         assert flipped == pytest.approx(80, abs=40)
 
