@@ -54,7 +54,7 @@ hidden, and its temporary reuses the scores block. At most ``h``, norm1's
 output, Q, K and V are live at once, so five slots are the least that
 whole-batch products can run in. The token embedding is gathered into
 ``h`` in blocks of rows, so a warm pass makes no temporary of a slot's
-size; only layer 0's gather of the variants (below) copies. Fresh arrays
+size; only layer 0's repeat of the variants (below) copies. Fresh arrays
 cost more than their arithmetic at long rows: the allocator maps each
 multi-megabyte temporary anew, or returns it to the operating system when
 the heap is trimmed, so every batch would fault its pages in again.
@@ -100,18 +100,18 @@ width, and no mask entry is drawn for a position the pass does not compute.
 The encoder reads a ``Batch`` of arrays that ``trainer.prepare_examples``
 builds once per example set and ``Batch.take`` slices. A batch may run
 several key-mask variants of one row, as the occlusion regularizer does:
-``ids`` and ``fill`` hold one row per comment, ``kmask`` one key mask per
-variant and ``src`` the row of each variant, in ascending order, so each
-row's variants follow one another. A key mask does not change the
-embedding, ``emb_norm``, layer 0's ``norm1`` or its Q, K and V (or, when
+``ids`` and ``fill`` hold one row per comment, ``variants`` the number of
+variants each row runs as, and ``kmask`` one key mask per variant, each
+row's variants together and the rows in order. A key mask does not change
+the embedding, ``emb_norm``, layer 0's ``norm1`` or its Q, K and V (or, when
 layer 0 is the last block, its q, u and scores), so these run once per row.
-Right after them, Q, K and V (or the scores and ``a``) are gathered by
-``src`` with the residual, and all that follows runs per variant; with no
-layer, the gather comes before the final norm. The backward pass sums the
+Right after them, Q, K and V (or the scores and ``a``) are repeated by the
+counts with the residual, and all that follows runs per variant; with no
+layer, the repeat comes before the final norm. The backward pass sums the
 variants' gradients back onto their rows at the same points: each row's
 variants in their order, starting from 0.0, which gives the bits of a
-bincount over them, zero signs included. A plain batch has ``src``
-``None``: nothing is gathered or summed, so it runs the same operations it
+bincount over them, zero signs included. A plain batch has ``variants``
+``None``: nothing is repeated or summed, so it runs the same operations it
 always did.
 """
 
@@ -385,15 +385,15 @@ class Batch:
     """Encoder input as arrays. ``ids`` (int32) and ``fill`` hold one row per
     comment and ``extent`` each row's extent; the token columns stop at the
     longest one. ``kmask`` (bool) holds one key mask per variant, its last
-    column the slot, and ``src`` the row of each variant, in ascending order
-    with every row present; ``None`` means one variant per row, in row
-    order."""
+    column the slot, and ``variants`` the number of variants each row runs
+    as, at least 1; row 0's variants come first in ``kmask``, then row 1's,
+    and so on. ``None`` means one variant per row."""
 
     ids: np.ndarray
     fill: np.ndarray
     kmask: np.ndarray
     extent: np.ndarray
-    src: np.ndarray | None = None
+    variants: np.ndarray | None = None
 
     def __len__(self) -> int:
         """The number of variants: the rows of logits ``forward`` returns."""
@@ -427,20 +427,13 @@ def _scatter_rows(ids, rows, n):
     return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
-def _variant_sums(src, n):
+def _variant_sums(counts):
     """A function that sums the rows of an array, one per variant, onto the
-    variants' ``n`` rows, which ``src`` names. Each row's variants must
-    follow one another, rows in ascending order, as ``Batch`` holds them, so
-    the sum runs over the variants in order, from 0.0, and gives the bits of
-    the bincount that ``_scatter_rows`` runs, zero signs included."""
-    first = np.empty(len(src), dtype=bool)  # where each row's variants start
-    first[:1] = True
-    np.not_equal(src[1:], src[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    if len(starts) != n or (src[starts] != np.arange(n)).any():
-        raise ContractError("a batch's src must list each of its rows, in ascending order, "
-                            "with the variants of a row together")
-    counts = np.bincount(src, minlength=n)
+    rows that run ``counts`` variants each, laid out as ``Batch`` holds them.
+    Each row's sum runs over its variants in order, from 0.0: the bits of the
+    bincount that ``_scatter_rows`` runs, zero signs included."""
+    n = len(counts)
+    starts = np.cumsum(counts) - counts  # where each row's variants start
     # The k-th variant of every row that has more than k, for k = 1, 2, ...;
     # all the rows as a slice, which adds in place without a gather.
     later = []
@@ -484,8 +477,11 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     if train_mode and workspace is not None:
         raise ContractError("a train_mode forward keeps its activations in its cache; "
                             "it takes no workspace")
-    ids, kmask, fill, src = batch.ids, batch.kmask, batch.fill, batch.src
+    ids, kmask, fill, variants = batch.ids, batch.kmask, batch.fill, batch.variants
     b, width = ids.shape
+    if variants is not None and (variants.shape != (b,) or (variants < 1).any()
+                                 or variants.sum() != len(kmask)):
+        raise ContractError("a batch's variants must count 1 or more per row, one per key mask")
     lm, d, d_ff = config.max_len, config.d_model, config.d_ff
     use_dropout = train_mode and config.dropout_rate > 0.0 and dropout_rng is not None
     slot_rows = max(b, len(kmask))
@@ -547,13 +543,13 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         y += params[f"{p}.attn.b{proj}"]
         return _split_heads(y, config.n_heads)
 
-    def self_attention(a, h, p, gather):
+    def self_attention(a, h, p, repeats):
         """Every position's attention in block ``p``: Q, K and V of ``a`` in
         slots 0 to 2 of "act", the merged heads in "norm". Returns those, the
-        residual ``h`` and the cache entries, gathered by ``gather`` if given."""
+        residual ``h`` and the cache entries, repeated by ``repeats`` if given."""
         q, k, v = project(a, p, "q", 0), project(a, p, "k", 1), project(a, p, "v", 2)
-        if gather is not None:
-            q, k, v, h = q[gather], k[gather], v[gather], h[gather]
+        if repeats is not None:
+            q, k, v, h = (np.repeat(x, repeats, axis=0) for x in (q, k, v, h))
         nb, n_heads, n_rows, _ = q.shape
         # Scores and softmax in place, one block of whole rows at a time.
         blocks, step = _row_blocks(nb, n_heads * n_rows * (width + 1))
@@ -565,12 +561,12 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
             np.matmul(probs, v[r], out=pv[r])
         return ocat, h, {"q": q, "k": k, "v": v}
 
-    def cls_attention(a, h, p, gather):
+    def cls_attention(a, h, p, repeats):
         """CLS's attention in block ``p``, read off ``a`` without keys or
         values (module docstring): q, u and the scores from the start of
         "act", then g over the dead q and u, the merged heads in "norm".
         Returns those, CLS's residual and the cache entries; the scores and
-        what follows are gathered by ``gather`` if given."""
+        what follows are repeated by ``repeats`` if given."""
         n, n_heads = len(a), config.n_heads
         wk, wv = (_split_heads(params[f"{p}.attn.{w}"], n_heads) for w in ("wk", "wv"))
         q = np.matmul(a[:, 0], params[f"{p}.attn.wq"], out=buf("act", (n, d)))
@@ -581,8 +577,8 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         probs = np.matmul(u, a.transpose(0, 2, 1),
                           out=buf("act", (n, n_heads, width + 1), n * d + u.size))
         res = h[:, :1]
-        if gather is not None:
-            probs, a, res = probs[gather], a[gather], res[gather]
+        if repeats is not None:
+            probs, a, res = (np.repeat(x, repeats, axis=0) for x in (probs, a, res))
         _softmax(probs[:, :, None], add_mask)
         nb = len(probs)
         g = np.matmul(probs, a, out=buf("act", (nb, n_heads, d)))
@@ -598,7 +594,7 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         a, ln1_cache = norm(h, f"{p}.norm1", "norm")
         # From layer 0's attention on, each variant runs apart.
         attention = cls_attention if i == config.n_layers - 1 else self_attention
-        ocat, res, attn_cache = attention(a, h, p, src if i == 0 else None)
+        ocat, res, attn_cache = attention(a, h, p, variants if i == 0 else None)
         nb, n_rows, _ = ocat.shape
         mid = np.matmul(ocat, params[f"{p}.attn.wo"], out=buf("act", (nb, n_rows, d)))
         mid += params[f"{p}.attn.bo"]
@@ -636,15 +632,15 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
             })
 
     h = h[:, 0]
-    if not config.n_layers and src is not None:
-        h = h[src]
+    if not config.n_layers and variants is not None:
+        h = np.repeat(h, variants, axis=0)
     cls, final_cache = norm(h, "final_norm", "norm")
     logits = cls @ params["head.w"] + params["head.b"]
 
     if not train_mode:
         return logits, None
     cache = {
-        "ids": ids, "kmask": kmask, "add_mask": add_mask, "src": src,
+        "ids": ids, "kmask": kmask, "add_mask": add_mask, "variants": variants,
         "emb": emb_cache, "emb_drop": emb_drop, "layers": layer_caches,
         "final": final_cache, "cls": cls,
     }
@@ -661,7 +657,7 @@ def backward(cache, params, config, dlogits):
         raise ContractError("backward needs the cache from a train_mode forward")
     dlogits = np.asarray(dlogits, dtype=np.float64)
     b, width = cache["ids"].shape
-    src = cache["src"]
+    variants = cache["variants"]
     if dlogits.shape != (len(cache["kmask"]), N_CLASSES):
         raise ContractError(f"upstream gradient shape {dlogits.shape} mismatch")
     lm, d = config.max_len, config.d_model
@@ -677,7 +673,7 @@ def backward(cache, params, config, dlogits):
     grads["final_norm.gain"] = dgain
     grads["final_norm.bias"] = dbias
 
-    to_rows = None if src is None else _variant_sums(src, b)
+    to_rows = None if variants is None else _variant_sums(variants)
 
     def _linear_back(x, w, dy):
         din = x.shape[-1]
@@ -690,12 +686,12 @@ def backward(cache, params, config, dlogits):
     if config.n_layers:
         dcur = dcls_in[:, None, :]
     else:
-        if src is not None:
+        if variants is not None:
             dcls_in = to_rows(dcls_in)
         dcur = np.zeros((b, width + 1, d))
         dcur[:, 0] = dcls_in
 
-    def self_attention_back(lc, p, docat, gather):
+    def self_attention_back(lc, p, docat, repeats):
         """Gradients of block ``p``'s Q, K and V projections from the merged
         heads' gradient ``docat``; returns the gradient of their input ``a``.
         Each block's probabilities are recomputed from the cached queries and
@@ -721,7 +717,7 @@ def backward(cache, params, config, dlogits):
             np.matmul(dscores.transpose(0, 1, 3, 2), q[r], out=dk_h[r])
         dq /= np.sqrt(dh)
         dk /= np.sqrt(dh)
-        if gather is not None:
+        if repeats is not None:
             dq, dk, dv = to_rows(dq), to_rows(dk), to_rows(dv)
         a = lc["a"]
         da = np.zeros_like(a)
@@ -732,7 +728,7 @@ def backward(cache, params, config, dlogits):
             da += dx
         return da
 
-    def cls_attention_back(lc, p, docat, gather):
+    def cls_attention_back(lc, p, docat, repeats):
         """Gradients of CLS's attention in block ``p`` (module docstring) from
         its merged heads' gradient ``docat``; returns the gradient of ``a``.
         The scores are ``a_j . u``, so the softmax backward gives ``du`` and,
@@ -752,13 +748,13 @@ def backward(cache, params, config, dlogits):
         gu = np.empty((nb, 2 * n_heads, d))
         dg = gu[:, :n_heads]
         np.matmul(do, wv.transpose(0, 2, 1), out=dg.transpose(1, 0, 2))
-        gu[:, n_heads:] = u if gather is None else u[gather]
+        gu[:, n_heads:] = u if repeats is None else np.repeat(u, repeats, axis=0)
         dp = np.matmul(dg, a_src.transpose(0, 2, 1))
         dp -= (dp * probs).sum(axis=-1, keepdims=True)
         dscores = np.multiply(probs, dp, out=pd[:, n_heads:])
         pd[:, :n_heads] = probs
         da = np.matmul(pd.transpose(0, 2, 1), gu)
-        if gather is not None:
+        if repeats is not None:
             da, dscores = to_rows(da), to_rows(dscores)
         du = np.matmul(dscores, lc["a"])
         du /= np.sqrt(dh)
@@ -799,7 +795,7 @@ def backward(cache, params, config, dlogits):
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}"
         lc = cache["layers"][i]
-        gather = src if i == 0 else None
+        repeats = variants if i == 0 else None
 
         dmid = ff_back(lc, p, dcur)
         dattn = dmid if lc["attn_drop"] is None else dmid * lc["attn_drop"]
@@ -807,8 +803,8 @@ def backward(cache, params, config, dlogits):
         grads[f"{p}.attn.wo"] = dwo
         grads[f"{p}.attn.bo"] = dbo
         attention_back = cls_attention_back if i == config.n_layers - 1 else self_attention_back
-        da = attention_back(lc, p, docat, gather)
-        if gather is not None:
+        da = attention_back(lc, p, docat, repeats)
+        if repeats is not None:
             dmid = to_rows(dmid)
         dcur, dgain1, dbias1 = _rms_backward(da, params[f"{p}.norm1.gain"], lc["ln1"])
         grads[f"{p}.norm1.gain"] = dgain1

@@ -275,29 +275,29 @@ def validation_f1(params, config, data: Batch, labels) -> float:
 
 
 def _soc_variants(data: Batch, rows, occlusions):
-    """The occlusion pass's batch for rows ``rows`` of ``data`` and where its
-    variants sit. The targets are the rows with identity positions
-    (``occlusions``, a ``PreparedSet``'s ``(offsets, positions)``); each runs
-    as one unchanged variant followed by one per identity position, with that
-    key masked off.
-    Returns ``(batch, orig_rows, occ_rows)``: each target's unchanged variant
-    and the occluded variants, in order, whose targets ``batch.src`` gives.
-    None when no row is a target."""
+    """Key-mask variants of rows ``rows`` of the plain batch ``data``, by
+    ``occlusions``, a CSR list ``(offsets, positions)`` of key columns per row
+    of ``data``: each an attended token column of its row, or -1, the slot.
+    A row that lists columns runs as itself, then once per column, in CSR
+    order, with that key masked off; a row that lists none is dropped. SOC
+    lists a ``PreparedSet``'s identity positions.
+    Returns ``(batch, orig_rows, occ_rows)``: the ``Batch`` of variants and
+    where each kept row's unchanged variant and the others sit, in order.
+    None when no row lists a column."""
     offsets, positions = occlusions
     counts = offsets[rows + 1] - offsets[rows]
     targets, counts = rows[counts > 0], counts[counts > 0]
     if not len(targets):
         return None
     batch = data.take(targets)
-    src = np.repeat(np.arange(len(targets)), counts + 1)
-    kmask = batch.kmask[src]
-    before = np.cumsum(counts) - counts  # identity positions of the earlier targets
+    kmask = np.repeat(batch.kmask, counts + 1, axis=0)
+    before = np.cumsum(counts) - counts  # listed columns of the earlier targets
     orig_rows = before + np.arange(len(targets))
-    occ_rows = np.delete(np.arange(len(src)), orig_rows)
-    # The targets' positions in CSR order, one per occluded variant.
+    occ_rows = np.delete(np.arange(len(kmask)), orig_rows)
+    # The targets' columns in CSR order, one per occluded variant.
     occluded = positions[np.repeat(offsets[targets] - before, counts) + np.arange(len(occ_rows))]
     kmask[occ_rows, occluded] = False
-    return replace(batch, kmask=kmask, src=src), orig_rows, occ_rows
+    return replace(batch, kmask=kmask, variants=counts + 1), orig_rows, occ_rows
 
 
 def _soc_loss_and_grads(data: Batch, rows, occlusions, params, config, soc_weight):
@@ -313,8 +313,8 @@ def _soc_loss_and_grads(data: Batch, rows, occlusions, params, config, soc_weigh
     batch, orig_rows, occ_rows = variants
     logits, cache = forward(batch, params, config, train_mode=True, dropout_rng=None)
     toxic = logits[:, Label.TOXIC]
-    target = batch.src[occ_rows]  # the target of each occluded variant
-    counts = np.bincount(target)
+    counts = batch.variants - 1  # each target's occluded variants
+    target = np.repeat(np.arange(len(counts)), counts)  # the target of each of them
     diffs = toxic[orig_rows][target] - toxic[occ_rows]
     # bincount adds each target's terms in row order, as a sum of fewer than
     # 8 terms does; cumsum adds the targets' penalties in order.

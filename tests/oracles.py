@@ -357,7 +357,7 @@ def soc_loss_and_grads_per_target(data, rows, occlusions, params, config, soc_we
         return 0.0, None
     batch, orig_rows, _ = variants
     # Each target's unchanged variant runs just before its occluded ones.
-    ends = np.append(orig_rows[1:], len(batch.src)).tolist()
+    ends = np.append(orig_rows[1:], len(batch.kmask)).tolist()
     logits, cache = _enc.forward(batch, params, config, train_mode=True, dropout_rng=None)
     toxic = logits[:, Label.TOXIC]
     dlogits = np.zeros_like(logits)

@@ -9,6 +9,7 @@ from subsense import subjectivity as sj
 from subsense import textprep as tp
 from subsense import trainer as tr
 from subsense.atomic import replacing
+from subsense.errors import ContractError
 
 
 def test_replaces_the_whole_file(tmp_path):
@@ -32,6 +33,13 @@ def test_failed_write_leaves_the_old_file_and_no_temp(tmp_path, existed):
     assert [p.name for p in tmp_path.iterdir()] == (["checkpoint.bin"] if existed else [])
     if existed:
         assert path.read_bytes() == b"previous"
+
+
+@pytest.mark.parametrize("path", ["", ".", "/"])
+def test_path_without_a_file_name_is_refused(path):
+    with pytest.raises(ContractError, match="^not a file path: "):
+        with replacing(path):
+            pass
 
 
 def test_artifact_writers_leave_only_their_files(tmp_path):

@@ -63,7 +63,7 @@ def with_variants(rng, batch):
     kmask = batch.kmask[src]
     repeat = np.flatnonzero((np.diff(src, prepend=-1) == 0) & (batch.extent[src] > 1))
     kmask[repeat, rng.integers(1, batch.extent[src[repeat]])] = False
-    return enc.Batch(batch.ids, batch.fill, kmask, batch.extent, src)
+    return enc.Batch(batch.ids, batch.fill, kmask, batch.extent, np.bincount(src, minlength=n))
 
 
 def run(batch, params, config, train, seed, workspace):

@@ -41,6 +41,10 @@ class TestConfusion:
         counts = audit.confusion([T, N, N, T], [N, N, T, T])
         assert counts.total == 4
 
+    def test_negative_count_refused(self):
+        with pytest.raises(ContractError, match="^confusion counts must be non-negative$"):
+            audit.ConfusionCounts(1, -1, 0, 0)
+
 
 class TestF1:
     def test_perfect(self):
@@ -87,6 +91,10 @@ class TestQuartiles:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             audit.quartiles([])
+
+    def test_out_of_order_refused(self):
+        with pytest.raises(ContractError, match="^quartiles out of order$"):
+            audit.Quartiles(0.1, 0.3, 0.2, 0.4, 0.5)
 
 
 def brute_force_cells(comments, preds, golds):
@@ -197,6 +205,14 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             audit.aggregate([])
+
+    @pytest.mark.parametrize("mean_f1,std_f1,message", [
+        (0.9, 0.1, "mean outside the observed range"),
+        (0.7, -0.1, "standard deviation cannot be negative"),
+    ])
+    def test_inconsistent_fields_refused(self, mean_f1, std_f1, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            audit.RunAggregate((0.6, 0.8), mean_f1, std_f1, 0.0, 0.0)
 
     def test_render_row_format(self):
         agg = audit.aggregate([(0.5952, 34, 55)] * 3)

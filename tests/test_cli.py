@@ -462,6 +462,24 @@ class TestBadInputExitsTwo:
         assert name in self.one_line_error(capsys)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-len", "2", "max_len must be at least 3"),
+        ("--d-model", "0", "model dimensions must be positive"),
+        ("--n-heads", "0", "model dimensions must be positive"),
+        ("--d-ff", "0", "model dimensions must be positive"),
+        ("--n-layers", "-1", "n_layers must be non-negative"),
+        ("--min-freq", "0", "min_freq must be at least 1"),
+    ])
+    def test_out_of_range_model_value(self, pipeline, tmp_path, capsys, flag, value, message):
+        data = pipeline["data"]
+        assert cli.dispatch([
+            "train", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--mode", "ss", "--seed", "1", "--outdir", str(tmp_path / "run"),
+            *TRAIN_FLAGS, flag, value,
+        ]) == 2
+        assert self.one_line_error(capsys) == f"error: {message}"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("model", [
         {"d_model": "x"}, {"n_layers": 1.0}, {"unknown": 1}, [1], None, "drop max_len",
         {"seed": "1"}, {"seed": 1.5}, {"seed": True},

@@ -75,6 +75,18 @@ class TestConfig:
         with pytest.raises(ContractError, match=f"ModelConfig.{field} must be"):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("max_len", 2, "max_len must be at least 3"),
+        ("vocab_size", 3, "vocab_size must cover the specials"),
+        ("d_model", 0, "model dimensions must be positive"),
+        ("n_heads", 0, "model dimensions must be positive"),
+        ("d_ff", 0, "model dimensions must be positive"),
+        ("n_layers", -1, "n_layers must be non-negative"),
+    ])
+    def test_out_of_range_is_refused(self, field, value, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            tiny_config(**{field: value})
+
     def test_int_fills_float_field(self):
         assert tiny_config(dropout_rate=0).dropout_rate == 0
 
@@ -232,6 +244,15 @@ class TestBackward:
         config = tiny_config()
         with pytest.raises(ContractError):
             enc.backward(None, enc.init(config), config, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (3,)])
+    def test_upstream_shape_must_match_the_logits(self, shape):
+        config = tiny_config()
+        batch = random_batch(np.random.default_rng(4), config, 3)
+        _, cache = enc.forward(oracles.assemble(batch, config), enc.init(config), config,
+                               train_mode=True)
+        with pytest.raises(ContractError, match=r"^upstream gradient shape \("):
+            enc.backward(cache, enc.init(config), config, np.zeros(shape))
 
     def test_zero_upstream_gives_zero_grads(self):
         config = tiny_config()

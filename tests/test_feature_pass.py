@@ -279,7 +279,7 @@ def test_prepared_set_equals_per_row_pipeline(texts, vocab_size):
             want = oracles.assemble([ex.aug for ex in rows], config)
             for name in ("ids", "kmask", "fill", "extent"):
                 assert same_array(getattr(got.data, name), getattr(want, name)), name
-            assert got.data.src is None
+            assert got.data.variants is None
             assert same_array(got.labels, np.array([int(ex.label) for ex in rows]))
             offsets, positions = oracles.identity_csr(rows)
             assert same_array(got.offsets, offsets)

@@ -185,7 +185,7 @@ class TestTrimmedMatchesReference:
 
 
 def check_variant_logits_and_gradients(config, params, batch, rng):
-    """``batch`` as key-mask variants (``src``), the way the occlusion pass
+    """``batch`` as key-mask variants (``variants``), the way the occlusion pass
     runs it: each row once as it is, then once with one real token masked
     off where it has one. The pass runs without dropout, as that one does.
     Logits and every gradient match the reference run over each variant as
@@ -205,7 +205,8 @@ def check_variant_logits_and_gradients(config, params, batch, rng):
     variants = [batch[row] for row in src]
     for at, position in zip(repeats, positions):
         variants[at] = oracles._occlude(variants[at], position)
-    logits, cache = enc.forward(enc.Batch(rows.ids, rows.fill, kmask, rows.extent, src),
+    logits, cache = enc.forward(enc.Batch(rows.ids, rows.fill, kmask, rows.extent,
+                                          np.bincount(src)),
                                 params, config, train_mode=True)
     expected, ref_cache = ref.forward(variants, params, config, train_mode=True)
     assert max_abs_diff(logits, expected) <= TOL

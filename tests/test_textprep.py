@@ -49,6 +49,10 @@ class TestBuildVocab:
         assert "a" in vocab.token_to_id
         assert "b" not in vocab.token_to_id
 
+    def test_min_freq_below_one(self):
+        with pytest.raises(ContractError, match="^min_freq must be at least 1$"):
+            tp.build_vocab(["a a b"], max_size=6, min_freq=0)
+
     def test_lexicographic_tie_break(self):
         vocab = tp.build_vocab(["y x"], max_size=5, min_freq=1)
         assert "x" in vocab.token_to_id and "y" not in vocab.token_to_id

@@ -220,14 +220,26 @@ class TestStepHelpersMatchFrozenCopies:
         src = np.repeat(np.arange(len(counts)), counts)
         (x,) = helper_arrays((len(src),) + shape[1:], 1, seed, [])
         x[np.isin(src, list(zero_rows))] *= 0.0
-        got = enc._variant_sums(src, len(counts))(x)
+        got = enc._variant_sums(np.array(counts))(x)
         assert same_bits(got, oracles.variant_sums(src, x, len(counts)))
 
-    @pytest.mark.parametrize("src, n", [([0, 2, 1], 3), ([0, 0, 2], 3), ([1, 1, 0, 0], 2),
-                                        ([0, 1, 0], 2), ([0, 1], 3)])
-    def test_variant_sums_refuse_rows_out_of_order(self, src, n):
-        with pytest.raises(enc.ContractError, match="in ascending order"):
-            enc._variant_sums(np.array(src), n)
+
+@pytest.mark.parametrize("variants", [[3, 0, 1], [1, 1, 1, 1], [2, 1, 2]],
+                         ids=["zero", "wrong-length", "wrong-sum"])
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_forward_refuses_variant_counts(variants, train_mode):
+    """Three rows run as four variants: 2, 1 and 1 fit; a count of 0, a
+    count per variant rather than per row, or counts summing to five do
+    not."""
+    prepared, config = soc_setup(n=8)
+    plain = prepared.data.take(np.arange(3))
+    kmask = plain.kmask[[0, 0, 1, 2]]
+    params = enc.init(config)
+    fits = enc.Batch(plain.ids, plain.fill, kmask, plain.extent, np.array([2, 1, 1]))
+    assert len(enc.forward(fits, params, config, train_mode=train_mode)[0]) == 4
+    with pytest.raises(enc.ContractError, match="^a batch's variants must count 1 or more"):
+        enc.forward(enc.Batch(plain.ids, plain.fill, kmask, plain.extent, np.array(variants)),
+                    params, config, train_mode=train_mode)
 
 
 def perturbed_params(config, seed=1):
@@ -281,24 +293,69 @@ def test_soc_variants_mask_one_identity_key_each():
     data, occlusions = prepared.data, (prepared.offsets, prepared.positions)
     batch, orig_rows, occ_rows = tr._soc_variants(data, rows, occlusions)
     targets = [examples[r] for r in rows if examples[r].identity_positions]
-    assert np.bincount(batch.src[occ_rows]).tolist() == [
+    src = np.repeat(np.arange(len(batch.variants)), batch.variants)  # each variant's row
+    assert np.bincount(src[occ_rows]).tolist() == [
         len(ex.identity_positions) for ex in targets]
-    assert batch.src[orig_rows].tolist() == list(range(len(targets)))
-    assert sorted([*orig_rows, *occ_rows]) == list(range(len(batch.src)))
+    assert src[orig_rows].tolist() == list(range(len(targets)))
+    assert sorted([*orig_rows, *occ_rows]) == list(range(len(src)))
     want = []
     for ex in targets:
         want.append(ex.aug)
         want.extend(oracles._occlude(ex.aug, p) for p in ex.identity_positions)
     expected = oracles.assemble(want, config)
     assert same_bits(batch.kmask, expected.kmask)
-    assert same_bits(batch.ids[batch.src], expected.ids)
-    assert same_bits(batch.fill[batch.src], expected.fill)
+    assert same_bits(batch.ids[src], expected.ids)
+    assert same_bits(batch.fill[src], expected.fill)
     # Read as a list, the batch counts the keys of the full copies it replaces.
     assert len(batch) == len(want)
     assert [(v.base.n_real, v.slot_mask) for v in batch] == [
         (ex.base.n_real, ex.slot_mask) for ex in want]
     plain = np.array([r for r in rows if not examples[r].identity_positions], dtype=np.intp)
     assert tr._soc_variants(data, plain, occlusions) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_soc_variants_mask_each_listed_column(data):
+    """Any CSR list of key columns per row, each an attended token column of
+    its row or -1, the slot: a row of the subset that lists none is dropped,
+    and a kept row runs ``1 +`` its columns' count of variants, its own key
+    mask first, then one per column, in CSR order, with exactly that key
+    cleared."""
+    n = data.draw(st.integers(1, 8), label="rows")
+    extent = np.array(data.draw(st.lists(st.integers(1, 10), min_size=n, max_size=n),
+                                label="extents"), dtype=np.int32)
+    gate = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="gates")
+    real = np.arange(int(extent.max())) < extent[:, None]
+    ids = np.where(real, np.arange(real.shape[1]) + 4, 0).astype(np.int32)
+    plain = enc.Batch(ids, np.linspace(0.0, 1.0, n), np.column_stack((real, gate)), extent)
+    columns = [data.draw(st.lists(st.sampled_from([-1, *range(e)]), max_size=4),
+                         label=f"columns of row {i}") for i, e in enumerate(extent.tolist())]
+    order = data.draw(st.permutations(range(n)), label="order")
+    rows = np.array(order[: data.draw(st.integers(0, n), label="subset")], dtype=np.intp)
+    offsets = np.cumsum([0, *map(len, columns)])
+    positions = np.array([c for listed in columns for c in listed], dtype=np.intp)
+
+    got = tr._soc_variants(plain, rows, (offsets, positions))
+    kept = [r for r in rows.tolist() if columns[r]]
+    if not kept:
+        assert got is None
+        return
+    batch, orig_rows, occ_rows = got
+    assert batch.variants.tolist() == [1 + len(columns[r]) for r in kept]
+    rows_alone = plain.take(np.array(kept))
+    for name in ("ids", "fill", "extent"):
+        assert same_bits(getattr(batch, name), getattr(rows_alone, name)), name
+    want, first = [], []
+    for mask, r in zip(rows_alone.kmask, kept):
+        first.append(len(want))
+        want.append(mask)
+        for column in columns[r]:
+            want.append(mask.copy())
+            want[-1][column] = False
+    assert same_bits(batch.kmask, np.array(want))
+    assert orig_rows.tolist() == first
+    assert occ_rows.tolist() == sorted(set(range(len(want))) - set(first))
 
 
 class TestNonFinite:

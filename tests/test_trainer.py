@@ -52,6 +52,11 @@ class TestClassWeights:
         with pytest.raises(ContractError, match="training labels must include both classes"):
             tr.class_weights([Label.NONTOXIC] * 10)
 
+    @pytest.mark.parametrize("w_toxic,w_nontoxic", [(0.0, 1.0), (1.0, -0.5)])
+    def test_non_positive_weight(self, w_toxic, w_nontoxic):
+        with pytest.raises(ContractError, match="^class weights must be positive$"):
+            tr.ClassWeights(w_toxic, w_nontoxic)
+
 
 class TestWeightedLoss:
     def test_confident_correct(self):

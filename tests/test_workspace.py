@@ -100,7 +100,7 @@ def test_narrow_batch_after_wide_one_sees_no_stale_buffer(n_layers, d_ff):
       for n in range(4) for d_ff in (16, WIDE_FF)),
 ])
 def test_variants_through_a_workspace(n_layers, d_ff, counts, plain_first):
-    """A batch of key-mask variants (``src``) runs through a workspace,
+    """A batch of key-mask variants (``variants``) runs through a workspace,
     before or after a wider plain batch of 30 rows: both give the same bits
     as without one, and each variant's logits are those of its keys run as
     a plain row, to rounding."""
@@ -110,7 +110,7 @@ def test_variants_through_a_workspace(n_layers, d_ff, counts, plain_first):
     src = np.repeat(np.arange(4), counts)
     kmask = rows.kmask[src]
     kmask[[1, 2, 4], [3, 11, 5]] = False  # one occluded key each
-    variants = enc.Batch(rows.ids, rows.fill, kmask, rows.extent, src)
+    variants = enc.Batch(rows.ids, rows.fill, kmask, rows.extent, np.array(counts))
     wide = rows_batch(rng, [12] * 30, [True] * 30)
     workspace = {}
     for batch in (wide, variants) if plain_first else (variants, wide):
