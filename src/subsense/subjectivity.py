@@ -47,44 +47,24 @@ class LexiconEntry:
 
 
 class SubjectivityLexicon:
-    """Multimap from lowercase form to its senses.
+    """Each lowercase form's ``means``: its mean subjectivity and mean
+    intensity over its senses, the one record the scorer reads.
 
     Immutable after construction and safe to share across threads.
     """
 
     def __init__(self, entries):
-        table: dict[str, tuple[LexiconEntry, ...]] = {}
+        senses: dict[str, list[LexiconEntry]] = {}
         for e in entries:
-            table[e.form] = table.get(e.form, ()) + (e,)
-        self._table = table
-        # Per-form means over the senses, computed once for the scorer.
-        self._subjectivity = {f: sum(e.subjectivity for e in s) / len(s) for f, s in table.items()}
-        self._intensity = {f: sum(e.intensity for e in s) / len(s) for f, s in table.items()}
+            senses.setdefault(e.form, []).append(e)
+        self.means = {f: (sum(e.subjectivity for e in s) / len(s),
+                          sum(e.intensity for e in s) / len(s)) for f, s in senses.items()}
         # Every text a multi-word form continues past a space ("fed" of "fed
         # up"); a token outside this set can only match a one-word form, and
         # a token outside ``_starts`` matches nothing.
-        self._heads = frozenset(f[:i] for f in table for i, ch in enumerate(f) if ch == " ")
-        self._starts = self._heads.union(table)
-        self.max_form_words = max((f.count(" ") + 1 for f in table), default=1)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._table.values())
-
-    def __contains__(self, form: str) -> bool:
-        return form in self._table
-
-    @property
-    def forms(self):
-        return self._table.keys()
-
-    def senses(self, form: str) -> tuple[LexiconEntry, ...]:
-        return self._table.get(form, ())
-
-    def mean_subjectivity(self, form: str) -> float:
-        return self._subjectivity[form]
-
-    def mean_intensity(self, form: str) -> float:
-        return self._intensity[form]
+        self._heads = frozenset(f[:i] for f in senses for i, ch in enumerate(f) if ch == " ")
+        self._starts = self._heads.union(senses)
+        self.max_form_words = max((f.count(" ") + 1 for f in senses), default=1)
 
 
 @dataclass(frozen=True)
@@ -104,7 +84,7 @@ def _entry(attrs: dict) -> LexiconEntry | None:
         return LexiconEntry(
             (attrs.get("form") or "").strip().lower(),
             float(attrs["subjectivity"]),
-            intensity=float(attrs.get("intensity", 1.0)),
+            intensity=float(attrs.get("intensity") or 1.0),  # empty reads as absent
         )
     except (KeyError, ValueError, ContractError):
         return None
@@ -147,7 +127,8 @@ def load_lexicon(path) -> SubjectivityLexicon:
     subjectivity and optional intensity; the polarity and pos attributes of
     older files are ignored. TSV holds the columns form, subjectivity,
     polarity (ignored) and intensity, the last two optional; '#' lines are
-    comments.
+    comments. An empty intensity counts as absent. A form may have several
+    senses in either format: it scores with their means.
     """
     return _load(path, _tsv_records if str(path).endswith(".tsv") else _xml_records)
 
@@ -158,13 +139,13 @@ def lexicon_path(path) -> Path:
 
 
 def write_lexicon_tsv(lexicon: SubjectivityLexicon, path) -> None:
-    """Write ``lexicon`` in the TSV format, with 0.0 in the polarity column
-    that files of this layout carry."""
+    """Write ``lexicon`` in the TSV format, one line per form with its
+    means, so that it loads back to the same means, and with 0.0 in the
+    polarity column that files of this layout carry."""
     with replacing(path, "w", encoding="utf-8") as fh:
         fh.write("# form\tsubjectivity\tpolarity\tintensity\n")
-        for form in sorted(lexicon.forms):
-            for e in lexicon.senses(form):
-                fh.write(f"{e.form}\t{e.subjectivity!r}\t0.0\t{e.intensity!r}\n")
+        for form, (subj, intensity) in sorted(lexicon.means.items()):
+            fh.write(f"{form}\t{subj!r}\t0.0\t{intensity!r}\n")
 
 
 @cache
@@ -184,7 +165,7 @@ def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):
     if i >= n:
         return None
     if tokens[i] not in lexicon._heads:
-        return (tokens[i], 1, i + 1) if tokens[i] in lexicon._table else None
+        return (tokens[i], 1, i + 1) if tokens[i] in lexicon.means else None
     at = [i]  # the indices of the words a form may span
     for j in range(i + 1, n):
         if len(at) == lexicon.max_form_words:
@@ -193,7 +174,7 @@ def _match_at(tokens, i: int, lexicon: SubjectivityLexicon):
             at.append(j)
     for width in range(len(at), 0, -1):
         form = " ".join([tokens[k] for k in at[:width]])
-        if form in lexicon._table:
+        if form in lexicon.means:
             return form, width, at[width - 1] + 1
     return None
 
@@ -219,12 +200,12 @@ def _hits(tokens, lexicon: SubjectivityLexicon):
         if m is None:
             continue
         form, width, stop = m
-        if width == 1 and lexicon.mean_intensity(form) != 1.0:
+        subj, intensity = lexicon.means[form]
+        if width == 1 and intensity != 1.0:
             ahead = _match_at(tokens, i + 1, lexicon)
             if ahead is not None:
-                pending = lexicon.mean_intensity(form)
+                pending = intensity
                 continue
-        subj = lexicon.mean_subjectivity(form)
         if pending is not None:
             subj = min(1.0, max(0.0, subj * pending))
             pending = None

@@ -516,15 +516,14 @@ def word_split(text: str) -> list[str]:
 
 
 def _mean(lexicon, form, attr):
-    senses = lexicon.senses(form)
-    return sum(getattr(e, attr) for e in senses) / len(senses)
+    return lexicon.means[form][("subjectivity", "intensity").index(attr)]
 
 
 def _match_at(tokens, i, lexicon):
     limit = min(lexicon.max_form_words, len(tokens) - i)
     for width in range(limit, 0, -1):
         form = " ".join(tokens[i : i + width])
-        if form in lexicon:
+        if form in lexicon.means:
             return form, width
     return None
 

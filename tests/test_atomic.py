@@ -55,7 +55,8 @@ def test_artifact_writers_leave_only_their_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "checkpoint.bin", "corpus.csv", "history.csv", "lexicon.tsv", "vocab.txt"]
     assert ds.read_canonical(tmp_path / "corpus.csv") == list(corpus.comments)
-    assert len(sj.load_lexicon(tmp_path / "lexicon.tsv")) == 100
+    assert sj.load_lexicon(tmp_path / "lexicon.tsv").means == corpus.lexicon.means
+    assert len(corpus.lexicon.means) == 100
     loaded = enc.load_params(tmp_path / "checkpoint.bin", config)
     for name, tensor in params.items():
         assert np.array_equal(loaded[name], tensor)

@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -54,11 +55,6 @@ def pipeline(tmp_path_factory):
 def copy_run(pipeline, dest):
     """A copy of the pipeline's run directory at ``dest``."""
     return Path(shutil.copytree(pipeline["run"], dest))
-
-
-def senses(lexicon):
-    """Every form of ``lexicon`` with its senses, in their order."""
-    return {form: lexicon.senses(form) for form in lexicon.forms}
 
 
 def rehash(run, name):
@@ -157,9 +153,9 @@ class TestScore:
         custom.write_text("plain\t0.8\t0.0\t1.0\ngood\t0.1\n")
         monkeypatch.setenv("SUBSENSE_LEXICON", str(custom))
         assert subjectivity.default_lexicon() is subjectivity.default_lexicon()
-        assert len(subjectivity.default_lexicon()) == len(
-            subjectivity.load_lexicon(subjectivity.DEFAULT_LEXICON_XML))
-        assert "plain" not in subjectivity.default_lexicon()
+        assert subjectivity.default_lexicon().means == (
+            subjectivity.load_lexicon(subjectivity.DEFAULT_LEXICON_XML).means)
+        assert "plain" not in subjectivity.default_lexicon().means
         assert cli.dispatch(["score", "--text", "this is not good"]) == 0
         assert capsys.readouterr().out == packaged
         assert cli.dispatch(["score", "--text", "a plain sentence"]) == 0
@@ -172,8 +168,8 @@ class TestScore:
         capsys.readouterr()
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["inputs"]["lexicon.tsv"] == {"packaged": "en_subjectivity.xml"}
-        assert senses(subjectivity.load_lexicon(run / "lexicon.tsv")) == senses(
-            subjectivity.load_lexicon(subjectivity.DEFAULT_LEXICON_XML))
+        assert subjectivity.load_lexicon(run / "lexicon.tsv").means == (
+            subjectivity.load_lexicon(subjectivity.DEFAULT_LEXICON_XML).means)
 
     def test_byte_order_mark_is_not_part_of_the_first_entry(self, tmp_path, capsys):
         lexicon, terms = tmp_path / "mini.tsv", tmp_path / "terms.txt"
@@ -1392,7 +1388,7 @@ class TestRunDirectory:
 
     def test_train_copies_its_lexicons(self, pipeline, tmp_path, capsys):
         """train writes the lexicon and the terms it loaded, not the bytes it
-        read: the TSV rewrite holds the same senses, and the term file one
+        read: the TSV rewrite holds the same means, and the term file one
         term per line, without comments, case or repeats."""
         data, run = pipeline["data"], tmp_path / "run"
         terms = tmp_path / "terms.txt"
@@ -1405,8 +1401,8 @@ class TestRunDirectory:
         capsys.readouterr()
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["manifest_version"] == 6 and "artifacts" not in manifest
-        assert senses(subjectivity.load_lexicon(run / "lexicon.tsv")) == senses(
-            subjectivity.load_lexicon(data / "lexicon.tsv"))
+        assert subjectivity.load_lexicon(run / "lexicon.tsv").means == (
+            subjectivity.load_lexicon(data / "lexicon.tsv").means)
         assert (run / "identity_terms.txt").read_text(encoding="utf-8") == "women\nmuslim\n"
         assert manifest["inputs"]["lexicon.tsv"] == {"path": str(data / "lexicon.tsv")}
         assert manifest["inputs"]["identity_terms.txt"] == {"path": str(terms)}
@@ -1420,17 +1416,42 @@ class TestRunDirectory:
 
     def test_packaged_lexicon_is_copied(self, packaged_run):
         """A run trained with neither --lexicon nor --identity-terms keeps
-        the same fixed files: the packaged lexicon rewritten as lexicon.tsv
-        and the stock terms as identity_terms.txt."""
+        the same fixed files: the packaged lexicon rewritten as lexicon.tsv,
+        one line per form with the means of its senses, and the stock terms
+        as identity_terms.txt."""
         manifest = json.loads((packaged_run / "manifest.json").read_text())
         assert sorted(manifest["files"]) == [
             "checkpoint.bin", "config.json", "identity_terms.txt", "lexicon.tsv", "vocab.txt"]
-        assert senses(subjectivity.load_lexicon(packaged_run / "lexicon.tsv")) == senses(
-            subjectivity.default_lexicon())
+        means = subjectivity.default_lexicon().means
+        lines = (packaged_run / "lexicon.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split("\t")[0] for line in lines] == sorted(means)
+        assert "good\t0.6\t0.0\t1.0" in lines and "sure\t0.8889\t0.0\t1.0" in lines
+        assert subjectivity.load_lexicon(packaged_run / "lexicon.tsv").means == means
         assert (packaged_run / "identity_terms.txt").read_text(encoding="utf-8").splitlines() == (
             list(identity.STOCK_TERMS))
         assert manifest["inputs"]["identity_terms.txt"] == {"packaged": "identity.STOCK_TERMS"}
         assert not (packaged_run / "lexicon.xml").exists()
+
+    def test_lexicon_with_a_line_per_sense(self, pipeline, packaged_run, tmp_path, capsys):
+        """A run trained before lexicon.tsv held one line per form holds a
+        line per sense of the packaged XML, forms sorted and senses in file
+        order; it loads to the same means, so eval predicts the same rows."""
+        test = pipeline["data"] / "test.csv"
+        run = Path(shutil.copytree(packaged_run, tmp_path / "run"))
+        words = ET.parse(subjectivity.DEFAULT_LEXICON_XML).getroot().iter("word")
+        senses = sorted(((w.get("form"), w.get("subjectivity"), w.get("intensity"))
+                         for w in words), key=lambda sense: sense[0])
+        (run / "lexicon.tsv").write_text("# form\tsubjectivity\tpolarity\tintensity\n" + "".join(
+            f"{form}\t{float(subj)!r}\t0.0\t{float(intensity)!r}\n"
+            for form, subj, intensity in senses), encoding="utf-8")
+        assert len(senses) == len(subjectivity.default_lexicon().means) + 3
+        rehash(run, "lexicon.tsv")
+        for name, directory in (("trained", packaged_run), ("per-sense", run)):
+            assert _eval(directory / "manifest.json", test, tmp_path / name) == 0
+        capsys.readouterr()
+        rows = [(tmp_path / name / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]
+                for name in ("trained", "per-sense")]
+        assert rows[0] == rows[1] and len(rows[0]) > 1
 
     def test_eval_reads_the_runs_stock_terms(self, pipeline, packaged_run, tmp_path,
                                              monkeypatch, capsys):

@@ -8,6 +8,7 @@ corpora: every value must be exactly equal, not merely close. The columnar
 """
 
 import random
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -31,22 +32,21 @@ TERMS = idn.default_terms()
 # Several senses per form (the means are not a single value), two- and
 # three-word forms, modifiers that also start or finish a longer form, and a
 # former negation word ("not") as a form of its own.
-STREAM_LEXICON = sj.SubjectivityLexicon(
-    [
-        sj.LexiconEntry("good", 0.6),
-        sj.LexiconEntry("good", 0.7),
-        sj.LexiconEntry("good", 0.35, intensity=1.0),
-        sj.LexiconEntry("bad", 0.65),
-        sj.LexiconEntry("very", 0.3, intensity=1.3),
-        sj.LexiconEntry("very", 0.2, intensity=1.4),
-        sj.LexiconEntry("slightly", 0.1, intensity=0.7),
-        sj.LexiconEntry("fed up", 0.9),
-        sj.LexiconEntry("very well", 0.4),
-        sj.LexiconEntry("over the top", 0.8, intensity=1.2),
-        sj.LexiconEntry("top", 0.5),
-        sj.LexiconEntry("not", 0.05),
-    ],
+STREAM_ENTRIES = (
+    sj.LexiconEntry("good", 0.6),
+    sj.LexiconEntry("good", 0.7),
+    sj.LexiconEntry("good", 0.35, intensity=1.0),
+    sj.LexiconEntry("bad", 0.65),
+    sj.LexiconEntry("very", 0.3, intensity=1.3),
+    sj.LexiconEntry("very", 0.2, intensity=1.4),
+    sj.LexiconEntry("slightly", 0.1, intensity=0.7),
+    sj.LexiconEntry("fed up", 0.9),
+    sj.LexiconEntry("very well", 0.4),
+    sj.LexiconEntry("over the top", 0.8, intensity=1.2),
+    sj.LexiconEntry("top", 0.5),
+    sj.LexiconEntry("not", 0.05),
 )
+STREAM_LEXICON = sj.SubjectivityLexicon(STREAM_ENTRIES)
 STREAM_WORDS = (
     "good", "bad", "very", "slightly", "fed", "up", "well", "over", "the", "top",
     "not", "never", "table", "muslim", "fed up", ",", "!!", "(good)", "very,",
@@ -171,18 +171,34 @@ def test_score_of_a_punctuation_form_is_zero(tmp_path):
     path = tmp_path / "lexicon.tsv"
     path.write_text("!!\t0.9\nmeh\t0.7\n", encoding="utf-8")
     lexicon = sj.load_lexicon(path)
-    assert list(lexicon.forms) == ["meh"]
+    assert list(lexicon.means) == ["meh"]
     zero = sj.SubjectivityScore(0.0)
     for text in ("wow !! great", "!!", "a!!"):
         assert sj.score(text, lexicon) == oracles.score(text, lexicon) == zero
     assert sj.score("!!", lexicon, ["!!"]) == zero
 
 
+def sense_means(senses):
+    """Each form's (mean subjectivity, mean intensity) over ``senses``, a
+    list of (form, subjectivity, intensity) in file order."""
+    by_form = {}
+    for form, subj, intensity in senses:
+        by_form.setdefault(form, []).append((subj, intensity))
+    return {form: (sum(s for s, _ in values) / len(values), sum(i for _, i in values) / len(values))
+            for form, values in by_form.items()}
+
+
 def test_sense_means_are_the_per_call_means():
-    for lexicon in (PACKAGED, STREAM_LEXICON):
-        for form in lexicon.forms:
-            assert lexicon.mean_subjectivity(form) == oracles._mean(lexicon, form, "subjectivity")
-            assert lexicon.mean_intensity(form) == oracles._mean(lexicon, form, "intensity")
+    """``means`` holds the average of each form's senses: of the packaged
+    XML's raw records, read here without the loader, and of the entries
+    ``STREAM_LEXICON`` is built from."""
+    raw = [(w.get("form"), float(w.get("subjectivity")), float(w.get("intensity", 1.0)))
+           for w in ET.parse(sj.DEFAULT_LEXICON_XML).getroot().iter("word")]
+    own = [(e.form, e.subjectivity, e.intensity) for e in STREAM_ENTRIES]
+    for lexicon, senses in ((PACKAGED, raw), (STREAM_LEXICON, own)):
+        want = sense_means(senses)
+        assert len(want) < len(senses)  # some form has several senses
+        assert repr(sorted(lexicon.means.items())) == repr(sorted(want.items()))
 
 
 def alnum_only(positions, tokens):

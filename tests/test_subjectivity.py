@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -39,13 +40,13 @@ class TestLoading:
                         '<word form="fed  up" subjectivity="0.9"/>'
                         '<word form="#tag" subjectivity="0.3"/>'
                         '<word form=" Good " subjectivity="0.5"/></lexicon>')
-        assert list(sj.load_lexicon(path).forms) == ["good"]
+        assert sj.load_lexicon(path).means == {"good": (0.5, 1.0)}
 
     def test_counts_entries_and_skips(self, tmp_path):
         path = tmp_path / "lex.xml"
         path.write_text(XML_OK)
         lex = sj.load_lexicon(path)
-        assert len(lex) == 3
+        assert lex.means == {"good": (0.6, 1.0), "bad": (0.65, 1.0), "very": (0.3, 1.3)}
 
     def test_empty_file_is_degenerate(self, tmp_path):
         path = tmp_path / "lex.xml"
@@ -64,9 +65,13 @@ class TestLoading:
             sj.load_lexicon(path)
 
     def test_reference_lexicon_count_matches_file_scan(self):
-        # Independent oracle: count raw <word records in the packaged file.
+        # Independent oracle: the distinct forms of the raw <word records in
+        # the packaged file, some of which hold several senses.
         raw = sj.DEFAULT_LEXICON_XML.read_text(encoding="utf-8")
-        assert len(sj.default_lexicon()) == raw.count("<word ")
+        forms = re.findall(r'<word form="([^"]*)"', raw)
+        assert len(forms) == raw.count("<word ") == 82
+        assert sorted(sj.default_lexicon().means) == sorted(set(forms))
+        assert len(set(forms)) == 79
 
     def test_tsv_loader(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -77,25 +82,21 @@ class TestLoading:
             "broken\tnot-a-number\n"
         )
         lex = sj.load_lexicon(path)
-        assert len(lex) == 2
-        assert lex.mean_subjectivity("boring") == 1.0
+        assert lex.means == {"good": (0.6, 1.0), "boring": (1.0, 1.0)}
 
     def test_tsv_round_trip(self, tmp_path):
-        lex = make_lexicon([("good", 0.6), ("very", 0.3, 1.3)])
+        # The two senses of "good" become one line with their means.
+        lex = make_lexicon([("very", 0.3, 1.3), ("good", 0.5), ("good", 0.7)])
         path = tmp_path / "out.tsv"
         sj.write_lexicon_tsv(lex, path)
         assert path.read_text(encoding="utf-8").splitlines()[1:] == [
             "good\t0.6\t0.0\t1.0", "very\t0.3\t0.0\t1.3"]
-        back = sj.load_lexicon(path)
-        assert len(back) == 2
-        assert back.mean_intensity("very") == 1.3
+        assert sj.load_lexicon(path).means == lex.means == {"good": (0.6, 1.0), "very": (0.3, 1.3)}
 
     def test_tsv_polarity_column_is_ignored(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("good\t0.6\tnot-a-number\t1.3\nbad\t0.65\t-4\n")
-        lex = sj.load_lexicon(path)
-        assert lex.senses("good") == (sj.LexiconEntry("good", 0.6, intensity=1.3),)
-        assert lex.senses("bad") == (sj.LexiconEntry("bad", 0.65),)
+        assert sj.load_lexicon(path).means == {"good": (0.6, 1.3), "bad": (0.65, 1.0)}
 
     def test_xml_polarity_and_pos_are_ignored(self, tmp_path):
         path = tmp_path / "lex.xml"
@@ -103,18 +104,35 @@ class TestLoading:
             '<lexicon><word form="good" pos="JJ" polarity="2" subjectivity="0.6" '
             'intensity="1.3"/></lexicon>'
         )
-        lex = sj.load_lexicon(path)
-        assert lex.senses("good") == (sj.LexiconEntry("good", 0.6, intensity=1.3),)
+        assert sj.load_lexicon(path).means == {"good": (0.6, 1.3)}
+
+    @pytest.mark.parametrize("name, with_empty, without", [
+        ("lex.tsv", "good\t0.6\t0.0\t\nbad\t0.7\t\t\nnice\t0.5\n\t0.9\t0.0\t1.3\nmeh\t\t0.0\t1.3\n",
+         "good\t0.6\nbad\t0.7\nnice\t0.5\n"),
+        ("lex.xml", '<lexicon><word form="good" subjectivity="0.6" intensity=""/>'
+                    '<word form="bad" subjectivity="0.7"/><word form="nice" subjectivity="0.5"/>'
+                    '<word form="meh" subjectivity="" intensity="1.3"/></lexicon>',
+         '<lexicon><word form="good" subjectivity="0.6"/><word form="bad" subjectivity="0.7"/>'
+         '<word form="nice" subjectivity="0.5"/></lexicon>'),
+    ], ids=["tsv", "xml"])
+    def test_empty_optional_field_reads_as_absent(self, tmp_path, name, with_empty, without):
+        # An empty intensity (and polarity) is intensity 1.0, as if the
+        # column were absent; an empty form or subjectivity skips the record.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        (tmp_path / "a" / name).write_text(with_empty)
+        (tmp_path / "b" / name).write_text(without)
+        lex, plain = sj.load_lexicon(tmp_path / "a" / name), sj.load_lexicon(tmp_path / "b" / name)
+        assert lex.means == plain.means == {"good": (0.6, 1.0), "bad": (0.7, 1.0), "nice": (0.5, 1.0)}
+        for text in ("good", "very good bad", "nice, good!", "meh good"):
+            assert repr(sj.score(text, lex).value) == repr(sj.score(text, plain).value)
 
     def test_load_lexicon_reads_tsv_by_suffix(self, tmp_path):
         text = ("# form\tsubjectivity\tpolarity\tintensity\n"
                 "good\t0.6\t0.7\t1.0\nvery\t0.3\t0.2\t1.3\nbroken\n")
         path = tmp_path / "lex.tsv"
         path.write_text(text)
-        lex = sj.load_lexicon(path)
-        assert sorted(lex.forms) == ["good", "very"]
-        assert lex.senses("good") == (sj.LexiconEntry("good", 0.6),)
-        assert lex.senses("very") == (sj.LexiconEntry("very", 0.3, intensity=1.3),)
+        assert sj.load_lexicon(path).means == {"good": (0.6, 1.0), "very": (0.3, 1.3)}
         xml_path = tmp_path / "lex.xml"
         xml_path.write_text(text)
         with pytest.raises(ContractError, match=" is not well-formed XML: "):
@@ -257,7 +275,7 @@ class TestWalkEdges:
         path = tmp_path / "lex.tsv"
         path.write_text("!\t0.9\ngood\t0.5\n")
         lex = sj.load_lexicon(path)
-        assert list(lex.forms) == ["good"]
+        assert list(lex.means) == ["good"]
         tokens = word_split("! good!")
         assert hits(tokens, lex) == oracles.word_hits(tokens, lex) == [(1, 1, 0.5)]
         assert sj.score("! good!", lex) == oracles.score("! good!", lex)
@@ -310,10 +328,12 @@ PROPERTY_LEXICON = make_lexicon(
 
 FORM_WORDS = st.text(alphabet="abé2'-", min_size=1, max_size=4).filter(
     lambda w: w[0].isalnum() and w[-1].isalnum())
-ENTRIES = st.lists(st.builds(
-    sj.LexiconEntry, st.lists(FORM_WORDS, min_size=1, max_size=3).map(" ".join),
-    st.floats(0.0, 1.0),
-    intensity=st.one_of(st.just(1.0), st.floats(0.0, 1e6, exclude_min=True))), min_size=1)
+# A few forms, then senses drawn among them, so most forms hold several.
+ENTRIES = st.lists(st.lists(FORM_WORDS, min_size=1, max_size=3).map(" ".join),
+                   min_size=1, max_size=6).flatmap(lambda forms: st.lists(st.builds(
+    sj.LexiconEntry, st.sampled_from(forms), st.floats(0.0, 1.0),
+    intensity=st.one_of(st.just(1.0), st.floats(0.0, 1e6, exclude_min=True))),
+    min_size=1, max_size=16))
 TEXTS = st.lists(st.one_of(FORM_WORDS, st.sampled_from(["!", "...", "A", "B2", "(a", "b,"])),
                  max_size=16).map(" ".join)
 
@@ -324,11 +344,14 @@ class TestProperties:
     def test_tsv_rewrite_scores_as_the_lexicon(self, entries, texts):
         # A run keeps its lexicon as this rewrite, so eval must score with
         # it exactly as train scored with the lexicon it loaded.
+        # Each form is one line with its means, which read back as they were.
         lex = sj.SubjectivityLexicon(entries)
         with tempfile.TemporaryDirectory() as tmp:
             sj.write_lexicon_tsv(lex, Path(tmp) / "lexicon.tsv")
+            lines = (Path(tmp) / "lexicon.tsv").read_text(encoding="utf-8").splitlines()[1:]
             back = sj.load_lexicon(Path(tmp) / "lexicon.tsv")
-        assert {f: back.senses(f) for f in back.forms} == {f: lex.senses(f) for f in lex.forms}
+        assert [line.split("\t")[0] for line in lines] == sorted(lex.means)
+        assert repr(sorted(back.means.items())) == repr(sorted(lex.means.items()))
         for text in texts:
             assert repr(sj.score(text, back).value) == repr(sj.score(text, lex).value)
 
@@ -355,7 +378,7 @@ class TestProperties:
         lex = PROPERTY_LEXICON
         before = sj.score(" ".join(tokens), lex)
         after = sj.score(" ".join(tokens + [extra]), lex)
-        target = lex.mean_subjectivity(extra)
+        target = lex.means[extra][0]
         if not hits(tokens, lex):
             assert after.value == pytest.approx(target)
         else:
