@@ -50,9 +50,12 @@ slots 1 on, running past slot 2 when ``d_ff > 2 * d_model``. The last
 block's q, u and scores fill ``act`` from its start, then ``g`` is written
 over the spent q and u; ``act`` is sized to hold them when they pass three
 slots, which takes more heads than ``2 * width + 1``. GELU overwrites the
-hidden, and its temporary reuses the scores block. At most ``h``, norm1's
-output, Q, K and V are live at once, so five slots are the least that
-whole-batch products can run in. The token embedding is gathered into
+hidden, and its temporary reuses the scores block, which is sized for the
+widest batch ``max_len`` allows. At most ``h``, norm1's output, Q, K and V
+are live at once, so five slots are the least that whole-batch products
+can run in. ``trainer.predict_batch`` holds each batch to a budget of key
+positions, ``rows * (width + 1)``, so a slot is at most that budget times
+``d_model`` floats at any max_len. The token embedding is gathered into
 ``h`` in blocks of rows, so a warm pass makes no temporary of a slot's
 size; only layer 0's repeat of the variants (below) copies. Fresh arrays
 cost more than their arithmetic at long rows: the allocator maps each
@@ -66,12 +69,14 @@ workspace changes no bit.
 
 In every block but the last, attention runs one block of whole batch rows
 at a time, all heads together, as many rows as fit ``_BLOCK_BYTES`` of
-scores and at least one, and in every block GELU runs through a temporary
-of one block of rows. So a pass holds one block of scores, not a batch's ``(rows,
-heads, width + 1, width + 1)``. This is exact: rows never meet inside
-attention, each head of each row is its own matrix product, and each
-softmax reduction runs along one row's keys, so a block gets the bits the
-whole batch would. Splitting one row's queries would not be exact, since a
+scores and at least one; when one row's heads pass it, a block is one row
+and as many of its heads as fit, at least one. In every block GELU runs
+through a temporary of one block of rows. So a pass holds one block of
+scores, at most ``max(_BLOCK_BYTES, (width + 1)**2 * 8)`` bytes, not a
+batch's ``(rows, heads, width + 1, width + 1)``. This is exact: rows never
+meet inside attention, each head of each row is its own matrix product, and
+each softmax reduction runs along one row's keys, so a block gets the bits
+the whole batch would. Splitting one row's queries would not be exact, since a
 smaller product may round differently, and tiling the keys with an online
 softmax (FlashAttention) would reorder the sums; neither is done. Training
 caches these blocks' queries, keys and values, not their probabilities:
@@ -133,7 +138,8 @@ _NORM_EPS = 1e-9
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 # Attention scores and GELU's temporary are computed, and the token
-# embedding gathered, in blocks of whole batch rows that fit this many bytes.
+# embedding gathered, in blocks of whole batch rows that fit this many bytes
+# (attention's in blocks of one row's heads when a row's do not).
 _BLOCK_BYTES = 1 << 20
 # The classifier is binary: the head has one logit per Label.
 N_CLASSES = 2
@@ -337,6 +343,21 @@ def _row_blocks(n, row_size):
     return [slice(start, start + step) for start in range(0, n, step)], step
 
 
+def _attention_blocks(n, n_heads, head_size):
+    """Blocks that cut the attention scores of ``n`` batch rows of
+    ``n_heads`` heads, each head's ``head_size`` float64 entries, as
+    ``(rows, heads)`` slice pairs: whole rows with all their heads, as many
+    rows as fit ``_BLOCK_BYTES`` and at least one, or, when one row's heads
+    pass it, one row and as many of its heads as fit, at least one. Returns
+    them with the rows and heads of the largest block."""
+    heads = max(1, min(n_heads, _BLOCK_BYTES // (8 * head_size)))
+    if heads < n_heads:
+        return [(slice(i, i + 1), slice(j, j + heads))
+                for i in range(n) for j in range(0, n_heads, heads)], (1, heads)
+    rows, step = _row_blocks(n, n_heads * head_size)
+    return [(r, slice(None)) for r in rows], (step, n_heads)
+
+
 def _softmax(scores, add_mask):
     """Each query's softmax over its keys, in place in ``scores``, after adding
     ``add_mask`` (0 or ``-inf`` per key); returns ``scores``."""
@@ -350,8 +371,8 @@ def _softmax(scores, add_mask):
 def _attention_probs(q, k, add_mask, out):
     """Each head's softmax over the keys ``k`` of the queries ``q``, the
     scaled scores plus ``add_mask``, written in place into the first
-    ``len(q)`` rows of ``out``."""
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2), out=out[: len(q)])
+    rows and heads of ``out``."""
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2), out=out[: len(q), : q.shape[1]])
     scores /= np.sqrt(q.shape[-1])
     return _softmax(scores, add_mask)
 
@@ -466,13 +487,12 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
     by the slot plan of the module docstring: with ``slot = max(rows,
     variants) * (width + 1) * d_model`` floats, ``h`` and ``norm`` take one
     slot each, ``act`` ``1 + max(2, d_ff / d_model)``, or the last block's
-    q, u and scores if more, and ``scores`` ``_BLOCK_BYTES``, or one row's
-    scores or feed-forward hidden if more. Nothing is written over an
-    activation that is still to be read. A buffer grows only when a call
-    needs more, so calls in descending order of ``rows * (width + 1)`` are
-    all sized by the first, save the scores block when a later batch is
-    wider and one row's scores pass ``_BLOCK_BYTES``, and ``act`` when the
-    last block's need passes three slots.
+    q, u and scores if more, and ``scores`` ``_BLOCK_BYTES``, or one (row,
+    head)'s scores or one row's feed-forward hidden at ``max_len`` if more.
+    Nothing is written over an activation that is still to be read. A
+    buffer grows only when a call needs more, so calls in descending order
+    of ``rows * (width + 1)`` are all sized by the first, save ``act`` when
+    the last block's need passes three slots.
     """
     if train_mode and workspace is not None:
         raise ContractError("a train_mode forward keeps its activations in its cache; "
@@ -503,7 +523,10 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         return flat[at : at + size].reshape(shape)
 
     if workspace is not None:  # sized up front: no buffer is replaced while viewed
-        for name, size in (("h", slot), ("norm", slot), ("scores", _BLOCK_BYTES // 8),
+        # The scores block holds one (row, head)'s scores or one row's
+        # feed-forward hidden at max_len when that passes _BLOCK_BYTES.
+        block = max(_BLOCK_BYTES // 8, (lm + 1) * max(lm + 1, d_ff))
+        for name, size in (("h", slot), ("norm", slot), ("scores", block),
                            ("act", max(slot + max(2 * slot, slot // d * d_ff), cls_size))):
             buf(name, (size,))
 
@@ -551,14 +574,14 @@ def forward(batch: Batch, params, config, train_mode: bool = False, dropout_rng=
         if repeats is not None:
             q, k, v, h = (np.repeat(x, repeats, axis=0) for x in (q, k, v, h))
         nb, n_heads, n_rows, _ = q.shape
-        # Scores and softmax in place, one block of whole rows at a time.
-        blocks, step = _row_blocks(nb, n_heads * n_rows * (width + 1))
-        scores = buf("scores", (step, n_heads, n_rows, width + 1))
+        # Scores and softmax in place, one block of rows, or of one row's heads, at a time.
+        blocks, shape = _attention_blocks(nb, n_heads, n_rows * (width + 1))
+        scores = buf("scores", (*shape, n_rows, width + 1))
         ocat = buf("norm", (nb, n_rows, d))
         pv = _split_heads(ocat, n_heads)  # each head writes its columns of ocat
-        for r in blocks:
-            probs = _attention_probs(q[r], k[r], add_mask[r], scores)
-            np.matmul(probs, v[r], out=pv[r])
+        for r, hs in blocks:
+            probs = _attention_probs(q[r, hs], k[r, hs], add_mask[r], scores)
+            np.matmul(probs, v[r, hs], out=pv[r, hs])
         return ocat, h, {"q": q, "k": k, "v": v}
 
     def cls_attention(a, h, p, repeats):
@@ -702,19 +725,20 @@ def backward(cache, params, config, dlogits):
         dq, dk, dv = (np.empty((nb, n_rows, d)) for _ in range(3))
         # Each head's gradient goes into its columns of dq, dk and dv.
         dq_h, dk_h, dv_h = (_split_heads(x, n_heads) for x in (dq, dk, dv))
-        blocks, step = _row_blocks(nb, n_heads * n_rows * (width + 1))
-        scores, dprobs, work = (np.empty((step, n_heads, n_rows, width + 1)) for _ in range(3))
-        for r in blocks:
-            probs = _attention_probs(q[r], k[r], add_mask[r], scores)
-            m = len(probs)
-            dp = np.matmul(do[r], v[r].transpose(0, 1, 3, 2), out=dprobs[:m])
-            np.matmul(probs.transpose(0, 1, 3, 2), do[r], out=dv_h[r])
+        blocks, shape = _attention_blocks(nb, n_heads, n_rows * (width + 1))
+        scores, dprobs, work = (np.empty((*shape, n_rows, width + 1)) for _ in range(3))
+        for r, hs in blocks:
+            q_b, k_b, v_b, do_b = q[r, hs], k[r, hs], v[r, hs], do[r, hs]
+            probs = _attention_probs(q_b, k_b, add_mask[r], scores)
+            m, nh = probs.shape[:2]
+            dp = np.matmul(do_b, v_b.transpose(0, 1, 3, 2), out=dprobs[:m, :nh])
+            np.matmul(probs.transpose(0, 1, 3, 2), do_b, out=dv_h[r, hs])
             # Softmax backward, in place in dp; masked columns carry
             # probability 0 so their score gradient vanishes identically.
-            dp -= np.multiply(dp, probs, out=work[:m]).sum(axis=-1, keepdims=True)
+            dp -= np.multiply(dp, probs, out=work[:m, :nh]).sum(axis=-1, keepdims=True)
             dscores = np.multiply(probs, dp, out=dp)
-            np.matmul(dscores, k[r], out=dq_h[r])
-            np.matmul(dscores.transpose(0, 1, 3, 2), q[r], out=dk_h[r])
+            np.matmul(dscores, k_b, out=dq_h[r, hs])
+            np.matmul(dscores.transpose(0, 1, 3, 2), q_b, out=dk_h[r, hs])
         dq /= np.sqrt(dh)
         dk /= np.sqrt(dh)
         if repeats is not None:

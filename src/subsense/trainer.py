@@ -247,24 +247,44 @@ def _decisions(logits):
     return [Label.TOXIC if t else Label.NONTOXIC for t in toxic.tolist()], probs.tolist()
 
 
-def predict_batch(params, config, data: Batch, batch_size: int = 64):
+# The key positions, rows * (width + 1), that an inference batch holds at
+# most, unless it is a single row.
+PREDICT_POSITIONS = 1024
+
+
+def _batches(extent, positions: int):
+    """The rows of extents ``extent`` cut into the batches ``predict_batch``
+    runs, in the order it runs them. Each is a run of the rows' stable
+    extent order, in ascending order, cut from the widest end: it takes as
+    many rows as fit ``positions`` at its widest row's ``width + 1`` keys
+    (``width`` at least 1), and at least one. They run in descending order
+    of ``rows * (width + 1)``, the slot every workspace buffer but the
+    scores block is sized by."""
+    order = np.argsort(extent, kind="stable")
+    batches, end = [], len(order)
+    while end:
+        keys = max(1, int(extent[order[end - 1]])) + 1
+        start = max(0, end - max(1, positions // keys))
+        batches.append(order[start:end])
+        end = start
+    batches.sort(key=lambda rows: len(rows) * (max(1, int(extent[rows[-1]])) + 1), reverse=True)
+    return batches
+
+
+def predict_batch(params, config, data: Batch, positions: int = PREDICT_POSITIONS):
     """Labels and toxic probabilities of the rows of ``data``, in its order.
 
     Rows are cut into batches in stable order of their extent, so each batch
     holds rows of similar length and trimming it to its longest row leaves
-    little padding. The batches run through one workspace in descending
-    order of ``rows * (width + 1)``, the slot every workspace buffer but
-    the scores block is sized by, so the first call sizes them and no later
-    call grows them. Each batch holds the rows it would in ascending order,
-    so its logits are the same bits.
+    little padding. A batch holds at most ``positions`` key positions,
+    ``rows * (width + 1)``, or a single row, so the workspace the batches
+    share holds at most ``positions * d_model`` floats a slot, whatever
+    ``max_len`` is. The batches run largest first (``_batches``), so the
+    first call sizes every buffer and no later call grows one.
     """
-    order = np.argsort(data.extent, kind="stable")
-    batches = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
-    batches.sort(key=lambda rows: len(rows) * (max(1, int(data.extent[rows].max())) + 1),
-                 reverse=True)
     logits = np.empty((len(data), N_CLASSES))
     workspace: dict = {}
-    for rows in batches:
+    for rows in _batches(data.extent, positions):
         logits[rows] = forward(data.take(rows), params, config, workspace=workspace)[0]
     return _decisions(logits)
 

@@ -2,9 +2,10 @@
 
 ``predict`` decides one example with ``decide``, the per-row decision
 ``trainer.predict_batch`` made before it decided whole batches at once.
-``predict_batch`` is ``trainer.predict_batch`` as it ran before its batches
-went widest first through one workspace: in ascending order, each through a
-``forward`` of fresh arrays.
+``predict_batch`` is ``trainer.predict_batch``'s loop as it ran before its
+batches went largest first through one workspace: given batches of rows
+(``trainer._batches`` decides them), each through a ``forward`` of fresh
+arrays.
 ``occlusion_penalty`` runs one forward per occluded identity token;
 ``trainer._soc_loss_and_grads`` is checked against it, bit for bit against
 ``soc_loss_and_grads_per_target``, its per-target loop over the same variant
@@ -265,14 +266,12 @@ def predict(params, config, example: AugmentedExample):
     return decide(logits[0])
 
 
-def predict_batch(params, config, data, batch_size: int = 64):
+def predict_batch(params, config, data, batches):
     """Labels and toxic probabilities of the rows of ``data``, in its order:
-    the batches of its stable extent order run in ascending order, each
-    without a workspace."""
-    order = np.argsort(data.extent, kind="stable")
+    ``batches``, arrays of row indices that partition its rows, run in
+    ascending order of their widest row, each without a workspace."""
     logits = np.empty((len(data), _enc.N_CLASSES))
-    for start in range(0, len(order), batch_size):
-        rows = order[start : start + batch_size]
+    for rows in sorted(batches, key=lambda rows: int(data.extent[rows].max())):
         logits[rows] = _enc.forward(data.take(rows), params, config)[0]
     return _tr._decisions(logits)
 

@@ -129,18 +129,21 @@ def wide_rows(n, seed):
 
 def test_predict_batch_splits_attention_and_matches_ascending_loop():
     """At 4 heads and 257 columns one row's scores take more than the
-    budget, so every batch runs one row per block: labels and ``p_toxic``
-    still equal the ascending loop's bit for bit."""
+    budget, so every batch runs one row and one head per block: labels and
+    ``p_toxic`` still equal the ascending loop's bit for bit."""
     config, params = model(2, 4, WIDE, 3, d_model=8)
-    assert 4 * (WIDE + 1) ** 2 * 8 > enc._BLOCK_BYTES
+    assert 2 * (WIDE + 1) ** 2 * 8 > enc._BLOCK_BYTES
     batch = wide_rows(20, 3)
-    got = tr.predict_batch(params, config, batch, batch_size=8)
-    assert got == oracles.predict_batch(params, config, batch, batch_size=8)
+    positions = 8 * (WIDE + 1)
+    got = tr.predict_batch(params, config, batch, positions=positions)
+    assert got == oracles.predict_batch(params, config, batch,
+                                        tr._batches(batch.extent, positions))
 
 
 def test_predict_batch_scores_buffer_holds_one_block(monkeypatch):
     """After ``predict_batch`` at 257 columns, the workspace's scores buffer
-    holds one block: at most the budget, or one row's heads if more."""
+    holds one block: at most the budget, or one (row, head)'s scores if
+    more. One row's four heads take twice the budget."""
     workspaces = []
     forward = tr.forward
 
@@ -150,10 +153,11 @@ def test_predict_batch_scores_buffer_holds_one_block(monkeypatch):
 
     monkeypatch.setattr(tr, "forward", spy)
     config, params = model(2, 4, WIDE, 4, d_model=8)
-    tr.predict_batch(params, config, wide_rows(24, 4), batch_size=8)
+    tr.predict_batch(params, config, wide_rows(24, 4), positions=8 * (WIDE + 1))
     (workspace,) = {id(w): w for w in workspaces}.values()
-    one_row = config.n_heads * (WIDE + 1) ** 2 * 8
-    assert workspace["scores"].nbytes <= max(enc._BLOCK_BYTES, one_row)
+    one_head = (WIDE + 1) ** 2 * 8
+    assert config.n_heads * one_head > 2 * enc._BLOCK_BYTES
+    assert workspace["scores"].nbytes <= max(enc._BLOCK_BYTES, one_head)
 
 
 def test_train_step_holds_no_full_attention_tensor():

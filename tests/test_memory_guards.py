@@ -5,7 +5,9 @@ a train-mode pass caches.
 CSV's comments, and keeps of each row only the prediction and the audit
 features; ``prepare_examples`` collects the token ids in an int32 buffer.
 An inference pass through a workspace it has sized writes every activation
-into it and gathers the token embedding in blocks of rows. A train-mode
+into it and gathers the token embedding in blocks of rows, and
+``predict_batch``'s batches keep that workspace to a budget of key
+positions. A train-mode
 pass caches each block's GELU tanh in place of its output.
 The guards read ``tracemalloc``, never the process's RSS, so they are
 deterministic; each bound sits between what the list-holding versions of
@@ -95,6 +97,23 @@ def test_warm_inference_pass_at_max_len_400():
                                                         workspace=workspace))
     assert logits.tobytes() == want.tobytes()
     assert peak < 64 * 401 * 64 * 8 / 4
+
+
+def test_predict_batch_at_max_len_400():
+    """``predict_batch`` of 64 full rows at max_len 400 (d_model 64, 4
+    heads, 2 layers) peaks below 5 MB, whatever the row count: its batches
+    hold at most ``PREDICT_POSITIONS`` key positions, so five workspace
+    slots take at most 2.6 MB, and one (row, head)'s scores 1.3 MB; it
+    peaked at 3.8 MB with 64 or 128 rows. Batches of 64 rows held five
+    slots of 13 MB and one row's scores, 5.1 MB, and peaked at 72 MB."""
+    config = enc.ModelConfig(max_len=400, vocab_size=500, d_model=64, n_heads=4, n_layers=2)
+    params = enc.init(config)
+    rng = np.random.default_rng(0)
+    batch = enc.Batch(rng.integers(4, 500, size=(64, 400), dtype=np.int32), rng.random(64),
+                      np.ones((64, 401), dtype=bool), np.full(64, 400, dtype=np.int32))
+    (labels, _), peak = traced_peak(lambda: trainer.predict_batch(params, config, batch))
+    assert len(labels) == 64
+    assert peak < 5_000_000
 
 
 def held_bytes(tree):

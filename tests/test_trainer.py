@@ -265,7 +265,7 @@ class TestPredict:
         params, config, prepared = self.shuffled_lengths()
         extents = prepared.data.extent.tolist()
         assert extents != sorted(extents) and min(extents) < config.max_len
-        preds, probs = tr.predict_batch(params, config, prepared.data, batch_size=8)
+        preds, probs = tr.predict_batch(params, config, prepared.data, positions=200)
         assert set(preds) == {Label.TOXIC, Label.NONTOXIC}
         for ex, label, prob in zip(oracles.rows(prepared), preds, probs, strict=True):
             one_label, one_prob = oracles.predict(params, config, ex.aug)
@@ -275,8 +275,8 @@ class TestPredict:
     def test_predict_batch_is_repeatable(self):
         params, config, prepared = self.shuffled_lengths()
         data = prepared.data
-        first = tr.predict_batch(params, config, data, batch_size=8)
-        assert tr.predict_batch(params, config, data, batch_size=8) == first
+        first = tr.predict_batch(params, config, data, positions=200)
+        assert tr.predict_batch(params, config, data, positions=200) == first
 
 
 class TestTrain:

@@ -1,9 +1,11 @@
 """Inference through a workspace: ``encoder.forward`` writing its
 activations into buffers the caller keeps, and ``trainer.predict_batch``
-running its batches largest first through one of them.
+cutting its rows into batches of at most a budget of key positions and
+running them largest first through one of them.
 
 Every result must be the same bits as the pass without a workspace:
-``predict_batch`` against the ascending loop frozen in ``oracles``, and a
+``predict_batch`` against the ascending loop frozen in ``oracles`` over the
+same batches, and a
 batch run after a wider one against its own fresh pass, so that nothing a
 larger batch left in a buffer reaches a smaller one's logits. The
 workspace shares its buffers by liveness, Q, K and V with the attention
@@ -55,9 +57,9 @@ def rows_batch(rng, extents, gate):
 
 @settings(max_examples=60, deadline=None)
 @given(n_layers=st.integers(0, 3), max_len=st.integers(3, 20),
-       batch_size=st.sampled_from([1, 7, 64]), seed=st.integers(0, 2**16),
+       positions=st.sampled_from([1, 100, 1024]), seed=st.integers(0, 2**16),
        d_ff=st.sampled_from([16, WIDE_FF]), data=st.data())
-def test_predict_batch_matches_ascending_loop(n_layers, max_len, batch_size, seed, d_ff, data):
+def test_predict_batch_matches_ascending_loop(n_layers, max_len, positions, seed, d_ff, data):
     """Labels and toxic probabilities equal the ascending loop's bit for bit,
     for rows of any width up to max_len, the slot gate open or closed."""
     n = data.draw(st.integers(1, 150), label="rows")
@@ -66,8 +68,60 @@ def test_predict_batch_matches_ascending_loop(n_layers, max_len, batch_size, see
     gate = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="gate")
     config, params = model(n_layers, max_len, seed, d_ff)
     batch = rows_batch(np.random.default_rng(seed), extents, gate)
-    preds, probs = tr.predict_batch(params, config, batch, batch_size=batch_size)
-    want_preds, want_probs = oracles.predict_batch(params, config, batch, batch_size=batch_size)
+    preds, probs = tr.predict_batch(params, config, batch, positions=positions)
+    want_preds, want_probs = oracles.predict_batch(params, config, batch,
+                                                   tr._batches(batch.extent, positions))
+    assert preds == want_preds
+    assert same_bits(probs, want_probs)
+
+
+def forward_spy(monkeypatch):
+    """A list that records, for each ``forward`` that ``trainer`` calls, its
+    batch's rows and token columns and a copy of its workspace dict."""
+    seen = []
+    forward = tr.forward
+
+    def spy(batch, *args, workspace=None, **kwargs):
+        out = forward(batch, *args, workspace=workspace, **kwargs)
+        seen.append((len(batch), batch.ids.shape[1], dict(workspace)))
+        return out
+
+    monkeypatch.setattr(tr, "forward", spy)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_layers=st.integers(0, 2), max_len=st.integers(3, 40), positions=st.integers(1, 400),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_predict_batches_cut_the_extent_order_within_the_budget(n_layers, max_len, positions,
+                                                                seed, data):
+    """``predict_batch`` runs batches that partition the rows into runs of
+    their stable extent order, each in ascending order and within the budget
+    of ``rows * (width + 1)`` key positions unless it is one row, largest
+    first; its labels and ``p_toxic`` are the ascending loop's over the same
+    batches, bit for bit."""
+    n = data.draw(st.integers(1, 80), label="rows")
+    extents = data.draw(st.lists(st.integers(1, max_len), min_size=n, max_size=n),
+                        label="extents")
+    gate = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="gate")
+    config, params = model(n_layers, max_len, seed)
+    batch = rows_batch(np.random.default_rng(seed), extents, gate)
+    batches = tr._batches(batch.extent, positions)
+    place = np.empty(n, dtype=np.intp)  # each row's place in the stable extent order
+    place[np.argsort(batch.extent, kind="stable")] = np.arange(n)
+    # Laid end to end from the narrowest, the batches' places count 0 to n - 1.
+    runs = sorted(batches, key=lambda rows: place[rows[0]])
+    assert np.concatenate([place[rows] for rows in runs]).tolist() == list(range(n))
+    keys = [max(1, int(batch.extent[rows].max())) + 1 for rows in batches]
+    needs = [len(rows) * k for rows, k in zip(batches, keys)]
+    assert all(len(rows) == 1 or need <= positions for rows, need in zip(batches, needs))
+    assert needs == sorted(needs, reverse=True)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = forward_spy(mp)
+        preds, probs = tr.predict_batch(params, config, batch, positions=positions)
+    assert [(rows, width) for rows, width, _ in seen] == [
+        (len(rows), k - 1) for rows, k in zip(batches, keys)]
+    want_preds, want_probs = oracles.predict_batch(params, config, batch, batches)
     assert preds == want_preds
     assert same_bits(probs, want_probs)
 
@@ -121,29 +175,34 @@ def test_variants_through_a_workspace(n_layers, d_ff, counts, plain_first):
     assert np.max(np.abs(logits - enc.forward(plain, params, config)[0])) <= 1e-12
 
 
-def test_predict_batch_sizes_every_buffer_at_its_first_call(monkeypatch):
-    """150 rows in batches of 64: the 22 widest form the partial batch, yet
-    the first ``forward`` sizes every workspace buffer and no later call
+def sizes_every_buffer_at_the_first_call(monkeypatch, max_len, n):
+    """``predict_batch`` of ``n`` rows of random extents up to ``max_len``
+    under the default budget: the first batch is not the widest, yet the
+    first ``forward`` sizes every workspace buffer and no later call
     replaces one with a larger one."""
-    seen = []
-    forward = tr.forward
-
-    def spy(*args, workspace=None, **kwargs):
-        out = forward(*args, workspace=workspace, **kwargs)
-        seen.append(dict(workspace))
-        return out
-
-    monkeypatch.setattr(tr, "forward", spy)
-    config, params = model(2, 40, 9)
+    seen = forward_spy(monkeypatch)
+    config, params = model(2, max_len, 9)
     rng = np.random.default_rng(9)
-    batch = rows_batch(rng, rng.integers(1, 41, size=150), rng.random(150) < 0.5)
-    got = tr.predict_batch(params, config, batch, batch_size=64)
-    assert got == oracles.predict_batch(params, config, batch, batch_size=64)
-    first, *later = seen
-    assert len(later) == 2
-    for buffers in later:
+    batch = rows_batch(rng, rng.integers(1, max_len + 1, size=n), rng.random(n) < 0.5)
+    got = tr.predict_batch(params, config, batch)
+    batches = tr._batches(batch.extent, tr.PREDICT_POSITIONS)
+    assert got == oracles.predict_batch(params, config, batch, batches)
+    (_, width, first), *later = seen
+    assert len(later) == len(batches) - 1 >= 2
+    assert width < max(later_width for _, later_width, _ in later)
+    for _, _, buffers in later:
         assert buffers.keys() == first.keys()
         assert all(buffers[name] is first[name] for name in first)
+
+
+def test_predict_batch_sizes_every_buffer_at_its_first_call(monkeypatch):
+    sizes_every_buffer_at_the_first_call(monkeypatch, 40, 150)
+
+
+def test_predict_batch_sizes_every_buffer_at_its_first_call_at_max_len_400(monkeypatch):
+    """One (row, head)'s scores pass ``_BLOCK_BYTES`` at 401 columns, so the
+    scores block is sized for max_len at the first call."""
+    sizes_every_buffer_at_the_first_call(monkeypatch, 400, 40)
 
 
 @pytest.mark.parametrize("d_ff", [128, 320])
@@ -152,9 +211,9 @@ def test_workspace_holds_its_live_set_at_max_len_400(d_ff):
     ``3 + max(2, d_ff / d_model)`` slots of ``rows * (width + 1) * d_model``
     floats: h, norm1's output, and Q, K and V, whose slots the feed-forward
     hidden takes over and may run past. Besides, it holds the scores block,
-    at most ``_BLOCK_BYTES`` or one row's scores (4 heads at 401 columns
-    take 5.1 MB). A buffer per activation held 8 slots and that block at
-    d_ff 128."""
+    at most ``_BLOCK_BYTES`` or one (row, head)'s scores (401 columns take
+    1.29 MB). A buffer per activation held 8 slots and a block of one row's
+    four heads at d_ff 128."""
     config = enc.ModelConfig(max_len=400, vocab_size=12, d_model=64, n_heads=4, n_layers=2,
                              d_ff=d_ff)
     workspace = {}
@@ -162,7 +221,7 @@ def test_workspace_holds_its_live_set_at_max_len_400(d_ff):
     enc.forward(rows_batch(rng, [400] * 32, [True] * 32), enc.init(config), config,
                 workspace=workspace)
     slot = 32 * 401 * 64 * 8
-    scores = max(enc._BLOCK_BYTES, 4 * 401 * 401 * 8)
+    scores = max(enc._BLOCK_BYTES, 401 * 401 * 8)
     held = sum(flat.nbytes for flat in workspace.values())
     assert held <= (3 + max(2, d_ff / 64)) * slot + scores
 
