@@ -220,15 +220,15 @@ class ErrorRow:
     subjectivity: float
 
 
-def error_listing(comments, preds, golds, features) -> list[ErrorRow]:
-    """Sortable list of misclassified comments with matched identity terms
-    and subjectivity scores (the error-table shape), read from each
-    comment's ``CommentFeatures``; of the comment itself only its id."""
+def error_listing(ids, preds, golds, features) -> list[ErrorRow]:
+    """Sortable list of misclassified comments, by id, with matched identity
+    terms and subjectivity scores (the error-table shape), read from each
+    comment's ``CommentFeatures``."""
     rows = []
-    for comment, pred, gold, (subjectivity, terms) in zip(comments, preds, golds, features):
+    for comment_id, pred, gold, (subjectivity, terms) in zip(ids, preds, golds, features):
         outcome = _outcome(pred, gold)
         if outcome in ("FP", "FN"):
-            rows.append(ErrorRow(comment.id, outcome, terms, subjectivity))
+            rows.append(ErrorRow(comment_id, outcome, terms, subjectivity))
     rows.sort(key=lambda r: (r.error, -r.subjectivity, r.comment_id))
     return rows
 
@@ -281,11 +281,11 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def audit_report(comments, preds, golds, features) -> AuditReport:
+def audit_report(ids, preds, golds, features) -> AuditReport:
     counts = confusion(preds, golds)
     return AuditReport(
         counts,
         f1(counts),
         bias_groups(preds, golds, features),
-        tuple(error_listing(comments, preds, golds, features)),
+        tuple(error_listing(ids, preds, golds, features)),
     )

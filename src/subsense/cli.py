@@ -39,11 +39,13 @@ CONFIG_KEYS = {"model": dict, "schedule": dict, "mode": str, "soc_weight": float
 EVAL_KEYS = {"manifest_sha256": str, "test": dict, "n": int, "tp": int, "fp": int, "tn": int,
              "fn": int, "f1": float}
 # eval writes its predictions beside its report and audit reads them from
-# beside its own, so an audit never runs the encoder again. The first line
-# names the sha256 of the manifest and test CSV they were made from.
+# beside its own, so an audit never runs the encoder or parses the test CSV:
+# each row holds the comment's gold label beside its prediction. The first
+# line names the sha256 of the manifest and test CSV they were made from and
+# ends with " n=<rows>"; the digest and the count bind the rows to that CSV.
 PREDICTIONS_FILE = "predictions.csv"
 PREDICTIONS_TAG = "# subsense predictions manifest={} test={}"
-PREDICTION_COLUMNS = ["id", "pred", "p_toxic", "subjectivity", "terms"]
+PREDICTION_COLUMNS = ["id", "label", "pred", "p_toxic", "subjectivity", "terms"]
 LABEL_NAMES = {label: str(label) for label in datasets.Label}
 
 
@@ -325,53 +327,59 @@ def _rebuild_run(run: Path):
 
 
 def _write_predictions(path, tag, comments, preds, probs, features) -> None:
-    """One row per comment after ``tag`` and a header. Floats are written
-    with ``repr``, so they read back bit for bit; identity terms are single
-    words (``IdentityLexicon``), joined by a space."""
+    """One row per comment after ``tag`` with the row count and a header.
+    Labels are written by their canonical names and floats with ``repr``,
+    so they read back bit for bit; identity terms are single words
+    (``IdentityLexicon``), joined by a space."""
     with replacing(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(tag + "\n")
+        fh.write(f"{tag} n={len(comments)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PREDICTION_COLUMNS)
         for comment, pred, prob, (subj, terms) in zip(comments, preds, probs, features):
-            writer.writerow([comment.id, LABEL_NAMES[pred], repr(prob), repr(subj),
-                             " ".join(terms)])
+            writer.writerow([comment.id, LABEL_NAMES[comment.label], LABEL_NAMES[pred],
+                             repr(prob), repr(subj), " ".join(terms)])
 
 
-def _read_predictions(path, tag, comments):
-    """The predictions and audit features ``eval`` wrote for ``comments``.
-    A missing file, another ``tag``, other ids or a malformed row raise
-    ContractError saying to run ``eval`` first."""
+def _read_predictions(path, tag):
+    """The ids, gold labels, predictions and audit features ``eval`` wrote
+    under ``tag``. A missing file, another ``tag``, a row count other than
+    the tag's or a malformed row raise ContractError saying to run ``eval``
+    first."""
     def stale(reason):
         return ContractError(f"{path}: {reason}; run `subsense eval` with the same "
                              "report directory first")
 
     if not path.exists():
         raise stale("no predictions")
-    preds, features = [], []
+    ids, golds, preds, features = [], [], [], []
+    terms_of = {}  # one tuple per distinct terms cell, shared by its rows
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            if fh.readline().rstrip("\r\n") != tag:
+            head, _, n = fh.readline().rstrip("\r\n").rpartition(" n=")
+            if head != tag:
                 raise stale("predictions of another run or test CSV")
-            rows = csv.reader(fh)  # read in step with the comments, one row at a time
+            if not (n.isascii() and n.isdigit()):
+                raise stale(f"malformed predictions (row count {n!r} is not a count)")
+            rows = csv.reader(fh)
             if next(rows, None) != PREDICTION_COLUMNS:
                 raise stale("predictions do not cover the test CSV")
-            for comment, (cid, pred, p_toxic, subj, terms) in zip(comments, rows):
-                if cid != comment.id:
-                    raise stale(f"id {cid!r} where the test CSV has {comment.id!r}")
+            for cid, gold, pred, p_toxic, subj, terms in rows:
                 subj = float(subj)
                 if not (0.0 <= float(p_toxic) <= 1.0 and 0.0 <= subj <= 1.0):  # NaN fails too
                     raise stale(f"malformed predictions (p_toxic or subjectivity of {cid!r} "
                                 "outside [0, 1])")
-                label = datasets.LABELS.get(pred)  # only as eval writes it
-                if label is None:  # malformed, as a float() ValueError is
-                    raise ValueError(f"unknown canonical label {pred!r}")
-                preds.append(label)
-                features.append(audit.CommentFeatures(subj, tuple(terms.split())))
-            if len(preds) != len(comments) or next(rows, None) is not None:
+                ids.append(cid)
+                golds.append(datasets.LABELS[gold])  # only as eval writes it
+                preds.append(datasets.LABELS[pred])
+                features.append(audit.CommentFeatures(
+                    subj, terms_of.setdefault(terms, tuple(terms.split()))))
+            if len(ids) != int(n):
                 raise stale("predictions do not cover the test CSV")
+    except KeyError as exc:  # malformed, as a float() ValueError is
+        raise stale(f"malformed predictions (unknown canonical label {exc.args[0]!r})") from None
     except (ValueError, csv.Error) as exc:
         raise stale(f"malformed predictions ({exc})") from None
-    return preds, features
+    return ids, golds, preds, features
 
 
 def _cmd_eval(args) -> int:
@@ -409,10 +417,9 @@ def _cmd_audit(args) -> int:
     _check_paths([("--output", out)],
                  [("--test", args.test), ("predictions", predictions),
                   ("run file", run / "eval.json"), *_run_files(args.manifest)])
-    comments = _read_comments(args.test)
     tag = PREDICTIONS_TAG.format(manifest_sha256, _sha256_file(args.test))
-    preds, features = _read_predictions(predictions, tag, comments)
-    report = audit.audit_report(comments, preds, [c.label for c in comments], features)
+    ids, golds, preds, features = _read_predictions(predictions, tag)
+    report = audit.audit_report(ids, preds, golds, features)
     _write_json(report.to_json_dict(), out)
     print(report.to_text())
     print(f"report: {out}")

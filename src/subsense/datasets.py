@@ -12,8 +12,8 @@ Per-kind input schemas (UTF-8 CSV, documented rather than auto-detected):
 
 An optional id column is honoured everywhere; otherwise ids are generated.
 Canonical output schema: id,text,label with label in {toxic, nontoxic};
-``read_canonical`` reads it, and ``split``, ``train``, ``eval`` and ``audit``
-take it as input.
+``read_canonical`` reads it for ``split``, ``train`` and ``eval``; ``audit``
+takes it as input too, but reads only its sha256.
 """
 
 from __future__ import annotations

@@ -174,7 +174,8 @@ class TestBiasGroups:
     def test_named_groups_view(self):
         comments, preds, golds = sample_comments(5)
         features = oracles.features(comments, TERMS, SCORING)
-        payload = audit.audit_report(comments, preds, golds, features).to_json_dict()
+        payload = audit.audit_report([c.id for c in comments], preds, golds,
+                                     features).to_json_dict()
         named, cells = payload["named_groups"], payload["cells"]
         assert set(named) == {"TPwIT", "FPwIT", "TNwoIT", "FNwoIT"}
         # A named group holds only its cell's size: the cell itself holds the rest.
@@ -244,7 +245,8 @@ class TestReport:
             ds.Comment("c", "the muslim community", T),
         ]
         preds = [T, T, N]
-        rows = audit.error_listing(comments, preds, [c.label for c in comments],
+        rows = audit.error_listing([c.id for c in comments], preds,
+                                   [c.label for c in comments],
                                    oracles.features(comments, TERMS, SCORING))
         assert [r.error for r in rows] == ["FN", "FP", "FP"]
         fps = [r for r in rows if r.error == "FP"]
@@ -253,9 +255,10 @@ class TestReport:
 
     def test_report_round_trip_and_determinism(self):
         comments, preds, golds = sample_comments(9, n=30)
-        report = audit.audit_report(comments, preds, golds,
+        ids = [c.id for c in comments]
+        report = audit.audit_report(ids, preds, golds,
                                     oracles.features(comments, TERMS, SCORING))
-        again = audit.audit_report(comments, preds, golds,
+        again = audit.audit_report(ids, preds, golds,
                                    oracles.features(comments, TERMS, SCORING))
         assert report.to_json_dict() == again.to_json_dict()
         assert report.to_text() == again.to_text()
@@ -287,7 +290,7 @@ class TestOneDerivationPerComment:
         preds = [pred for _, pred, _, _, _ in rows]
         golds = [gold for _, _, gold, _, _ in rows]
         features = [audit.CommentFeatures(s, terms) for _, _, _, s, terms in rows]
-        got = audit.audit_report(comments, preds, golds, features)
+        got = audit.audit_report([c.id for c in comments], preds, golds, features)
         want = oracles.feature_audit_report(comments, preds, golds, features)
         assert (got.counts, got.f1) == (want.counts, want.f1)
         assert list(got.cells.items()) == list(want.cells.items())

@@ -802,7 +802,7 @@ class TestBadInputExitsTwo:
         assert str(bad) in self.one_line_error(capsys)
 
     @pytest.mark.parametrize("value", ["inf", "7.5", "-1", "nan"])
-    @pytest.mark.parametrize("column", [2, 3], ids=["p_toxic", "subjectivity"])
+    @pytest.mark.parametrize("column", [3, 4], ids=["p_toxic", "subjectivity"])
     def test_predictions_value_outside_unit_interval(self, pipeline, tmp_path, capsys,
                                                      column, value):
         manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
@@ -835,7 +835,14 @@ class TestBadInputExitsTwo:
                                  str(empty), "--mode", "ss", "--seed", "1", "--outdir",
                                  str(tmp_path / "run"), *TRAIN_FLAGS])
         assert code == 2
-        assert self.one_line_error(capsys) == f"error: no comments in {empty}"
+        if command == "audit":
+            # audit reads only the test CSV's sha256, and eval, which refuses
+            # an empty CSV, wrote no predictions for it.
+            assert self.one_line_error(capsys) == (
+                f"error: {tmp_path / 'predictions.csv'}: no predictions; run `subsense eval` "
+                "with the same report directory first")
+        else:
+            assert self.one_line_error(capsys) == f"error: no comments in {empty}"
 
     def test_vocab_of_another_size(self, pipeline, tmp_path, capsys):
         run = copy_run(pipeline, tmp_path / "run")
@@ -1076,7 +1083,8 @@ def old_path(pipeline):
     params = encoder.load_params(run / "checkpoint.bin", config)
     preds, probs = trainer.predict_batch(params, config, prepared.data)
     features = oracles.prepared_features(prepared)
-    report = audit.audit_report(comments, preds, [c.label for c in comments], features)
+    report = audit.audit_report([c.id for c in comments], preds, [c.label for c in comments],
+                                features)
     return {"comments": comments, "preds": preds, "probs": probs, "features": features,
             "report": report}
 
@@ -1108,21 +1116,22 @@ class TestPredictionsHandoff:
         run, data = pipeline["run"], pipeline["data"]
         lines = (run / "predictions.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == (f"# subsense predictions manifest={sha(run / 'manifest.json')} "
-                            f"test={sha(data / 'test.csv')}")
+                            f"test={sha(data / 'test.csv')} n={len(old_path['comments'])}")
         rows = list(csv.reader(lines[1:]))
-        assert rows[0] == ["id", "pred", "p_toxic", "subjectivity", "terms"]
+        assert rows[0] == ["id", "label", "pred", "p_toxic", "subjectivity", "terms"]
         assert len(rows) - 1 == len(old_path["comments"])
         for row, comment, pred, prob, feats in zip(
             rows[1:], old_path["comments"], old_path["preds"], old_path["probs"],
             old_path["features"],
         ):
-            cid, label, p_toxic, subj, terms = row
-            assert (cid, datasets.Label.parse(label)) == (comment.id, pred)
+            cid, gold, label, p_toxic, subj, terms = row
+            assert (cid, gold, label) == (comment.id, str(comment.label), str(pred))
             assert float(p_toxic) == prob and float(subj) == feats.subjectivity
             assert tuple(terms.split()) == feats.terms
 
     def test_round_trip_of_awkward_values(self, tmp_path):
-        comments = [datasets.Comment(f"c,{i}", "text", datasets.Label.TOXIC) for i in range(4)]
+        golds = [datasets.Label.TOXIC] * 3 + [datasets.Label.NONTOXIC]
+        comments = [datasets.Comment(f"c,{i}", "text", gold) for i, gold in enumerate(golds)]
         preds = [datasets.Label.TOXIC, datasets.Label.NONTOXIC] * 2
         features = [
             audit.CommentFeatures(0.1 + 0.2, ("women", "muslim", "gay")),
@@ -1133,7 +1142,9 @@ class TestPredictionsHandoff:
         path = tmp_path / "predictions.csv"
         cli._write_predictions(path, "# tag", comments, preds, [1 / 3, 2 / 3, 1e-17, 1.0],
                                features)
-        assert cli._read_predictions(path, "# tag", comments) == (preds, features)
+        assert path.read_text(encoding="utf-8").partition("\n")[0] == "# tag n=4"
+        assert cli._read_predictions(path, "# tag") == (
+            [c.id for c in comments], golds, preds, features)
 
     def test_reports_equal_the_old_path(self, pipeline, old_path, capsys):
         run, data = pipeline["run"], pipeline["data"]
@@ -1144,6 +1155,27 @@ class TestPredictionsHandoff:
         assert (run / "audit.json").read_text(encoding="utf-8") == (
             json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
         )
+
+    def test_audit_reads_predictions_alone(self, pipeline, old_path, tmp_path, monkeypatch,
+                                           capsys):
+        """audit hashes the test CSV and never parses it: with the CSV reader
+        gone, it still writes the audit of the test CSV's comments."""
+        manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
+        assert _eval(manifest, test, tmp_path) == 0
+        capsys.readouterr()
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("audit parsed the test CSV")
+
+        monkeypatch.setattr(datasets, "read_canonical", no_read)
+        assert _audit(manifest, test, tmp_path) == 0
+        comments = old_path["comments"]
+        want = oracles.feature_audit_report(comments, old_path["preds"],
+                                            [c.label for c in comments], old_path["features"])
+        assert (tmp_path / "audit.json").read_text(encoding="utf-8") == (
+            json.dumps(want.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        assert capsys.readouterr().out == (
+            f"{want.to_text()}\nreport: {tmp_path / 'audit.json'}\n")
 
     def test_audit_json_copies_no_per_comment_record(self, pipeline, capsys):
         run, data = pipeline["run"], pipeline["data"]
@@ -1168,6 +1200,15 @@ class TestPredictionsHandoff:
                              "--test", str(other_run.parent / "data" / "test.csv")]) == 2
         self.refused(capsys, other_run / "predictions.csv")
         assert not (other_run / "audit.json").exists()
+
+    def test_audit_of_a_missing_test_csv(self, pipeline, tmp_path, capsys):
+        """audit hashes the test CSV, so a missing one ends it with exit 2
+        and one line naming the path."""
+        manifest, test = pipeline["run"] / "manifest.json", tmp_path / "gone.csv"
+        assert _audit(manifest, test, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(test) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_on_another_test_csv(self, pipeline, tmp_path, capsys):
         manifest, data = pipeline["run"] / "manifest.json", pipeline["data"]
@@ -1204,19 +1245,23 @@ class TestPredictionsHandoff:
     @pytest.mark.parametrize("tamper, reason", [
         ("no file", "no predictions"),
         ("another tag", "predictions of another run or test CSV"),
+        ("five columns", "predictions of another run or test CSV"),
+        ("n not a count", "malformed predictions (row count '3.0' is not a count)"),
+        ("n one too many", "predictions do not cover the test CSV"),
         ("wrong header", "predictions do not cover the test CSV"),
-        ("wrong id", "id 'x' where the test CSV has {cid!r}"),
         ("short file", "predictions do not cover the test CSV"),
+        ("extra row", "predictions do not cover the test CSV"),
+        ("label not a label", "malformed predictions (unknown canonical label 'maybe')"),
         ("pred not a label", "malformed predictions (unknown canonical label 'maybe')"),
         ("pred not as eval writes it", "malformed predictions (unknown canonical label 'Toxic')"),
-        ("short row", "malformed predictions (not enough values to unpack (expected 5, got 3))"),
+        ("short row", "malformed predictions (not enough values to unpack (expected 6, got 3))"),
         ("p_toxic not a number",
          "malformed predictions (could not convert string to float: 'x')"),
         ("p_toxic out of range",
          "malformed predictions (p_toxic or subjectivity of {cid!r} outside [0, 1])"),
-    ], ids=["no-file", "another-tag", "wrong-header", "wrong-id", "short-file",
-            "pred-not-a-label", "pred-not-canonical", "short-row", "p_toxic-not-a-number",
-            "p_toxic-out-of-range"])
+    ], ids=["no-file", "another-tag", "five-columns", "n-not-a-count", "n-one-too-many",
+            "wrong-header", "short-file", "extra-row", "label-not-a-label", "pred-not-a-label",
+            "pred-not-canonical", "short-row", "p_toxic-not-a-number", "p_toxic-out-of-range"])
     def test_stale_predictions_message(self, pipeline, tmp_path, capsys, tamper, reason):
         """Each refusal of predictions.csv is wrapped once: the reason, then
         the advice to run eval."""
@@ -1226,22 +1271,34 @@ class TestPredictionsHandoff:
         tag, *lines = path.read_text(encoding="utf-8").splitlines()
         header, *rows = csv.reader(lines)
         cid = rows[0][0]
+        head, _, n = tag.rpartition(" n=")
         if tamper == "another tag":
-            tag = "# subsense predictions manifest=0 test=0"
+            tag = "# subsense predictions manifest=0 test=0 n=" + n
+        elif tamper == "five columns":  # as eval wrote it before rows held the gold label
+            tag = head
+            header.remove("label")
+            for row in rows:
+                del row[1]
+        elif tamper == "n not a count":
+            tag = f"{head} n=3.0"
+        elif tamper == "n one too many":
+            tag = f"{head} n={int(n) + 1}"
         elif tamper == "wrong header":
             header.reverse()
-        elif tamper == "wrong id":
-            rows[0][0] = "x"
         elif tamper == "short file":
             rows.pop()
-        elif tamper == "pred not a label":
+        elif tamper == "extra row":
+            rows.append(rows[-1])
+        elif tamper == "label not a label":
             rows[0][1] = "maybe"
+        elif tamper == "pred not a label":
+            rows[0][2] = "maybe"
         elif tamper == "pred not as eval writes it":
-            rows[0][1] = "Toxic"
+            rows[0][2] = "Toxic"
         elif tamper == "short row":
             rows[0] = rows[0][:3]
         elif tamper != "no file":
-            rows[0][2] = "x" if tamper == "p_toxic not a number" else "7.5"
+            rows[0][3] = "x" if tamper == "p_toxic not a number" else "7.5"
         body = io.StringIO(newline="")
         csv.writer(body, lineterminator="\n").writerows([header, *rows])
         path.write_text(f"{tag}\n{body.getvalue()}", encoding="utf-8")
@@ -1255,7 +1312,7 @@ class TestPredictionsHandoff:
         assert not (tmp_path / "audit.json").exists()
 
     @pytest.mark.parametrize("tamper", [
-        "swap ids", "drop a row", "extra row", "bad float", "bad label", "short row",
+        "drop a row", "extra row", "bad float", "bad label", "bad gold label", "short row",
         "columns swapped",
     ])
     def test_edited_predictions(self, pipeline, tmp_path, capsys, tamper):
@@ -1264,26 +1321,27 @@ class TestPredictionsHandoff:
         path = tmp_path / "predictions.csv"
         tag, *lines = path.read_text(encoding="utf-8").splitlines()
         header, *rows = csv.reader(lines)
-        if tamper == "swap ids":
-            rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
-        elif tamper == "drop a row":
+        if tamper == "drop a row":
             rows.pop()
         elif tamper == "extra row":
             rows.append(rows[-1])
         elif tamper == "bad float":
-            rows[3][3] = "x"
+            rows[3][4] = "x"
         elif tamper == "bad label":
+            rows[3][2] = "maybe"
+        elif tamper == "bad gold label":
             rows[3][1] = "maybe"
         elif tamper == "short row":
             rows[3] = rows[3][:3]
         else:
-            header[2], header[3] = header[3], header[2]
+            header[3], header[4] = header[4], header[3]
         body = io.StringIO(newline="")
         csv.writer(body, lineterminator="\n").writerows([header, *rows])
         path.write_text(f"{tag}\n{body.getvalue()}", encoding="utf-8")
         capsys.readouterr()
         assert _audit(manifest, test, tmp_path) == 2
         self.refused(capsys, path)
+        assert not (tmp_path / "audit.json").exists()
 
     @settings(max_examples=30, deadline=None)
     @given(how=st.sampled_from(["drop", "duplicate", "cut"]), at=st.integers(0, 2**16))
@@ -1291,8 +1349,8 @@ class TestPredictionsHandoff:
     @example(how="cut", at=2)  # only the tag and the header
     def test_streamed_predictions_refused(self, pipeline, how, at):
         """predictions.csv with one line dropped or repeated, or cut after
-        any line: audit, which reads it in step with the test CSV, exits 2
-        with one line naming the file and ``subsense eval``, and writes no
+        any line: audit, which checks the rows against the tag's count, exits
+        2 with one line naming the file and ``subsense eval``, and writes no
         report."""
         manifest, test = pipeline["run"] / "manifest.json", pipeline["data"] / "test.csv"
         lines = (pipeline["run"] / "predictions.csv").read_bytes().splitlines(keepends=True)

@@ -254,7 +254,7 @@ def test_audit_report_matches_oracle(corpora, seed):
         prepared = tr.prepare_examples(comments, vocab, lexicon, TERMS, 16, AugmentMode.SS)
         preds = [rng.choice([ds.Label.TOXIC, ds.Label.NONTOXIC]) for _ in comments]
         golds = [c.label for c in comments]
-        report = audit.audit_report(comments, preds, golds,
+        report = audit.audit_report([c.id for c in comments], preds, golds,
                                     oracles.prepared_features(prepared))
         expected = oracles.audit_report(comments, preds, golds, TERMS, lexicon)
         assert report.to_json_dict() == expected.to_json_dict()

@@ -1,20 +1,23 @@
 """What eval and audit hold per comment, what inference allocates, and what
 a train-mode pass caches.
 
-``audit`` reads predictions.csv one row at a time, in step with the test
-CSV's comments, and keeps of each row only the prediction and the audit
-features; ``prepare_examples`` collects the token ids in an int32 buffer.
+``audit`` hashes the test CSV and never parses it: it reads predictions.csv
+one row at a time and keeps of each row only the id, the gold label, the
+prediction and the audit features, so what it holds does not grow with the
+comments' text; ``prepare_examples`` collects the token ids in an int32
+buffer.
 An inference pass through a workspace it has sized writes every activation
 into it and gathers the token embedding in blocks of rows, and
 ``predict_batch``'s batches keep that workspace to a budget of key
 positions. A train-mode
 pass caches each block's GELU tanh in place of its output.
 The guards read ``tracemalloc``, never the process's RSS, so they are
-deterministic; each bound sits between what the list-holding versions of
-these readers took and what they take now.
+deterministic; each bound sits between what an earlier version took (one
+that held lists, or every comment's text) and what the code takes now.
 """
 
 import csv
+import json
 import random
 import tracemalloc
 
@@ -38,7 +41,8 @@ def traced_peak(fn):
 
 def test_audit_reads_predictions_row_by_row(tmp_path):
     """Reading 5,000 predictions peaks below half of what the list of their
-    parsed rows alone takes."""
+    parsed rows alone takes: 0.91 of 2.31 MB. Rows with one terms cell share
+    one tuple; a tuple per row took 1.17 MB."""
     rng = random.Random(0)
     comments = [ds.Comment(f"c{i}", "text", ds.Label.TOXIC) for i in range(5000)]
     path = tmp_path / "predictions.csv"
@@ -54,9 +58,45 @@ def test_audit_reads_predictions_row_by_row(tmp_path):
 
     rows, rows_cost = traced_peak(all_rows)
     assert len(rows) == 1 + len(comments)
-    (preds, features), peak = traced_peak(lambda: cli._read_predictions(path, "# tag", comments))
-    assert len(preds) == len(features) == len(comments)
+    (ids, golds, preds, features), peak = traced_peak(
+        lambda: cli._read_predictions(path, "# tag"))
+    assert len(ids) == len(golds) == len(preds) == len(features) == len(comments)
     assert peak < rows_cost / 2
+
+
+def test_audit_holds_no_text(tmp_path, capsys):
+    """``audit`` of 2,000 comments of about 2 KB of text each peaks below
+    1.5 MB, a bound that does not grow with the text: it hashes the test CSV
+    and builds its report from predictions.csv alone, now peaking at 0.94
+    MB. Parsing the test CSV into comments, texts included, it peaked at
+    5.3 MB."""
+    rng = random.Random(2)
+    words = ["you", "are", "a", "good", "bad", "awful", "women", "muslim", "not", "river"]
+    labels = list(ds.Label)
+    comments = [ds.Comment(f"c{i}", " ".join(rng.choice(words) for _ in range(600))[:2000],
+                           rng.choice(labels)) for i in range(2000)]
+    test = tmp_path / "test.csv"
+    ds.write_canonical(comments, test)
+    assert test.stat().st_size > 4_000_000
+    # audit checks each run file's sha256 and loads none of them.
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in cli.RUN_FILES:
+        (run / name).write_text(name, encoding="utf-8")
+    manifest = run / "manifest.json"
+    manifest.write_text(json.dumps({
+        "manifest_version": cli.MANIFEST_VERSION, "inputs": {},
+        "files": {name: cli._sha256_file(run / name) for name in cli.RUN_FILES}}),
+        encoding="utf-8")
+    tag = cli.PREDICTIONS_TAG.format(cli._sha256_file(manifest), cli._sha256_file(test))
+    cli._write_predictions(
+        run / "predictions.csv", tag, comments, [rng.choice(labels) for _ in comments],
+        [rng.random() for _ in comments],
+        [(rng.random(), rng.choice([(), ("women",), ("muslim", "women")])) for _ in comments])
+    code, peak = traced_peak(lambda: cli.dispatch(
+        ["audit", "--manifest", str(manifest), "--test", str(test)]))
+    assert code == 0, capsys.readouterr().err
+    assert peak < 1_500_000
 
 
 def test_prepare_examples_bytes_per_id_at_max_len_400():
